@@ -22,12 +22,11 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs shared by the integrators, quadrature and root finding.
+    """Numerical knobs shared by the integrators and the quadrature.
 
     abs_tol / rel_tol bound the local error of adaptive algorithms,
     max_step / min_step bound integrator step sizes, and max_iterations
-    caps attempted steps, panel subdivisions, or root-finding iterations
-    per call.
+    caps attempted steps or panel subdivisions per call.
     """
 
     abs_tol: float = 1e-10

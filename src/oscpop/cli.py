@@ -15,13 +15,11 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .capacity import (
-    CapacitySchedule,
     Constant,
     SinusoidOffset,
     SolverConfig,
@@ -53,22 +51,6 @@ from .periodic import (
 )
 
 OUTPUT_DIR_ENV = "OSCPOP_OUTPUT_DIR"
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one CLI invocation resolved to: command, schedule,
-    model parameters, solver settings, sampling horizon, and output
-    target. Command-specific knobs ride in extras."""
-
-    command: str
-    schedule: CapacitySchedule | None
-    params: LogisticParams | None
-    cfg: SolverConfig
-    t_end: float | None
-    dt: float | None
-    output: str
-    extras: dict = field(default_factory=dict)
 
 
 def _fmt(value: float) -> str:
@@ -104,43 +86,11 @@ def _emit(header: list[str], rows, destination: str, report: str | None = None) 
             sys.stdout.write(report)
 
 
-_EXTRA_KEYS = (
-    "r",
-    "regime_tol",
-    "fixed_point_tol",
-    "rho_min",
-    "rho_max",
-    "steps",
-    "transient",
-    "window",
-    "match_tol",
-    "seed",
-)
-
-
-def _resolve_run(args) -> RunSpec:
-    cfg_kwargs = {}
-    for name in ("abs_tol", "rel_tol", "max_step", "min_step", "max_iterations"):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg_kwargs[name] = value
-    schedule = parse_schedule(args.schedule) if hasattr(args, "schedule") else None
-    params = LogisticParams(args.r, args.p0, args.t0) if hasattr(args, "p0") else None
-    extras = {
-        k: getattr(args, k)
-        for k in _EXTRA_KEYS
-        if hasattr(args, k) and not (k == "r" and params is not None)
-    }
-    return RunSpec(
-        command=args.command,
-        schedule=schedule,
-        params=params,
-        cfg=SolverConfig(**cfg_kwargs),
-        t_end=getattr(args, "t_end", None),
-        dt=getattr(args, "dt", None),
-        output=getattr(args, "output", "-"),
-        extras=extras,
-    )
+def _solver_config(args) -> SolverConfig:
+    """SolverConfig from the solver flags given; defaults for the rest."""
+    names = ("abs_tol", "rel_tol", "max_step", "min_step", "max_iterations")
+    given = {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+    return SolverConfig(**given)
 
 
 def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
@@ -220,34 +170,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(spec: RunSpec) -> int:
-    cap = spec.schedule
-    grid = _time_grid(spec.params.t0, spec.t_end, spec.dt)
-    traj = integrate_logistic(spec.params, cap, float(grid[-1]), spec.cfg, t_eval=grid)
+def _cmd_simulate(args, cfg: SolverConfig) -> int:
+    cap = parse_schedule(args.schedule)
+    params = LogisticParams(args.r, args.p0, args.t0)
+    grid = _time_grid(params.t0, args.t_end, args.dt)
+    traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
     rows = [(t, p, cap.at(float(t))) for t, p in zip(traj.times, traj.populations)]
-    _emit(["t", "P", "M"], rows, spec.output)
+    _emit(["t", "P", "M"], rows, args.output)
     return 0
 
 
-def _cmd_closed_form(spec: RunSpec) -> int:
-    cap = spec.schedule
-    grid = _time_grid(spec.params.t0, spec.t_end, spec.dt)
-    traj = integrate_logistic(spec.params, cap, float(grid[-1]), spec.cfg, t_eval=grid)
+def _cmd_closed_form(args, cfg: SolverConfig) -> int:
+    cap = parse_schedule(args.schedule)
+    params = LogisticParams(args.r, args.p0, args.t0)
+    grid = _time_grid(params.t0, args.t_end, args.dt)
+    traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
     rows = []
     for t, p_num in zip(grid, traj.populations):
-        p_closed = quadrature_solution(spec.params, cap, float(t), spec.cfg)
+        p_closed = quadrature_solution(params, cap, float(t), cfg)
         rows.append((t, p_closed, p_num, abs(p_closed - p_num)))
-    _emit(["t", "P_closed", "P_numeric", "abs_diff"], rows, spec.output)
+    _emit(["t", "P_closed", "P_numeric", "abs_diff"], rows, args.output)
     return 0
 
 
-def _cmd_two_phase(spec: RunSpec) -> int:
-    cap = spec.schedule
+def _cmd_two_phase(args, cfg: SolverConfig) -> int:
+    cap = parse_schedule(args.schedule)
+    params = LogisticParams(args.r, args.p0, args.t0)
     if not isinstance(cap, TwoPhase):
         raise ValueError("two-phase command requires a twophase: schedule")
-    traj = two_phase_trajectory(spec.params, cap, spec.t_end, spec.dt)
+    traj = two_phase_trajectory(params, cap, args.t_end, args.dt)
     rows = [(t, p, cap.at(float(t))) for t, p in zip(traj.times, traj.populations)]
-    report = two_phase_deductions(spec.params, cap, spec.cfg, regime_tol=spec.extras["regime_tol"])
+    report = two_phase_deductions(params, cap, cfg, regime_tol=args.regime_tol)
     lines = [
         f"phase1_end_population  = {_fmt(report.p1)}",
         f"phase2_end_population  = {_fmt(report.p2)}",
@@ -257,7 +210,7 @@ def _cmd_two_phase(spec: RunSpec) -> int:
         f"plateau_gap_m2         = {_fmt(report.plateau_gaps[1])}",
         f"saturated              = {report.saturated}",
     ]
-    _emit(["t", "P", "M"], rows, spec.output, report="\n".join(lines) + "\n")
+    _emit(["t", "P", "M"], rows, args.output, report="\n".join(lines) + "\n")
     if not report.saturated:
         sys.stderr.write(
             "warning: phases do not saturate at this switching rate; "
@@ -266,11 +219,9 @@ def _cmd_two_phase(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_periodic(spec: RunSpec) -> int:
-    cap = spec.schedule
-    sol = find_periodic_solution(
-        spec.extras["r"], cap, spec.cfg, fixed_point_tol=spec.extras["fixed_point_tol"]
-    )
+def _cmd_periodic(args, cfg: SolverConfig) -> int:
+    cap = parse_schedule(args.schedule)
+    sol = find_periodic_solution(args.r, cap, cfg, fixed_point_tol=args.fixed_point_tol)
     mean_pop = time_average(sol)
     residual = mean_identity_residual(sol, cap)
     peak = cap.max_value()
@@ -285,18 +236,13 @@ def _cmd_periodic(spec: RunSpec) -> int:
         f"mean_minus_half_peak   = {_fmt(mean_pop - 0.5 * peak)}",
         f"half_peak_fraction     = {_fmt(half_peak_fraction(sol, cap))}",
     ]
-    _emit(["t", "P"], rows, spec.output, report="\n".join(lines) + "\n")
+    _emit(["t", "P"], rows, args.output, report="\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_bifurcation(spec: RunSpec) -> int:
-    opts = spec.extras
-    cfg = ScanConfig(
-        transient=opts["transient"], window=opts["window"], match_tol=opts["match_tol"]
-    )
-    result = bifurcation_scan(
-        opts["rho_min"], opts["rho_max"], opts["steps"], cfg, r_fixed=opts["r"]
-    )
+def _cmd_bifurcation(args, cfg: SolverConfig) -> int:
+    scan = ScanConfig(transient=args.transient, window=args.window, match_tol=args.match_tol)
+    result = bifurcation_scan(args.rho_min, args.rho_max, args.steps, scan, r_fixed=args.r)
     rows = []
     for rec in result.records:
         for value in rec.attractor:
@@ -305,7 +251,7 @@ def _cmd_bifurcation(spec: RunSpec) -> int:
         f"doubling_1_to_2 = {_fmt(result.doubling_1_to_2) if result.doubling_1_to_2 is not None else 'not-found'}",
         f"doubling_2_to_4 = {_fmt(result.doubling_2_to_4) if result.doubling_2_to_4 is not None else 'not-found'}",
     ]
-    _emit(["rho", "branch_value"], rows, spec.output, report="\n".join(lines) + "\n")
+    _emit(["rho", "branch_value"], rows, args.output, report="\n".join(lines) + "\n")
     return 0
 
 
@@ -510,8 +456,8 @@ _BATTERY = [
 ]
 
 
-def _cmd_verify(spec: RunSpec) -> int:
-    rng = np.random.default_rng(spec.extras["seed"])
+def _cmd_verify(args, cfg: SolverConfig) -> int:
+    rng = np.random.default_rng(args.seed)
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, check in _BATTERY:
@@ -533,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(_resolve_run(args))
+        return args.func(args, _solver_config(args))
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

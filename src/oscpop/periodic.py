@@ -1,10 +1,18 @@
 """Periodic cycles of the logistic flow under a periodic capacity.
 
-The cycle is the fixed point of the over-one-period return map, found
-by bracketing and bisection. Existence is decided analytically before
-any iteration: the reciprocal-space return map is affine with slope
-exp(-r * integral of M over one period), so a positive cycle exists
-exactly when the capacity has positive mean over a period.
+In u = 1/P the flow is linear, u' = r (1 - M u), so the return map over
+one period h is affine:
+
+    u -> u exp(-r * mass) + r * integral over [0, h] of w(s) ds,
+    w(s) = exp(-r * integral of M over [s, h]),
+
+where mass is the integral of M over one period. A positive cycle
+therefore exists exactly when the capacity has positive mean over a
+period, and its start value is the fixed point of that affine map, in
+closed form up to one quadrature. find_periodic_solution raises
+NoPeriodicSolutionError when no cycle exists, ExponentOverflowError when
+w is not representable, and ConvergenceError when the orbit from the
+fixed point does not close.
 """
 from __future__ import annotations
 
@@ -12,12 +20,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .capacity import CapacitySchedule, SolverConfig, TwoPhase
-from .closedform import LogisticParams
+from .closedform import LogisticParams, integrating_factor
 from .errors import ConvergenceError, NoPeriodicSolutionError
-from .odesolve import Trajectory, integrate_logistic
+from .odesolve import Trajectory, adaptive_quadrature, integrate_logistic
 
 _ORBIT_PANELS = 1024  # target Simpson panels across one period
 
@@ -80,9 +87,20 @@ def find_periodic_solution(
 ) -> PeriodicSolution:
     """Locate the positive periodic cycle of the flow.
 
+    The start value is the fixed point of the affine return map,
+
+        p* = -expm1(-r * mass) / (r * integral over [0, h] of w(s) ds),
+
+    found with one adaptive quadrature of w (schedule breakpoints as
+    mandatory points). The one-period orbit from p* is then integrated
+    and must close to fixed_point_tol.
+
     Raises NoPeriodicSolutionError when the capacity mean over one
     period is nonpositive (the return map then has no positive fixed
-    point), and ConvergenceError if bracketing or bisection stalls.
+    point) and ExponentOverflowError when an exponent of w exceeds the
+    integrating-factor bound. Numerics errors of the quadrature or the
+    orbit integration propagate; ConvergenceError is also raised when
+    the orbit fails to close to fixed_point_tol.
     """
     cfg = cfg or SolverConfig()
     if not r > 0.0:
@@ -100,52 +118,37 @@ def find_periodic_solution(
         rel_tol=min(cfg.rel_tol, 1e-2 * fixed_point_tol),
         abs_tol=min(cfg.abs_tol, 1e-4 * fixed_point_tol),
     )
-
-    def gap(p: float) -> float:
-        return period_map(r, cap, p, inner) - p
-
-    m_top = cap.max_value()
-    lo, hi = 1e-6 * m_top, 10.0 * m_top
-    g_lo = gap(lo)
-    tries = 0
-    while g_lo <= 0.0:
-        lo *= 1e-2
-        g_lo = gap(lo)
-        tries += 1
-        if tries > 50:
-            raise ConvergenceError("failed to bracket the cycle from below")
-    g_hi = gap(hi)
-    tries = 0
-    while g_hi >= 0.0:
-        hi *= 4.0
-        g_hi = gap(hi)
-        tries += 1
-        if tries > 50:
-            raise ConvergenceError("failed to bracket the cycle from above")
-    p_star = None
-    eps = 4.0 * np.finfo(float).eps
-    for _ in range(cfg.max_iterations):
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if abs(g_mid) <= 0.2 * fixed_point_tol * mid:
-            p_star = mid
-            break
-        if g_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= eps * mid:
-            p_star = 0.5 * (lo + hi)
-            break
-    if p_star is None:
-        raise ConvergenceError("bisection iteration budget exhausted")
+    forcing = adaptive_quadrature(
+        lambda s: integrating_factor(r, cap, h, s),
+        0.0,
+        h,
+        cap.breakpoints_between(0.0, h),
+        inner,
+    )
+    p_star = -math.expm1(-r * mass) / (r * forcing)
     orbit_cfg = replace(inner, max_step=min(inner.max_step, h / 256.0))
     grid = _orbit_grid(cap, h)
     orbit = integrate_logistic(LogisticParams(r, p_star, 0.0), cap, h, orbit_cfg, t_eval=grid)
     residual = abs(orbit.final - p_star) / p_star
     if residual > fixed_point_tol:
-        raise ConvergenceError(f"fixed point stalled at residual {residual:.3e}")
+        raise ConvergenceError(f"orbit closure residual {residual:.3e} exceeds tolerance")
     return PeriodicSolution(p_star, h, orbit, residual, r, fixed_point_tol)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    # composite Simpson over an odd number of samples; each pair of
+    # intervals uses the irregular-spacing rule of scipy.integrate.simpson
+    if y.size % 2 == 0:
+        raise ValueError("Simpson's rule needs an odd number of orbit samples")
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, ratio = h0 + h1, h0 / h1
+    terms = (
+        y[:-2:2] * (2.0 - 1.0 / ratio)
+        + y[1::2] * (hsum * (hsum / (h0 * h1)))
+        + y[2::2] * (2.0 - ratio)
+    )
+    return float(np.sum(hsum / 6.0 * terms))
 
 
 def _segment_slices(orbit: Trajectory, cap: CapacitySchedule):
@@ -165,14 +168,15 @@ def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
     Along any exact periodic cycle the numerator vanishes, because
     M P - P^2 is dP/dt / r and the cycle closes. Computed by composite
     Simpson on the orbit samples, segment by segment so capacity jumps
-    stay on panel boundaries.
+    stay on panel boundaries; each segment must hold an odd number of
+    samples, as the orbits of find_periodic_solution do.
     """
     num = 0.0
     den = 0.0
     for lo, hi, tt, pp in _segment_slices(orbit, cap):
         mm = np.array([cap.piece_value(float(x), lo, hi) for x in tt])
-        num += float(simpson(mm * pp - pp * pp, x=tt))
-        den += float(simpson(pp * pp, x=tt))
+        num += _simpson(mm * pp - pp * pp, tt)
+        den += _simpson(pp * pp, tt)
     if den <= 0.0:
         raise ValueError("orbit has no positive mass")
     return abs(num) / den
@@ -197,15 +201,15 @@ def square_deviation_identity(
     for lo, hi, tt, pp in _segment_slices(sol.orbit, cap):
         mm = np.array([cap.piece_value(float(x), lo, hi) for x in tt])
         dev = pp - 0.5 * mm
-        lhs += float(simpson(dev * dev, x=tt))
-        rhs += float(simpson(0.25 * mm * mm, x=tt))
+        lhs += _simpson(dev * dev, tt)
+        rhs += _simpson(0.25 * mm * mm, tt)
     return lhs, rhs
 
 
 def time_average(sol: PeriodicSolution) -> float:
     """Mean population over one period of the cycle."""
     t = sol.orbit.times
-    return float(simpson(sol.orbit.populations, x=t)) / float(t[-1] - t[0])
+    return _simpson(sol.orbit.populations, t) / float(t[-1] - t[0])
 
 
 def half_peak_fraction(sol: PeriodicSolution, cap: CapacitySchedule, band: float = 0.10) -> float:

@@ -1,9 +1,13 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscpop
 from oscpop import Constant, LogisticParams, TwoPhase, integrate_logistic, two_phase_value
 from oscpop.cli import _fmt, main
 
@@ -163,7 +167,7 @@ class TestPeriodicCommand:
             line.split("=") for line in out.strip().splitlines() if "=" in line
         )
         fields = {k.strip(): float(v) for k, v in fields.items()}
-        assert fields["p_star"] == pytest.approx(2.88876844668, rel=1e-9)
+        assert fields["p_star"] == pytest.approx(2.88876844519, rel=1e-10)
         assert fields["period"] == 2.0
         assert fields["mean_population"] == pytest.approx(2.0, rel=1e-6)
         assert fields["mean_identity_residual"] <= 1e-7
@@ -213,6 +217,13 @@ class TestExitCodes:
         assert code == 3
         assert "NoPeriodicSolutionError" in err
 
+    def test_unrepresentable_cycle_weight_is_domain_error(self, capsys):
+        code, _, err = run(
+            capsys, "periodic", "--schedule", "twophase:101,-100,20", "--r", "1",
+        )
+        assert code == 3
+        assert "ExponentOverflowError" in err
+
     def test_numerics_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -231,3 +242,16 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+
+class TestImports:
+    def test_no_scipy_at_runtime(self):
+        code = (
+            "import sys, oscpop, oscpop.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(oscpop.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"

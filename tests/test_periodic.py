@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from oscpop import (
     Constant,
+    ExponentOverflowError,
     LogisticParams,
     NoPeriodicSolutionError,
     PeriodicSolution,
@@ -22,6 +24,7 @@ from oscpop import (
     time_average,
     two_phase_deductions,
 )
+from oscpop.periodic import _segment_slices, _simpson
 
 
 def mobius_fixed_point(r: float, m1: float, m2: float, period: float) -> float:
@@ -62,7 +65,7 @@ class TestFindPeriodicSolution:
     def test_two_phase_matches_affine_composition(self):
         r, m1, m2, h = 1.2, 1.0, 3.0, 2.0
         sol = find_periodic_solution(r, TwoPhase(m1, m2, h))
-        assert sol.p_star == pytest.approx(mobius_fixed_point(r, m1, m2, h), rel=1e-7)
+        assert sol.p_star == pytest.approx(mobius_fixed_point(r, m1, m2, h), rel=1e-10)
         assert sol.residual <= sol.fixed_point_tol
 
     def test_two_phase_oracle_sweep(self):
@@ -73,7 +76,7 @@ class TestFindPeriodicSolution:
             m2 = float(rng.uniform(2.0, 4.0))
             h = float(rng.uniform(0.5, 4.0))
             sol = find_periodic_solution(r, TwoPhase(m1, m2, h))
-            assert sol.p_star == pytest.approx(mobius_fixed_point(r, m1, m2, h), rel=1e-6)
+            assert sol.p_star == pytest.approx(mobius_fixed_point(r, m1, m2, h), rel=1e-10)
 
     def test_constant_cycle_is_equilibrium(self):
         sol = find_periodic_solution(1.3, Constant(2.0, declared_period=1.0))
@@ -111,6 +114,12 @@ class TestFindPeriodicSolution:
     def test_negative_mean_capacity_has_no_cycle(self):
         with pytest.raises(NoPeriodicSolutionError):
             find_periodic_solution(1.0, TwoPhase(-3.0, 1.0, 2.0))
+
+    def test_unrepresentable_weight_is_a_domain_error(self):
+        # mean capacity is positive, but the die-off phase drives the
+        # reciprocal-space weight to exp(1000)
+        with pytest.raises(ExponentOverflowError):
+            find_periodic_solution(1.0, TwoPhase(101.0, -100.0, 20.0))
 
     def test_requires_declared_period(self):
         with pytest.raises(ValueError):
@@ -154,6 +163,34 @@ class TestCycleIdentities:
         # quadratic forms agree to the cycle tolerance
         assert lhs == pytest.approx(rhs, rel=1e-6)
         assert rhs == pytest.approx(0.25 * (1.0 + 9.0) * 1.0, rel=1e-12)
+
+
+class TestSimpson:
+    @pytest.mark.parametrize(
+        "cap",
+        [
+            Constant(2.0, declared_period=1.5),
+            TwoPhase(1.0, 3.0, 2.0),
+            SinusoidOffset(2.0, 0.8, 3.0),
+            Tabulated(
+                np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.2, 1.6, 2.0]),
+                np.array([2.0, 2.3, 2.5, 2.2, 1.6, 1.5, 1.8, 2.0]),
+                declared_period=2.0,
+            ),
+        ],
+        ids=["constant", "twophase", "sinusoid", "tabulated-nonuniform"],
+    )
+    def test_matches_scipy_on_cycle_orbits(self, cap):
+        sol = find_periodic_solution(1.0, cap)
+        t, p = sol.orbit.times, sol.orbit.populations
+        assert _simpson(p, t) == float(simpson(p, x=t))
+        for lo, hi, tt, pp in _segment_slices(sol.orbit, cap):
+            mm = np.array([cap.piece_value(float(x), lo, hi) for x in tt])
+            assert _simpson(mm * pp - pp * pp, tt) == float(simpson(mm * pp - pp * pp, x=tt))
+
+    def test_rejects_even_sample_count(self):
+        with pytest.raises(ValueError):
+            _simpson(np.ones(4), np.arange(4.0))
 
 
 class TestHalfPeakFraction:
