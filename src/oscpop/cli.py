@@ -89,7 +89,7 @@ def _emit(header: list[str], rows, destination: str, report: str | None = None) 
 def _solver_config(args) -> SolverConfig:
     """SolverConfig from the solver flags given; defaults for the rest."""
     names = ("abs_tol", "rel_tol", "max_step", "min_step", "max_iterations")
-    given = {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     return SolverConfig(**given)
 
 
@@ -170,9 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args, cfg: SolverConfig) -> int:
+def _cmd_simulate(args) -> int:
     cap = parse_schedule(args.schedule)
     params = LogisticParams(args.r, args.p0, args.t0)
+    cfg = _solver_config(args)
     grid = _time_grid(params.t0, args.t_end, args.dt)
     traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
     rows = [(t, p, cap.at(float(t))) for t, p in zip(traj.times, traj.populations)]
@@ -180,9 +181,10 @@ def _cmd_simulate(args, cfg: SolverConfig) -> int:
     return 0
 
 
-def _cmd_closed_form(args, cfg: SolverConfig) -> int:
+def _cmd_closed_form(args) -> int:
     cap = parse_schedule(args.schedule)
     params = LogisticParams(args.r, args.p0, args.t0)
+    cfg = _solver_config(args)
     grid = _time_grid(params.t0, args.t_end, args.dt)
     traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
     rows = []
@@ -193,9 +195,10 @@ def _cmd_closed_form(args, cfg: SolverConfig) -> int:
     return 0
 
 
-def _cmd_two_phase(args, cfg: SolverConfig) -> int:
+def _cmd_two_phase(args) -> int:
     cap = parse_schedule(args.schedule)
     params = LogisticParams(args.r, args.p0, args.t0)
+    cfg = _solver_config(args)
     if not isinstance(cap, TwoPhase):
         raise ValueError("two-phase command requires a twophase: schedule")
     traj = two_phase_trajectory(params, cap, args.t_end, args.dt)
@@ -219,8 +222,9 @@ def _cmd_two_phase(args, cfg: SolverConfig) -> int:
     return 0
 
 
-def _cmd_periodic(args, cfg: SolverConfig) -> int:
+def _cmd_periodic(args) -> int:
     cap = parse_schedule(args.schedule)
+    cfg = _solver_config(args)
     sol = find_periodic_solution(args.r, cap, cfg, fixed_point_tol=args.fixed_point_tol)
     mean_pop = time_average(sol)
     residual = mean_identity_residual(sol, cap)
@@ -240,7 +244,7 @@ def _cmd_periodic(args, cfg: SolverConfig) -> int:
     return 0
 
 
-def _cmd_bifurcation(args, cfg: SolverConfig) -> int:
+def _cmd_bifurcation(args) -> int:
     scan = ScanConfig(transient=args.transient, window=args.window, match_tol=args.match_tol)
     result = bifurcation_scan(args.rho_min, args.rho_max, args.steps, scan, r_fixed=args.r)
     rows = []
@@ -456,7 +460,7 @@ _BATTERY = [
 ]
 
 
-def _cmd_verify(args, cfg: SolverConfig) -> int:
+def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -479,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args, _solver_config(args))
+        return args.func(args)
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -11,8 +11,8 @@ therefore exists exactly when the capacity has positive mean over a
 period, and its start value is the fixed point of that affine map, in
 closed form up to one quadrature. find_periodic_solution raises
 NoPeriodicSolutionError when no cycle exists, ExponentOverflowError when
-w is not representable, and ConvergenceError when the orbit from the
-fixed point does not close.
+w grows past the representable range, and ConvergenceError when the
+orbit from the fixed point does not close.
 """
 from __future__ import annotations
 
@@ -22,11 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacitySchedule, SolverConfig, TwoPhase
-from .closedform import LogisticParams, integrating_factor
-from .errors import ConvergenceError, NoPeriodicSolutionError
+from .closedform import LogisticParams
+from .errors import ConvergenceError, ExponentOverflowError, NoPeriodicSolutionError
 from .odesolve import Trajectory, adaptive_quadrature, integrate_logistic
 
 _ORBIT_PANELS = 1024  # target Simpson panels across one period
+_MAX_EXPONENT = 700.0  # largest exponent of w that exp() can represent
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,12 @@ def find_periodic_solution(
 
     Raises NoPeriodicSolutionError when the capacity mean over one
     period is nonpositive (the return map then has no positive fixed
-    point) and ExponentOverflowError when an exponent of w exceeds the
-    integrating-factor bound. Numerics errors of the quadrature or the
-    orbit integration propagate; ConvergenceError is also raised when
-    the orbit fails to close to fixed_point_tol.
+    point) and ExponentOverflowError when the exponent of w exceeds 700
+    somewhere in the period. A large negative exponent only lets w
+    underflow towards zero, which is harmless since w(h) = 1. Numerics
+    errors of the quadrature or the orbit integration propagate;
+    ConvergenceError is also raised when the orbit fails to close to
+    fixed_point_tol.
     """
     cfg = cfg or SolverConfig()
     if not r > 0.0:
@@ -118,13 +121,16 @@ def find_periodic_solution(
         rel_tol=min(cfg.rel_tol, 1e-2 * fixed_point_tol),
         abs_tol=min(cfg.abs_tol, 1e-4 * fixed_point_tol),
     )
-    forcing = adaptive_quadrature(
-        lambda s: integrating_factor(r, cap, h, s),
-        0.0,
-        h,
-        cap.breakpoints_between(0.0, h),
-        inner,
-    )
+
+    def weight(s: float) -> float:
+        exponent = -r * cap.integral(s, h)
+        if exponent > _MAX_EXPONENT:
+            raise ExponentOverflowError(
+                f"cycle weight exponent {exponent:.3g} exceeds bound {_MAX_EXPONENT:.3g}"
+            )
+        return math.exp(exponent)
+
+    forcing = adaptive_quadrature(weight, 0.0, h, cap.breakpoints_between(0.0, h), inner)
     p_star = -math.expm1(-r * mass) / (r * forcing)
     orbit_cfg = replace(inner, max_step=min(inner.max_step, h / 256.0))
     grid = _orbit_grid(cap, h)
@@ -136,19 +142,29 @@ def find_periodic_solution(
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    # composite Simpson over an odd number of samples; each pair of
-    # intervals uses the irregular-spacing rule of scipy.integrate.simpson
-    if y.size % 2 == 0:
-        raise ValueError("Simpson's rule needs an odd number of orbit samples")
-    h = np.diff(x)
+    # composite Simpson with the rules of scipy.integrate.simpson: the
+    # irregular-spacing formula on each pair of intervals and, for an even
+    # sample count, Cartwright's correction for the last interval
+    if y.size == 2:
+        return float(0.5 * (x[1] - x[0]) * (y[0] + y[1]))
+    n = y.size - 1 + y.size % 2  # samples covered by interval pairs
+    h = np.diff(x[:n])
     h0, h1 = h[0::2], h[1::2]
     hsum, ratio = h0 + h1, h0 / h1
     terms = (
-        y[:-2:2] * (2.0 - 1.0 / ratio)
-        + y[1::2] * (hsum * (hsum / (h0 * h1)))
-        + y[2::2] * (2.0 - ratio)
+        y[: n - 2 : 2] * (2.0 - 1.0 / ratio)
+        + y[1 : n - 1 : 2] * (hsum * (hsum / (h0 * h1)))
+        + y[2:n:2] * (2.0 - ratio)
     )
-    return float(np.sum(hsum / 6.0 * terms))
+    total = np.sum(hsum / 6.0 * terms)
+    if n < y.size:
+        g0, g1 = x[-2] - x[-3], x[-1] - x[-2]
+        total += (
+            (2.0 * g1**2 + 3.0 * g0 * g1) / (6.0 * (g1 + g0)) * y[-1]
+            + (g1**2 + 3.0 * g0 * g1) / (6.0 * g0) * y[-2]
+            - g1**3 / (6.0 * g0 * (g0 + g1)) * y[-3]
+        )
+    return float(total)
 
 
 def _segment_slices(orbit: Trajectory, cap: CapacitySchedule):
@@ -168,8 +184,7 @@ def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
     Along any exact periodic cycle the numerator vanishes, because
     M P - P^2 is dP/dt / r and the cycle closes. Computed by composite
     Simpson on the orbit samples, segment by segment so capacity jumps
-    stay on panel boundaries; each segment must hold an odd number of
-    samples, as the orbits of find_periodic_solution do.
+    stay on panel boundaries.
     """
     num = 0.0
     den = 0.0

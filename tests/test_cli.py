@@ -135,6 +135,15 @@ class TestTwoPhaseCommand:
             rel=1e-9,
         )
 
+    def test_slow_switching_report(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys,
+            "two-phase", "--schedule", "twophase:1,3,400", "--r", "1", "--p0", "0.5",
+            "--t-end", "800", "--dt", "100", "--output", str(tmp_path / "slow.csv"),
+        )
+        assert code == 0
+        assert "saturated              = True" in out
+
     def test_fast_switching_warns(self, tmp_path, capsys):
         code, out, err = run(
             capsys,
@@ -172,6 +181,16 @@ class TestPeriodicCommand:
         assert fields["mean_population"] == pytest.approx(2.0, rel=1e-6)
         assert fields["mean_identity_residual"] <= 1e-7
         assert target.read_text().startswith("t,P\n")
+
+
+    def test_slow_switching_cycle(self, capsys):
+        code, _, err = run(
+            capsys, "periodic", "--schedule", "twophase:1,3,400", "--r", "1",
+        )
+        assert code == 0
+        fields = dict(line.split("=") for line in err.strip().splitlines() if "=" in line)
+        fields = {k.strip(): float(v) for k, v in fields.items()}
+        assert fields["p_star"] == pytest.approx(3.0, rel=1e-10)
 
 
 class TestBifurcationCommand:
@@ -216,6 +235,15 @@ class TestExitCodes:
         )
         assert code == 3
         assert "NoPeriodicSolutionError" in err
+
+    def test_schedule_error_reported_before_solver_flags(self, capsys):
+        code, _, err = run(
+            capsys,
+            "simulate", "--schedule", "bogus:1", "--r", "1", "--p0", "1",
+            "--t-end", "1", "--dt", "0.5", "--abs-tol", "-1",
+        )
+        assert code == 2
+        assert "bogus" in err and "tolerances" not in err
 
     def test_unrepresentable_cycle_weight_is_domain_error(self, capsys):
         code, _, err = run(

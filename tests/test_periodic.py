@@ -78,6 +78,13 @@ class TestFindPeriodicSolution:
             sol = find_periodic_solution(r, TwoPhase(m1, m2, h))
             assert sol.p_star == pytest.approx(mobius_fixed_point(r, m1, m2, h), rel=1e-10)
 
+    @pytest.mark.parametrize("m1, m2, h", [(100.0, 120.0, 20.0), (1.0, 3.0, 400.0)])
+    def test_slow_switching_cycle_matches_affine_composition(self, m1, m2, h):
+        # r * mass is far past the exponent bound; the cycle weight only
+        # underflows there, so the cycle is still found
+        sol = find_periodic_solution(1.0, TwoPhase(m1, m2, h))
+        assert sol.p_star == pytest.approx(mobius_fixed_point(1.0, m1, m2, h), rel=1e-10)
+
     def test_constant_cycle_is_equilibrium(self):
         sol = find_periodic_solution(1.3, Constant(2.0, declared_period=1.0))
         assert sol.p_star == pytest.approx(2.0, rel=1e-8)
@@ -188,9 +195,12 @@ class TestSimpson:
             mm = np.array([cap.piece_value(float(x), lo, hi) for x in tt])
             assert _simpson(mm * pp - pp * pp, tt) == float(simpson(mm * pp - pp * pp, x=tt))
 
-    def test_rejects_even_sample_count(self):
-        with pytest.raises(ValueError):
-            _simpson(np.ones(4), np.arange(4.0))
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 10])
+    def test_matches_scipy_on_any_sample_count(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0.0, 3.0, n))
+        y = np.exp(-x) + rng.uniform(0.0, 1.0, n)
+        assert _simpson(y, x) == float(simpson(y, x=x))
 
 
 class TestHalfPeakFraction:
