@@ -157,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-max", dest="rho_max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--r", type=float, default=1.0, help="fixed growth rate")
-    p.add_argument("--transient", type=int, default=10_000)
-    p.add_argument("--window", type=int, default=512)
-    p.add_argument("--match-tol", dest="match_tol", type=float, default=1e-9)
+    p.add_argument("--transient", type=int, default=ScanConfig.transient)
+    p.add_argument("--window", type=int, default=ScanConfig.window)
+    p.add_argument("--match-tol", dest="match_tol", type=float, default=ScanConfig.match_tol)
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_bifurcation)
 

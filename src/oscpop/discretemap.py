@@ -9,7 +9,7 @@ with a flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,52 @@ import numpy as np
 def normalized_state(r: float, m: float, p: float) -> float:
     """Map population to the conjugate quadratic-map coordinate."""
     return r * p / (1.0 + r * m)
+
+
+@dataclass(frozen=True)
+class ScanConfig:
+    """Attractor-detection settings; the single source of their defaults."""
+
+    transient: int = 10_000
+    window: int = 512
+    match_tol: float = 1e-9
+    escape_bound: float = 10.0
+
+    def __post_init__(self) -> None:
+        if self.transient < 0 or self.window < 4:
+            raise ValueError("need transient >= 0 and window >= 4")
+        if not (self.match_tol > 0.0 and self.escape_bound > 0.0):
+            raise ValueError("match_tol and escape_bound must be positive")
+
+
+_BLOCK = 128  # map steps between escape checks
+_COLUMNS = 1024  # grid points per pass, so memory stays a few window x 1024 arrays
+
+
+def _iterate(r: float, m: np.ndarray, rows: np.ndarray) -> None:
+    """Fill rows[1:] with successive updates of rows[0], one column per m.
+
+    This is the only map loop. Each column is advanced in the scalar
+    order p + r * (m - p) * p, so it is bit-identical to a loop over
+    Python floats and independent of the other columns.
+    """
+    # positional out arguments and an array r keep the per-step call
+    # overhead, which dominates for small grids, low
+    sub, mul, add = np.subtract, np.multiply, np.add
+    t = np.empty_like(rows[0])
+    r = np.full_like(t, r)
+    p = rows[0]
+    for row in rows[1:]:
+        sub(m, p, t)
+        mul(r, t, t)
+        mul(t, p, t)
+        add(p, t, row)
+        p = row
+
+
+def _escape_mask(r: float, unit, values: np.ndarray, escape_bound: float) -> np.ndarray:
+    """Non-finite values, or normalized values r p / unit beyond the bound."""
+    return ~np.isfinite(values) | (np.abs(r * values / unit) > escape_bound)
 
 
 def iterate_map(r: float, m: float, p0: float, n: int) -> np.ndarray:
@@ -27,19 +73,20 @@ def iterate_map(r: float, m: float, p0: float, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = np.empty(n + 1)
-    p = float(p0)
-    out[0] = p
-    for k in range(1, n + 1):
-        p = p + r * (m - p) * p
-        out[k] = p
-    return out
+    out = np.empty((n + 1, 1))
+    out[0] = p0
+    with np.errstate(all="ignore"):
+        _iterate(r, np.array([m], dtype=float), out)
+    return out[:, 0]
 
 
-def has_escaped(r: float, m: float, values: np.ndarray, escape_bound: float = 10.0) -> bool:
+def has_escaped(
+    r: float, m: float, values: np.ndarray, escape_bound: float = ScanConfig.escape_bound
+) -> bool:
     """True when any normalized value leaves [-bound, bound] or is non-finite."""
-    x = normalized_state(r, m, np.asarray(values, dtype=float))
-    return bool(np.any(~np.isfinite(x)) or np.any(np.abs(x) > escape_bound))
+    with np.errstate(all="ignore"):
+        mask = _escape_mask(r, 1.0 + r * m, np.asarray(values, dtype=float), escape_bound)
+    return bool(np.any(mask))
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,28 +103,91 @@ class BifurcationRecord:
     diverged: bool = False
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    transient: int = 10_000
-    window: int = 512
-    match_tol: float = 1e-9
-    escape_bound: float = 10.0
+def _first_escapes(mask: np.ndarray, alive: np.ndarray):
+    """(column, first escaping row) for each live column with an escape.
 
-    def __post_init__(self) -> None:
-        if self.transient < 0 or self.window < 4:
-            raise ValueError("need transient >= 0 and window >= 4")
-        if not (self.match_tol > 0.0 and self.escape_bound > 0.0):
-            raise ValueError("match_tol and escape_bound must be positive")
+    Those columns are cleared from `alive`.
+    """
+    hit = np.flatnonzero(alive & mask.any(axis=0))
+    alive[hit] = False
+    return zip(hit.tolist(), mask[:, hit].argmax(axis=0).tolist())
+
+
+def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> list[BifurcationRecord]:
+    """detect_attractor for every column (m[i], p0[i]) at once.
+
+    Escapes are checked per block of steps, at the first escaping step,
+    so a diverged record holds exactly what a step-by-step check leaves.
+    Only the detection window is kept, not the transient.
+    """
+    control = r * m
+    unit = 1.0 + control
+    alive = np.ones(m.size, dtype=bool)
+    diverged: dict[int, np.ndarray] = {}
+    with np.errstate(all="ignore"):
+        buf = np.empty((min(cfg.transient, _BLOCK) + 1, m.size))
+        buf[0] = p0
+        done = 0
+        while done < cfg.transient and alive.any():
+            n = min(_BLOCK, cfg.transient - done)
+            _iterate(r, m, buf[: n + 1])
+            mask = _escape_mask(r, unit, buf[1 : n + 1], cfg.escape_bound)
+            for c, k in _first_escapes(mask, alive):
+                diverged[c] = buf[k, c : c + 1].copy()
+            buf[0] = buf[n]
+            done += n
+        w = np.empty((cfg.window, m.size))
+        w[0] = buf[0]
+        for k0 in range(1, cfg.window, _BLOCK):
+            if not alive.any():
+                break
+            k1 = min(k0 + _BLOCK, cfg.window)
+            _iterate(r, m, w[k0 - 1 : k1])
+            mask = _escape_mask(r, unit, w[k0:k1], cfg.escape_bound)
+            for c, k in _first_escapes(mask, alive):
+                diverged[c] = w[: k0 + k, c].copy()
+
+        # smallest period whose shifted window matches; a period can only
+        # match if the last value matches its lag, which rules out almost
+        # every (period, column) pair before the full comparison
+        x = np.multiply(r, w)
+        np.divide(x, unit, out=x)
+        lags = x[-2::-1][: cfg.window // 2]
+        candidate = (np.abs(x[-1] - lags) <= cfg.match_tol) & alive
+        period = np.zeros(m.size, dtype=int)
+        for p in (np.flatnonzero(candidate.any(axis=1)) + 1).tolist():
+            cols = np.flatnonzero(candidate[p - 1] & (period == 0))
+            if cols.size:
+                gap = x[p:] - x[:-p]
+                gap = np.abs(gap, out=gap).max(axis=0)[cols]
+                period[cols[gap <= cfg.match_tol]] = p
+
+    records = []
+    for c, (rho, p) in enumerate(zip(control.tolist(), period.tolist())):
+        if p and abs(np.prod(unit[c] * (1.0 - 2.0 * x[-p:, c]))) > 1.0:
+            # an orbit that lands exactly on a repelling cycle (at rho = 3
+            # the critical orbit 1/2 -> 1 -> 0 does) is not an attractor
+            p = 0
+        if c in diverged:
+            records.append(BifurcationRecord(rho, diverged[c], None, diverged=True))
+        elif p:
+            order = np.argsort(x[-p:, c])
+            xs = x[-p:, c][order]
+            keep = np.concatenate(([True], np.diff(xs) > cfg.match_tol))
+            records.append(BifurcationRecord(rho, w[-p:, c][order][keep].copy(), p))
+        else:
+            records.append(BifurcationRecord(rho, w[:, c].copy(), None))
+    return records
 
 
 def detect_attractor(
     r: float,
     m: float,
     p0: float,
-    transient: int = 10_000,
-    window: int = 512,
-    match_tol: float = 1e-9,
-    escape_bound: float = 10.0,
+    transient: int = ScanConfig.transient,
+    window: int = ScanConfig.window,
+    match_tol: float = ScanConfig.match_tol,
+    escape_bound: float = ScanConfig.escape_bound,
 ) -> BifurcationRecord:
     """Classify the long-run orbit from p0.
 
@@ -85,33 +195,12 @@ def detect_attractor(
     whose shifted window matches within match_tol (measured on the
     normalized coordinate) is reported; the attractor then holds the
     distinct values of one cycle. Without a match the whole window is
-    returned and the orbit is labeled aperiodic (period None).
+    returned and the orbit is labeled aperiodic (period None). So is a
+    match on a repelling cycle (multiplier of modulus above 1), which
+    an orbit reaches only by landing on it exactly, e.g. from p0 = 0.
     """
-    control = r * m
-    unit = 1.0 + control
-    p = float(p0)
-    last_finite = p
-    for _ in range(transient):
-        p = p + r * (m - p) * p
-        if not np.isfinite(p) or abs(r * p / unit) > escape_bound:
-            return BifurcationRecord(control, np.array([last_finite]), None, diverged=True)
-        last_finite = p
-    w = np.empty(window)
-    w[0] = p
-    for k in range(1, window):
-        p = p + r * (m - p) * p
-        if not np.isfinite(p) or abs(r * p / unit) > escape_bound:
-            return BifurcationRecord(control, w[:k].copy(), None, diverged=True)
-        w[k] = p
-    x = r * w / unit
-    for period in range(1, window // 2 + 1):
-        if float(np.max(np.abs(x[period:] - x[:-period]))) <= match_tol:
-            cycle = w[-period:]
-            order = np.argsort(x[-period:])
-            xs = x[-period:][order]
-            keep = np.concatenate(([True], np.diff(xs) > match_tol))
-            return BifurcationRecord(control, cycle[order][keep].copy(), period)
-    return BifurcationRecord(control, w.copy(), None)
+    cfg = ScanConfig(transient, window, match_tol, escape_bound)
+    return _attractors(r, np.array([m], dtype=float), np.array([p0], dtype=float), cfg)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +219,14 @@ def bifurcation_scan(
 ) -> ScanResult:
     """Sweep the control rho = r * m at fixed r, tracking the attractor.
 
-    The seed for each point is the previous attractor carried over in
-    the normalized coordinate, so branches are followed continuously.
+    Every grid point starts at the critical point of the conjugate
+    quadratic map, x = 1/2, i.e. p0 = (1 + rho) / (2 r), and the whole
+    grid is iterated as one array. The quadratic map has negative
+    Schwarzian derivative, so an attracting cycle, when there is one,
+    attracts the critical orbit (Singer 1978, SIAM J. Appl. Math. 35,
+    260-267). Each record is therefore the detect_attractor result from
+    that seed and does not depend on the rest of the grid.
+
     Also reports the first control values where the detected period
     changes 1 -> 2 and 2 -> 4 between adjacent points (midpoint of the
     bracketing pair), when present in the range.
@@ -142,28 +237,10 @@ def bifurcation_scan(
         raise ValueError("r_fixed must be positive")
     cfg = cfg or ScanConfig()
     rhos = np.linspace(rho_start, rho_stop, steps)
-    records: list[BifurcationRecord] = []
-    x_seed = None
-    for rho in rhos:
-        m = float(rho) / r_fixed
-        if x_seed is None or not (0.0 < x_seed < 1.0):
-            p0 = 0.5 * m
-        else:
-            p0 = x_seed * (1.0 + float(rho)) / r_fixed
-        rec = detect_attractor(
-            r_fixed,
-            m,
-            p0,
-            transient=cfg.transient,
-            window=cfg.window,
-            match_tol=cfg.match_tol,
-            escape_bound=cfg.escape_bound,
-        )
-        records.append(rec)
-        if rec.diverged or rec.attractor.size == 0:
-            x_seed = None
-        else:
-            x_seed = normalized_state(r_fixed, m, float(rec.attractor[0]))
+    records = []
+    for i in range(0, steps, _COLUMNS):
+        chunk = rhos[i : i + _COLUMNS]
+        records += _attractors(r_fixed, chunk / r_fixed, 0.5 * (1.0 + chunk) / r_fixed, cfg)
     d12 = _first_transition(records, 1, 2)
     d24 = _first_transition(records, 2, 4)
     return ScanResult(records, d12, d24)

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import oscpop.discretemap
 from oscpop import (
     BifurcationRecord,
     ScanConfig,
@@ -185,3 +187,48 @@ class TestBifurcationScan:
             bifurcation_scan(1.0, 2.0, 1)
         with pytest.raises(ValueError):
             bifurcation_scan(1.0, 2.0, 10, r_fixed=0.0)
+
+
+def _same_record(a, b):
+    return (
+        a.control == b.control
+        and a.detected_period == b.detected_period
+        and a.diverged == b.diverged
+        and np.array_equal(a.attractor, b.attractor)
+    )
+
+
+class TestScanGridIndependence:
+    def test_record_does_not_depend_on_the_rest_of_the_grid(self):
+        # every point starts at the critical point, so a record is the
+        # same whether its neighbours are near or far
+        fine = bifurcation_scan(2.4, 3.0, 40)
+        for k in (0, 7, 25, 33, 39):
+            rho = fine.records[k].control
+            alone = bifurcation_scan(rho, rho + 0.1, 2)
+            assert _same_record(alone.records[0], fine.records[k]), k
+
+    def test_grid_split_into_column_chunks_matches_one_pass(self, monkeypatch):
+        whole = bifurcation_scan(1.9, 3.4, 10)
+        monkeypatch.setattr(oscpop.discretemap, "_COLUMNS", 3)
+        chunked = bifurcation_scan(1.9, 3.4, 10)
+        assert len(chunked.records) == 10
+        assert all(map(_same_record, whole.records, chunked.records))
+        assert chunked.doubling_1_to_2 == whole.doubling_1_to_2
+
+    def test_diverging_scan_flags_every_point_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = bifurcation_scan(3.2, 3.6, 9)
+            assert not np.all(np.isfinite(iterate_map(1.0, 3.5, 5.0, 60)))
+            assert has_escaped(1.0, 1.0, np.array([0.5, math.inf]))
+        assert all(rec.diverged and rec.detected_period is None for rec in res.records)
+        assert all(rec.attractor.size >= 1 for rec in res.records)
+
+    def test_orbit_on_a_repelling_cycle_is_not_an_attractor(self):
+        # at rho = 3 the critical orbit 1/2 -> 1 -> 0 lands exactly on the
+        # repelling fixed point 0, and p0 = M sits on the repelling P = M
+        for r in (1.0, 0.25):
+            last = bifurcation_scan(2.9, 3.0, 2, r_fixed=r).records[-1]
+            assert last.detected_period is None and not last.diverged
+        assert detect_attractor(1.0, 3.0, 3.0).detected_period is None
