@@ -160,7 +160,13 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
             if cols.size:
                 gap = x[p:] - x[:-p]
                 gap = np.abs(gap, out=gap).max(axis=0)[cols]
-                period[cols[gap <= cfg.match_tol]] = p
+                # the first and last cycles of the window must match too:
+                # just below a doubling the orbit still spirals onto the
+                # old cycle, each lag-p step moves less than match_tol but
+                # the moves add up across the window
+                j = cfg.window % p
+                drift = np.abs(x[j : j + p, cols] - x[-p:, cols]).max(axis=0)
+                period[cols[(gap <= cfg.match_tol) & (drift <= cfg.match_tol)]] = p
 
     records = []
     for c, (rho, p) in enumerate(zip(control.tolist(), period.tolist())):
@@ -193,11 +199,15 @@ def detect_attractor(
 
     After discarding the transient, the smallest period p <= window/2
     whose shifted window matches within match_tol (measured on the
-    normalized coordinate) is reported; the attractor then holds the
+    normalized coordinate), and whose first and last cycles in the
+    window match as well, is reported; the attractor then holds the
     distinct values of one cycle. Without a match the whole window is
     returned and the orbit is labeled aperiodic (period None). So is a
     match on a repelling cycle (multiplier of modulus above 1), which
     an orbit reaches only by landing on it exactly, e.g. from p0 = 0.
+    An orbit still converging slowly onto a cycle, as just below a
+    period doubling, drifts across the window: it is left unresolved
+    rather than read as the doubled period.
     """
     cfg = ScanConfig(transient, window, match_tol, escape_bound)
     return _attractors(r, np.array([m], dtype=float), np.array([p0], dtype=float), cfg)[0]

@@ -150,6 +150,22 @@ class TestBifurcationScan:
         assert any(rec.detected_period is None for rec in res.records)
         assert res.doubling_1_to_2 == pytest.approx(2.0, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "target, below, old",
+        [(2.0, d, 1) for d in (0.00095, 0.001, 0.00105)]
+        + [(math.sqrt(6.0), d, 2) for d in (0.00038, 0.0004, 0.00042)],
+    )
+    def test_point_just_below_a_doubling_is_not_read_doubled(self, target, below, old):
+        # the orbit is still spiralling onto the old cycle after the
+        # default transient; each lag-2*old step is within match_tol
+        rho = target - below
+        rec = detect_attractor(1.0, rho, 0.5 * (1.0 + rho))
+        assert rec.detected_period in (old, None)
+        res = bifurcation_scan(rho - 0.02, rho + 0.01, 4)
+        found = res.doubling_1_to_2 if old == 1 else res.doubling_2_to_4
+        hi = min(rec.control for rec in res.records if rec.control > target)
+        assert found is not None and 2.0 * found - hi < target
+
     def test_second_doubling_near_sqrt_six(self):
         cfg = ScanConfig(transient=30_000)
         res = bifurcation_scan(2.40, 2.50, 41, cfg)

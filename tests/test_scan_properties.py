@@ -49,7 +49,11 @@ def _scalar_attractor(r, m, p0, transient, window, match_tol, escape_bound):
     w = np.array(w)
     x = r * w / unit
     for period in range(1, window // 2 + 1):
-        if np.max(np.abs(x[period:] - x[:-period])) <= match_tol:
+        first = x[window % period :][:period]
+        if (
+            np.max(np.abs(x[period:] - x[:-period])) <= match_tol
+            and np.max(np.abs(first - x[-period:])) <= match_tol
+        ):
             if abs(np.prod(unit * (1.0 - 2.0 * x[-period:]))) > 1.0:
                 break
             order = np.argsort(x[-period:])
