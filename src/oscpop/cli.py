@@ -276,7 +276,8 @@ def _check_constant_equilibrium(rng, tmp):
 
 
 def _check_closed_form_reduction(rng, tmp):
-    cap = Constant(1.0)
+    # a zero-amplitude sinusoid takes the quadrature route, not the closed form
+    cap = SinusoidOffset(1.0, 0.0, 2.0 * math.pi)
     cfg = SolverConfig(abs_tol=1e-12, rel_tol=1e-10)
     params = LogisticParams(1.0, 0.5, 0.0)
     for t in np.linspace(0.1, 8.0, 25):

@@ -4,11 +4,16 @@ For constant capacity M the solution is
 
     P(t) = M P0 / (P0 + (M - P0) exp(-r M (t - t0)))
 
-evaluated here in a form that never exponentiates a positive argument,
-so growth exponents of several hundred stay finite. Square-wave
-schedules chain that formula piece by piece. For general M(t) the
-reciprocal substitution turns the problem into a linear one solved by
-an integrating factor plus one quadrature.
+evaluated in a form that never exponentiates a positive argument. For
+any M(t), u = 1/P obeys the linear u' = r (1 - M u), whose exact step is
+
+    u(b) = u(a) exp(-r A(a, b)) + r * integral over [a, b] of exp(-r A(s, b)) ds
+
+with A(a, b) the integral of M. One routine takes that step for the
+solutions here and for the periodic cycle: in closed form on constant
+pieces (Constant, TwoPhase), otherwise by quadrature of a weight that,
+anchored at b, never exceeds 1 where M >= 0; only where M < 0 can its
+exponent pass 700 and raise ExponentOverflowError.
 """
 from __future__ import annotations
 
@@ -17,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacitySchedule, SolverConfig, TwoPhase
+from .capacity import CapacitySchedule, Constant, SolverConfig, TwoPhase
 from .errors import ExponentOverflowError, PoleError
 from .odesolve import SolverStats, Trajectory, adaptive_quadrature
+
+_MAX_EXPONENT = 700.0  # largest exponent exp() is allowed to take here
 
 
 @dataclass(frozen=True)
@@ -105,35 +112,12 @@ def two_phase_trajectory(
         raise ValueError("t_end must not precede the initial time")
     n = int(math.floor((t_end - params.t0) / dt_sample + 1e-9))
     ts = params.t0 + dt_sample * np.arange(n + 1)
-    edges = [params.t0, *cap.breakpoints_between(params.t0, t_end), t_end]
-    pops = np.empty(n + 1)
-    p_carry = params.p0
-    j = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = cap.piece_value(0.5 * (lo + hi), lo, hi)
-        seg = LogisticParams(params.r, p_carry, lo)
-        slack = 1e-12 * max(1.0, abs(hi))
-        while j <= n and ts[j] <= hi + slack:
-            pops[j] = logistic_constant(seg, m, min(float(ts[j]), hi))
-            j += 1
-        p_carry = logistic_constant(seg, m, hi)
-    meta = SolverStats(solver="piecewise-exact")
-    return Trajectory(ts, pops, meta)
+    return Trajectory(ts, 1.0 / _propagate(params, cap, ts, None), SolverStats("piecewise-exact"))
 
 
 def two_phase_value(params: LogisticParams, cap: TwoPhase, t: float) -> float:
     """Exact population at a single time under a square-wave schedule."""
-    if t < params.t0:
-        raise ValueError("t must not precede the initial time")
-    edges = [params.t0, *cap.breakpoints_between(params.t0, t), t]
-    p_carry = params.p0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = cap.piece_value(0.5 * (lo + hi), lo, hi)
-        seg = LogisticParams(params.r, p_carry, lo)
-        if t <= hi:
-            return logistic_constant(seg, m, t)
-        p_carry = logistic_constant(seg, m, hi)
-    return p_carry
+    return float(1.0 / _propagate(params, cap, [t], None)[0])
 
 
 def integrating_factor(
@@ -142,7 +126,7 @@ def integrating_factor(
     t_ref: float,
     t: float,
     *,
-    max_exponent: float = 700.0,
+    max_exponent: float = _MAX_EXPONENT,
 ) -> float:
     """exp(r * integral of M from t_ref to t), the linearizing weight.
 
@@ -160,28 +144,61 @@ def integrating_factor(
     return math.exp(exponent)
 
 
-def _reciprocal_parts(params, cap, t, cfg):
-    # shared core: weight at t and the reciprocal-space affine term
-    cfg = cfg or SolverConfig()
-    if t < params.t0:
-        raise ValueError("t must not precede the initial time")
+def _constant_step(r: float, m: float, u: float, tau: float) -> float:
+    # exact u after time tau >= 0 at constant capacity m; u = inf (P = 0)
+    # is absorbing, and a decay exponent past the bound reads as P = 0
+    if math.isinf(u):
+        return u
+    if m == 0.0:
+        return u + r * tau
+    x = r * m * tau
+    if -x > _MAX_EXPONENT:
+        return math.inf
+    return u * math.exp(-x) - math.expm1(-x) / m
+
+
+def _propagate(params, cap, times, cfg, u0=None) -> np.ndarray:
+    """u = 1/P at ascending times >= t0, each the exact step from (t0, u0).
+
+    u0 defaults to 1/p0; no value depends on the other times. Panel
+    points double away from t, as the quadrature weight is a boundary
+    layer of width ~1/(r max|M|) there. u = inf (P = 0) is absorbing.
+    """
     r, t0 = params.r, params.t0
+    if u0 is None:
+        u0 = math.inf if params.p0 == 0.0 else 1.0 / params.p0
+    if times[0] < t0:
+        raise ValueError("t must not precede the initial time")
+    if math.isinf(u0):
+        return np.full(len(times), math.inf)
+    out = np.empty(len(times))
+    if isinstance(cap, (Constant, TwoPhase)):
+        edges = [t0, *cap.breakpoints_between(t0, times[-1])]
+        carry = [u0]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            carry.append(_constant_step(r, cap.piece_value(lo, lo, hi), carry[-1], hi - lo))
+        for i, k in enumerate(np.searchsorted(edges, times, side="right") - 1):
+            lo, t = edges[k], float(times[i])
+            out[i] = _constant_step(r, cap.piece_value(lo, lo, t), carry[k], t - lo)
+        return out
+    spread = r * max(abs(cap.min_value()), abs(cap.max_value()))
+    width = 4.0 / spread if spread > 0.0 else math.inf
+    for i, t in enumerate(times):
 
-    def weight(s: float) -> float:
-        return integrating_factor(r, cap, t0, s)
+        def weight(s: float, t: float = t) -> float:
+            exponent = -r * cap.integral(s, t)
+            if exponent > _MAX_EXPONENT:
+                raise ExponentOverflowError(f"weight exponent {exponent:.3g} > {_MAX_EXPONENT:g}")
+            return math.exp(exponent)
 
-    q_t = weight(t)
-    if t == t0:
-        accumulated = 0.0
-    else:
-        accumulated = adaptive_quadrature(
-            weight, t0, t, cap.breakpoints_between(t0, t), cfg
-        )
-    if params.p0 == 0.0:
-        den = math.inf
-    else:
-        den = 1.0 / params.p0 + r * accumulated
-    return q_t, den
+        points = cap.breakpoints_between(t0, t)
+        d = width
+        while t - d > t0:
+            points.append(t - d)
+            d *= 2.0
+        forcing = adaptive_quadrature(weight, t0, t, points, cfg)
+        out[i] = u0 * weight(t0) + r * forcing
+    return out
 
 
 def quadrature_solution(
@@ -189,20 +206,17 @@ def quadrature_solution(
 ) -> float:
     """Population at t for arbitrary M(t), via the reciprocal substitution.
 
-    With Q(s) = exp(r * integral of M from t0 to s),
-
-        P(t) = Q(t) / (1/p0 + r * integral of Q from t0 to t),
-
-    the quadrature done adaptively with schedule breakpoints as
-    mandatory subdivision points.
+    1/P(t) = exp(-r A(t0, t)) / p0 + r * integral over [t0, t] of
+    exp(-r A(s, t)) ds. Anchored at t, the weight cannot overflow where
+    M >= 0; constant pieces take the closed form, others one adaptive
+    quadrature with schedule breakpoints as mandatory points.
+    ExponentOverflowError means M < 0 drives P below the float range.
     """
-    q_t, den = _reciprocal_parts(params, cap, t, cfg)
-    return q_t / den
+    return float(1.0 / _propagate(params, cap, [t], cfg)[0])
 
 
 def reciprocal_solution(
     params: LogisticParams, cap: CapacitySchedule, t: float, cfg: SolverConfig | None = None
 ) -> float:
     """1/P(t), the linear-equation variable behind quadrature_solution."""
-    q_t, den = _reciprocal_parts(params, cap, t, cfg)
-    return den / q_t
+    return float(_propagate(params, cap, [t], cfg)[0])

@@ -8,11 +8,9 @@ one period h is affine:
 
 where mass is the integral of M over one period. A positive cycle
 therefore exists exactly when the capacity has positive mean over a
-period, and its start value is the fixed point of that affine map, in
-closed form up to one quadrature. find_periodic_solution raises
-NoPeriodicSolutionError when no cycle exists, ExponentOverflowError when
-w grows past the representable range, and ConvergenceError when the
-orbit from the fixed point does not close.
+period, and its start value is the fixed point of that affine map,
+whose offset is u(h) from u(0) = 0 by the closed-form module's exact
+step. ExponentOverflowError means the cycle is unrepresentable.
 """
 from __future__ import annotations
 
@@ -22,12 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacitySchedule, SolverConfig, TwoPhase
-from .closedform import LogisticParams
+from .closedform import LogisticParams, _propagate
 from .errors import ConvergenceError, ExponentOverflowError, NoPeriodicSolutionError
-from .odesolve import Trajectory, adaptive_quadrature, integrate_logistic
+from .odesolve import Trajectory, integrate_logistic
 
 _ORBIT_PANELS = 1024  # target Simpson panels across one period
-_MAX_EXPONENT = 700.0  # largest exponent of w that exp() can represent
 
 
 @dataclass(frozen=True)
@@ -90,20 +87,18 @@ def find_periodic_solution(
 
     The start value is the fixed point of the affine return map,
 
-        p* = -expm1(-r * mass) / (r * integral over [0, h] of w(s) ds),
+        p* = -expm1(-r * mass) / u(h),
 
-    found with one adaptive quadrature of w (schedule breakpoints as
-    mandatory points). The one-period orbit from p* is then integrated
-    and must close to fixed_point_tol.
+    u(h) being propagated from u(0) = 0 (P = inf), exactly for constant
+    and square-wave schedules, else by one adaptive quadrature of w.
+    The one-period orbit from p* is then integrated and must close to
+    fixed_point_tol.
 
     Raises NoPeriodicSolutionError when the capacity mean over one
-    period is nonpositive (the return map then has no positive fixed
-    point) and ExponentOverflowError when the exponent of w exceeds 700
-    somewhere in the period. A large negative exponent only lets w
-    underflow towards zero, which is harmless since w(h) = 1. Numerics
-    errors of the quadrature or the orbit integration propagate;
-    ConvergenceError is also raised when the orbit fails to close to
-    fixed_point_tol.
+    period is nonpositive, ExponentOverflowError when a die-off stretch
+    makes u(h) infinite or the exponent of w exceed 700, and
+    ConvergenceError when the orbit fails to close; numerics errors of
+    the quadrature or the orbit integration propagate.
     """
     cfg = cfg or SolverConfig()
     if not r > 0.0:
@@ -122,16 +117,11 @@ def find_periodic_solution(
         abs_tol=min(cfg.abs_tol, 1e-4 * fixed_point_tol),
     )
 
-    def weight(s: float) -> float:
-        exponent = -r * cap.integral(s, h)
-        if exponent > _MAX_EXPONENT:
-            raise ExponentOverflowError(
-                f"cycle weight exponent {exponent:.3g} exceeds bound {_MAX_EXPONENT:.3g}"
-            )
-        return math.exp(exponent)
-
-    forcing = adaptive_quadrature(weight, 0.0, h, cap.breakpoints_between(0.0, h), inner)
-    p_star = -math.expm1(-r * mass) / (r * forcing)
+    # u0 = 0 (P = inf) overrides p0 and makes u(h) the affine map's offset
+    offset = float(_propagate(LogisticParams(r, 1.0), cap, [h], inner, u0=0.0)[0])
+    if math.isinf(offset):
+        raise ExponentOverflowError("die-off drives the cycle below the float range")
+    p_star = -math.expm1(-r * mass) / offset
     orbit_cfg = replace(inner, max_step=min(inner.max_step, h / 256.0))
     grid = _orbit_grid(cap, h)
     orbit = integrate_logistic(LogisticParams(r, p_star, 0.0), cap, h, orbit_cfg, t_eval=grid)

@@ -18,6 +18,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def readme_commands() -> list[list[str]]:
+    """The oscpop invocations of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("oscpop ")]
+
+
 class TestFormatting:
     def test_twelve_significant_digits(self):
         assert _fmt(math.pi) == "3.14159265359"
@@ -115,6 +122,18 @@ class TestClosedForm:
         assert lines[0] == "t,P_closed,P_numeric,abs_diff"
         for line in lines[1:]:
             assert float(line.split(",")[3]) <= 1e-6
+
+    def test_long_horizon_past_the_exponent_bound(self, capsys):
+        # r * integral of M reaches ~800 at t = 400; this exited 3 before
+        code, out, err = run(
+            capsys,
+            "closed-form", "--schedule", "sinusoid:2,0.6,3", "--r", "1", "--p0", "0.5",
+            "--t-end", "400", "--dt", "20",
+        )
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 21
+        assert all(float(row[3]) <= 1e-5 * float(row[2]) for row in rows)
 
 
 class TestTwoPhaseCommand:
@@ -270,6 +289,21 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+
+class TestReadmeCommands:
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_runs_and_repeats_byte_for_byte(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        first = run(capsys, *argv)
+        second = run(capsys, *argv)
+        assert first[0] == 0, first[2]
+        assert second == first
+
+    def test_block_lists_every_command(self):
+        assert [argv[0] for argv in readme_commands()] == [
+            "simulate", "closed-form", "two-phase", "periodic", "bifurcation", "verify",
+        ]
 
 
 class TestImports:

@@ -5,6 +5,7 @@ import pytest
 
 from oscpop import (
     Constant,
+    ConvergenceError,
     ExponentOverflowError,
     LogisticParams,
     PoleError,
@@ -133,7 +134,7 @@ class TestTwoPhaseClosedForm:
         params = LogisticParams(1.2, 0.8, 0.0)
         traj = two_phase_trajectory(params, cap, 6.0, 0.25)
         for t, p in zip(traj.times, traj.populations):
-            assert p == pytest.approx(two_phase_value(params, cap, float(t)), rel=1e-13)
+            assert p == two_phase_value(params, cap, float(t))
 
     def test_trajectory_continuous_across_switches(self):
         cap = TwoPhase(0.5, 2.5, 1.0)
@@ -158,6 +159,17 @@ class TestTwoPhaseClosedForm:
         exact = two_phase_value(params, cap, 4.7)
         numeric = integrate_logistic(params, cap, 4.7, TIGHT).final
         assert numeric == pytest.approx(exact, rel=1e-9)
+
+    def test_zero_population_is_absorbing_after_deep_die_off(self):
+        # the die-off phase has decay exponent 2000 > 700, so P reads 0
+        # there and stays 0 through the next growth phase, whose own
+        # exponent underflows exp(-2000) to zero (no inf * 0)
+        params = LogisticParams(1.0, 0.5, 0.0)
+        cap = TwoPhase(100.0, -100.0, 40.0)
+        assert two_phase_value(params, cap, 30.0) == 0.0
+        assert two_phase_value(params, cap, 50.0) == 0.0
+        traj = two_phase_trajectory(params, cap, 60.0, 5.0)
+        assert np.all(traj.populations[6:] == 0.0)
 
     def test_trajectory_sampling_grid(self):
         cap = TwoPhase(1.0, 2.0, 1.0)
@@ -210,14 +222,15 @@ class TestQuadratureSolution:
             quad = quadrature_solution(params, cap, float(t), TIGHT)
             assert quad == pytest.approx(exact, rel=1e-9)
 
-    def test_two_phase_matches_chained_closed_form(self):
-        # independent route: one quadrature vs a chain of exact pieces
+    def test_two_phase_matches_integrator(self):
+        # square waves take the closed-form step; the integrator is the
+        # independent route
         cap = TwoPhase(1.0, 3.0, 2.0)
         params = LogisticParams(0.9, 0.6, 0.0)
         for t in (0.7, 1.0, 1.9, 2.5, 4.0):
-            exact = two_phase_value(params, cap, t)
+            numeric = integrate_logistic(params, cap, t, TIGHT).final
             quad = quadrature_solution(params, cap, t, TIGHT)
-            assert quad == pytest.approx(exact, rel=1e-8)
+            assert quad == pytest.approx(numeric, rel=1e-9)
 
     def test_sinusoid_matches_integrator(self):
         cap = SinusoidOffset(2.0, 0.5, 3.0)
@@ -225,6 +238,30 @@ class TestQuadratureSolution:
         numeric = integrate_logistic(params, cap, 4.0, TIGHT).final
         quad = quadrature_solution(params, cap, 4.0, TIGHT)
         assert quad == pytest.approx(numeric, rel=1e-8)
+
+    def test_long_horizon_past_the_exponent_bound(self):
+        # r * integral of M is ~720 at t = 360, yet P stays O(1)
+        params = LogisticParams(1.0, 0.5)
+        cap = SinusoidOffset(2.0, 0.5, 3.0)
+        numeric = integrate_logistic(params, cap, 360.0, SolverConfig(max_iterations=100_000)).final
+        assert quadrature_solution(params, cap, 360.0) == pytest.approx(numeric, rel=1e-8)
+
+    @pytest.mark.xfail(raises=ConvergenceError, strict=True)
+    def test_tight_tolerance_on_a_long_horizon(self):
+        # known limit: adaptive_quadrature gives the panel next to t a
+        # tolerance share proportional to its width (~3e-15 on an integral
+        # of ~0.16 here), below the noise that rounding the abscissae near
+        # t = 374 leaves in the weight (~r M ulp(t) ~ 3e-13 relative), so
+        # the subdivision budget runs out
+        params = LogisticParams(2.0, 1.0)
+        cap = SinusoidOffset(3.0, 0.0, 1.0)
+        assert quadrature_solution(params, cap, 374.0, TIGHT) == pytest.approx(3.0, rel=1e-9)
+
+    def test_negative_capacity_below_float_range_is_a_domain_error(self):
+        # M < 0 throughout: P decays like exp(-800), below the float range
+        params = LogisticParams(1.0, 0.5)
+        with pytest.raises(ExponentOverflowError):
+            quadrature_solution(params, SinusoidOffset(-1.0, 0.5, 3.0), 800.0)
 
     def test_zero_initial_population_stays_zero(self):
         params = LogisticParams(1.0, 0.0, 0.0)
@@ -258,3 +295,7 @@ class TestReciprocalSolution:
     def test_zero_population_has_infinite_reciprocal(self):
         params = LogisticParams(1.0, 0.0, 0.0)
         assert reciprocal_solution(params, Constant(1.0), 2.0) == math.inf
+
+    def test_zero_population_stays_infinite_on_long_horizons(self):
+        params = LogisticParams(1.0, 0.0, 0.0)
+        assert reciprocal_solution(params, SinusoidOffset(2.0, 0.5, 3.0), 800.0) == math.inf

@@ -65,7 +65,7 @@ class TestFindPeriodicSolution:
     def test_two_phase_matches_affine_composition(self):
         r, m1, m2, h = 1.2, 1.0, 3.0, 2.0
         sol = find_periodic_solution(r, TwoPhase(m1, m2, h))
-        assert sol.p_star == pytest.approx(mobius_fixed_point(r, m1, m2, h), rel=1e-10)
+        assert sol.p_star == pytest.approx(mobius_fixed_point(r, m1, m2, h), rel=1e-13)
         assert sol.residual <= sol.fixed_point_tol
 
     def test_two_phase_oracle_sweep(self):
@@ -76,14 +76,14 @@ class TestFindPeriodicSolution:
             m2 = float(rng.uniform(2.0, 4.0))
             h = float(rng.uniform(0.5, 4.0))
             sol = find_periodic_solution(r, TwoPhase(m1, m2, h))
-            assert sol.p_star == pytest.approx(mobius_fixed_point(r, m1, m2, h), rel=1e-10)
+            assert sol.p_star == pytest.approx(mobius_fixed_point(r, m1, m2, h), rel=1e-13)
 
     @pytest.mark.parametrize("m1, m2, h", [(100.0, 120.0, 20.0), (1.0, 3.0, 400.0)])
     def test_slow_switching_cycle_matches_affine_composition(self, m1, m2, h):
         # r * mass is far past the exponent bound; the cycle weight only
         # underflows there, so the cycle is still found
         sol = find_periodic_solution(1.0, TwoPhase(m1, m2, h))
-        assert sol.p_star == pytest.approx(mobius_fixed_point(1.0, m1, m2, h), rel=1e-10)
+        assert sol.p_star == pytest.approx(mobius_fixed_point(1.0, m1, m2, h), rel=1e-13)
 
     def test_constant_cycle_is_equilibrium(self):
         sol = find_periodic_solution(1.3, Constant(2.0, declared_period=1.0))
