@@ -124,7 +124,7 @@ class TestClosedForm:
             assert float(line.split(",")[3]) <= 1e-6
 
     def test_long_horizon_past_the_exponent_bound(self, capsys):
-        # r * integral of M reaches ~800 at t = 400; this exited 3 before
+        # r * integral of M reaches ~800 at t = 400 while P stays O(1)
         code, out, err = run(
             capsys,
             "closed-form", "--schedule", "sinusoid:2,0.6,3", "--r", "1", "--p0", "0.5",

@@ -161,9 +161,9 @@ class TestTwoPhaseClosedForm:
         assert numeric == pytest.approx(exact, rel=1e-9)
 
     def test_zero_population_is_absorbing_after_deep_die_off(self):
-        # the die-off phase has decay exponent 2000 > 700, so P reads 0
-        # there and stays 0 through the next growth phase, whose own
-        # exponent underflows exp(-2000) to zero (no inf * 0)
+        # the die-off phase on [20, 40) passes decay exponent 700 by t = 27,
+        # so P reads 0 and stays 0 through the next growth phase, where
+        # exp(-x) underflows to zero (no inf * 0)
         params = LogisticParams(1.0, 0.5, 0.0)
         cap = TwoPhase(100.0, -100.0, 40.0)
         assert two_phase_value(params, cap, 30.0) == 0.0
