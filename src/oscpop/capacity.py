@@ -8,6 +8,7 @@ clamped.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -244,6 +245,7 @@ class Tabulated(CapacitySchedule):
     values: np.ndarray
     declared_period: float | None = None
     _cum: np.ndarray = field(init=False, repr=False)
+    _knots: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -262,6 +264,7 @@ class Tabulated(CapacitySchedule):
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_knots", t.tolist())
 
     @classmethod
     def from_pairs(
@@ -282,8 +285,8 @@ class Tabulated(CapacitySchedule):
             )
 
     def _segment(self, t: float) -> int:
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return min(max(k, 0), self.times.size - 2)
+        k = bisect.bisect_right(self._knots, t) - 1
+        return min(max(k, 0), len(self._knots) - 2)
 
     def at(self, t: float) -> float:
         self._check(t)
@@ -301,8 +304,8 @@ class Tabulated(CapacitySchedule):
 
     def derivative(self, t: float) -> float:
         self._check(t)
-        idx = int(np.searchsorted(self.times, t))
-        if idx < self.times.size and self.times[idx] == t:
+        idx = bisect.bisect_left(self._knots, t)
+        if idx < len(self._knots) and self._knots[idx] == t:
             raise NonDifferentiableError(f"capacity has a sample kink at t={t}")
         k = self._segment(t)
         return float(

@@ -2,6 +2,9 @@
 step control and cubic-Hermite dense output, plus adaptive Simpson
 quadrature.
 
+Dense output is one vectorized Hermite pass over the accepted steps, so
+sampling costs time linear in steps plus samples.
+
 Capacity breakpoints are treated as hard step boundaries: the integrator
 never takes a step across one, and each smooth piece is integrated with
 the piece's own one-sided capacity values, so discontinuous forcing does
@@ -9,7 +12,6 @@ not degrade the order of the method.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -82,17 +84,6 @@ class Trajectory:
         return float(self.populations[-1])
 
 
-@dataclass(frozen=True)
-class _Step:
-    # one accepted step; f0/f1 are slopes at the ends, for Hermite sampling
-    t0: float
-    t1: float
-    y0: float
-    y1: float
-    f0: float
-    f1: float
-
-
 class _RunStats:
     __slots__ = ("n_accepted", "n_rejected", "n_rhs", "h_min", "h_max")
 
@@ -114,26 +105,16 @@ class _RunStats:
         )
 
 
-def _hermite(step: _Step, t: float) -> float:
-    dt = step.t1 - step.t0
-    if dt == 0.0:
-        return step.y0
-    theta = (t - step.t0) / dt
-    omt = 1.0 - theta
-    h00 = (1.0 + 2.0 * theta) * omt * omt
-    h10 = theta * omt * omt
-    h01 = theta * theta * (3.0 - 2.0 * theta)
-    h11 = theta * theta * (theta - 1.0)
-    return h00 * step.y0 + dt * h10 * step.f0 + h01 * step.y1 + dt * h11 * step.f1
-
-
 def _rk45_segment(f, lo, y0, hi, cfg, stats, budget):
     """Integrate y' = f(t, y) over the smooth interval [lo, hi].
 
-    Returns (accepted steps, y at hi). budget is a single-element list
-    holding the remaining attempted-step allowance for the whole call.
+    Returns (accepted steps, y at hi), each step a tuple
+    (t0, t1, y0, y1, f0, f1) with f0/f1 the slopes at its ends. Every
+    returned step has t1 > t0: a step size that no longer moves t raises
+    StiffnessError. budget is a single-element list holding the
+    remaining attempted-step allowance for the whole call.
     """
-    steps: list[_Step] = []
+    steps: list[tuple] = []
     t, y = lo, y0
     k1 = f(t, y)
     stats.n_rhs += 1
@@ -168,7 +149,7 @@ def _rk45_segment(f, lo, y0, hi, cfg, stats, budget):
         err = abs(err_abs) / scale
         if err <= 1.0:
             t_new = hi if hi - (t + h) <= 1e-14 * max(abs(hi), 1.0) else t + h
-            steps.append(_Step(t, t_new, y, y_new, k1, k7))
+            steps.append((t, t_new, y, y_new, k1, k7))
             stats.n_accepted += 1
             stats.h_min = min(stats.h_min, h)
             stats.h_max = max(stats.h_max, h)
@@ -210,23 +191,32 @@ def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
     return ts
 
 
-def _sample_steps(steps: list[_Step], ts: np.ndarray) -> np.ndarray:
-    ends = [s.t1 for s in steps]
-    out = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        k = bisect.bisect_left(ends, t)
-        if k >= len(steps):
-            k = len(steps) - 1
-        out[i] = _hermite(steps[k], float(t))
-    return out
+def _sample_steps(steps: list[tuple], ts: np.ndarray) -> np.ndarray:
+    """Cubic-Hermite dense output at ts, in one vectorized pass.
+
+    A sample on a step end belongs to the step that ends there; samples
+    past the last end use the last step.
+    """
+    cols = np.array(steps)
+    k = np.minimum(np.searchsorted(cols[:, 1], ts, side="left"), len(steps) - 1)
+    t0, t1, y0, y1, f0, f1 = cols[k].T
+    dt = t1 - t0
+    theta = (ts - t0) / dt
+    omt = 1.0 - theta
+    h00 = (1.0 + 2.0 * theta) * omt * omt
+    h10 = theta * omt * omt
+    h01 = theta * theta * (3.0 - 2.0 * theta)
+    h11 = theta * theta * (theta - 1.0)
+    return h00 * y0 + dt * h10 * f0 + h01 * y1 + dt * h11 * f1
 
 
 def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     """Solve dP/dt = r * (M(t) - P) * P from (t0, p0) up to t_end.
 
     Returns the accepted-step samples, or the dense-output values at
-    t_eval when given. The first sample is exactly the supplied initial
-    condition.
+    t_eval when given: one vectorized Hermite pass over the accepted
+    steps, linear in steps plus samples. The first sample is exactly the
+    supplied initial condition.
     """
     cfg = cfg or SolverConfig()
     t0, p0 = params.t0, params.p0
@@ -237,7 +227,7 @@ def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
         return Trajectory(np.array([t0]), np.array([p0]), stats.freeze("logistic-rk45"))
     r = params.r
     budget = [cfg.max_iterations]
-    steps: list[_Step] = []
+    steps: list[tuple] = []
     y = p0
     for lo, hi in _segments(cap, t0, t_end):
         def rhs(t: float, p: float, lo=lo, hi=hi) -> float:
@@ -247,8 +237,8 @@ def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
         steps.extend(seg_steps)
     meta = stats.freeze("logistic-rk45")
     if t_eval is None:
-        times = np.array([t0] + [s.t1 for s in steps])
-        pops = np.array([p0] + [s.y1 for s in steps])
+        times = np.array([t0] + [s[1] for s in steps])
+        pops = np.array([p0] + [s[3] for s in steps])
         return Trajectory(times, pops, meta)
     ts = _check_eval_times(t_eval, t0, t_end)
     return Trajectory(ts, _sample_steps(steps, ts), meta)
@@ -259,7 +249,9 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
 
     W obeys dW/dt = r * (M^2/4 - W^2) - (1/2) dM/dt on each smooth piece
     of the schedule. P is continuous across capacity jumps while W is
-    not, so each piece restarts W from the carried population.
+    not, so each piece restarts W from the carried population. Dense
+    output at t_eval is one vectorized Hermite pass per piece over that
+    piece's slice of t_eval, linear in steps plus samples.
     """
     cfg = cfg or SolverConfig()
     t0, p0, r = params.t0, params.p0, params.r
@@ -269,7 +261,7 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     if t_end == t0:
         return Trajectory(np.array([t0]), np.array([p0]), stats.freeze("riccati-rk45"))
     budget = [cfg.max_iterations]
-    segs: list[tuple[float, float, list[_Step]]] = []
+    segs: list[tuple[float, float, list[tuple]]] = []
     p_carry = p0
     for lo, hi in _segments(cap, t0, t_end):
         w0 = p_carry - 0.5 * cap.piece_value(lo, lo, hi)
@@ -283,28 +275,23 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
         segs.append((lo, hi, seg_steps))
         p_carry = w_end + 0.5 * cap.piece_value(hi, lo, hi)
     meta = stats.freeze("riccati-rk45")
-
-    def to_population(t: float, w: float, lo: float, hi: float) -> float:
-        return w + 0.5 * cap.piece_value(t, lo, hi)
-
     if t_eval is None:
         times = [t0]
         pops = [p0]
         for lo, hi, seg_steps in segs:
-            for s in seg_steps:
-                times.append(s.t1)
-                pops.append(to_population(s.t1, s.y1, lo, hi))
+            for _, t1, _, w1, _, _ in seg_steps:
+                times.append(t1)
+                pops.append(w1 + 0.5 * cap.piece_value(t1, lo, hi))
         return Trajectory(np.array(times), np.array(pops), meta)
     ts = _check_eval_times(t_eval, t0, t_end)
-    his = [hi for _, hi, _ in segs]
+    # each piece samples a contiguous slice of ts; a sample on a piece's
+    # end stays with that piece, as does any past the last end
+    cuts = np.searchsorted(ts, [hi for _, hi, _ in segs[:-1]], side="right").tolist()
     out = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        k = bisect.bisect_left(his, t)
-        if k >= len(segs):
-            k = len(segs) - 1
-        lo, hi, seg_steps = segs[k]
-        w = _sample_steps(seg_steps, np.array([t]))[0]
-        out[i] = to_population(float(t), w, lo, hi)
+    for (lo, hi, seg_steps), a, b in zip(segs, [0, *cuts], [*cuts, ts.size]):
+        if a < b:
+            m = [cap.piece_value(t, lo, hi) for t in ts[a:b].tolist()]
+            out[a:b] = _sample_steps(seg_steps, ts[a:b]) + 0.5 * np.array(m)
     return Trajectory(ts, out, meta)
 
 

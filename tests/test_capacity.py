@@ -248,6 +248,88 @@ class TestTabulated:
         assert self.make().period is None
 
 
+def _ragged_table():
+    rng = np.random.default_rng(7)
+    times = np.concatenate(([0.1], 0.1 + np.cumsum(rng.uniform(0.01, 0.7, 60))))
+    return Tabulated(times, rng.uniform(-0.5, 3.0, times.size))
+
+
+class TestTabulatedLookup:
+    """Every Tabulated query matches a reference that locates segments
+    with np.searchsorted, bit for bit, on and next to every sample time."""
+
+    @staticmethod
+    def ref_segment(cap, t):
+        k = int(np.searchsorted(cap.times, t, side="right")) - 1
+        return min(max(k, 0), cap.times.size - 2)
+
+    def ref_slope(self, cap, k):
+        return (cap.values[k + 1] - cap.values[k]) / (cap.times[k + 1] - cap.times[k])
+
+    def ref_cumulative(self, cap, t):
+        v, ts = cap.values, cap.times
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(ts))))
+        k = self.ref_segment(cap, t)
+        return float(cum[k] + (t - ts[k]) * 0.5 * (v[k] + float(np.interp(t, ts, v))))
+
+    def ref_derivative(self, cap, t):
+        idx = int(np.searchsorted(cap.times, t))
+        if idx < cap.times.size and cap.times[idx] == t:
+            return None
+        return float(self.ref_slope(cap, self.ref_segment(cap, t)))
+
+    def ref_piece_value(self, cap, t, lo, hi):
+        k = self.ref_segment(cap, 0.5 * (lo + hi))
+        return float(cap.values[k] + self.ref_slope(cap, k) * (t - cap.times[k]))
+
+    @staticmethod
+    def probes(cap):
+        ts = cap.times
+        base = np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1])))
+        near = np.concatenate((base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)))
+        return np.unique(near).tolist()
+
+    @pytest.fixture(params=["three-row", "ragged"])
+    def cap(self, request):
+        if request.param == "three-row":
+            return Tabulated.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.5, 0.0)])
+        return _ragged_table()
+
+    def test_point_queries_match_reference(self, cap):
+        lo, hi = cap.times[0], cap.times[-1]
+        inside = [t for t in self.probes(cap) if lo <= t <= hi]
+        for t in inside:
+            assert cap.at(t) == float(np.interp(t, cap.times, cap.values))
+            assert cap.integral(lo, t) == self.ref_cumulative(cap, t) - self.ref_cumulative(cap, lo)
+            want = self.ref_derivative(cap, t)
+            if want is None:
+                with pytest.raises(NonDifferentiableError):
+                    cap.derivative(t)
+            else:
+                assert cap.derivative(t) == want
+
+    def test_piece_queries_match_reference(self, cap):
+        lo, hi = cap.times[0], cap.times[-1]
+        inside = [t for t in self.probes(cap) if lo <= t <= hi]
+        for a, b in zip(inside[:-1], inside[1:]):
+            assert cap.integral(a, b) == self.ref_cumulative(cap, b) - self.ref_cumulative(cap, a)
+            for t in (a, b):
+                assert cap.piece_value(t, a, b) == self.ref_piece_value(cap, t, a, b)
+                k = self.ref_segment(cap, 0.5 * (a + b))
+                assert cap.piece_derivative(t, a, b) == float(self.ref_slope(cap, k))
+
+    def test_one_ulp_outside_the_range_raises(self, cap):
+        lo, hi = cap.times[0], cap.times[-1]
+        for t in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+            for query in (cap.at, cap.derivative):
+                with pytest.raises(ScheduleRangeError):
+                    query(float(t))
+        with pytest.raises(ScheduleRangeError):
+            cap.integral(float(np.nextafter(lo, -np.inf)), hi)
+        with pytest.raises(ScheduleRangeError):
+            cap.integral(lo, float(np.nextafter(hi, np.inf)))
+
+
 class TestCsvLoading:
     def test_basic_file(self, tmp_path):
         path = tmp_path / "cap.csv"

@@ -135,6 +135,14 @@ class TestIntegrateLogistic:
         with pytest.raises(StiffnessError):
             integrate_logistic(LogisticParams(1.0, 0.5, 0.0), cap, 1.0, cfg)
 
+    @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+    def test_step_too_small_to_move_t_raises(self, integrate):
+        # max_step is below half an ulp of t0 = 1e6, so the first accepted
+        # step has zero length; the run must end before it is sampled
+        cfg = SolverConfig(max_step=1e-11, min_step=1e-13)
+        with pytest.raises(StiffnessError, match="vanished"):
+            integrate(LogisticParams(1.0, 0.5, 1e6), Constant(1.0), 1e6 + 1.0, cfg, t_eval=[1e6 + 0.5])
+
     def test_step_budget_error(self):
         cfg = SolverConfig(max_iterations=3)
         with pytest.raises(ConvergenceError):
