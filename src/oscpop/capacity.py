@@ -50,10 +50,9 @@ class CapacitySchedule:
 
     Concrete schedules provide ``at``, ``integral``, ``derivative`` and a
     ``period`` attribute (None when the schedule declares no period).
-    ``piece_value`` / ``piece_derivative`` evaluate the smooth piece that
-    spans the open interval (lo, hi); they exist so integrators can work
-    right up to a breakpoint without tripping the two-sided derivative
-    error.
+    ``pieces`` cuts an interval at the breakpoints and hands out each
+    smooth piece's M and dM/dt, so solvers can work right up to a
+    breakpoint without tripping the two-sided derivative error.
     """
 
     period: float | None = None
@@ -72,11 +71,20 @@ class CapacitySchedule:
         """Non-smooth points strictly inside (t0, t1), ascending."""
         return []
 
-    def piece_value(self, t: float, lo: float, hi: float) -> float:
-        return self.at(t)
+    def pieces(self, t0: float, t1: float):
+        """Yield (lo, hi, value, slope) for each smooth piece of [t0, t1].
 
-    def piece_derivative(self, t: float, lo: float, hi: float) -> float:
-        return self.derivative(t)
+        The pieces tile [t0, t1] in order, cut at breakpoints_between.
+        value and slope are M and dM/dt on the piece as functions of t,
+        resolved once per piece; at lo and hi they give the piece's
+        one-sided limits. Pieces are produced lazily.
+        """
+        edges = [t0, *self.breakpoints_between(t0, t1), t1]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            yield (lo, hi, *self._piece(lo, hi))
+
+    def _piece(self, lo: float, hi: float):
+        return self.at, self.derivative
 
     def min_value(self) -> float:
         raise NotImplementedError
@@ -184,11 +192,9 @@ class TwoPhase(CapacitySchedule):
                 out.append(b)
         return out
 
-    def piece_value(self, t: float, lo: float, hi: float) -> float:
-        return self.at(0.5 * (lo + hi))
-
-    def piece_derivative(self, t: float, lo: float, hi: float) -> float:
-        return 0.0
+    def _piece(self, lo: float, hi: float):
+        m = self.at(0.5 * (lo + hi))
+        return (lambda t: m), (lambda t: 0.0)
 
     def min_value(self) -> float:
         return min(self.m1, self.m2)
@@ -307,7 +313,9 @@ class Tabulated(CapacitySchedule):
         idx = bisect.bisect_left(self._knots, t)
         if idx < len(self._knots) and self._knots[idx] == t:
             raise NonDifferentiableError(f"capacity has a sample kink at t={t}")
-        k = self._segment(t)
+        return self._slope(self._segment(t))
+
+    def _slope(self, k: int) -> float:
         return float(
             (self.values[k + 1] - self.values[k]) / (self.times[k + 1] - self.times[k])
         )
@@ -315,16 +323,10 @@ class Tabulated(CapacitySchedule):
     def breakpoints_between(self, t0: float, t1: float) -> list[float]:
         return [float(b) for b in self.times if t0 < b < t1]
 
-    def piece_value(self, t: float, lo: float, hi: float) -> float:
+    def _piece(self, lo: float, hi: float):
         k = self._segment(0.5 * (lo + hi))
-        slope = (self.values[k + 1] - self.values[k]) / (self.times[k + 1] - self.times[k])
-        return float(self.values[k] + slope * (t - self.times[k]))
-
-    def piece_derivative(self, t: float, lo: float, hi: float) -> float:
-        k = self._segment(0.5 * (lo + hi))
-        return float(
-            (self.values[k + 1] - self.values[k]) / (self.times[k + 1] - self.times[k])
-        )
+        v0, t0, slope = float(self.values[k]), float(self.times[k]), self._slope(k)
+        return (lambda t: v0 + slope * (t - t0)), (lambda t: slope)
 
     def min_value(self) -> float:
         return float(self.values.min())

@@ -173,13 +173,13 @@ def _propagate(params, cap, times, cfg, u0=None) -> np.ndarray:
         return np.full(len(times), math.inf)
     out = np.empty(len(times))
     if isinstance(cap, (Constant, TwoPhase)):
-        edges = [t0, *cap.breakpoints_between(t0, times[-1])]
-        carry = [u0]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            carry.append(_constant_step(r, cap.piece_value(lo, lo, hi), carry[-1], hi - lo))
-        for i, k in enumerate(np.searchsorted(edges, times, side="right") - 1):
-            lo, t = edges[k], float(times[i])
-            out[i] = _constant_step(r, cap.piece_value(lo, lo, t), carry[k], t - lo)
+        starts, levels, carry = [], [], [u0]
+        for lo, hi, m, _ in cap.pieces(t0, times[-1]):
+            starts.append(lo)
+            levels.append(m(lo))
+            carry.append(_constant_step(r, levels[-1], carry[-1], hi - lo))
+        for i, k in enumerate(np.searchsorted(starts, times, side="right") - 1):
+            out[i] = _constant_step(r, levels[k], carry[k], float(times[i]) - starts[k])
         return out
     spread = r * max(abs(cap.min_value()), abs(cap.max_value()))
     width = 4.0 / spread if spread > 0.0 else math.inf

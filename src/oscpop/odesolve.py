@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacitySchedule, SolverConfig
+from .capacity import SolverConfig
 from .errors import ConvergenceError, DivergenceError, StiffnessError
 
 # Dormand-Prince 5(4) coefficients. The fifth-order solution is propagated;
@@ -174,11 +174,6 @@ def _rk45_segment(f, lo, y0, hi, cfg, stats, budget):
     return steps, y
 
 
-def _segments(cap: CapacitySchedule, t0: float, t_end: float) -> list[tuple[float, float]]:
-    edges = [t0, *cap.breakpoints_between(t0, t_end), t_end]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-
 def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
     ts = np.asarray(t_eval, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
@@ -229,9 +224,9 @@ def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     budget = [cfg.max_iterations]
     steps: list[tuple] = []
     y = p0
-    for lo, hi in _segments(cap, t0, t_end):
-        def rhs(t: float, p: float, lo=lo, hi=hi) -> float:
-            return r * (cap.piece_value(t, lo, hi) - p) * p
+    for lo, hi, m, _ in cap.pieces(t0, t_end):
+        def rhs(t: float, p: float, m=m) -> float:
+            return r * (m(t) - p) * p
 
         seg_steps, y = _rk45_segment(rhs, lo, y, hi, cfg, stats, budget)
         steps.extend(seg_steps)
@@ -251,7 +246,8 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     of the schedule. P is continuous across capacity jumps while W is
     not, so each piece restarts W from the carried population. Dense
     output at t_eval is one vectorized Hermite pass per piece over that
-    piece's slice of t_eval, linear in steps plus samples.
+    piece's slice of t_eval, linear in steps plus samples. The first
+    sample is exactly the supplied initial condition, on both routes.
     """
     cfg = cfg or SolverConfig()
     t0, p0, r = params.t0, params.p0, params.r
@@ -261,37 +257,38 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     if t_end == t0:
         return Trajectory(np.array([t0]), np.array([p0]), stats.freeze("riccati-rk45"))
     budget = [cfg.max_iterations]
-    segs: list[tuple[float, float, list[tuple]]] = []
+    segs: list[tuple] = []
     p_carry = p0
-    for lo, hi in _segments(cap, t0, t_end):
-        w0 = p_carry - 0.5 * cap.piece_value(lo, lo, hi)
+    for lo, hi, m, dm in cap.pieces(t0, t_end):
+        w0 = p_carry - 0.5 * m(lo)
 
-        def rhs(t: float, w: float, lo=lo, hi=hi) -> float:
-            m = cap.piece_value(t, lo, hi)
-            dm = cap.piece_derivative(t, lo, hi)
-            return r * (0.25 * m * m - w * w) - 0.5 * dm
+        def rhs(t: float, w: float, m=m, dm=dm) -> float:
+            mt = m(t)
+            return r * (0.25 * mt * mt - w * w) - 0.5 * dm(t)
 
         seg_steps, w_end = _rk45_segment(rhs, lo, w0, hi, cfg, stats, budget)
-        segs.append((lo, hi, seg_steps))
-        p_carry = w_end + 0.5 * cap.piece_value(hi, lo, hi)
+        segs.append((hi, m, seg_steps))
+        p_carry = w_end + 0.5 * m(hi)
     meta = stats.freeze("riccati-rk45")
     if t_eval is None:
         times = [t0]
         pops = [p0]
-        for lo, hi, seg_steps in segs:
+        for _, m, seg_steps in segs:
             for _, t1, _, w1, _, _ in seg_steps:
                 times.append(t1)
-                pops.append(w1 + 0.5 * cap.piece_value(t1, lo, hi))
+                pops.append(w1 + 0.5 * m(t1))
         return Trajectory(np.array(times), np.array(pops), meta)
     ts = _check_eval_times(t_eval, t0, t_end)
     # each piece samples a contiguous slice of ts; a sample on a piece's
     # end stays with that piece, as does any past the last end
-    cuts = np.searchsorted(ts, [hi for _, hi, _ in segs[:-1]], side="right").tolist()
+    cuts = np.searchsorted(ts, [hi for hi, _, _ in segs[:-1]], side="right").tolist()
     out = np.empty(ts.size)
-    for (lo, hi, seg_steps), a, b in zip(segs, [0, *cuts], [*cuts, ts.size]):
+    for (_, m, seg_steps), a, b in zip(segs, [0, *cuts], [*cuts, ts.size]):
         if a < b:
-            m = [cap.piece_value(t, lo, hi) for t in ts[a:b].tolist()]
-            out[a:b] = _sample_steps(seg_steps, ts[a:b]) + 0.5 * np.array(m)
+            mm = [m(t) for t in ts[a:b].tolist()]
+            out[a:b] = _sample_steps(seg_steps, ts[a:b]) + 0.5 * np.array(mm)
+    if ts[0] == t0:
+        out[0] = p0  # W + M/2 need not round back to p0
     return Trajectory(ts, out, meta)
 
 

@@ -68,9 +68,8 @@ def period_map(
 
 
 def _orbit_grid(cap: CapacitySchedule, h: float) -> np.ndarray:
-    edges = [0.0, *cap.breakpoints_between(0.0, h), h]
     chunks: list[np.ndarray] = []
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+    for i, (lo, hi, _, _) in enumerate(cap.pieces(0.0, h)):
         n = 2 * max(8, round(_ORBIT_PANELS * (hi - lo) / (2.0 * h)))
         grid = np.linspace(lo, hi, n + 1)
         chunks.append(grid if i == 0 else grid[1:])
@@ -159,13 +158,12 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 def _segment_slices(orbit: Trajectory, cap: CapacitySchedule):
     t = orbit.times
-    edges = [float(t[0]), *cap.breakpoints_between(float(t[0]), float(t[-1])), float(t[-1])]
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi, m, _ in cap.pieces(float(t[0]), float(t[-1])):
         i0 = int(np.searchsorted(t, lo, side="left"))
         i1 = int(np.searchsorted(t, hi, side="right")) - 1
         if i1 - i0 < 2:
             raise ValueError("orbit sampling too coarse for a schedule segment")
-        yield lo, hi, t[i0 : i1 + 1], orbit.populations[i0 : i1 + 1]
+        yield m, t[i0 : i1 + 1], orbit.populations[i0 : i1 + 1]
 
 
 def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
@@ -178,8 +176,8 @@ def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
     """
     num = 0.0
     den = 0.0
-    for lo, hi, tt, pp in _segment_slices(orbit, cap):
-        mm = np.array([cap.piece_value(float(x), lo, hi) for x in tt])
+    for m, tt, pp in _segment_slices(orbit, cap):
+        mm = np.array([m(float(x)) for x in tt])
         num += _simpson(mm * pp - pp * pp, tt)
         den += _simpson(pp * pp, tt)
     if den <= 0.0:
@@ -203,8 +201,8 @@ def square_deviation_identity(
     """
     lhs = 0.0
     rhs = 0.0
-    for lo, hi, tt, pp in _segment_slices(sol.orbit, cap):
-        mm = np.array([cap.piece_value(float(x), lo, hi) for x in tt])
+    for m, tt, pp in _segment_slices(sol.orbit, cap):
+        mm = np.array([m(float(x)) for x in tt])
         dev = pp - 0.5 * mm
         lhs += _simpson(dev * dev, tt)
         rhs += _simpson(0.25 * mm * mm, tt)

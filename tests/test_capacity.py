@@ -5,12 +5,15 @@ import pytest
 
 from oscpop import (
     Constant,
+    ConvergenceError,
+    LogisticParams,
     NonDifferentiableError,
     ScheduleRangeError,
     SinusoidOffset,
     SolverConfig,
     Tabulated,
     TwoPhase,
+    integrate_logistic,
     load_capacity_csv,
     parse_schedule,
 )
@@ -120,10 +123,11 @@ class TestTwoPhase:
 
     def test_piece_value_one_sided(self):
         cap = TwoPhase(1.0, 3.0, 2.0)
+        (_, _, left, left_slope), (_, _, right, _) = cap.pieces(0.0, 2.0)
         # evaluating at the right edge of a piece must use that piece
-        assert cap.piece_value(1.0, 0.0, 1.0) == 1.0
-        assert cap.piece_value(1.0, 1.0, 2.0) == 3.0
-        assert cap.piece_derivative(1.0, 0.0, 1.0) == 0.0
+        assert left(1.0) == 1.0
+        assert right(1.0) == 3.0
+        assert left_slope(1.0) == 0.0
 
     def test_extrema(self):
         cap = TwoPhase(3.0, -1.0, 2.0)
@@ -230,9 +234,10 @@ class TestTabulated:
 
     def test_piece_evaluation_at_kink(self):
         cap = self.make()
-        assert cap.piece_value(1.0, 0.0, 1.0) == pytest.approx(3.0, abs=1e-15)
-        assert cap.piece_derivative(1.0, 0.0, 1.0) == pytest.approx(2.0, abs=1e-15)
-        assert cap.piece_derivative(1.0, 1.0, 2.5) == pytest.approx(-2.0, abs=1e-15)
+        (_, _, left, left_slope), (_, _, _, right_slope) = cap.pieces(0.0, 2.5)
+        assert left(1.0) == pytest.approx(3.0, abs=1e-15)
+        assert left_slope(1.0) == pytest.approx(2.0, abs=1e-15)
+        assert right_slope(1.0) == pytest.approx(-2.0, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -313,10 +318,12 @@ class TestTabulatedLookup:
         inside = [t for t in self.probes(cap) if lo <= t <= hi]
         for a, b in zip(inside[:-1], inside[1:]):
             assert cap.integral(a, b) == self.ref_cumulative(cap, b) - self.ref_cumulative(cap, a)
+            # no sample time lies strictly between neighbouring probes
+            [(_, _, value, slope)] = cap.pieces(a, b)
             for t in (a, b):
-                assert cap.piece_value(t, a, b) == self.ref_piece_value(cap, t, a, b)
+                assert value(t) == self.ref_piece_value(cap, t, a, b)
                 k = self.ref_segment(cap, 0.5 * (a + b))
-                assert cap.piece_derivative(t, a, b) == float(self.ref_slope(cap, k))
+                assert slope(t) == float(self.ref_slope(cap, k))
 
     def test_one_ulp_outside_the_range_raises(self, cap):
         lo, hi = cap.times[0], cap.times[-1]
@@ -328,6 +335,25 @@ class TestTabulatedLookup:
             cap.integral(float(np.nextafter(lo, -np.inf)), hi)
         with pytest.raises(ScheduleRangeError):
             cap.integral(lo, float(np.nextafter(hi, np.inf)))
+
+
+class CountingTwoPhase(TwoPhase):
+    at_calls = 0
+
+    def at(self, t):
+        type(self).at_calls += 1
+        return super().at(t)
+
+
+class TestPieces:
+    def test_pieces_are_resolved_lazily(self):
+        # 20,000 pieces on [0, 100]; a budget of 50 steps reaches a few
+        # dozen, so only those may be resolved
+        CountingTwoPhase.at_calls = 0
+        cap = CountingTwoPhase(1.0, 3.0, 0.01)
+        with pytest.raises(ConvergenceError):
+            integrate_logistic(LogisticParams(1.0, 0.5), cap, 100.0, SolverConfig(max_iterations=50))
+        assert 0 < CountingTwoPhase.at_calls <= 50
 
 
 class TestCsvLoading:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from oscpop import (  # noqa: E402
     Constant,
@@ -62,6 +62,17 @@ def test_dense_output_at_step_ends_is_the_step_value(integrate, p, sched):
     first = 0 if integrate is integrate_logistic else 1
     dense = integrate(p, cap, t_end, t_eval=steps.times[first:])
     assert np.array_equal(dense.populations, steps.populations[first:])
+
+
+@pytest.mark.parametrize("integrate", INTEGRATORS)
+@settings(max_examples=60, deadline=None)
+@given(p=params, sched=schedules())
+@example(p=LogisticParams(1.0, 0.1), sched=(Constant(3.0), 2.0, np.linspace(0.0, 2.0, 5)))
+def test_first_sample_is_the_initial_condition(integrate, p, sched):
+    cap, t_end, grid = sched
+    assert integrate(p, cap, t_end).populations[0] == p.p0
+    # W(t0) + M(t0)/2 need not round back to p0; the sample must
+    assert integrate(p, cap, t_end, t_eval=grid).populations[0] == p.p0
 
 
 @pytest.mark.parametrize("integrate", INTEGRATORS)

@@ -191,8 +191,8 @@ class TestSimpson:
         sol = find_periodic_solution(1.0, cap)
         t, p = sol.orbit.times, sol.orbit.populations
         assert _simpson(p, t) == float(simpson(p, x=t))
-        for lo, hi, tt, pp in _segment_slices(sol.orbit, cap):
-            mm = np.array([cap.piece_value(float(x), lo, hi) for x in tt])
+        for m, tt, pp in _segment_slices(sol.orbit, cap):
+            mm = np.array([m(float(x)) for x in tt])
             assert _simpson(mm * pp - pp * pp, tt) == float(simpson(mm * pp - pp * pp, x=tt))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 10])
