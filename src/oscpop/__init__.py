@@ -18,13 +18,10 @@ from .capacity import (
 )
 from .closedform import (
     LogisticParams,
-    integrating_factor,
     logistic_constant,
     quadrature_solution,
     reciprocal_solution,
-    two_phase_step,
     two_phase_trajectory,
-    two_phase_value,
 )
 from .discretemap import (
     BifurcationRecord,
@@ -32,7 +29,6 @@ from .discretemap import (
     ScanResult,
     bifurcation_scan,
     detect_attractor,
-    has_escaped,
     iterate_map,
     normalized_state,
 )
@@ -85,10 +81,7 @@ __all__ = [
     # closed forms
     "LogisticParams",
     "logistic_constant",
-    "two_phase_step",
     "two_phase_trajectory",
-    "two_phase_value",
-    "integrating_factor",
     "quadrature_solution",
     "reciprocal_solution",
     # numerical integration
@@ -111,7 +104,6 @@ __all__ = [
     # discrete map
     "normalized_state",
     "iterate_map",
-    "has_escaped",
     "detect_attractor",
     "BifurcationRecord",
     "ScanConfig",

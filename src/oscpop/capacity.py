@@ -152,14 +152,10 @@ class TwoPhase(CapacitySchedule):
         if not self.period > 0.0:
             raise ValueError("period must be positive")
 
-    def _phase(self, t: float) -> float:
-        tau = t % self.period
-        if tau >= self.period:  # guard against rounding at the wrap point
-            tau -= self.period
-        return tau
-
     def at(self, t: float) -> float:
-        return self.m1 if self._phase(t) < 0.5 * self.period else self.m2
+        # t % period rounds up to period only for t < 0 just below a
+        # switch, which lies in the m2 half
+        return self.m1 if t % self.period < 0.5 * self.period else self.m2
 
     def _cumulative(self, t: float) -> float:
         # antiderivative anchored at 0, exact up to float rounding
@@ -174,7 +170,7 @@ class TwoPhase(CapacitySchedule):
         return self._cumulative(t1) - self._cumulative(t0)
 
     def derivative(self, t: float) -> float:
-        tau = self._phase(t)
+        tau = t % self.period
         if tau == 0.0 or tau == 0.5 * self.period:
             raise NonDifferentiableError(f"capacity jumps at t={t}")
         return 0.0
@@ -285,10 +281,9 @@ class Tabulated(CapacitySchedule):
         return self.declared_period
 
     def _check(self, t: float) -> None:
-        if t < self.times[0] or t > self.times[-1]:
-            raise ScheduleRangeError(
-                f"t={t} outside sampled range [{self.times[0]}, {self.times[-1]}]"
-            )
+        lo, hi = self._knots[0], self._knots[-1]
+        if t < lo or t > hi:
+            raise ScheduleRangeError(f"t={t} outside sampled range [{lo}, {hi}]")
 
     def _segment(self, t: float) -> int:
         k = bisect.bisect_right(self._knots, t) - 1
@@ -324,6 +319,8 @@ class Tabulated(CapacitySchedule):
         return [float(b) for b in self.times if t0 < b < t1]
 
     def _piece(self, lo: float, hi: float):
+        self._check(lo)
+        self._check(hi)
         k = self._segment(0.5 * (lo + hi))
         v0, t0, slope = float(self.values[k]), float(self.times[k]), self._slope(k)
         return (lambda t: v0 + slope * (t - t0)), (lambda t: slope)

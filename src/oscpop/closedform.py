@@ -27,6 +27,7 @@ from .errors import ExponentOverflowError, PoleError
 from .odesolve import SolverStats, Trajectory, adaptive_quadrature
 
 _MAX_EXPONENT = 700.0  # largest exponent exp() is allowed to take here
+_POLE_TOL = 1e-10  # relative size below which a denominator is a pole
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,11 @@ class LogisticParams:
             raise ValueError("initial time must be finite")
 
 
-def logistic_constant(params: LogisticParams, m: float, t: float, *, pole_tol: float = 1e-10) -> float:
+def logistic_constant(params: LogisticParams, m: float, t: float) -> float:
     """Population at time t under constant capacity m.
 
-    Raises PoleError when the denominator vanishes to within pole_tol
-    (relative to its terms), which can only happen when evaluating at
+    Raises PoleError when the denominator vanishes to within 1e-10
+    relative to its terms, which can only happen when evaluating at
     times on the far side of a finite-time pole (p0 > m and t < t0, or
     p0 > 0 > m likewise in the past).
     """
@@ -62,7 +63,7 @@ def logistic_constant(params: LogisticParams, m: float, t: float, *, pole_tol: f
     if m == 0.0:
         # capacity-free limit: dP/dt = -r P^2
         den = 1.0 + r * p0 * (t - t0)
-        if abs(den) <= pole_tol * max(1.0, abs(r * p0 * (t - t0))):
+        if abs(den) <= _POLE_TOL * max(1.0, abs(r * p0 * (t - t0))):
             raise PoleError(f"solution pole at t={t}")
         return p0 / den
     x = r * m * (t - t0)
@@ -76,24 +77,9 @@ def logistic_constant(params: LogisticParams, m: float, t: float, *, pole_tol: f
         num = m * p0 * w
         den = m + p0 * math.expm1(x)
         scale = max(abs(m), abs(p0 * math.expm1(x)))
-    if abs(den) <= pole_tol * scale:
+    if abs(den) <= _POLE_TOL * scale:
         raise PoleError(f"solution pole at t={t}")
     return num / den
-
-
-def two_phase_step(params: LogisticParams, cap: TwoPhase) -> tuple[float, float]:
-    """One full square-wave cycle starting from params.
-
-    Evolves p0 under m1 for half the cycle, then under m2 for the other
-    half, each phase using the constant-capacity solution with elapsed
-    time measured within the phase. Returns (population at mid-cycle,
-    population at cycle end).
-    """
-    half = 0.5 * cap.period
-    p_half = logistic_constant(params, cap.m1, params.t0 + half)
-    mid = LogisticParams(params.r, p_half, params.t0 + half)
-    p_full = logistic_constant(mid, cap.m2, params.t0 + cap.period)
-    return p_half, p_full
 
 
 def two_phase_trajectory(
@@ -115,35 +101,6 @@ def two_phase_trajectory(
     return Trajectory(ts, 1.0 / _propagate(params, cap, ts, None), SolverStats("piecewise-exact"))
 
 
-def two_phase_value(params: LogisticParams, cap: TwoPhase, t: float) -> float:
-    """Exact population at a single time under a square-wave schedule."""
-    return float(1.0 / _propagate(params, cap, [t], None)[0])
-
-
-def integrating_factor(
-    r: float,
-    cap: CapacitySchedule,
-    t_ref: float,
-    t: float,
-    *,
-    max_exponent: float = _MAX_EXPONENT,
-) -> float:
-    """exp(r * integral of M from t_ref to t), the linearizing weight.
-
-    Raises ExponentOverflowError when the exponent magnitude exceeds
-    max_exponent; rescale time or population units in that case.
-    """
-    if t >= t_ref:
-        exponent = r * cap.integral(t_ref, t)
-    else:
-        exponent = -r * cap.integral(t, t_ref)
-    if abs(exponent) > max_exponent:
-        raise ExponentOverflowError(
-            f"integrating-factor exponent {exponent:.3g} exceeds bound {max_exponent:.3g}"
-        )
-    return math.exp(exponent)
-
-
 def _constant_step(r: float, m: float, u: float, tau: float) -> float:
     # exact u after time tau >= 0 at constant capacity m; u = inf (P = 0)
     # is absorbing, and a decay exponent past the bound reads as P = 0
@@ -157,16 +114,16 @@ def _constant_step(r: float, m: float, u: float, tau: float) -> float:
     return u * math.exp(-x) - math.expm1(-x) / m
 
 
-def _propagate(params, cap, times, cfg, u0=None) -> np.ndarray:
-    """u = 1/P at ascending times >= t0, each the exact step from (t0, u0).
+def _propagate(params, cap, times, cfg) -> np.ndarray:
+    """u = 1/P at ascending times >= t0, each the exact step from (t0, 1/p0).
 
-    u0 defaults to 1/p0; no value depends on the other times. Panel
-    points double away from t, as the quadrature weight is a boundary
-    layer of width ~1/(r max|M|) there. u = inf (P = 0) is absorbing.
+    No value depends on the other times. p0 = inf starts from u = 0.
+    Panel points double away from t, as the quadrature weight is a
+    boundary layer of width ~1/(r max|M|) there. u = inf (P = 0) is
+    absorbing.
     """
     r, t0 = params.r, params.t0
-    if u0 is None:
-        u0 = math.inf if params.p0 == 0.0 else 1.0 / params.p0
+    u0 = math.inf if params.p0 == 0.0 else 1.0 / params.p0
     if times[0] < t0:
         raise ValueError("t must not precede the initial time")
     if math.isinf(u0):

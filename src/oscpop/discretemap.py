@@ -21,20 +21,24 @@ def normalized_state(r: float, m: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Attractor-detection settings; the single source of their defaults."""
+    """Attractor-detection settings; the single source of their defaults.
+
+    An orbit counts as diverged once a value is non-finite or its
+    normalized coordinate leaves [-10, 10].
+    """
 
     transient: int = 10_000
     window: int = 512
     match_tol: float = 1e-9
-    escape_bound: float = 10.0
 
     def __post_init__(self) -> None:
         if self.transient < 0 or self.window < 4:
             raise ValueError("need transient >= 0 and window >= 4")
-        if not (self.match_tol > 0.0 and self.escape_bound > 0.0):
-            raise ValueError("match_tol and escape_bound must be positive")
+        if not self.match_tol > 0.0:
+            raise ValueError("match_tol must be positive")
 
 
+_ESCAPE_BOUND = 10.0  # |normalized value| past which an orbit has diverged
 _BLOCK = 128  # map steps between escape checks
 _COLUMNS = 1024  # grid points per pass, so memory stays a few window x 1024 arrays
 
@@ -60,9 +64,9 @@ def _iterate(r: float, m: np.ndarray, rows: np.ndarray) -> None:
         p = row
 
 
-def _escape_mask(r: float, unit, values: np.ndarray, escape_bound: float) -> np.ndarray:
+def _escape_mask(r: float, unit, values: np.ndarray) -> np.ndarray:
     """Non-finite values, or normalized values r p / unit beyond the bound."""
-    return ~np.isfinite(values) | (np.abs(r * values / unit) > escape_bound)
+    return ~np.isfinite(values) | (np.abs(r * values / unit) > _ESCAPE_BOUND)
 
 
 def iterate_map(r: float, m: float, p0: float, n: int) -> np.ndarray:
@@ -78,15 +82,6 @@ def iterate_map(r: float, m: float, p0: float, n: int) -> np.ndarray:
     with np.errstate(all="ignore"):
         _iterate(r, np.array([m], dtype=float), out)
     return out[:, 0]
-
-
-def has_escaped(
-    r: float, m: float, values: np.ndarray, escape_bound: float = ScanConfig.escape_bound
-) -> bool:
-    """True when any normalized value leaves [-bound, bound] or is non-finite."""
-    with np.errstate(all="ignore"):
-        mask = _escape_mask(r, 1.0 + r * m, np.asarray(values, dtype=float), escape_bound)
-    return bool(np.any(mask))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +126,7 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
         while done < cfg.transient and alive.any():
             n = min(_BLOCK, cfg.transient - done)
             _iterate(r, m, buf[: n + 1])
-            mask = _escape_mask(r, unit, buf[1 : n + 1], cfg.escape_bound)
+            mask = _escape_mask(r, unit, buf[1 : n + 1])
             for c, k in _first_escapes(mask, alive):
                 diverged[c] = buf[k, c : c + 1].copy()
             buf[0] = buf[n]
@@ -143,7 +138,7 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
                 break
             k1 = min(k0 + _BLOCK, cfg.window)
             _iterate(r, m, w[k0 - 1 : k1])
-            mask = _escape_mask(r, unit, w[k0:k1], cfg.escape_bound)
+            mask = _escape_mask(r, unit, w[k0:k1])
             for c, k in _first_escapes(mask, alive):
                 diverged[c] = w[: k0 + k, c].copy()
 
@@ -193,7 +188,6 @@ def detect_attractor(
     transient: int = ScanConfig.transient,
     window: int = ScanConfig.window,
     match_tol: float = ScanConfig.match_tol,
-    escape_bound: float = ScanConfig.escape_bound,
 ) -> BifurcationRecord:
     """Classify the long-run orbit from p0.
 
@@ -207,9 +201,12 @@ def detect_attractor(
     an orbit reaches only by landing on it exactly, e.g. from p0 = 0.
     An orbit still converging slowly onto a cycle, as just below a
     period doubling, drifts across the window: it is left unresolved
-    rather than read as the doubled period.
+    rather than read as the doubled period. An orbit that escapes (a
+    non-finite value, or a normalized value past 10 in magnitude) is
+    flagged diverged, and its attractor ends with the value before the
+    escape.
     """
-    cfg = ScanConfig(transient, window, match_tol, escape_bound)
+    cfg = ScanConfig(transient, window, match_tol)
     return _attractors(r, np.array([m], dtype=float), np.array([p0], dtype=float), cfg)[0]
 
 

@@ -33,10 +33,10 @@ class NoPeriodicSolutionError(DomainError):
 
 
 class ExponentOverflowError(DomainError):
-    """An integrating-factor exponent exceeds the representable range.
+    """A solution weight's exponent exceeds the representable range.
 
     Rescale time or population units so the growth exponent stays
-    below the configured bound.
+    below 700.
     """
 
 

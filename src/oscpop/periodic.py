@@ -116,8 +116,8 @@ def find_periodic_solution(
         abs_tol=min(cfg.abs_tol, 1e-4 * fixed_point_tol),
     )
 
-    # u0 = 0 (P = inf) overrides p0 and makes u(h) the affine map's offset
-    offset = float(_propagate(LogisticParams(r, 1.0), cap, [h], inner, u0=0.0)[0])
+    # from u = 0 (P = inf) the step gives u(h) = the affine map's offset
+    offset = float(_propagate(LogisticParams(r, math.inf), cap, [h], inner)[0])
     if math.isinf(offset):
         raise ExponentOverflowError("die-off drives the cycle below the float range")
     p_star = -math.expm1(-r * mass) / offset

@@ -14,6 +14,7 @@ from oscpop import (
     Tabulated,
     TwoPhase,
     integrate_logistic,
+    integrate_riccati,
     load_capacity_csv,
     parse_schedule,
 )
@@ -114,6 +115,13 @@ class TestTwoPhase:
             with pytest.raises(NonDifferentiableError):
                 cap.derivative(t)
 
+    @pytest.mark.parametrize("t", [-1e-17, -1.1e-308])
+    def test_just_below_a_switch_at_negative_time(self, t):
+        # t % period rounds up to period here; t still lies in the m2 half
+        cap = TwoPhase(1.0, 3.0, 2.0)
+        assert cap.at(t) == 3.0
+        assert cap.derivative(t) == 0.0
+
     def test_breakpoints_strictly_interior(self):
         cap = TwoPhase(1.0, 3.0, 2.0)
         assert cap.breakpoints_between(0.0, 2.0) == [1.0]
@@ -203,6 +211,16 @@ class TestTabulated:
             cap.at(2.5001)
         with pytest.raises(ScheduleRangeError):
             cap.integral(0.0, 3.0)
+
+    @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+    def test_integrators_do_not_extrapolate(self, integrate):
+        cap = self.make()
+        for params, t_end in ((LogisticParams(1.0, 0.5), 6.0), (LogisticParams(1.0, 0.5, -1.0), 2.0)):
+            with pytest.raises(ScheduleRangeError):
+                integrate(params, cap, t_end)
+        with pytest.raises(ScheduleRangeError):
+            list(cap.pieces(0.0, 2.6))
+        assert integrate(LogisticParams(1.0, 0.5), cap, 2.5).final > 0.0
 
     def test_integral_exact_trapezoids(self):
         cap = self.make()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oscpop
-from oscpop import Constant, LogisticParams, TwoPhase, integrate_logistic, two_phase_value
+from oscpop import Constant, LogisticParams, TwoPhase, integrate_logistic, quadrature_solution
 from oscpop.cli import _fmt, main
 
 
@@ -150,7 +150,7 @@ class TestTwoPhaseCommand:
         body = target.read_text().splitlines()
         t, p, m = body[1].split(",")
         assert float(p) == pytest.approx(
-            two_phase_value(LogisticParams(1.0, 0.5, 0.0), TwoPhase(1.0, 3.0, 40.0), float(t)),
+            quadrature_solution(LogisticParams(1.0, 0.5, 0.0), TwoPhase(1.0, 3.0, 40.0), float(t)),
             rel=1e-9,
         )
 
@@ -317,3 +317,55 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "[]"
+
+    def test_public_names(self):
+        assert oscpop.__all__ == [
+            "__version__",
+            "CapacitySchedule",
+            "Constant",
+            "TwoPhase",
+            "SinusoidOffset",
+            "Tabulated",
+            "SolverConfig",
+            "load_capacity_csv",
+            "parse_schedule",
+            "LogisticParams",
+            "logistic_constant",
+            "two_phase_trajectory",
+            "quadrature_solution",
+            "reciprocal_solution",
+            "Trajectory",
+            "SolverStats",
+            "integrate_logistic",
+            "integrate_riccati",
+            "adaptive_quadrature",
+            "PeriodicSolution",
+            "TwoPhaseReport",
+            "period_map",
+            "find_periodic_solution",
+            "orbit_identity_residual",
+            "mean_identity_residual",
+            "square_deviation_identity",
+            "time_average",
+            "half_peak_fraction",
+            "two_phase_deductions",
+            "normalized_state",
+            "iterate_map",
+            "detect_attractor",
+            "BifurcationRecord",
+            "ScanConfig",
+            "ScanResult",
+            "bifurcation_scan",
+            "OscPopError",
+            "DomainError",
+            "NumericsError",
+            "ScheduleRangeError",
+            "NonDifferentiableError",
+            "PoleError",
+            "NoPeriodicSolutionError",
+            "ExponentOverflowError",
+            "ConvergenceError",
+            "StiffnessError",
+            "DivergenceError",
+        ]
+        assert all(hasattr(oscpop, name) for name in oscpop.__all__)

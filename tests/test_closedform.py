@@ -13,13 +13,10 @@ from oscpop import (
     SolverConfig,
     TwoPhase,
     integrate_logistic,
-    integrating_factor,
     logistic_constant,
     quadrature_solution,
     reciprocal_solution,
-    two_phase_step,
     two_phase_trajectory,
-    two_phase_value,
 )
 
 TIGHT = SolverConfig(abs_tol=1e-13, rel_tol=1e-11)
@@ -125,7 +122,9 @@ class TestTwoPhaseClosedForm:
         # r=1, p0=1/2, phases of length ln 3 at m1=1 then m2=2:
         # mid-cycle 3/4, end of cycle 27/16, both exact fractions
         cap = TwoPhase(1.0, 2.0, 2.0 * math.log(3.0))
-        p_half, p_full = two_phase_step(LogisticParams(1.0, 0.5, 0.0), cap)
+        params = LogisticParams(1.0, 0.5, 0.0)
+        p_half = quadrature_solution(params, cap, 0.5 * cap.period)
+        p_full = quadrature_solution(params, cap, cap.period)
         assert p_half == pytest.approx(0.75, abs=1e-14)
         assert p_full == pytest.approx(1.6875, abs=1e-14)
 
@@ -134,21 +133,21 @@ class TestTwoPhaseClosedForm:
         params = LogisticParams(1.2, 0.8, 0.0)
         traj = two_phase_trajectory(params, cap, 6.0, 0.25)
         for t, p in zip(traj.times, traj.populations):
-            assert p == two_phase_value(params, cap, float(t))
+            assert p == quadrature_solution(params, cap, float(t))
 
     def test_trajectory_continuous_across_switches(self):
         cap = TwoPhase(0.5, 2.5, 1.0)
         params = LogisticParams(2.0, 1.1, 0.0)
         eps = 1e-9
         for t_switch in (0.5, 1.0, 1.5, 2.0):
-            left = two_phase_value(params, cap, t_switch - eps)
-            right = two_phase_value(params, cap, t_switch + eps)
+            left = quadrature_solution(params, cap, t_switch - eps)
+            right = quadrature_solution(params, cap, t_switch + eps)
             assert left == pytest.approx(right, rel=1e-6)
 
     def test_trajectory_agrees_with_integrator(self):
         cap = TwoPhase(1.0, 3.0, 2.0)
         params = LogisticParams(1.2, 0.8, 0.0)
-        exact = two_phase_value(params, cap, 6.0)
+        exact = quadrature_solution(params, cap, 6.0)
         numeric = integrate_logistic(params, cap, 6.0, TIGHT).final
         assert numeric == pytest.approx(exact, rel=1e-9)
 
@@ -156,7 +155,7 @@ class TestTwoPhaseClosedForm:
         # t0 in mid-phase: chaining must anchor on the schedule, not on t0
         cap = TwoPhase(1.0, 3.0, 2.0)
         params = LogisticParams(1.0, 0.9, 0.3)
-        exact = two_phase_value(params, cap, 4.7)
+        exact = quadrature_solution(params, cap, 4.7)
         numeric = integrate_logistic(params, cap, 4.7, TIGHT).final
         assert numeric == pytest.approx(exact, rel=1e-9)
 
@@ -166,8 +165,8 @@ class TestTwoPhaseClosedForm:
         # exp(-x) underflows to zero (no inf * 0)
         params = LogisticParams(1.0, 0.5, 0.0)
         cap = TwoPhase(100.0, -100.0, 40.0)
-        assert two_phase_value(params, cap, 30.0) == 0.0
-        assert two_phase_value(params, cap, 50.0) == 0.0
+        assert quadrature_solution(params, cap, 30.0) == 0.0
+        assert quadrature_solution(params, cap, 50.0) == 0.0
         traj = two_phase_trajectory(params, cap, 60.0, 5.0)
         assert np.all(traj.populations[6:] == 0.0)
 
@@ -182,35 +181,6 @@ class TestTwoPhaseClosedForm:
             two_phase_trajectory(LogisticParams(1.0, 0.5, 0.0), cap, 2.0, 0.0)
         with pytest.raises(ValueError):
             two_phase_trajectory(LogisticParams(1.0, 0.5, 1.0), cap, 0.5, 0.1)
-
-
-class TestIntegratingFactor:
-    def test_constant_capacity(self):
-        cap = Constant(2.0)
-        assert integrating_factor(1.5, cap, 0.0, 3.0) == pytest.approx(
-            math.exp(9.0), rel=1e-14
-        )
-
-    def test_sinusoid_closed_form(self):
-        # M = sin t: weight is exp(r (1 - cos t))
-        cap = SinusoidOffset(0.0, 1.0, 2.0 * math.pi)
-        r = 0.7
-        for t in (0.3, 1.0, math.pi, 5.0):
-            expected = math.exp(r * (1.0 - math.cos(t)))
-            assert integrating_factor(r, cap, 0.0, t) == pytest.approx(expected, rel=1e-12)
-
-    def test_backward_reference_is_reciprocal(self):
-        cap = SinusoidOffset(1.0, 0.4, 2.0)
-        fwd = integrating_factor(1.0, cap, 0.0, 1.3)
-        bwd = integrating_factor(1.0, cap, 1.3, 0.0)
-        assert fwd * bwd == pytest.approx(1.0, rel=1e-13)
-
-    def test_overflow_guard(self):
-        with pytest.raises(ExponentOverflowError):
-            integrating_factor(1.0, Constant(100.0), 0.0, 10.0)
-        # custom bound
-        with pytest.raises(ExponentOverflowError):
-            integrating_factor(1.0, Constant(2.0), 0.0, 3.0, max_exponent=5.0)
 
 
 class TestQuadratureSolution:

@@ -10,7 +10,6 @@ from oscpop import (
     ScanConfig,
     bifurcation_scan,
     detect_attractor,
-    has_escaped,
     iterate_map,
     normalized_state,
 )
@@ -73,15 +72,25 @@ class TestNormalizedState:
 
 class TestHasEscaped:
     def test_tame_orbit(self):
-        out = iterate_map(1.0, 1.5, 0.5, 100)
-        assert not has_escaped(1.0, 1.5, out)
+        rec = detect_attractor(1.0, 1.5, 0.5, transient=100)
+        assert not rec.diverged
+        assert rec.detected_period == 1
 
     def test_nonfinite_escapes(self):
-        assert has_escaped(1.0, 1.0, np.array([0.5, math.nan]))
+        for p0 in (math.nan, math.inf):
+            rec = detect_attractor(1.0, 1.0, p0)
+            assert rec.diverged and rec.detected_period is None
+            assert not np.isfinite(iterate_map(1.0, 1.0, p0, 1)[1])
 
     def test_large_normalized_value_escapes(self):
-        # x = r p / (1 + rho) > 10 with r=1, m=1
-        assert has_escaped(1.0, 1.0, np.array([0.5, 25.0]))
+        # x = r p / (1 + rho) with r=1, m=1: -5 -> -35 takes x from -2.5 to
+        # -17.5, a finite value past the bound
+        escaped = iterate_map(1.0, 1.0, -5.0, 1)[1]
+        assert escaped == -35.0
+        for transient in (0, 10):
+            rec = detect_attractor(1.0, 1.0, -5.0, transient=transient)
+            assert rec.diverged and rec.detected_period is None
+            assert rec.attractor.tolist() == [-5.0]
 
 
 class TestDetectAttractor:
@@ -129,7 +138,7 @@ class TestScanConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"transient": -1}, {"window": 2}, {"match_tol": 0.0}, {"escape_bound": -1.0}],
+        [{"transient": -1}, {"window": 2}, {"match_tol": 0.0}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -237,7 +246,7 @@ class TestScanGridIndependence:
             warnings.simplefilter("error")
             res = bifurcation_scan(3.2, 3.6, 9)
             assert not np.all(np.isfinite(iterate_map(1.0, 3.5, 5.0, 60)))
-            assert has_escaped(1.0, 1.0, np.array([0.5, math.inf]))
+            assert detect_attractor(1.0, 1.0, math.inf).diverged
         assert all(rec.diverged and rec.detected_period is None for rec in res.records)
         assert all(rec.attractor.size >= 1 for rec in res.records)
 

@@ -19,7 +19,7 @@ from oscpop import (
     integrate_logistic,
     integrate_riccati,
     logistic_constant,
-    two_phase_value,
+    quadrature_solution,
 )
 from oscpop.odesolve import SolverStats
 
@@ -95,7 +95,7 @@ class TestIntegrateLogistic:
         cap = TwoPhase(0.8, 2.2, 1.5)
         params = LogisticParams(1.3, 0.4, 0.0)
         got = integrate_logistic(params, cap, 5.0, TIGHT).final
-        assert got == pytest.approx(two_phase_value(params, cap, 5.0), rel=1e-9)
+        assert got == pytest.approx(quadrature_solution(params, cap, 5.0), rel=1e-9)
 
     def test_dense_output_accuracy(self):
         params = LogisticParams(1.0, 0.3, 0.0)

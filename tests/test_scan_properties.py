@@ -74,7 +74,6 @@ def test_detect_attractor_equals_scalar_loop(r, rho, x0, transient, window):
     m = rho / r
     p0 = x0 * (1.0 + rho) / r
     rec = detect_attractor(r, m, p0, transient=transient, window=window)
-    cfg = ScanConfig()
-    values, period, diverged = _scalar_attractor(r, m, p0, transient, window, cfg.match_tol, cfg.escape_bound)
+    values, period, diverged = _scalar_attractor(r, m, p0, transient, window, ScanConfig().match_tol, 10.0)
     assert (rec.detected_period, rec.diverged) == (period, diverged)
     assert np.array_equal(rec.attractor, values)
