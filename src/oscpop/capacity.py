@@ -227,6 +227,20 @@ class SinusoidOffset(CapacitySchedule):
     def derivative(self, t: float) -> float:
         return self.amplitude * (TWO_PI / self.period) * math.cos(self._angle(t))
 
+    def _piece(self, lo: float, hi: float):
+        # the arithmetic of at and derivative, without their method calls
+        mean, amplitude, period = self.mean, self.amplitude, self.period
+        rate = amplitude * (TWO_PI / period)
+        sin, cos = math.sin, math.cos
+
+        def value(t: float) -> float:
+            return mean + amplitude * sin(TWO_PI * ((t % period) / period))
+
+        def slope(t: float) -> float:
+            return rate * cos(TWO_PI * ((t % period) / period))
+
+        return value, slope
+
     def min_value(self) -> float:
         return self.mean - abs(self.amplitude)
 
@@ -246,8 +260,9 @@ class Tabulated(CapacitySchedule):
     times: np.ndarray
     values: np.ndarray
     declared_period: float | None = None
-    _cum: np.ndarray = field(init=False, repr=False)
+    _cum: list = field(init=False, repr=False)
     _knots: list = field(init=False, repr=False)
+    _vals: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -265,8 +280,9 @@ class Tabulated(CapacitySchedule):
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_cum", cum.tolist())
         object.__setattr__(self, "_knots", t.tolist())
+        object.__setattr__(self, "_vals", v.tolist())
 
     @classmethod
     def from_pairs(
@@ -295,7 +311,7 @@ class Tabulated(CapacitySchedule):
 
     def _cumulative(self, t: float) -> float:
         k = self._segment(t)
-        return float(self._cum[k] + (t - self.times[k]) * 0.5 * (self.values[k] + self.at(t)))
+        return float(self._cum[k] + (t - self._knots[k]) * 0.5 * (self._vals[k] + self.at(t)))
 
     def integral(self, t0: float, t1: float) -> float:
         _require_ordered(t0, t1)
@@ -311,18 +327,18 @@ class Tabulated(CapacitySchedule):
         return self._slope(self._segment(t))
 
     def _slope(self, k: int) -> float:
-        return float(
-            (self.values[k + 1] - self.values[k]) / (self.times[k + 1] - self.times[k])
-        )
+        v, t = self._vals, self._knots
+        return (v[k + 1] - v[k]) / (t[k + 1] - t[k])
 
     def breakpoints_between(self, t0: float, t1: float) -> list[float]:
-        return [float(b) for b in self.times if t0 < b < t1]
+        knots = self._knots
+        return knots[bisect.bisect_right(knots, t0):bisect.bisect_left(knots, t1)]
 
     def _piece(self, lo: float, hi: float):
         self._check(lo)
         self._check(hi)
         k = self._segment(0.5 * (lo + hi))
-        v0, t0, slope = float(self.values[k]), float(self.times[k]), self._slope(k)
+        v0, t0, slope = self._vals[k], self._knots[k], self._slope(k)
         return (lambda t: v0 + slope * (t - t0)), (lambda t: slope)
 
     def min_value(self) -> float:

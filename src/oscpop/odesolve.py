@@ -5,6 +5,11 @@ quadrature.
 Dense output is one vectorized Hermite pass over the accepted steps, so
 sampling costs time linear in steps plus samples.
 
+``_rk45_segment`` is the hot path of every long run, so it binds its
+coefficients and settings to locals and writes its counters to the run's
+stats once per segment; that saves each step's global and attribute
+lookups without changing any float it produces.
+
 Capacity breakpoints are treated as hard step boundaries: the integrator
 never takes a step across one, and each smooth piece is integrated with
 the piece's own one-sided capacity values, so discontinuous forcing does
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -114,63 +120,86 @@ def _rk45_segment(f, lo, y0, hi, cfg, stats, budget):
     StiffnessError. budget is a single-element list holding the
     remaining attempted-step allowance for the whole call.
     """
+    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, min_factor, max_factor, err_floor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_FLOOR
+    abs_tol, rel_tol, max_step, min_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step, cfg.min_step
+    isfinite = math.isfinite
     steps: list[tuple] = []
+    append = steps.append
     t, y = lo, y0
     k1 = f(t, y)
-    stats.n_rhs += 1
-    if not math.isfinite(k1) or not math.isfinite(y):
+    if not isfinite(k1) or not isfinite(y):
         raise DivergenceError(f"non-finite state at t={t}")
     span = hi - lo
-    h = min(cfg.max_step, span, max(span / 16.0, cfg.min_step))
+    h = min(max_step, span, max(span / 16.0, min_step))
+    snap = 1e-14 * max(abs(hi), 1.0)
+    left = budget[0]
+    n_acc = n_rej = 0
+    h_min, h_max = stats.h_min, stats.h_max
     err_prev = None
     while t < hi:
-        h = min(h, hi - t)
-        if budget[0] <= 0:
+        rest = hi - t
+        if rest < h:
+            h = rest
+        if left <= 0:
             raise ConvergenceError("step budget exhausted (max_iterations)")
-        budget[0] -= 1
-        k2 = f(t + _C2 * h, y + h * (_A21 * k1))
-        k3 = f(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-        k4 = f(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = f(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = f(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = f(t + h, y_new)
-        stats.n_rhs += 6
-        if not (
-            math.isfinite(y_new)
-            and math.isfinite(k7)
-            and math.isfinite(k2 + k3 + k4 + k5 + k6)
-        ):
-            raise DivergenceError(f"non-finite state near t={t + h}")
-        err_abs = h * (
-            _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
-        )
-        scale = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y_new))
-        err = abs(err_abs) / scale
+        left -= 1
+        k2 = f(t + c2 * h, y + h * (a21 * k1))
+        k3 = f(t + c3 * h, y + h * (a31 * k1 + a32 * k2))
+        k4 = f(t + c4 * h, y + h * (a41 * k1 + a42 * k2 + a43 * k3))
+        k5 = f(t + c5 * h, y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+        t_next = t + h
+        k6 = f(t_next, y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))
+        y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+        k7 = f(t_next, y_new)
+        if not (isfinite(y_new) and isfinite(k7) and isfinite(k2 + k3 + k4 + k5 + k6)):
+            raise DivergenceError(f"non-finite state near t={t_next}")
+        err_abs = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+        size, size_new = abs(y), abs(y_new)
+        err = abs(err_abs) / (abs_tol + rel_tol * (size_new if size_new > size else size))
         if err <= 1.0:
-            t_new = hi if hi - (t + h) <= 1e-14 * max(abs(hi), 1.0) else t + h
-            steps.append((t, t_new, y, y_new, k1, k7))
-            stats.n_accepted += 1
-            stats.h_min = min(stats.h_min, h)
-            stats.h_max = max(stats.h_max, h)
+            t_new = hi if hi - t_next <= snap else t_next
+            append((t, t_new, y, y_new, k1, k7))
+            n_acc += 1
+            if h < h_min:
+                h_min = h
+            if h > h_max:
+                h_max = h
             t, y, k1 = t_new, y_new, k7
             if err == 0.0:
-                factor = _MAX_FACTOR
+                factor = max_factor
             elif err_prev is None:
-                factor = _SAFETY * err ** -0.2
+                factor = safety * err ** -0.2
             else:
-                factor = _SAFETY * err ** -0.14 * err_prev ** 0.08
-            err_prev = max(err, _ERR_FLOOR)
-            h = min(cfg.max_step, h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)))
+                factor = safety * err ** -0.14 * err_prev ** 0.08
+            err_prev = err_floor if err_floor > err else err
+            if factor < min_factor:
+                factor = min_factor
+            elif factor > max_factor:
+                factor = max_factor
+            h *= factor
+            if h > max_step:
+                h = max_step
         else:
-            stats.n_rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            if h < cfg.min_step:
+            n_rej += 1
+            factor = safety * err ** -0.2
+            h *= factor if factor > min_factor else min_factor
+            if h < min_step:
                 raise StiffnessError(
                     f"step size underflow at t={t} (needed {h:.3e} < min_step)"
                 )
         if t < hi and t + h == t:
             raise StiffnessError(f"step size vanished at t={t}")
+    budget[0] = left
+    stats.n_accepted += n_acc
+    stats.n_rejected += n_rej
+    stats.n_rhs += 1 + 6 * (n_acc + n_rej)
+    stats.h_min, stats.h_max = h_min, h_max
     return steps, y
 
 
@@ -192,8 +221,9 @@ def _sample_steps(steps: list[tuple], ts: np.ndarray) -> np.ndarray:
     A sample on a step end belongs to the step that ends there; samples
     past the last end use the last step.
     """
-    cols = np.array(steps)
-    k = np.minimum(np.searchsorted(cols[:, 1], ts, side="left"), len(steps) - 1)
+    n = len(steps)
+    cols = np.fromiter(chain.from_iterable(steps), float, 6 * n).reshape(n, 6)
+    k = np.minimum(np.searchsorted(cols[:, 1], ts, side="left"), n - 1)
     t0, t1, y0, y1, f0, f1 = cols[k].T
     dt = t1 - t0
     theta = (ts - t0) / dt

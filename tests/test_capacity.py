@@ -191,6 +191,17 @@ class TestSinusoidOffset:
         assert cap.min_value() == -1.0
         assert cap.max_value() == 3.0
 
+    @pytest.mark.parametrize("cap", [SinusoidOffset(2.0, 0.7, 3.0), SinusoidOffset(-1.3, 2.5, 0.37)])
+    def test_piece_closures_are_bit_equal_far_out(self, cap):
+        # the property test samples |t| <= 40; these reach where phase
+        # reduction rounds: far from the origin, just below zero, and one
+        # ulp below a period multiple
+        below = [math.nextafter(k * cap.period, -math.inf) for k in (1, 7, -4)]
+        (_, _, value, slope), = cap.pieces(-2e6, 2e6)
+        for t in (1e6 + 0.3, -(1e6 + 0.3), -1e-17, *below):
+            assert value(t) == cap.at(t)
+            assert slope(t) == cap.derivative(t)
+
 
 class TestTabulated:
     def make(self):

@@ -90,3 +90,21 @@ def test_piece_ends_give_one_sided_limits(iv):
             reach = abs(inside - end)
             assert value(end) == pytest.approx(cap.at(inside), rel=1e-12, abs=dm_bound * reach + 1e-12)
             assert slope(end) == pytest.approx(cap.derivative(inside), rel=1e-12, abs=d2m_bound * reach + 1e-12)
+
+
+@st.composite
+def windows(draw):
+    """(table, t0, t1) with ends inside or outside the table, on sample
+    times or between them, in either order."""
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=40))
+    times = draw(st.floats(-20.0, 20.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    cap = Tabulated(times, np.ones(times.size))
+    ends = st.sampled_from(times.tolist()) | st.floats(float(times[0]) - 5.0, float(times[-1]) + 5.0)
+    return cap, draw(ends), draw(ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=windows())
+def test_table_breakpoints_are_the_sample_times_inside(w):
+    cap, t0, t1 = w
+    assert cap.breakpoints_between(t0, t1) == [float(b) for b in cap.times if t0 < b < t1]
