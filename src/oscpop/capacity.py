@@ -2,16 +2,15 @@
 
 Every schedule knows its own exact antiderivative and derivative, so
 downstream solvers never have to differentiate or integrate the forcing
-numerically. Negative capacity values are allowed everywhere; schedules
-that dip to zero or below are flagged via ``dips_nonpositive`` but never
-clamped.
+numerically. Negative capacity values are allowed everywhere and never
+clamped; parameters must be finite.
 """
 from __future__ import annotations
 
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,15 +91,17 @@ class CapacitySchedule:
     def max_value(self) -> float:
         raise NotImplementedError
 
-    @property
-    def dips_nonpositive(self) -> bool:
-        """True when the capacity is not strictly positive everywhere."""
-        return self.min_value() <= 0.0
-
 
 def _require_ordered(t0: float, t1: float) -> None:
     if t1 < t0:
         raise ValueError(f"integral bounds out of order: {t0} > {t1}")
+
+
+def _require_finite(schedule: CapacitySchedule) -> None:
+    for f in fields(schedule):
+        value = getattr(schedule, f.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"schedule parameter {f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,7 @@ class Constant(CapacitySchedule):
     def __post_init__(self) -> None:
         if self.declared_period is not None and not self.declared_period > 0.0:
             raise ValueError("declared_period must be positive")
+        _require_finite(self)
 
     @property
     def period(self) -> float | None:
@@ -151,6 +153,7 @@ class TwoPhase(CapacitySchedule):
     def __post_init__(self) -> None:
         if not self.period > 0.0:
             raise ValueError("period must be positive")
+        _require_finite(self)
 
     def at(self, t: float) -> float:
         # t % period rounds up to period only for t < 0 just below a
@@ -176,6 +179,8 @@ class TwoPhase(CapacitySchedule):
         return 0.0
 
     def breakpoints_between(self, t0: float, t1: float) -> list[float]:
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ValueError(f"switch times need finite bounds, got ({t0}, {t1})")
         half = 0.5 * self.period
         k = math.floor(t0 / half)
         out: list[float] = []
@@ -210,6 +215,7 @@ class SinusoidOffset(CapacitySchedule):
     def __post_init__(self) -> None:
         if not self.period > 0.0:
             raise ValueError("period must be positive")
+        _require_finite(self)
 
     def _angle(self, t: float) -> float:
         # reduce phase before scaling so large t keeps full precision

@@ -98,6 +98,9 @@ def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
         raise ValueError("--dt must be positive")
     if t_end <= t0:
         raise ValueError("--t-end must exceed --t0")
+    for flag, value in (("--t-end", t_end), ("--dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite")
     n = int(math.floor((t_end - t0) / dt + 1e-9))
     return t0 + dt * np.arange(n + 1)
 
@@ -263,16 +266,39 @@ def _cmd_bifurcation(args) -> int:
 # verify battery
 
 
-def _quiet_main(argv: list[str]) -> int:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        return main(argv)
+def _require(ok: bool, message: str) -> None:
+    """Fail the running check with message; unlike assert, kept under python -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
+def _raises(error: type[Exception], call):
+    """A check that passes when call() raises error. call is a lambda, so the
+    functions it names are looked up in this module only when the check runs."""
+
+    def check(rng, tmp):
+        try:
+            result = call()
+        except error:
+            return
+        raise AssertionError(f"{error.__name__} not raised; the call returned {type(result).__name__}")
+
+    return check
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of main(argv), with stderr discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
 
 
 def _check_constant_equilibrium(rng, tmp):
     cap = Constant(1.5)
     traj = integrate_logistic(LogisticParams(1.0, 1.5, 0.0), cap, 10.0)
-    assert float(np.max(np.abs(traj.populations - 1.5))) <= 1e-9
+    drift = float(np.max(np.abs(traj.populations - 1.5)))
+    _require(drift <= 1e-9, f"max |P - 1.5| = {drift:.3g} > 1e-9")
 
 
 def _check_closed_form_reduction(rng, tmp):
@@ -283,7 +309,7 @@ def _check_closed_form_reduction(rng, tmp):
     for t in np.linspace(0.1, 8.0, 25):
         exact = logistic_constant(params, 1.0, float(t))
         quad = quadrature_solution(params, cap, float(t), cfg)
-        assert abs(quad - exact) <= 1e-8 * abs(exact)
+        _require(abs(quad - exact) <= 1e-8 * abs(exact), f"P({t:.6g}) = {quad!r}, closed form {exact!r}")
 
 
 def _check_cross_solver_sinusoid(rng, tmp):
@@ -293,54 +319,8 @@ def _check_cross_solver_sinusoid(rng, tmp):
     grid = np.linspace(0.0, 4.0 * math.pi, 40)
     a = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid).populations
     b = integrate_riccati(params, cap, float(grid[-1]), cfg, t_eval=grid).populations
-    assert float(np.max(np.abs(a - b) / np.abs(a))) <= 1e-6
-
-
-def _check_pole_error(rng, tmp):
-    params = LogisticParams(1.0, 2.0, 0.0)
-    t_pole = math.log(2.0 / 3.0)
-    try:
-        logistic_constant(params, -1.0, t_pole)
-    except PoleError:
-        return
-    raise AssertionError("pole not detected")
-
-
-def _check_no_periodic_solution(rng, tmp):
-    cap = SinusoidOffset(0.0, 1.0, 2.0 * math.pi)
-    try:
-        find_periodic_solution(1.0, cap)
-    except NoPeriodicSolutionError:
-        return
-    raise AssertionError("zero-mean schedule accepted")
-
-
-def _check_stiffness_error(rng, tmp):
-    cap = SinusoidOffset(1.0, 0.5, 0.05)
-    cfg = SolverConfig(abs_tol=1e-14, rel_tol=1e-12, min_step=0.02, max_step=0.04)
-    try:
-        integrate_logistic(LogisticParams(1.0, 0.5, 0.0), cap, 1.0, cfg)
-    except StiffnessError:
-        return
-    raise AssertionError("stiffness not flagged")
-
-
-def _check_divergence_error(rng, tmp):
-    cap = Constant(1e160)
-    try:
-        integrate_riccati(LogisticParams(1.0, 1.0, 0.0), cap, 1.0)
-    except DivergenceError:
-        return
-    raise AssertionError("divergence not flagged")
-
-
-def _check_quadrature_budget(rng, tmp):
-    cfg = SolverConfig(abs_tol=1e-14, rel_tol=1e-14, max_iterations=1)
-    try:
-        adaptive_quadrature(lambda s: math.exp(-math.cos(s)), 0.0, math.pi, (), cfg)
-    except NumericsError:
-        return
-    raise AssertionError("subdivision budget not enforced")
+    gap = float(np.max(np.abs(a - b) / np.abs(a)))
+    _require(gap <= 1e-6, f"largest relative gap between the routes {gap:.3g} > 1e-6")
 
 
 def _check_conjugacy(rng, tmp):
@@ -353,7 +333,7 @@ def _check_conjugacy(rng, tmp):
         p1 = p0 + r * (m - p0) * p0
         lhs = normalized_state(r, m, p1)
         rhs = (1.0 + rho) * x0 * (1.0 - x0)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+        _require(abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), f"x1 = {lhs!r}, quadratic map {rhs!r}")
 
 
 def _check_capacity_additivity(rng, tmp):
@@ -366,12 +346,12 @@ def _check_capacity_additivity(rng, tmp):
         a, b, c = sorted(rng.uniform(-5, 5, size=3))
         whole = cap.integral(float(a), float(c))
         split = cap.integral(float(a), float(b)) + cap.integral(float(b), float(c))
-        assert abs(whole - split) <= 1e-10 * max(1.0, abs(whole))
+        _require(abs(whole - split) <= 1e-10 * max(1.0, abs(whole)), f"{cap}: {whole!r} whole, {split!r} split")
 
 
 def _check_tabulated_roundtrip(rng, tmp):
     path = os.path.join(tmp, "table_check.csv")
-    code = _quiet_main(
+    code, _ = _run(
         [
             "simulate",
             "--schedule",
@@ -388,13 +368,14 @@ def _check_tabulated_roundtrip(rng, tmp):
             path,
         ]
     )
-    assert code == 0
+    _require(code == 0, f"simulate exited {code}")
     cap = parse_schedule(f"table:{path}")
     with open(path) as fh:
         rows = fh.read().strip().splitlines()[1:]
     for row in rows:
         t_text, _, m_text = row.split(",")
-        assert cap.at(float(t_text)) == float(m_text)
+        m = cap.at(float(t_text))
+        _require(m == float(m_text), f"M({t_text}) = {m!r}, file has {m_text}")
 
 
 def _check_csv_deterministic(rng, tmp):
@@ -411,48 +392,44 @@ def _check_csv_deterministic(rng, tmp):
         "--dt",
         "0.1",
     ]
-    first, second = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(first):
-        assert main(argv) == 0
-    with contextlib.redirect_stdout(second):
-        assert main(argv) == 0
-    assert first.getvalue() == second.getvalue()
+    (code1, first), (code2, second) = _run(argv), _run(argv)
+    _require(code1 == code2 == 0, f"simulate exited {code1}, then {code2}")
+    _require(first == second, f"the two runs printed different CSV ({len(first)} and {len(second)} characters)")
 
 
 def _check_exit_codes(rng, tmp):
-    ok = _quiet_main(
-        ["simulate", "--schedule", "constant:1", "--r", "1", "--p0", "1",
-         "--t-end", "1", "--dt", "0.5", "--output", os.path.join(tmp, "ok.csv")]
-    )
-    assert ok == 0, f"expected 0, got {ok}"
-    usage = _quiet_main(
-        ["simulate", "--schedule", "bogus:1", "--r", "1", "--p0", "1",
-         "--t-end", "1", "--dt", "0.5"]
-    )
-    assert usage == 2, f"expected 2, got {usage}"
-    domain = _quiet_main(
-        ["periodic", "--schedule", "sinusoid:0,1,6.283185307179586", "--r", "1",
-         "--output", os.path.join(tmp, "cycle.csv")]
-    )
-    assert domain == 3, f"expected 3, got {domain}"
-    numeric = _quiet_main(
-        ["closed-form", "--schedule", "sinusoid:1,0.5,6.283185307179586", "--r", "1",
-         "--p0", "1", "--t-end", "6", "--dt", "1", "--max-iterations", "1",
-         "--abs-tol", "1e-14", "--rel-tol", "1e-14",
-         "--output", os.path.join(tmp, "cf.csv")]
-    )
-    assert numeric == 4, f"expected 4, got {numeric}"
+    for expected, argv in (
+        (0, ["simulate", "--schedule", "constant:1", "--r", "1", "--p0", "1",
+             "--t-end", "1", "--dt", "0.5", "--output", os.path.join(tmp, "ok.csv")]),
+        (2, ["simulate", "--schedule", "bogus:1", "--r", "1", "--p0", "1",
+             "--t-end", "1", "--dt", "0.5"]),
+        (3, ["periodic", "--schedule", "sinusoid:0,1,6.283185307179586", "--r", "1",
+             "--output", os.path.join(tmp, "cycle.csv")]),
+        (4, ["closed-form", "--schedule", "sinusoid:1,0.5,6.283185307179586", "--r", "1",
+             "--p0", "1", "--t-end", "6", "--dt", "1", "--max-iterations", "1",
+             "--abs-tol", "1e-14", "--rel-tol", "1e-14",
+             "--output", os.path.join(tmp, "cf.csv")]),
+    ):
+        code, _ = _run(argv)
+        _require(code == expected, f"{argv[0]} {argv[2]}: expected exit {expected}, got {code}")
 
 
 _BATTERY = [
     ("constant_equilibrium_flat", _check_constant_equilibrium),
     ("closed_form_reduction", _check_closed_form_reduction),
     ("cross_solver_agreement_sinusoid", _check_cross_solver_sinusoid),
-    ("pole_error_raised", _check_pole_error),
-    ("no_periodic_solution_raised", _check_no_periodic_solution),
-    ("stiffness_error_raised", _check_stiffness_error),
-    ("divergence_error_raised", _check_divergence_error),
-    ("quadrature_budget_error_raised", _check_quadrature_budget),
+    ("pole_error_raised", _raises(
+        PoleError, lambda: logistic_constant(LogisticParams(1.0, 2.0, 0.0), -1.0, math.log(2.0 / 3.0)))),
+    ("no_periodic_solution_raised", _raises(
+        NoPeriodicSolutionError, lambda: find_periodic_solution(1.0, SinusoidOffset(0.0, 1.0, 2.0 * math.pi)))),
+    ("stiffness_error_raised", _raises(StiffnessError, lambda: integrate_logistic(
+        LogisticParams(1.0, 0.5, 0.0), SinusoidOffset(1.0, 0.5, 0.05), 1.0,
+        SolverConfig(abs_tol=1e-14, rel_tol=1e-12, min_step=0.02, max_step=0.04)))),
+    ("divergence_error_raised", _raises(
+        DivergenceError, lambda: integrate_riccati(LogisticParams(1.0, 1.0, 0.0), Constant(1e160), 1.0))),
+    ("quadrature_budget_error_raised", _raises(NumericsError, lambda: adaptive_quadrature(
+        lambda s: math.exp(-math.cos(s)), 0.0, math.pi, (),
+        SolverConfig(abs_tol=1e-14, rel_tol=1e-14, max_iterations=1)))),
     ("conjugacy_identity_1000_draws", _check_conjugacy),
     ("capacity_integral_additivity", _check_capacity_additivity),
     ("tabulated_roundtrip_exact", _check_tabulated_roundtrip),
@@ -470,7 +447,8 @@ def _cmd_verify(args) -> int:
                 check(rng, tmp)
             except Exception as exc:  # report and keep going
                 failures += 1
-                print(f"FAIL {name}: {exc}")
+                reason = exc if isinstance(exc, AssertionError) else f"{type(exc).__name__}: {exc}"
+                print(f"FAIL {name}: {reason}")
             else:
                 print(f"PASS {name}")
     print(f"{len(_BATTERY) - failures}/{len(_BATTERY)} checks passed")

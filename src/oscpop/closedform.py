@@ -96,6 +96,9 @@ def two_phase_trajectory(
         raise ValueError("dt_sample must be positive")
     if t_end < params.t0:
         raise ValueError("t_end must not precede the initial time")
+    for name, value in (("t_end", t_end), ("dt_sample", dt_sample)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     n = int(math.floor((t_end - params.t0) / dt_sample + 1e-9))
     ts = params.t0 + dt_sample * np.arange(n + 1)
     return Trajectory(ts, 1.0 / _propagate(params, cap, ts, None), SolverStats("piecewise-exact"))

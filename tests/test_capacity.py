@@ -65,11 +65,6 @@ class TestConstant:
         with pytest.raises(ValueError):
             Constant(1.0, declared_period=-1.0)
 
-    def test_dips_nonpositive(self):
-        assert not Constant(0.1).dips_nonpositive
-        assert Constant(0.0).dips_nonpositive
-        assert Constant(-2.0).dips_nonpositive
-
 
 class TestTwoPhase:
     def test_left_closed_pieces(self):
@@ -141,7 +136,6 @@ class TestTwoPhase:
         cap = TwoPhase(3.0, -1.0, 2.0)
         assert cap.min_value() == -1.0
         assert cap.max_value() == 3.0
-        assert cap.dips_nonpositive
 
     def test_rejects_nonpositive_period(self):
         with pytest.raises(ValueError):
@@ -441,3 +435,24 @@ class TestParseSchedule:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_schedule(text)
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("constant:nan", "m"),
+            ("constant:-inf", "m"),
+            ("twophase:1,3,inf", "period"),
+            ("twophase:nan,3,2", "m1"),
+            ("twophase:1,-inf,2", "m2"),
+            ("sinusoid:inf,1,2", "mean"),
+            ("sinusoid:1,nan,2", "amplitude"),
+            ("sinusoid:1,1,inf", "period"),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, text, name):
+        with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+            parse_schedule(text)
+
+    def test_rejects_non_finite_declared_period(self):
+        with pytest.raises(ValueError, match="declared_period must be finite"):
+            Constant(1.0, declared_period=math.inf)

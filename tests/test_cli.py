@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import oscpop
 from oscpop import Constant, LogisticParams, TwoPhase, integrate_logistic, quadrature_solution
+from oscpop import cli
 from oscpop.cli import _fmt, main
 
 
@@ -281,6 +283,23 @@ class TestExitCodes:
         assert code == 4
         assert "ConvergenceError" in err
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ("twophase:1,3,inf", "period must be finite"),
+            ("constant:nan", "m must be finite"),
+            ("sinusoid:1,nan,2", "amplitude must be finite"),
+        ],
+    )
+    def test_non_finite_schedule_parameter_is_usage_error(self, capsys, schedule, message):
+        code, out, err = run(
+            capsys,
+            "simulate", "--schedule", schedule, "--r", "1", "--p0", "1",
+            "--t-end", "4", "--dt", "1",
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestVerifyCommand:
     def test_battery_passes(self, capsys):
@@ -289,6 +308,32 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+    def test_checks_run_under_python_optimize(self):
+        # assert statements vanish under -O; the battery must still fail
+        code = (
+            "import sys\n"
+            "from oscpop.capacity import Tabulated\n"
+            "from oscpop.cli import main\n"
+            "at = Tabulated.at\n"
+            "Tabulated.at = lambda self, t: at(self, t) + 1e-3\n"
+            "sys.exit(main(['verify', '--seed', '0']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(oscpop.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        failed = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert re.fullmatch(r"FAIL tabulated_roundtrip_exact: \S.*", failed[0])
+        assert proc.stdout.endswith("12/13 checks passed\n")
+
+    def test_error_checks_look_functions_up_when_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "integrate_riccati", lambda *args, **kwargs: None)
+        code, out, _ = run(capsys, "verify", "--seed", "0")
+        assert code == 1
+        assert re.search(r"^FAIL divergence_error_raised: \S", out, re.MULTILINE)
 
 
 class TestReadmeCommands:
