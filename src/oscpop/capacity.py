@@ -76,7 +76,11 @@ class CapacitySchedule:
         The pieces tile [t0, t1] in order, cut at breakpoints_between.
         value and slope are M and dM/dt on the piece as functions of t,
         resolved once per piece; at lo and hi they give the piece's
-        one-sided limits. Pieces are produced lazily.
+        one-sided limits. value also takes a float64 array of times and
+        returns M at each, elementwise with the same float operations as
+        its scalar calls, or one level for callers to broadcast where M
+        is constant on the piece. slope takes floats only. Pieces are
+        produced lazily.
         """
         edges = [t0, *self.breakpoints_between(t0, t1), t1]
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -237,10 +241,14 @@ class SinusoidOffset(CapacitySchedule):
         # the arithmetic of at and derivative, without their method calls
         mean, amplitude, period = self.mean, self.amplitude, self.period
         rate = amplitude * (TWO_PI / period)
-        sin, cos = math.sin, math.cos
+        sin, cos, array_sin = math.sin, math.cos, np.sin
 
-        def value(t: float) -> float:
-            return mean + amplitude * sin(TWO_PI * ((t % period) / period))
+        def value(t):
+            # math.sin rejects arrays, so the float path pays nothing for them
+            try:
+                return mean + amplitude * sin(TWO_PI * ((t % period) / period))
+            except TypeError:
+                return mean + amplitude * array_sin(TWO_PI * ((t % period) / period))
 
         def slope(t: float) -> float:
             return rate * cos(TWO_PI * ((t % period) / period))
@@ -304,7 +312,7 @@ class Tabulated(CapacitySchedule):
 
     def _check(self, t: float) -> None:
         lo, hi = self._knots[0], self._knots[-1]
-        if t < lo or t > hi:
+        if not lo <= t <= hi:
             raise ScheduleRangeError(f"t={t} outside sampled range [{lo}, {hi}]")
 
     def _segment(self, t: float) -> int:
@@ -312,8 +320,14 @@ class Tabulated(CapacitySchedule):
         return min(max(k, 0), len(self._knots) - 2)
 
     def at(self, t: float) -> float:
+        # np.interp's rule, without its per-call array conversion: a knot
+        # returns its sample, any other t the segment's line from its left knot
         self._check(t)
-        return float(np.interp(t, self.times, self.values))
+        knots = self._knots
+        k = bisect.bisect_right(knots, t) - 1
+        if k == len(knots) - 1 or knots[k] == t:
+            return self._vals[k]
+        return float(self._slope(k) * (t - knots[k]) + self._vals[k])
 
     def _cumulative(self, t: float) -> float:
         k = self._segment(t)

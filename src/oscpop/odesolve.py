@@ -315,8 +315,7 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     out = np.empty(ts.size)
     for (_, m, seg_steps), a, b in zip(segs, [0, *cuts], [*cuts, ts.size]):
         if a < b:
-            mm = [m(t) for t in ts[a:b].tolist()]
-            out[a:b] = _sample_steps(seg_steps, ts[a:b]) + 0.5 * np.array(mm)
+            out[a:b] = _sample_steps(seg_steps, ts[a:b]) + 0.5 * m(ts[a:b])
     if ts[0] == t0:
         out[0] = p0  # W + M/2 need not round back to p0
     return Trajectory(ts, out, meta)

@@ -177,7 +177,7 @@ def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
     num = 0.0
     den = 0.0
     for m, tt, pp in _segment_slices(orbit, cap):
-        mm = np.array([m(float(x)) for x in tt])
+        mm = np.broadcast_to(m(tt), tt.shape)
         num += _simpson(mm * pp - pp * pp, tt)
         den += _simpson(pp * pp, tt)
     if den <= 0.0:
@@ -202,7 +202,7 @@ def square_deviation_identity(
     lhs = 0.0
     rhs = 0.0
     for m, tt, pp in _segment_slices(sol.orbit, cap):
-        mm = np.array([m(float(x)) for x in tt])
+        mm = np.broadcast_to(m(tt), tt.shape)
         dev = pp - 0.5 * mm
         lhs += _simpson(dev * dev, tt)
         rhs += _simpson(0.25 * mm * mm, tt)

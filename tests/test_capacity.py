@@ -359,6 +359,96 @@ class TestTabulatedLookup:
         with pytest.raises(ScheduleRangeError):
             cap.integral(lo, float(np.nextafter(hi, np.inf)))
 
+    def test_nan_time_is_out_of_range(self, cap):
+        for query in (cap.at, cap.derivative):
+            with pytest.raises(ScheduleRangeError):
+                query(math.nan)
+
+
+FAR = 1e6 + 0.3
+
+
+def _near(ts):
+    """ts with both float neighbours of each."""
+    ts = np.asarray(ts, dtype=float)
+    return np.concatenate((ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf)))
+
+
+def _wide_table(seed):
+    # a ragged table whose end rows reach past +-FAR
+    rng = np.random.default_rng(seed)
+    inner = np.cumsum(rng.uniform(0.01, 0.7, 40)) - 10.0
+    times = np.concatenate(([-FAR - 1.0], inner, [FAR + 1.0]))
+    return Tabulated(times, rng.uniform(-0.5, 3.0, times.size))
+
+
+class TestArrayPieceValues:
+    """A piece's value on a float64 array equals its scalar calls
+    elementwise, bit for bit, so the vectorized cycle diagnostics and
+    sampled Riccati output print what the per-sample loops printed. A
+    platform whose np.sin differs from math.sin fails here."""
+
+    @staticmethod
+    def probes(cap):
+        multiples = [k * cap.period for k in (-4, -1, 0, 1, 7, 1000)] if cap.period else []
+        knots = cap.times.tolist() if isinstance(cap, Tabulated) else []
+        rng = np.random.default_rng(3)
+        spread = rng.uniform(-50.0, 50.0, 2000)
+        ts = np.unique(_near([FAR, -FAR, -1e-17, 0.3, *multiples, *knots, *spread]))
+        if knots:
+            ts = ts[(ts >= knots[0]) & (ts <= knots[-1])]
+        return ts
+
+    @pytest.fixture(
+        params=["constant", "twophase", "sinusoid", "sinusoid-short", "table"],
+    )
+    def cap(self, request):
+        return {
+            "constant": Constant(1.7, 2.0),
+            "twophase": TwoPhase(1.0, 3.0, 2.5),
+            "sinusoid": SinusoidOffset(2.0, 0.7, 3.0),
+            "sinusoid-short": SinusoidOffset(-1.3, 2.5, 0.37),
+            "table": _wide_table(11),
+        }[request.param]
+
+    def test_array_value_equals_scalar_calls(self, cap):
+        ts = self.probes(cap)
+        lo, hi = float(ts[0]), float(ts[-1])
+        if isinstance(cap, TwoPhase):
+            # a square wave has ~1.6M pieces over +-FAR; check the central ones
+            # and the ones holding the far probes
+            windows = [(-50.0, 50.0), (FAR - 3.0, FAR + 3.0), (-FAR - 3.0, -FAR + 3.0)]
+        else:
+            windows = [(lo, hi)]
+        checked = 0
+        for a, b in windows:
+            for p_lo, p_hi, value, _ in cap.pieces(a, b):
+                inside = ts[(ts >= p_lo) & (ts <= p_hi)]
+                if inside.size == 0:
+                    continue
+                got = np.broadcast_to(value(inside), inside.shape)
+                assert got.tolist() == [value(t) for t in inside.tolist()]
+                one = inside[:1]
+                assert np.broadcast_to(value(one), one.shape).tolist() == [value(float(one[0]))]
+                checked += inside.size
+        assert checked >= 2000
+
+    def test_array_value_keeps_the_sample_shape(self, cap):
+        (_, _, value, _), *_ = cap.pieces(0.0, 0.01)
+        for ts in (np.array([0.0]), np.array([0.0, 0.005, 0.01])):
+            out = np.broadcast_to(value(ts), ts.shape)
+            assert out.shape == ts.shape and out.dtype == np.float64
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tabulated_at_matches_np_interp(self, seed):
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(1e-3, 2.0, rng.integers(2, 60))) - 5.0
+        values = rng.uniform(-3.0, 3.0, times.size) * 10.0 ** rng.integers(-3, 4)
+        cap = Tabulated(times, values)
+        probes = _near(np.concatenate((times, 0.5 * (times[1:] + times[:-1]))))
+        for t in probes[(probes >= times[0]) & (probes <= times[-1])].tolist():
+            assert cap.at(t) == float(np.interp(t, times, values))
+
 
 class CountingTwoPhase(TwoPhase):
     at_calls = 0
