@@ -1,6 +1,6 @@
 """Adaptive numerical machinery: an embedded Runge-Kutta 4/5 pair with PI
-step control and cubic-Hermite dense output, plus adaptive Simpson
-quadrature.
+step control and cubic-Hermite dense output, plus globally adaptive
+7/15-point Gauss-Kronrod quadrature.
 
 Dense output is one vectorized Hermite pass over the accepted steps, so
 sampling costs time linear in steps plus samples.
@@ -17,6 +17,7 @@ not degrade the order of the method.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -322,13 +323,16 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
 
 
 def adaptive_quadrature(f, a, b, mandatory_points=(), cfg=None) -> float:
-    """Adaptive Simpson integral of f over [a, b].
+    """Globally adaptive 7/15-point Gauss-Kronrod integral of f over [a, b].
 
-    mandatory_points become top-level panel boundaries so integrands
-    with known kinks or jumps keep full accuracy. The absolute error
-    target is max(abs_tol, rel_tol * |result|); each panel gets a share
-    proportional to its width, and the usual Richardson correction is
-    applied on acceptance.
+    QUADPACK's QAG scheme (Piessens et al. 1983): mandatory_points cut
+    [a, b] into the starting panels, so integrands with known kinks or
+    jumps keep full accuracy. Each panel is rated by the 15-point Kronrod
+    rule, with |K15 - G7| as its error estimate; the panel with the
+    largest estimate is bisected until the summed estimate is at most
+    max(abs_tol, rel_tol * |result|). Each bisection spends one unit of
+    max_iterations; running out, or a panel too narrow to bisect, raises
+    ConvergenceError. f is called with one float at a time.
     """
     cfg = cfg or SolverConfig()
     if b < a:
@@ -337,38 +341,62 @@ def adaptive_quadrature(f, a, b, mandatory_points=(), cfg=None) -> float:
         return 0.0
     inner = sorted({float(p) for p in mandatory_points if a < p < b})
     edges = [a, *inner, b]
-    panels = []
-    crude = 0.0
+    heap = []
+    total = err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
+        value, e = _kronrod_panel(f, lo, hi)
+        heap.append((-e, lo, hi, value))
+        total += value
+        err += e
+    heapq.heapify(heap)
+    budget = cfg.max_iterations
+    # a NaN estimate never passes, so it ends in ConvergenceError
+    while not err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        if budget <= 0:
+            raise ConvergenceError("quadrature subdivision budget exhausted")
+        budget -= 1
+        neg_e, lo, hi, value = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        flo, fmid, fhi = f(lo), f(mid), f(hi)
-        s = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-        panels.append((lo, hi, flo, fmid, fhi, s))
-        crude += s
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(crude))
-    budget = [cfg.max_iterations]
-    total = 0.0
-    for lo, hi, flo, fmid, fhi, s in panels:
-        share = tol * (hi - lo) / (b - a)
-        total += _simpson_refine(f, lo, hi, flo, fmid, fhi, s, share, 0, budget)
-    return total
+        if not lo < mid < hi:
+            raise ConvergenceError(f"quadrature panel at t={lo} too narrow to bisect")
+        left, e_left = _kronrod_panel(f, lo, mid)
+        right, e_right = _kronrod_panel(f, mid, hi)
+        heapq.heappush(heap, (-e_left, lo, mid, left))
+        heapq.heappush(heap, (-e_right, mid, hi, right))
+        total += left + right - value
+        err += e_left + e_right + neg_e
+    return math.fsum(panel[3] for panel in heap)
 
 
-def _simpson_refine(f, lo, hi, flo, fmid, fhi, whole, tol, depth, budget):
-    if depth > 60:
-        raise ConvergenceError("quadrature recursion depth exceeded")
-    if budget[0] <= 0:
-        raise ConvergenceError("quadrature subdivision budget exhausted")
-    budget[0] -= 1
-    mid = 0.5 * (lo + hi)
-    lmid = 0.5 * (lo + mid)
-    rmid = 0.5 * (mid + hi)
-    fl, fr = f(lmid), f(rmid)
-    left = (mid - lo) / 6.0 * (flo + 4.0 * fl + fmid)
-    right = (hi - mid) / 6.0 * (fmid + 4.0 * fr + fhi)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return _simpson_refine(f, lo, mid, flo, fl, fmid, left, half, depth + 1, budget) + \
-        _simpson_refine(f, mid, hi, fmid, fr, fhi, right, half, depth + 1, budget)
+# QUADPACK qk15: Kronrod nodes on [0, 1] of the reference interval [-1, 1]
+# (the odd ones, and 0, are the 7-point Gauss nodes) and their weights;
+# each row pairs a node with its Kronrod and Gauss weight (0 for Kronrod-only)
+_KRONROD_ROWS = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_KRONROD_CENTRE = 0.209482141084727828012999174891714
+_GAUSS_CENTRE = 0.417959183673469387755102040816327
+
+
+def _kronrod_panel(f, lo, hi):
+    """(K15 integral, |K15 - G7| error estimate) of f over [lo, hi]."""
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = f(centre)
+    kronrod = _KRONROD_CENTRE * fc
+    gauss = _GAUSS_CENTRE * fc
+    for x, wk, wg in _KRONROD_ROWS:
+        d = half * x
+        pair = f(centre - d) + f(centre + d)
+        kronrod += wk * pair
+        gauss += wg * pair
+    return kronrod * half, abs((kronrod - gauss) * half)

@@ -234,6 +234,31 @@ class TestAdaptiveQuadrature:
         with pytest.raises(ConvergenceError):
             adaptive_quadrature(lambda s: math.exp(-math.cos(s)), 0.0, math.pi, (), cfg)
 
+    @pytest.mark.parametrize("degree", [0, 1, 7, 13, 14, 18, 22])
+    def test_polynomials_up_to_degree_22_are_exact(self, degree):
+        # one 15-point Kronrod panel integrates degree <= 22 exactly; the
+        # loose tolerance accepts that panel without bisecting it
+        rng = np.random.default_rng(degree)
+        poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, degree + 1))
+        a, b = -0.8, 1.3
+        exact = poly.integ()(b) - poly.integ()(a)
+        scale = float(np.sum(np.abs(poly.coef))) * 1.3**degree * (b - a)
+        for cfg in (SolverConfig(abs_tol=1e3, rel_tol=1e3), None):
+            got = adaptive_quadrature(lambda x: float(poly(x)), a, b, (), cfg)
+            assert got == pytest.approx(exact, abs=1e-14 * scale)
+
+    def test_narrow_peak_far_from_mandatory_points(self):
+        # a Lorentzian of width 1e-3 inside [0, 2.5]; only the panel that
+        # holds it needs refining, which a global error queue finds
+        c, w = 0.6173, 1e-3
+        f = lambda x: 1.0 / (1.0 + ((x - c) / w) ** 2)
+        exact = w * (math.atan((3.0 - c) / w) - math.atan((0.0 - c) / w))
+        calls = []
+        counted = lambda x: calls.append(x) or f(x)
+        got = adaptive_quadrature(counted, 0.0, 3.0, (2.5,), TIGHT)
+        assert got == pytest.approx(exact, rel=1e-10)
+        assert len(calls) < 2000
+
     def test_tolerance_scales_error(self):
         exact = math.pi * float(i0(1.0))
         loose = adaptive_quadrature(
