@@ -45,6 +45,8 @@ class LogisticParams:
     def __post_init__(self) -> None:
         if not self.r > 0.0:
             raise ValueError("growth rate r must be positive")
+        if self.r == math.inf:
+            raise ValueError("growth rate r must be finite")
         if not self.p0 >= 0.0:
             raise ValueError("initial population must be nonnegative")
         if not math.isfinite(self.t0):

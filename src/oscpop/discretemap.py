@@ -9,6 +9,7 @@ with a flag.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +239,9 @@ def bifurcation_scan(
     changes 1 -> 2 and 2 -> 4 between adjacent points (midpoint of the
     bracketing pair), when present in the range.
     """
+    for name, value in (("rho_start", rho_start), ("rho_stop", rho_stop), ("r_fixed", r_fixed)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if steps < 2:
         raise ValueError("need at least two scan points")
     if not r_fixed > 0.0:

@@ -76,6 +76,11 @@ def _orbit_grid(cap: CapacitySchedule, h: float) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def find_periodic_solution(
     r: float,
     cap: CapacitySchedule,
@@ -93,15 +98,16 @@ def find_periodic_solution(
     The one-period orbit from p* is then integrated and must close to
     fixed_point_tol.
 
-    Raises NoPeriodicSolutionError when the capacity mean over one
-    period is nonpositive, ExponentOverflowError when a die-off stretch
-    makes u(h) infinite or the exponent of w exceed 700, and
-    ConvergenceError when the orbit fails to close; numerics errors of
-    the quadrature or the orbit integration propagate.
+    Raises ValueError, before any work, unless r and fixed_point_tol
+    are positive and finite; NoPeriodicSolutionError when the capacity
+    mean over one period is nonpositive, ExponentOverflowError when a
+    die-off stretch makes u(h) infinite or the exponent of w exceed 700,
+    and ConvergenceError when the orbit fails to close; numerics errors
+    of the quadrature or the orbit integration propagate.
     """
     cfg = cfg or SolverConfig()
-    if not r > 0.0:
-        raise ValueError("growth rate r must be positive")
+    start = LogisticParams(r, math.inf)  # checks r; u = 1/P starts from 0
+    _require_positive_finite("fixed_point_tol", fixed_point_tol)
     h = cap.period
     if h is None:
         raise ValueError("schedule declares no period")
@@ -117,7 +123,7 @@ def find_periodic_solution(
     )
 
     # from u = 0 (P = inf) the step gives u(h) = the affine map's offset
-    offset = float(_propagate(LogisticParams(r, math.inf), cap, [h], inner)[0])
+    offset = float(_propagate(start, cap, [h], inner)[0])
     if math.isinf(offset):
         raise ExponentOverflowError("die-off drives the cycle below the float range")
     p_star = -math.expm1(-r * mass) / offset
@@ -254,6 +260,7 @@ def two_phase_deductions(
     plateau gaps are within regime_tol of their capacity levels, the
     slow-switching regime in which each phase has time to settle.
     """
+    _require_positive_finite("regime_tol", regime_tol)
     sol = find_periodic_solution(params.r, cap, cfg)
     half = 0.5 * cap.period
     times = sol.orbit.times

@@ -300,6 +300,31 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bifurcation", "--rho-min", "1", "--rho-max", "inf", "--steps", "5"], "rho_stop must be finite"),
+            (["bifurcation", "--rho-min", "nan", "--rho-max", "2", "--steps", "5"], "rho_start must be finite"),
+            (["bifurcation", "--rho-min", "1", "--rho-max", "2", "--steps", "5", "--r", "inf"],
+             "r_fixed must be finite"),
+            (["periodic", "--schedule", "sinusoid:1,0.5,3", "--r", "1", "--fixed-point-tol", "nan"],
+             "fixed_point_tol must be positive and finite, got nan"),
+            (["periodic", "--schedule", "sinusoid:1,0.5,3", "--r", "1", "--fixed-point-tol", "inf"],
+             "fixed_point_tol must be positive and finite, got inf"),
+            (["periodic", "--schedule", "sinusoid:1,0.5,3", "--r", "1", "--fixed-point-tol", "-1"],
+             "fixed_point_tol must be positive and finite, got -1.0"),
+            (["two-phase", "--schedule", "twophase:1,3,2", "--r", "1", "--p0", "1", "--t-end", "4",
+              "--dt", "1", "--regime-tol", "nan"], "regime_tol must be positive and finite, got nan"),
+            (["two-phase", "--schedule", "twophase:1,3,2", "--r", "1", "--p0", "1", "--t-end", "4",
+              "--dt", "1", "--regime-tol", "0"], "regime_tol must be positive and finite, got 0.0"),
+        ],
+        ids=["rho-max-inf", "rho-min-nan", "scan-r-inf", "fixed-point-tol-nan", "fixed-point-tol-inf",
+             "fixed-point-tol-negative", "regime-tol-nan", "regime-tol-zero"],
+    )
+    def test_bad_scan_bound_or_tolerance_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestVerifyCommand:
     def test_battery_passes(self, capsys):

@@ -1,8 +1,11 @@
-"""Non-finite horizons and sample spacings are rejected with ValueError.
+"""Non-finite horizons, sample spacings and growth rates are rejected
+with ValueError.
 
 Without these guards a NaN sample grid or an infinite horizon sends
 TwoPhase.breakpoints_between into a loop that grows a list until memory
-runs out. Every call here therefore runs in a child process with a time
+runs out, and r = inf does the same to the panel points of the
+reciprocal-space quadrature, which double a distance that stays 0.
+Every call here therefore runs in a child process with a time
 limit and a 1 GiB address-space limit, so a regression fails the test
 instead of exhausting the machine.
 """
@@ -19,10 +22,13 @@ import oscpop
 
 LIBRARY_CALLS = """
 import json, math
-from oscpop import (LogisticParams, TwoPhase, integrate_logistic, integrate_riccati,
-                    quadrature_solution, two_phase_trajectory)
+from oscpop import (LogisticParams, SinusoidOffset, TwoPhase, find_periodic_solution,
+                    integrate_logistic, integrate_riccati, quadrature_solution,
+                    two_phase_trajectory)
 cap, params = TwoPhase(1.0, 3.0, 2.0), LogisticParams(1.0, 1.0)
 calls = {
+    "logistic_params_inf_r": lambda: LogisticParams(math.inf, 1.0),
+    "periodic_inf_r": lambda: find_periodic_solution(math.inf, SinusoidOffset(1.0, 0.5, 3.0)),
     "breakpoints_nan_end": lambda: cap.breakpoints_between(0.0, math.nan),
     "breakpoints_inf_start": lambda: cap.breakpoints_between(-math.inf, 1.0),
     "integrate_logistic": lambda: integrate_logistic(params, cap, math.inf),
@@ -66,6 +72,9 @@ CLI_CASES = [
     (["simulate", "--schedule", "constant:1", *GRID, "--t-end", "4", "--dt", "inf"], "--dt"),
     (["closed-form", "--schedule", "constant:1", *GRID, "--t-end", "nan", "--dt", "1"], "--t-end"),
     (["closed-form", "--schedule", "sinusoid:1,0.5,3", *GRID, "--t-end", "inf", "--dt", "1"], "--t-end"),
+    (["periodic", "--schedule", "sinusoid:1,0.5,3", "--output", "-", "--r", "inf"], "growth rate r"),
+    (["simulate", "--schedule", "constant:1", "--p0", "1", "--t-end", "4", "--dt", "1", "--r", "inf"],
+     "growth rate r"),
 ]
 
 
@@ -104,6 +113,8 @@ def cli_results():
 @pytest.mark.parametrize(
     "call, message",
     [
+        ("logistic_params_inf_r", "growth rate r must be finite"),
+        ("periodic_inf_r", "growth rate r must be finite"),
         ("breakpoints_nan_end", "finite bounds"),
         ("breakpoints_inf_start", "finite bounds"),
         ("integrate_logistic", "finite bounds"),
