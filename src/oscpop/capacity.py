@@ -244,7 +244,8 @@ class SinusoidOffset(CapacitySchedule):
         sin, cos, array_sin = math.sin, math.cos, np.sin
 
         def value(t):
-            # math.sin rejects arrays, so the float path pays nothing for them
+            # math.sin raises TypeError on an array; trying it first spares the
+            # float calls of the RK45 right-hand side a type test
             try:
                 return mean + amplitude * sin(TWO_PI * ((t % period) / period))
             except TypeError:
