@@ -433,12 +433,6 @@ class TestArrayPieceValues:
                 checked += inside.size
         assert checked >= 2000
 
-    def test_array_value_keeps_the_sample_shape(self, cap):
-        (_, _, value, _), *_ = cap.pieces(0.0, 0.01)
-        for ts in (np.array([0.0]), np.array([0.0, 0.005, 0.01])):
-            out = np.broadcast_to(value(ts), ts.shape)
-            assert out.shape == ts.shape and out.dtype == np.float64
-
     @pytest.mark.parametrize("seed", range(40))
     def test_tabulated_at_matches_np_interp(self, seed):
         rng = np.random.default_rng(seed)
