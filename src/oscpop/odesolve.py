@@ -1,9 +1,13 @@
 """Adaptive numerical machinery: an embedded Runge-Kutta 4/5 pair with PI
-step control and cubic-Hermite dense output, plus globally adaptive
-7/15-point Gauss-Kronrod quadrature.
+step control and Dormand-Prince's continuous extension as dense output,
+plus globally adaptive 7/15-point Gauss-Kronrod quadrature.
 
-Dense output is one vectorized Hermite pass over the accepted steps, so
-sampling costs time linear in steps plus samples.
+Dense output is the pair's own 4th-order interpolant (Shampine 1986;
+Hairer, Norsett and Wanner, Solving ODEs I, II.6, dopri5's contd5), one
+order above a cubic Hermite, so a sampled orbit is as accurate as the
+steps it comes from and needs no extra step-size cap. Each accepted step
+stores one more float for it, and sampling is one vectorized pass over
+the accepted steps, linear in steps plus samples.
 
 ``_rk45_segment`` is the hot path of every long run, so it binds its
 coefficients and settings to locals and writes its counters to the run's
@@ -13,7 +17,9 @@ lookups without changing any float it produces.
 Capacity breakpoints are treated as hard step boundaries: the integrator
 never takes a step across one, and each smooth piece is integrated with
 the piece's own one-sided capacity values, so discontinuous forcing does
-not degrade the order of the method.
+not degrade the order of the method. Each piece starts from the step
+size the controller proposed at the end of the previous one, so a
+square wave does not pay a restart from a small step at every switch.
 """
 from __future__ import annotations
 
@@ -43,6 +49,16 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -17253 / 339200,
     22 / 525,
     -1 / 40,
+)
+# dopri5's continuous-extension weights: the stage combination that lifts
+# the step's cubic Hermite to the 4th-order interpolant
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
 )
 
 _SAFETY = 0.9
@@ -112,14 +128,18 @@ class _RunStats:
         )
 
 
-def _rk45_segment(f, lo, y0, hi, cfg, stats, budget):
+def _rk45_segment(f, lo, y0, hi, cfg, stats, budget, h_start):
     """Integrate y' = f(t, y) over the smooth interval [lo, hi].
 
-    Returns (accepted steps, y at hi), each step a tuple
-    (t0, t1, y0, y1, f0, f1) with f0/f1 the slopes at its ends. Every
+    Returns (accepted steps, y at hi, next step size). Each step is a
+    tuple (t0, t1, y0, y1, f0, f1, dk): f0/f1 are the slopes at its ends
+    and dk the continuous-extension combination of its stages. Every
     returned step has t1 > t0: a step size that no longer moves t raises
     StiffnessError. budget is a single-element list holding the
-    remaining attempted-step allowance for the whole call.
+    remaining attempted-step allowance for the whole call. The first
+    step is min(max_step, span, h_start), with h_start None meaning a
+    sixteenth of the span; the next step size is the controller's last
+    proposal before the clip to hi, for the following piece to start from.
     """
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
@@ -127,6 +147,7 @@ def _rk45_segment(f, lo, y0, hi, cfg, stats, budget):
     a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
     b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
     e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    d1, d3, d4, d5, d6, d7 = _D1, _D3, _D4, _D5, _D6, _D7
     safety, min_factor, max_factor, err_floor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_FLOOR
     abs_tol, rel_tol, max_step, min_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step, cfg.min_step
     isfinite = math.isfinite
@@ -137,13 +158,18 @@ def _rk45_segment(f, lo, y0, hi, cfg, stats, budget):
     if not isfinite(k1) or not isfinite(y):
         raise DivergenceError(f"non-finite state at t={t}")
     span = hi - lo
-    h = min(max_step, span, max(span / 16.0, min_step))
+    if h_start is None:
+        h_start = max(span / 16.0, min_step)
+    h = min(max_step, span, h_start)
     snap = 1e-14 * max(abs(hi), 1.0)
     left = budget[0]
     n_acc = n_rej = 0
     h_min, h_max = stats.h_min, stats.h_max
     err_prev = None
     while t < hi:
+        # the controller's proposal, kept before the clip to the piece end
+        # so that a short last step does not shrink the next piece's start
+        h_next = h
         rest = hi - t
         if rest < h:
             h = rest
@@ -165,7 +191,8 @@ def _rk45_segment(f, lo, y0, hi, cfg, stats, budget):
         err = abs(err_abs) / (abs_tol + rel_tol * (size_new if size_new > size else size))
         if err <= 1.0:
             t_new = hi if hi - t_next <= snap else t_next
-            append((t, t_new, y, y_new, k1, k7))
+            dk = d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7
+            append((t, t_new, y, y_new, k1, k7, dk))
             n_acc += 1
             if h < h_min:
                 h_min = h
@@ -201,7 +228,7 @@ def _rk45_segment(f, lo, y0, hi, cfg, stats, budget):
     stats.n_rejected += n_rej
     stats.n_rhs += 1 + 6 * (n_acc + n_rej)
     stats.h_min, stats.h_max = h_min, h_max
-    return steps, y
+    return steps, y, h_next
 
 
 def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
@@ -217,31 +244,33 @@ def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
 
 
 def _sample_steps(steps: list[tuple], ts: np.ndarray) -> np.ndarray:
-    """Cubic-Hermite dense output at ts, in one vectorized pass.
+    """Continuous-extension dense output at ts, in one vectorized pass.
 
-    A sample on a step end belongs to the step that ends there; samples
-    past the last end use the last step.
+    A sample on a step end belongs to the step that ends there, and is
+    that step's end value exactly; samples past the last end use the
+    last step.
     """
     n = len(steps)
-    cols = np.fromiter(chain.from_iterable(steps), float, 6 * n).reshape(n, 6)
+    cols = np.fromiter(chain.from_iterable(steps), float, 7 * n).reshape(n, 7)
     k = np.minimum(np.searchsorted(cols[:, 1], ts, side="left"), n - 1)
-    t0, t1, y0, y1, f0, f1 = cols[k].T
+    t0, t1, y0, y1, f0, f1, dk = cols[k].T
     dt = t1 - t0
     theta = (ts - t0) / dt
     omt = 1.0 - theta
-    h00 = (1.0 + 2.0 * theta) * omt * omt
-    h10 = theta * omt * omt
-    h01 = theta * theta * (3.0 - 2.0 * theta)
-    h11 = theta * theta * (theta - 1.0)
-    return h00 * y0 + dt * h10 * f0 + h01 * y1 + dt * h11 * f1
+    delta = y1 - y0
+    r3 = dt * f0 - delta
+    r4 = delta - dt * f1 - r3
+    y = y0 + theta * (delta + omt * (r3 + theta * (r4 + omt * (dt * dk))))
+    # y0 + (y1 - y0) need not round back to y1
+    return np.where(theta == 1.0, y1, y)
 
 
 def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     """Solve dP/dt = r * (M(t) - P) * P from (t0, p0) up to t_end.
 
     Returns the accepted-step samples, or the dense-output values at
-    t_eval when given: one vectorized Hermite pass over the accepted
-    steps, linear in steps plus samples. The first sample is exactly the
+    t_eval when given: one vectorized continuous-extension pass over the
+    accepted steps, linear in steps plus samples. The first sample is exactly the
     supplied initial condition.
     """
     cfg = cfg or SolverConfig()
@@ -254,12 +283,12 @@ def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     r = params.r
     budget = [cfg.max_iterations]
     steps: list[tuple] = []
-    y = p0
+    y, h = p0, None
     for lo, hi, m, _ in cap.pieces(t0, t_end):
         def rhs(t: float, p: float, m=m) -> float:
             return r * (m(t) - p) * p
 
-        seg_steps, y = _rk45_segment(rhs, lo, y, hi, cfg, stats, budget)
+        seg_steps, y, h = _rk45_segment(rhs, lo, y, hi, cfg, stats, budget, h)
         steps.extend(seg_steps)
     meta = stats.freeze("logistic-rk45")
     if t_eval is None:
@@ -275,8 +304,9 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
 
     W obeys dW/dt = r * (M^2/4 - W^2) - (1/2) dM/dt on each smooth piece
     of the schedule. P is continuous across capacity jumps while W is
-    not, so each piece restarts W from the carried population. Dense
-    output at t_eval is one vectorized Hermite pass per piece over that
+    not, so each piece restarts W from the carried population (and from
+    the step size the previous piece ended with). Dense output at t_eval
+    is one vectorized continuous-extension pass per piece over that
     piece's slice of t_eval, linear in steps plus samples. The first
     sample is exactly the supplied initial condition, on both routes.
     """
@@ -289,7 +319,7 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
         return Trajectory(np.array([t0]), np.array([p0]), stats.freeze("riccati-rk45"))
     budget = [cfg.max_iterations]
     segs: list[tuple] = []
-    p_carry = p0
+    p_carry, h = p0, None
     for lo, hi, m, dm in cap.pieces(t0, t_end):
         w0 = p_carry - 0.5 * m(lo)
 
@@ -297,7 +327,7 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
             mt = m(t)
             return r * (0.25 * mt * mt - w * w) - 0.5 * dm(t)
 
-        seg_steps, w_end = _rk45_segment(rhs, lo, w0, hi, cfg, stats, budget)
+        seg_steps, w_end, h = _rk45_segment(rhs, lo, w0, hi, cfg, stats, budget, h)
         segs.append((hi, m, seg_steps))
         p_carry = w_end + 0.5 * m(hi)
     meta = stats.freeze("riccati-rk45")
@@ -305,9 +335,9 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
         times = [t0]
         pops = [p0]
         for _, m, seg_steps in segs:
-            for _, t1, _, w1, _, _ in seg_steps:
-                times.append(t1)
-                pops.append(w1 + 0.5 * m(t1))
+            for step in seg_steps:
+                times.append(step[1])
+                pops.append(step[3] + 0.5 * m(step[1]))
         return Trajectory(np.array(times), np.array(pops), meta)
     ts = _check_eval_times(t_eval, t0, t_end)
     # each piece samples a contiguous slice of ts; a sample on a piece's

@@ -15,6 +15,7 @@ step. ExponentOverflowError means the cycle is unrepresentable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import ConvergenceError, ExponentOverflowError, NoPeriodicSolutionE
 from .odesolve import Trajectory, integrate_logistic
 
 _ORBIT_PANELS = 1024  # target Simpson panels across one period
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,8 @@ def find_periodic_solution(
     fixed_point_tol.
 
     Raises ValueError, before any work, unless r and fixed_point_tol
-    are positive and finite; NoPeriodicSolutionError when the capacity
+    are positive and finite and fixed_point_tol is at least float64
+    epsilon; NoPeriodicSolutionError when the capacity
     mean over one period is nonpositive, ExponentOverflowError when a
     die-off stretch makes u(h) infinite or the exponent of w exceed 700,
     and ConvergenceError when the orbit fails to close; numerics errors
@@ -108,6 +111,11 @@ def find_periodic_solution(
     cfg = cfg or SolverConfig()
     start = LogisticParams(r, math.inf)  # checks r; u = 1/P starts from 0
     _require_positive_finite("fixed_point_tol", fixed_point_tol)
+    # a relative closure residual below one ulp cannot be certified
+    if fixed_point_tol < _EPS:
+        raise ValueError(
+            f"fixed_point_tol must be at least float64 epsilon {_EPS}, got {fixed_point_tol}"
+        )
     h = cap.period
     if h is None:
         raise ValueError("schedule declares no period")
@@ -127,9 +135,8 @@ def find_periodic_solution(
     if math.isinf(offset):
         raise ExponentOverflowError("die-off drives the cycle below the float range")
     p_star = -math.expm1(-r * mass) / offset
-    orbit_cfg = replace(inner, max_step=min(inner.max_step, h / 256.0))
     grid = _orbit_grid(cap, h)
-    orbit = integrate_logistic(LogisticParams(r, p_star, 0.0), cap, h, orbit_cfg, t_eval=grid)
+    orbit = integrate_logistic(LogisticParams(r, p_star, 0.0), cap, h, inner, t_eval=grid)
     residual = abs(orbit.final - p_star) / p_star
     if residual > fixed_point_tol:
         raise ConvergenceError(f"orbit closure residual {residual:.3e} exceeds tolerance")

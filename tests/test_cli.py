@@ -313,13 +313,18 @@ class TestExitCodes:
              "fixed_point_tol must be positive and finite, got inf"),
             (["periodic", "--schedule", "sinusoid:1,0.5,3", "--r", "1", "--fixed-point-tol", "-1"],
              "fixed_point_tol must be positive and finite, got -1.0"),
+            (["periodic", "--schedule", "sinusoid:1,0.5,3", "--r", "1", "--fixed-point-tol", "1e-17"],
+             "fixed_point_tol must be at least float64 epsilon 2.220446049250313e-16, got 1e-17"),
+            (["periodic", "--schedule", "sinusoid:1,0.5,3", "--r", "1", "--fixed-point-tol", "1e-300"],
+             "fixed_point_tol must be at least float64 epsilon 2.220446049250313e-16, got 1e-300"),
             (["two-phase", "--schedule", "twophase:1,3,2", "--r", "1", "--p0", "1", "--t-end", "4",
               "--dt", "1", "--regime-tol", "nan"], "regime_tol must be positive and finite, got nan"),
             (["two-phase", "--schedule", "twophase:1,3,2", "--r", "1", "--p0", "1", "--t-end", "4",
               "--dt", "1", "--regime-tol", "0"], "regime_tol must be positive and finite, got 0.0"),
         ],
         ids=["rho-max-inf", "rho-min-nan", "scan-r-inf", "fixed-point-tol-nan", "fixed-point-tol-inf",
-             "fixed-point-tol-negative", "regime-tol-nan", "regime-tol-zero"],
+             "fixed-point-tol-negative", "fixed-point-tol-1e-17", "fixed-point-tol-1e-300",
+             "regime-tol-nan", "regime-tol-zero"],
     )
     def test_bad_scan_bound_or_tolerance_is_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -148,6 +148,21 @@ class TestIntegrateLogistic:
         with pytest.raises(ConvergenceError):
             integrate_logistic(LogisticParams(1.0, 0.5, 0.0), SinusoidOffset(2.0, 1.0, 0.5), 50.0, cfg)
 
+    def test_dense_output_is_fourth_order_between_step_ends(self):
+        # tolerances of 1 accept every step, so each run takes fixed steps
+        # of max_step; a cubic Hermite's midpoint error falls only 16x per
+        # halving, the continuous extension's about 32x
+        params, cap = LogisticParams(1.5, 0.2), Constant(2.0)
+        errors = []
+        for h in (0.2, 0.1, 0.05, 0.025):
+            cfg = SolverConfig(abs_tol=1.0, rel_tol=1.0, max_step=h)
+            ends = integrate_logistic(params, cap, 4.0, cfg).times
+            mids = 0.5 * (ends[:-1] + ends[1:])
+            dense = integrate_logistic(params, cap, 4.0, cfg, t_eval=mids).populations
+            exact = np.array([logistic_constant(params, 2.0, t) for t in mids])
+            errors.append(float(np.max(np.abs(dense - exact))))
+        assert all(coarse >= 24.0 * fine for coarse, fine in zip(errors, errors[1:]))
+
 
 class TestIntegrateRiccati:
     def test_matches_logistic_route_constant(self):

@@ -88,20 +88,22 @@ def test_chunked_grid_matches_one_whole_grid_call(integrate, p, sched, data):
     assert np.array_equal(np.concatenate(parts), whole)
 
 
-def hermite_loop(steps, ts):
-    """Per-sample reference: bisect on the step ends, then the Hermite cubic."""
+def continuous_extension_loop(steps, ts):
+    """Per-sample reference: bisect on the step ends, then dopri5's contd5."""
     ends = [s[1] for s in steps]
     out = []
     for t in ts.tolist():
-        t0, t1, y0, y1, f0, f1 = steps[min(bisect.bisect_left(ends, t), len(steps) - 1)]
+        t0, t1, y0, y1, f0, f1, dk = steps[min(bisect.bisect_left(ends, t), len(steps) - 1)]
         dt = t1 - t0
         theta = (t - t0) / dt
+        if theta == 1.0:
+            out.append(y1)
+            continue
         omt = 1.0 - theta
-        h00 = (1.0 + 2.0 * theta) * omt * omt
-        h10 = theta * omt * omt
-        h01 = theta * theta * (3.0 - 2.0 * theta)
-        h11 = theta * theta * (theta - 1.0)
-        out.append(h00 * y0 + dt * h10 * f0 + h01 * y1 + dt * h11 * f1)
+        delta = y1 - y0
+        r3 = dt * f0 - delta
+        r4 = delta - dt * f1 - r3
+        out.append(y0 + theta * (delta + omt * (r3 + theta * (r4 + omt * (dt * dk)))))
     return np.array(out)
 
 
@@ -116,11 +118,11 @@ values = st.floats(-1e3, 1e3)
 def test_vectorized_sampler_matches_the_per_sample_loop(widths, data):
     ends = np.concatenate(([0.0], np.cumsum(widths))).tolist()
     steps = [
-        (t0, t1, *data.draw(st.tuples(values, values, values, values)))
+        (t0, t1, *data.draw(st.tuples(values, values, values, values, values)))
         for t0, t1 in zip(ends[:-1], ends[1:])
     ]
     extra = data.draw(st.lists(st.floats(0.0, ends[-1]), max_size=40))
     # step ends, their float neighbours, and a sample just past the last end
     near = np.concatenate((ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)))
     ts = np.unique(np.concatenate((near[near >= 0.0], extra)))
-    assert np.array_equal(_sample_steps(steps, ts), hermite_loop(steps, ts))
+    assert np.array_equal(_sample_steps(steps, ts), continuous_extension_loop(steps, ts))

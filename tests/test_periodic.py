@@ -20,6 +20,7 @@ from oscpop import (
     mean_identity_residual,
     orbit_identity_residual,
     period_map,
+    quadrature_solution,
     square_deviation_identity,
     time_average,
     two_phase_deductions,
@@ -135,6 +136,29 @@ class TestFindPeriodicSolution:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             find_periodic_solution(0.0, TwoPhase(1.0, 2.0, 1.0))
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300, float(np.nextafter(np.finfo(float).eps, 0.0))])
+    def test_rejects_tolerance_below_float_epsilon(self, tol):
+        # raised before the schedule is read: Constant(2.0) declares no period
+        with pytest.raises(ValueError, match="fixed_point_tol must be at least float64 epsilon"):
+            find_periodic_solution(1.0, Constant(2.0), fixed_point_tol=tol)
+        sol = find_periodic_solution(1.0, Constant(2.0, 1.0), fixed_point_tol=float(np.finfo(float).eps))
+        assert sol.residual == 0.0
+
+    @pytest.mark.parametrize("h", [0.1, 2.0, 30.0])
+    @pytest.mark.parametrize("cap_of, r", [
+        (lambda h: Constant(1.5, h), 1.0),
+        (lambda h: TwoPhase(1.0, 3.0, h), 1.0),
+        (lambda h: TwoPhase(0.5, 2.5, h), 2.0),
+    ], ids=["constant", "twophase-1-3", "twophase-0.5-2.5"])
+    def test_orbit_samples_match_the_exact_cycle(self, cap_of, r, h):
+        # the orbit runs at the solver's own step size, with no cap tied
+        # to the sample grid; every sample must still hold the exact value
+        cap = cap_of(h)
+        sol = find_periodic_solution(r, cap)
+        start = LogisticParams(r, sol.p_star)
+        exact = np.array([quadrature_solution(start, cap, t) for t in sol.orbit.times])
+        assert np.max(np.abs(sol.orbit.populations - exact) / exact) <= 1e-8
 
 
 class TestCycleIdentities:
