@@ -270,8 +270,8 @@ def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
 
     Returns the accepted-step samples, or the dense-output values at
     t_eval when given: one vectorized continuous-extension pass over the
-    accepted steps, linear in steps plus samples. The first sample is exactly the
-    supplied initial condition.
+    accepted steps, linear in steps plus samples. The first sample is
+    exactly the supplied initial condition.
     """
     cfg = cfg or SolverConfig()
     t0, p0 = params.t0, params.p0

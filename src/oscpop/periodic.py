@@ -102,11 +102,11 @@ def find_periodic_solution(
 
     Raises ValueError, before any work, unless r and fixed_point_tol
     are positive and finite and fixed_point_tol is at least float64
-    epsilon; NoPeriodicSolutionError when the capacity
-    mean over one period is nonpositive, ExponentOverflowError when a
-    die-off stretch makes u(h) infinite or the exponent of w exceed 700,
-    and ConvergenceError when the orbit fails to close; numerics errors
-    of the quadrature or the orbit integration propagate.
+    epsilon; NoPeriodicSolutionError when the capacity mean over one
+    period is nonpositive, ExponentOverflowError when a die-off stretch
+    makes u(h) infinite or the exponent of w exceed 700, and
+    ConvergenceError when the orbit fails to close; numerics errors of
+    the quadrature or the orbit integration propagate.
     """
     cfg = cfg or SolverConfig()
     start = LogisticParams(r, math.inf)  # checks r; u = 1/P starts from 0

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from oscpop import (
     two_phase_deductions,
 )
 from oscpop.periodic import _segment_slices, _simpson
+
+EPS = sys.float_info.epsilon
 
 
 def mobius_fixed_point(r: float, m1: float, m2: float, period: float) -> float:
@@ -137,13 +140,12 @@ class TestFindPeriodicSolution:
         with pytest.raises(ValueError):
             find_periodic_solution(0.0, TwoPhase(1.0, 2.0, 1.0))
 
-    @pytest.mark.parametrize("tol", [1e-17, 1e-300, float(np.nextafter(np.finfo(float).eps, 0.0))])
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300, math.nextafter(EPS, 0.0)])
     def test_rejects_tolerance_below_float_epsilon(self, tol):
         # raised before the schedule is read: Constant(2.0) declares no period
         with pytest.raises(ValueError, match="fixed_point_tol must be at least float64 epsilon"):
             find_periodic_solution(1.0, Constant(2.0), fixed_point_tol=tol)
-        sol = find_periodic_solution(1.0, Constant(2.0, 1.0), fixed_point_tol=float(np.finfo(float).eps))
-        assert sol.residual == 0.0
+        assert find_periodic_solution(1.0, Constant(2.0, 1.0), fixed_point_tol=EPS).residual == 0.0
 
     @pytest.mark.parametrize("h", [0.1, 2.0, 30.0])
     @pytest.mark.parametrize("cap_of, r", [
