@@ -11,6 +11,7 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +83,14 @@ class CapacitySchedule:
         is constant on the piece. slope takes floats only. Pieces are
         produced lazily.
         """
-        edges = [t0, *self.breakpoints_between(t0, t1), t1]
-        for lo, hi in zip(edges[:-1], edges[1:]):
+        lo = t0
+        for hi in chain(self._cuts(t0, t1), [t1]):
             yield (lo, hi, *self._piece(lo, hi))
+            lo = hi
+
+    def _cuts(self, t0: float, t1: float):
+        # breakpoints_between as any ascending iterable, for pieces to walk
+        return self.breakpoints_between(t0, t1)
 
     def _piece(self, lo: float, hi: float):
         return self.at, self.derivative
@@ -183,19 +189,21 @@ class TwoPhase(CapacitySchedule):
         return 0.0
 
     def breakpoints_between(self, t0: float, t1: float) -> list[float]:
+        return list(self._cuts(t0, t1))
+
+    def _cuts(self, t0: float, t1: float):
+        # a generator, so a short step budget never builds every switch time
         if not (math.isfinite(t0) and math.isfinite(t1)):
             raise ValueError(f"switch times need finite bounds, got ({t0}, {t1})")
         half = 0.5 * self.period
         k = math.floor(t0 / half)
-        out: list[float] = []
         while True:
             k += 1
             b = k * half
             if b >= t1:
-                break
+                return
             if b > t0:
-                out.append(b)
-        return out
+                yield b
 
     def _piece(self, lo: float, hi: float):
         m = self.at(0.5 * (lo + hi))

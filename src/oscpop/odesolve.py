@@ -9,10 +9,12 @@ steps it comes from and needs no extra step-size cap. Each accepted step
 stores one more float for it, and sampling is one vectorized pass over
 the accepted steps, linear in steps plus samples.
 
-``_rk45_segment`` is the hot path of every long run, so it binds its
-coefficients and settings to locals and writes its counters to the run's
-stats once per segment; that saves each step's global and attribute
-lookups without changing any float it produces.
+``_rk45`` is the one step loop of both integrators and the hot path of
+every long run. It walks the schedule's pieces itself and binds its
+coefficients and settings to locals once per call, keeping its counters,
+step budget and carried step size in locals too; that saves each step's
+and each piece's global and attribute lookups without changing any
+float it produces.
 
 Capacity breakpoints are treated as hard step boundaries: the integrator
 never takes a step across one, and each smooth piece is integrated with
@@ -107,40 +109,26 @@ class Trajectory:
         return float(self.populations[-1])
 
 
-class _RunStats:
-    __slots__ = ("n_accepted", "n_rejected", "n_rhs", "h_min", "h_max")
+def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
+    """Integrate y' = rhs_on(m, dm)(t, y) from (t0, p0) to t_end, piece by piece.
 
-    def __init__(self) -> None:
-        self.n_accepted = 0
-        self.n_rejected = 0
-        self.n_rhs = 0
-        self.h_min = math.inf
-        self.h_max = 0.0
-
-    def freeze(self, solver: str) -> SolverStats:
-        return SolverStats(
-            solver=solver,
-            n_accepted=self.n_accepted,
-            n_rejected=self.n_rejected,
-            n_rhs_evals=self.n_rhs,
-            smallest_step=0.0 if math.isinf(self.h_min) else self.h_min,
-            largest_step=self.h_max,
-        )
-
-
-def _rk45_segment(f, lo, y0, hi, cfg, stats, budget, h_start):
-    """Integrate y' = f(t, y) over the smooth interval [lo, hi].
-
-    Returns (accepted steps, y at hi, next step size). Each step is a
-    tuple (t0, t1, y0, y1, f0, f1, dk): f0/f1 are the slopes at its ends
-    and dk the continuous-extension combination of its stages. Every
-    returned step has t1 > t0: a step size that no longer moves t raises
-    StiffnessError. budget is a single-element list holding the
-    remaining attempted-step allowance for the whole call. The first
-    step is min(max_step, span, h_start), with h_start None meaning a
-    sixteenth of the span; the next step size is the controller's last
-    proposal before the clip to hi, for the following piece to start from.
+    One pass over cap.pieces: each smooth piece gets the right-hand side
+    of its own M and dM/dt and starts at min(max_step, span, h), h being
+    the controller's last proposal before the clip to the previous
+    piece's end (a sixteenth of the span for the first piece). With
+    shift, y is W = P - M/2: each piece restarts W from the carried P,
+    and P = W + M/2 is reported. Each accepted step is a tuple (t0, t1,
+    y0, y1, f0, f1, dk): f0/f1 are the slopes at its ends and dk the
+    continuous-extension combination of its stages. Every step has
+    t1 > t0: a step size that no longer moves t raises StiffnessError.
+    max_iterations caps the attempted steps of the whole call.
     """
+    cfg = cfg or SolverConfig()
+    t0, p0 = params.t0, params.p0
+    if t_end < t0:
+        raise ValueError("t_end must not precede the initial time")
+    if t_end == t0:
+        return Trajectory(np.array([t0]), np.array([p0]), SolverStats(solver))
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
@@ -153,82 +141,110 @@ def _rk45_segment(f, lo, y0, hi, cfg, stats, budget, h_start):
     isfinite = math.isfinite
     steps: list[tuple] = []
     append = steps.append
-    t, y = lo, y0
-    k1 = f(t, y)
-    if not isfinite(k1) or not isfinite(y):
-        raise DivergenceError(f"non-finite state at t={t}")
-    span = hi - lo
-    if h_start is None:
-        h_start = max(span / 16.0, min_step)
-    h = min(max_step, span, h_start)
-    snap = 1e-14 * max(abs(hi), 1.0)
-    left = budget[0]
-    n_acc = n_rej = 0
-    h_min, h_max = stats.h_min, stats.h_max
-    err_prev = None
-    while t < hi:
-        # the controller's proposal, kept before the clip to the piece end
-        # so that a short last step does not shrink the next piece's start
-        h_next = h
-        rest = hi - t
-        if rest < h:
-            h = rest
-        if left <= 0:
-            raise ConvergenceError("step budget exhausted (max_iterations)")
-        left -= 1
-        k2 = f(t + c2 * h, y + h * (a21 * k1))
-        k3 = f(t + c3 * h, y + h * (a31 * k1 + a32 * k2))
-        k4 = f(t + c4 * h, y + h * (a41 * k1 + a42 * k2 + a43 * k3))
-        k5 = f(t + c5 * h, y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
-        t_next = t + h
-        k6 = f(t_next, y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))
-        y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-        k7 = f(t_next, y_new)
-        if not (isfinite(y_new) and isfinite(k7) and isfinite(k2 + k3 + k4 + k5 + k6)):
-            raise DivergenceError(f"non-finite state near t={t_next}")
-        err_abs = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
-        size, size_new = abs(y), abs(y_new)
-        err = abs(err_abs) / (abs_tol + rel_tol * (size_new if size_new > size else size))
-        if err <= 1.0:
-            t_new = hi if hi - t_next <= snap else t_next
-            dk = d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7
-            append((t, t_new, y, y_new, k1, k7, dk))
-            n_acc += 1
-            if h < h_min:
-                h_min = h
-            if h > h_max:
-                h_max = h
-            t, y, k1 = t_new, y_new, k7
-            if err == 0.0:
-                factor = max_factor
-            elif err_prev is None:
-                factor = safety * err ** -0.2
+    # (steps so far, hi, M) at each piece end; only the M/2 shift reads them
+    ends: list[tuple] = []
+    left = cfg.max_iterations
+    n_acc = n_rej = n_pieces = 0
+    h_min, h_max = math.inf, 0.0
+    y, h = p0, None
+    for lo, hi, m, dm in cap.pieces(t0, t_end):
+        f = rhs_on(m, dm)
+        if shift:
+            y = y - 0.5 * m(lo)
+        t = lo
+        k1 = f(t, y)
+        n_pieces += 1
+        if not isfinite(k1) or not isfinite(y):
+            raise DivergenceError(f"non-finite state at t={t}")
+        span = hi - lo
+        if h is None:
+            h = max(span / 16.0, min_step)
+        h = min(max_step, span, h)
+        snap = 1e-14 * max(abs(hi), 1.0)
+        err_prev = None
+        while t < hi:
+            # the controller's proposal, kept before the clip to the piece end
+            # so that a short last step does not shrink the next piece's start
+            h_next = h
+            rest = hi - t
+            if rest < h:
+                h = rest
+            if left <= 0:
+                raise ConvergenceError("step budget exhausted (max_iterations)")
+            left -= 1
+            k2 = f(t + c2 * h, y + h * (a21 * k1))
+            k3 = f(t + c3 * h, y + h * (a31 * k1 + a32 * k2))
+            k4 = f(t + c4 * h, y + h * (a41 * k1 + a42 * k2 + a43 * k3))
+            k5 = f(t + c5 * h, y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+            t_next = t + h
+            k6 = f(t_next, y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))
+            y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+            k7 = f(t_next, y_new)
+            if not (isfinite(y_new) and isfinite(k7) and isfinite(k2 + k3 + k4 + k5 + k6)):
+                raise DivergenceError(f"non-finite state near t={t_next}")
+            err_abs = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+            size, size_new = abs(y), abs(y_new)
+            err = abs(err_abs) / (abs_tol + rel_tol * (size_new if size_new > size else size))
+            if err <= 1.0:
+                t_new = hi if hi - t_next <= snap else t_next
+                dk = d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7
+                append((t, t_new, y, y_new, k1, k7, dk))
+                n_acc += 1
+                if h < h_min:
+                    h_min = h
+                if h > h_max:
+                    h_max = h
+                t, y, k1 = t_new, y_new, k7
+                if err == 0.0:
+                    factor = max_factor
+                elif err_prev is None:
+                    factor = safety * err ** -0.2
+                else:
+                    factor = safety * err ** -0.14 * err_prev ** 0.08
+                err_prev = err_floor if err_floor > err else err
+                if factor < min_factor:
+                    factor = min_factor
+                elif factor > max_factor:
+                    factor = max_factor
+                h *= factor
+                if h > max_step:
+                    h = max_step
             else:
-                factor = safety * err ** -0.14 * err_prev ** 0.08
-            err_prev = err_floor if err_floor > err else err
-            if factor < min_factor:
-                factor = min_factor
-            elif factor > max_factor:
-                factor = max_factor
-            h *= factor
-            if h > max_step:
-                h = max_step
-        else:
-            n_rej += 1
-            factor = safety * err ** -0.2
-            h *= factor if factor > min_factor else min_factor
-            if h < min_step:
-                raise StiffnessError(
-                    f"step size underflow at t={t} (needed {h:.3e} < min_step)"
-                )
-        if t < hi and t + h == t:
-            raise StiffnessError(f"step size vanished at t={t}")
-    budget[0] = left
-    stats.n_accepted += n_acc
-    stats.n_rejected += n_rej
-    stats.n_rhs += 1 + 6 * (n_acc + n_rej)
-    stats.h_min, stats.h_max = h_min, h_max
-    return steps, y, h_next
+                n_rej += 1
+                factor = safety * err ** -0.2
+                h *= factor if factor > min_factor else min_factor
+                if h < min_step:
+                    raise StiffnessError(
+                        f"step size underflow at t={t} (needed {h:.3e} < min_step)"
+                    )
+            if t < hi and t + h == t:
+                raise StiffnessError(f"step size vanished at t={t}")
+        h = h_next
+        if shift:
+            y = y + 0.5 * m(hi)
+            ends.append((len(steps), hi, m))
+    meta = SolverStats(
+        solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min if steps else 0.0, h_max
+    )
+    if t_eval is None:
+        pops = [p0] + [s[3] for s in steps]
+        a = 0
+        for b, _, m in ends:
+            pops[a + 1:b + 1] = [s[3] + 0.5 * m(s[1]) for s in steps[a:b]]
+            a = b
+        return Trajectory(np.array([t0] + [s[1] for s in steps]), np.array(pops), meta)
+    ts = _check_eval_times(t_eval, t0, t_end)
+    out = _sample_steps(steps, ts)
+    if shift:
+        # each piece shifts a contiguous slice of ts; a sample on a piece's
+        # end stays with that piece, as does any past the last end
+        cuts = np.searchsorted(ts, [hi for _, hi, _ in ends[:-1]], side="right").tolist()
+        for (_, _, m), a, b in zip(ends, [0, *cuts], [*cuts, ts.size]):
+            if a < b:
+                out[a:b] += 0.5 * m(ts[a:b])
+        if ts[0] == t0:
+            out[0] = p0  # W + M/2 need not round back to p0
+    return Trajectory(ts, out, meta)
 
 
 def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
@@ -273,30 +289,15 @@ def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     accepted steps, linear in steps plus samples. The first sample is
     exactly the supplied initial condition.
     """
-    cfg = cfg or SolverConfig()
-    t0, p0 = params.t0, params.p0
-    if t_end < t0:
-        raise ValueError("t_end must not precede the initial time")
-    stats = _RunStats()
-    if t_end == t0:
-        return Trajectory(np.array([t0]), np.array([p0]), stats.freeze("logistic-rk45"))
     r = params.r
-    budget = [cfg.max_iterations]
-    steps: list[tuple] = []
-    y, h = p0, None
-    for lo, hi, m, _ in cap.pieces(t0, t_end):
+
+    def rhs_on(m, dm):
         def rhs(t: float, p: float, m=m) -> float:
             return r * (m(t) - p) * p
 
-        seg_steps, y, h = _rk45_segment(rhs, lo, y, hi, cfg, stats, budget, h)
-        steps.extend(seg_steps)
-    meta = stats.freeze("logistic-rk45")
-    if t_eval is None:
-        times = np.array([t0] + [s[1] for s in steps])
-        pops = np.array([p0] + [s[3] for s in steps])
-        return Trajectory(times, pops, meta)
-    ts = _check_eval_times(t_eval, t0, t_end)
-    return Trajectory(ts, _sample_steps(steps, ts), meta)
+        return rhs
+
+    return _rk45(params, cap, t_end, cfg, t_eval, rhs_on, "logistic-rk45", shift=False)
 
 
 def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
@@ -306,50 +307,21 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     of the schedule. P is continuous across capacity jumps while W is
     not, so each piece restarts W from the carried population (and from
     the step size the previous piece ended with). Dense output at t_eval
-    is one vectorized continuous-extension pass per piece over that
-    piece's slice of t_eval, linear in steps plus samples. The first
-    sample is exactly the supplied initial condition, on both routes.
+    is one vectorized continuous-extension pass over the accepted steps
+    plus each piece's M/2 on its slice of t_eval, linear in steps plus
+    samples. The first sample is exactly the supplied initial
+    condition, on both routes.
     """
-    cfg = cfg or SolverConfig()
-    t0, p0, r = params.t0, params.p0, params.r
-    if t_end < t0:
-        raise ValueError("t_end must not precede the initial time")
-    stats = _RunStats()
-    if t_end == t0:
-        return Trajectory(np.array([t0]), np.array([p0]), stats.freeze("riccati-rk45"))
-    budget = [cfg.max_iterations]
-    segs: list[tuple] = []
-    p_carry, h = p0, None
-    for lo, hi, m, dm in cap.pieces(t0, t_end):
-        w0 = p_carry - 0.5 * m(lo)
+    r = params.r
 
+    def rhs_on(m, dm):
         def rhs(t: float, w: float, m=m, dm=dm) -> float:
             mt = m(t)
             return r * (0.25 * mt * mt - w * w) - 0.5 * dm(t)
 
-        seg_steps, w_end, h = _rk45_segment(rhs, lo, w0, hi, cfg, stats, budget, h)
-        segs.append((hi, m, seg_steps))
-        p_carry = w_end + 0.5 * m(hi)
-    meta = stats.freeze("riccati-rk45")
-    if t_eval is None:
-        times = [t0]
-        pops = [p0]
-        for _, m, seg_steps in segs:
-            for step in seg_steps:
-                times.append(step[1])
-                pops.append(step[3] + 0.5 * m(step[1]))
-        return Trajectory(np.array(times), np.array(pops), meta)
-    ts = _check_eval_times(t_eval, t0, t_end)
-    # each piece samples a contiguous slice of ts; a sample on a piece's
-    # end stays with that piece, as does any past the last end
-    cuts = np.searchsorted(ts, [hi for hi, _, _ in segs[:-1]], side="right").tolist()
-    out = np.empty(ts.size)
-    for (_, m, seg_steps), a, b in zip(segs, [0, *cuts], [*cuts, ts.size]):
-        if a < b:
-            out[a:b] = _sample_steps(seg_steps, ts[a:b]) + 0.5 * m(ts[a:b])
-    if ts[0] == t0:
-        out[0] = p0  # W + M/2 need not round back to p0
-    return Trajectory(ts, out, meta)
+        return rhs
+
+    return _rk45(params, cap, t_end, cfg, t_eval, rhs_on, "riccati-rk45", shift=True)
 
 
 def adaptive_quadrature(f, a, b, mandatory_points=(), cfg=None) -> float:

@@ -229,7 +229,11 @@ def time_average(sol: PeriodicSolution) -> float:
 
 
 def half_peak_fraction(sol: PeriodicSolution, cap: CapacitySchedule, band: float = 0.10) -> float:
-    """Fraction of the period where P sits within band*max(M) of max(M)/2."""
+    """Fraction of the period where P sits within band*max(M) of max(M)/2.
+
+    Raises ValueError unless band is positive and finite.
+    """
+    _require_positive_finite("band", band)
     peak = cap.max_value()
     t = sol.orbit.times
     p = sol.orbit.populations

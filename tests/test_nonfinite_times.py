@@ -1,13 +1,15 @@
 """Non-finite horizons, sample spacings and growth rates are rejected
-with ValueError.
+with ValueError, and a square wave with more switch times than the step
+budget can reach ends in ConvergenceError.
 
 Without these guards a NaN sample grid or an infinite horizon sends
 TwoPhase.breakpoints_between into a loop that grows a list until memory
 runs out, and r = inf does the same to the panel points of the
-reciprocal-space quadrature, which double a distance that stays 0.
-Every call here therefore runs in a child process with a time
-limit and a 1 GiB address-space limit, so a regression fails the test
-instead of exhausting the machine.
+reciprocal-space quadrature, which double a distance that stays 0; a
+schedule that listed every switch time before its first piece would
+exhaust memory on a 1e-5 period over t = 100. Every call here therefore
+runs in a child process with a time limit and a 1 GiB address-space
+limit, so a regression fails the test instead of exhausting the machine.
 """
 import json
 import os
@@ -37,6 +39,8 @@ calls = {
     "two_phase_inf_dt": lambda: two_phase_trajectory(params, cap, 4.0, math.inf),
     "two_phase_inf_t_end": lambda: two_phase_trajectory(params, cap, math.inf, 1.0),
     "two_phase_nan_t_end": lambda: two_phase_trajectory(params, cap, math.nan, 1.0),
+    "switch_period_1e-5": lambda: integrate_logistic(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 1e-5), 100.0),
+    "switch_period_1e-7": lambda: integrate_logistic(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 1e-7), 100.0),
 }
 out = {}
 for name, call in calls.items():
@@ -76,6 +80,8 @@ CLI_CASES = [
     (["simulate", "--schedule", "constant:1", "--p0", "1", "--t-end", "4", "--dt", "1", "--r", "inf"],
      "growth rate r"),
 ]
+DENSE_SWITCHES = ["simulate", "--schedule", "twophase:1,3,1e-5", "--r", "1", "--p0", "0.5", "--t-end", "100",
+                  "--dt", "10"]
 
 
 def _limit_memory():
@@ -107,7 +113,7 @@ def library_errors():
 
 @pytest.fixture(scope="module")
 def cli_results():
-    return run_bounded(CLI_RUNS, json.dumps([argv for argv, _ in CLI_CASES]))
+    return run_bounded(CLI_RUNS, json.dumps([argv for argv, _ in CLI_CASES] + [DENSE_SWITCHES]))
 
 
 @pytest.mark.parametrize(
@@ -130,6 +136,11 @@ def test_library_rejects_non_finite_times(library_errors, call, message):
     assert message in library_errors[call]
 
 
+@pytest.mark.parametrize("call", ["switch_period_1e-5", "switch_period_1e-7"])
+def test_library_budget_outlasts_dense_switching(library_errors, call):
+    assert library_errors[call] == "ConvergenceError: step budget exhausted (max_iterations)"
+
+
 def _case_id(i: int) -> str:
     argv = CLI_CASES[i][0]
     return " ".join([argv[0], argv[2], *argv[-4:]])
@@ -140,3 +151,7 @@ def test_cli_exits_2_naming_the_argument(cli_results, case):
     code, err = cli_results[case]
     assert code == 2
     assert err == f"error: {CLI_CASES[case][1]} must be finite\n"
+
+
+def test_cli_exits_4_when_switches_outrun_the_budget(cli_results):
+    assert cli_results[-1] == [4, "ConvergenceError: step budget exhausted (max_iterations)\n"]

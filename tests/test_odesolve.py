@@ -148,6 +148,17 @@ class TestIntegrateLogistic:
         with pytest.raises(ConvergenceError):
             integrate_logistic(LogisticParams(1.0, 0.5, 0.0), SinusoidOffset(2.0, 1.0, 0.5), 50.0, cfg)
 
+    @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+    def test_step_budget_spans_every_piece(self, integrate):
+        # 71 switches: a budget that restarted at each piece would let a run
+        # with one attempt fewer than the whole call needs succeed
+        params, cap, t_end = LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 0.7), 25.0
+        meta = integrate(params, cap, t_end).meta
+        attempts = meta.n_accepted + meta.n_rejected
+        assert integrate(params, cap, t_end, SolverConfig(max_iterations=attempts)).meta == meta
+        with pytest.raises(ConvergenceError):
+            integrate(params, cap, t_end, SolverConfig(max_iterations=attempts - 1))
+
     def test_dense_output_is_fourth_order_between_step_ends(self):
         # tolerances of 1 accept every step, so each run takes fixed steps
         # of max_step; a cubic Hermite's midpoint error falls only 16x per

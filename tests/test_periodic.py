@@ -246,6 +246,13 @@ class TestHalfPeakFraction:
         frac = half_peak_fraction(sol, cap)
         assert 0.0 <= frac <= 1.0
 
+    @pytest.mark.parametrize("band", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_band(self, band):
+        cap = Constant(2.0, declared_period=1.0)
+        sol = find_periodic_solution(1.0, cap)
+        with pytest.raises(ValueError, match="band must be positive and finite"):
+            half_peak_fraction(sol, cap, band=band)
+
 
 class TestPeriodicSolutionValidation:
     def test_rejects_open_orbit(self):
