@@ -6,6 +6,17 @@ standard quadratic map x -> (1 + rho) x (1 - x), an exact algebraic
 identity used both for normalization and for testing. Divergence is
 data here, never an exception: orbits that leave the basin are returned
 with a flag.
+
+An orbit is iterated only while its future values are unknown: the
+update is a function of one float, so once a value repeats bit for bit,
+every later value is a periodic extension of those already computed.
+A grid steps as a numpy array, one column per point, in blocks; after
+each block, columns that escaped are recorded and columns whose last
+value repeats an earlier value of the block are retired. Once a dozen
+or fewer columns remain, each finishes alone in a loop over Python
+floats, where Brent's cycle detection finds a repeat of any length.
+Both loops evaluate p + r (M - p) p in the same order, so every record
+is bit-identical to a step-by-step loop.
 """
 from __future__ import annotations
 
@@ -40,23 +51,35 @@ class ScanConfig:
 
 
 _ESCAPE_BOUND = 10.0  # |normalized value| past which an orbit has diverged
-_BLOCK = 128  # map steps between escape checks
+_BLOCK = 128  # array steps between escape and repeat checks
 _COLUMNS = 1024  # grid points per pass, so memory stays a few window x 1024 arrays
+# this many live columns or fewer finish on Python floats: one array step
+# costs about as much as 12-16 Python-float column steps
+_NARROW = 12
+_CHUNK = 256  # Python-float steps between escape and repeat checks
 
 
 def _iterate(r: float, m: np.ndarray, rows: np.ndarray) -> None:
     """Fill rows[1:] with successive updates of rows[0], one column per m.
 
-    This is the only map loop. Each column is advanced in the scalar
-    order p + r * (m - p) * p, so it is bit-identical to a loop over
-    Python floats and independent of the other columns.
+    Each column is advanced in the scalar order p + r * (m - p) * p, so
+    it is bit-identical to _steps' loop over Python floats and
+    independent of the other columns. At r == 1.0 the product by r is
+    exact, so it is left out.
     """
     # positional out arguments and an array r keep the per-step call
     # overhead, which dominates for small grids, low
     sub, mul, add = np.subtract, np.multiply, np.add
     t = np.empty_like(rows[0])
-    r = np.full_like(t, r)
     p = rows[0]
+    if r == 1.0:
+        for row in rows[1:]:
+            sub(m, p, t)
+            mul(t, p, t)
+            add(p, t, row)
+            p = row
+        return
+    r = np.full_like(t, r)
     for row in rows[1:]:
         sub(m, p, t)
         mul(r, t, t)
@@ -65,9 +88,79 @@ def _iterate(r: float, m: np.ndarray, rows: np.ndarray) -> None:
         p = row
 
 
+def _steps(r: float, m: float, p: float, n: int) -> list[float]:
+    """The n values after p, on Python floats, in _iterate's order."""
+    out = []
+    append = out.append
+    for _ in range(n):
+        p = p + r * (m - p) * p
+        append(p)
+    return out
+
+
 def _escape_mask(r: float, unit, values: np.ndarray) -> np.ndarray:
     """Non-finite values, or normalized values r p / unit beyond the bound."""
     return ~np.isfinite(values) | (np.abs(r * values / unit) > _ESCAPE_BOUND)
+
+
+def _orbit(r: float, m: float, unit: float, p: float, t: int, transient: int, end: int):
+    """One column of _attractors on Python floats, from x_t = p to x_end.
+
+    Returns (values, escape, before): the values of steps max(t + 1,
+    transient) .. end, or up to the step before `escape`, the first
+    escaping step (None if there is none), and `before`, the value at
+    the step before it. Steps run in chunks of up to _CHUNK values. A
+    non-finite value stays non-finite and r p / unit is monotone in p,
+    so a chunk can escape only if its last value or one of its extremes
+    does; only then is it checked value by value, with the array rule.
+    Brent's cycle detection compares every value with a tortoise that
+    jumps ahead to the current value after 1, 2, 4, ... steps. Once a
+    value repeats bit for bit, the orbit, a function of that one float,
+    repeats from there on, and the rest is periodic extension.
+    """
+    bound = _ESCAPE_BOUND
+    # x / 0.0 raises on Python floats; a NaN divisor sends every chunk to
+    # the array rule instead, which returns inf or nan as numpy does
+    div = unit if unit else math.nan
+    values: list[float] = []
+    tortoise, t_tortoise, power = p, t, 1
+    while t < end:
+        n = min(_CHUNK, end - t, t_tortoise + power - t)
+        start, chunk = p, _steps(r, m, p, n)
+        p = chunk[-1]
+        first = max(transient - t - 1, 0)  # first chunk index in the window
+        if not (
+            math.isfinite(p)
+            and -bound <= r * min(chunk) / div <= bound
+            and -bound <= r * max(chunk) / div <= bound
+        ):
+            mask = _escape_mask(r, unit, np.array(chunk))
+            if mask.any():
+                i = int(mask.argmax())
+                values += chunk[first:i]
+                return values, t + i + 1, chunk[i - 1] if i else start
+        if tortoise in chunk:
+            # == also matches 0.0 with -0.0, whose orbits differ
+            sign = math.copysign(1.0, tortoise)
+            hits = (i for i, v in enumerate(chunk) if v == tortoise and math.copysign(1.0, v) == sign)
+            i = next(hits, None)
+            if i is not None:
+                # x_s == x_(s-q), so x_(s+1) .. x_(s+q) repeat x_(s-q+1) .. x_s
+                values += chunk[first : i + 1]
+                s = t + i + 1
+                q = s - t_tortoise
+                cycle = _steps(r, m, tortoise, min(q, end - s))
+                # step u >= s + 1 holds cycle[(u - s - 1) % q]; the window
+                # still needs steps u0 .. end
+                u0 = max(s + 1, transient)
+                off = (u0 - s - 1) % q
+                values += (cycle * ((end - u0) // q + 2))[off : off + end - u0 + 1]
+                return values, None, p
+        values += chunk[first:]
+        t += n
+        if t == t_tortoise + power:
+            tortoise, t_tortoise, power = p, t, 2 * power
+    return values, None, p
 
 
 def iterate_map(r: float, m: float, p0: float, n: int) -> np.ndarray:
@@ -78,11 +171,8 @@ def iterate_map(r: float, m: float, p0: float, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = np.empty((n + 1, 1))
-    out[0] = p0
-    with np.errstate(all="ignore"):
-        _iterate(r, np.array([m], dtype=float), out)
-    return out[:, 0]
+    p0 = float(p0)
+    return np.array([p0, *_steps(float(r), float(m), p0, n)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,49 +189,69 @@ class BifurcationRecord:
     diverged: bool = False
 
 
-def _first_escapes(mask: np.ndarray, alive: np.ndarray):
-    """(column, first escaping row) for each live column with an escape.
-
-    Those columns are cleared from `alive`.
-    """
-    hit = np.flatnonzero(alive & mask.any(axis=0))
-    alive[hit] = False
-    return zip(hit.tolist(), mask[:, hit].argmax(axis=0).tolist())
-
-
 def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> list[BifurcationRecord]:
     """detect_attractor for every column (m[i], p0[i]) at once.
 
-    Escapes are checked per block of steps, at the first escaping step,
-    so a diverged record holds exactly what a step-by-step check leaves.
-    Only the detection window is kept, not the transient.
+    Only columns whose future values are still unknown are iterated.
+    After each block of array steps, a column that escaped is recorded
+    at its first escaping step, so a diverged record holds exactly what
+    a step-by-step check leaves, and a column whose last value equals an
+    earlier value of the block bit for bit is exactly periodic from
+    there: its remaining window rows are filled by periodic extension.
+    Once at most _NARROW columns are live, each finishes in _orbit on
+    Python floats. Only the detection window is kept, not the transient.
     """
     control = r * m
     unit = 1.0 + control
-    alive = np.ones(m.size, dtype=bool)
-    diverged: dict[int, np.ndarray] = {}
+    transient, end = cfg.transient, cfg.transient + cfg.window - 1
+    w = np.empty((cfg.window, m.size))
+    w[0] = p0  # overwritten by the transient unless it is empty
+    escapes = []  # (column, first escaping step, the value before it)
+    # the live columns: their indices, m, unit and values at step t
+    live, ml, ul, p, t = np.arange(m.size), m, unit, p0, 0
     with np.errstate(all="ignore"):
-        buf = np.empty((min(cfg.transient, _BLOCK) + 1, m.size))
-        buf[0] = p0
-        done = 0
-        while done < cfg.transient and alive.any():
-            n = min(_BLOCK, cfg.transient - done)
-            _iterate(r, m, buf[: n + 1])
-            mask = _escape_mask(r, unit, buf[1 : n + 1])
-            for c, k in _first_escapes(mask, alive):
-                diverged[c] = buf[k, c : c + 1].copy()
-            buf[0] = buf[n]
-            done += n
-        w = np.empty((cfg.window, m.size))
-        w[0] = buf[0]
-        for k0 in range(1, cfg.window, _BLOCK):
-            if not alive.any():
-                break
-            k1 = min(k0 + _BLOCK, cfg.window)
-            _iterate(r, m, w[k0 - 1 : k1])
-            mask = _escape_mask(r, unit, w[k0:k1])
-            for c, k in _first_escapes(mask, alive):
-                diverged[c] = w[: k0 + k, c].copy()
+        buf = np.empty((_BLOCK + 1, m.size))
+        while live.size > _NARROW and t < end:
+            n = min(_BLOCK, (transient if t < transient else end) - t)
+            rows = buf[: n + 1, : live.size]  # rows[i] holds step t + i
+            rows[0] = p
+            _iterate(r, ml, rows)
+            if t + n >= transient:
+                a = max(t + 1, transient)
+                w[a - transient : t + n + 1 - transient, live] = rows[a - t :]
+            mask = _escape_mask(r, ul, rows[1:])
+            gone = mask.any(axis=0)
+            hit = np.flatnonzero(gone)
+            i = mask[:, hit].argmax(axis=0)
+            escapes += zip(live[hit].tolist(), (t + 1 + i).tolist(), rows[i, hit].tolist())
+            bits = rows.view(np.int64)
+            repeat = bits[:n] == bits[n]
+            settled = np.flatnonzero(repeat.any(axis=0) & ~gone)
+            if settled.size:
+                # x_u = rows[i0 + (u - t - i0) % q] for u >= t + i0, where
+                # i0 is the last earlier row equal to row n and q = n - i0
+                i0 = n - 1 - repeat[::-1, settled].argmax(axis=0)
+                q = n - i0
+                a = max(t + n + 1, transient)
+                u = np.arange(a, end + 1)[:, None]
+                idx = i0 + (u - t - i0) % q
+                w[a - transient :, live[settled]] = np.take_along_axis(rows[:, settled], idx, axis=0)
+            gone[settled] = True
+            keep = ~gone
+            live, ml, ul, p, t = live[keep], ml[keep], ul[keep], rows[n, keep], t + n
+        if t < end:
+            a = max(t + 1, transient) - transient
+            for c, mc, uc, pc in zip(live.tolist(), ml.tolist(), ul.tolist(), p.tolist()):
+                values, step, before = _orbit(r, mc, uc, pc, t, transient, end)
+                w[a : a + len(values), c] = values
+                if step is not None:
+                    escapes.append((c, step, before))
+        alive = np.ones(m.size, dtype=bool)
+        diverged: dict[int, np.ndarray] = {}
+        for c, step, before in escapes:
+            # the window rows before the escape, or the last transient value
+            alive[c] = False
+            diverged[c] = w[: step - transient, c].copy() if step > transient else np.array([before])
 
         # smallest period whose shifted window matches; a period can only
         # match if the last value matches its lag, which rules out almost
@@ -228,12 +338,13 @@ def bifurcation_scan(
     """Sweep the control rho = r * m at fixed r, tracking the attractor.
 
     Every grid point starts at the critical point of the conjugate
-    quadratic map, x = 1/2, i.e. p0 = (1 + rho) / (2 r), and the whole
-    grid is iterated as one array. The quadratic map has negative
-    Schwarzian derivative, so an attracting cycle, when there is one,
-    attracts the critical orbit (Singer 1978, SIAM J. Appl. Math. 35,
-    260-267). Each record is therefore the detect_attractor result from
-    that seed and does not depend on the rest of the grid.
+    quadratic map, x = 1/2, i.e. p0 = (1 + rho) / (2 r), and the grid
+    is iterated as one array until only a few points are still moving.
+    The quadratic map has negative Schwarzian derivative, so an
+    attracting cycle, when there is one, attracts the critical orbit
+    (Singer 1978, SIAM J. Appl. Math. 35, 260-267). Each record is
+    therefore the detect_attractor result from that seed and does not
+    depend on the rest of the grid.
 
     Also reports the first control values where the detected period
     changes 1 -> 2 and 2 -> 4 between adjacent points (midpoint of the

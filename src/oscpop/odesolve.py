@@ -121,10 +121,14 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
     y0, y1, f0, f1, dk): f0/f1 are the slopes at its ends and dk the
     continuous-extension combination of its stages. Every step has
     t1 > t0: a step size that no longer moves t raises StiffnessError.
-    max_iterations caps the attempted steps of the whole call.
+    max_iterations caps the attempted steps of the whole call, and a
+    non-finite t_end raises ValueError before any step.
     """
     cfg = cfg or SolverConfig()
     t0, p0 = params.t0, params.p0
+    if not math.isfinite(t_end):
+        # NaN passes both comparisons below and never ends a piece
+        raise ValueError(f"integration needs finite bounds, got t_end={t_end}")
     if t_end < t0:
         raise ValueError("t_end must not precede the initial time")
     if t_end == t0:

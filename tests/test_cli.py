@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -225,6 +226,20 @@ class TestBifurcationCommand:
         assert out.startswith("rho,branch_value\n")
         assert "doubling_1_to_2 = 2" in err
         assert "doubling_2_to_4 = not-found" in err
+
+    def test_zero_unit_control_scans_like_any_other(self, capsys):
+        # at rho = -1 the normalized coordinate r p / (1 + rho) divides by
+        # 0; the critical orbit sits at 0 there and never escapes
+        code, out, err = run(capsys, "bifurcation", "--rho-min", "-1", "--rho-max", "0", "--steps", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1:513] == ["-1,0"] * 512
+        assert lines[513] == "-0.5,4.94065645841e-324"
+        assert len(lines) == 1026 and all(line.startswith("0,") for line in lines[514:])
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "56e3ed382feadaa92c6ef9e39526bf40d3200fda048563aadf909fabfc831b18"
+        )
+        assert err == "doubling_1_to_2 = not-found\ndoubling_2_to_4 = not-found\n"
 
 
 class TestExitCodes:

@@ -38,6 +38,15 @@ class TestIterateMap:
         out = iterate_map(1.0, 3.5, 5.0, 60)
         assert not np.all(np.isfinite(out))
 
+    def test_bit_identical_to_a_python_float_loop(self):
+        # (1, 3.5, 5) overflows to -inf, and p0 = inf turns into nan
+        for r, m, p0 in ((0.7, 2.3, 0.4), (1.0, 2.9, 1.95), (1.3, -0.5, 0.2), (1.0, 3.5, 5.0), (1.0, 1.0, math.inf)):
+            p, want = p0, [p0]
+            for _ in range(300):
+                p = p + r * (m - p) * p
+                want.append(p)
+            assert iterate_map(r, m, p0, 300).tobytes() == np.array(want).tobytes()
+
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             iterate_map(1.0, 1.0, 0.5, -1)

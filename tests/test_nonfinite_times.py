@@ -2,7 +2,9 @@
 with ValueError, and a square wave with more switch times than the step
 budget can reach ends in ConvergenceError.
 
-Without these guards a NaN sample grid or an infinite horizon sends
+Without these guards a NaN horizon on a schedule without breakpoints
+fails inside the RK45 step loop and an infinite one diverges there, a
+NaN sample grid or an infinite horizon sends
 TwoPhase.breakpoints_between into a loop that grows a list until memory
 runs out, and r = inf does the same to the panel points of the
 reciprocal-space quadrature, which double a distance that stays 0; a
@@ -24,10 +26,11 @@ import oscpop
 
 LIBRARY_CALLS = """
 import json, math
-from oscpop import (LogisticParams, SinusoidOffset, TwoPhase, find_periodic_solution,
+from oscpop import (Constant, LogisticParams, SinusoidOffset, TwoPhase, find_periodic_solution,
                     integrate_logistic, integrate_riccati, quadrature_solution,
                     two_phase_trajectory)
 cap, params = TwoPhase(1.0, 3.0, 2.0), LogisticParams(1.0, 1.0)
+flat, wave = Constant(1.0), SinusoidOffset(2.0, 0.5, 3.0)
 calls = {
     "logistic_params_inf_r": lambda: LogisticParams(math.inf, 1.0),
     "periodic_inf_r": lambda: find_periodic_solution(math.inf, SinusoidOffset(1.0, 0.5, 3.0)),
@@ -36,6 +39,10 @@ calls = {
     "integrate_logistic": lambda: integrate_logistic(params, cap, math.inf),
     "integrate_riccati": lambda: integrate_riccati(params, cap, math.inf),
     "quadrature_solution": lambda: quadrature_solution(params, cap, math.inf),
+    "logistic_nan_constant": lambda: integrate_logistic(params, flat, math.nan),
+    "riccati_nan_sinusoid": lambda: integrate_riccati(params, wave, math.nan),
+    "logistic_inf_sinusoid": lambda: integrate_logistic(params, wave, math.inf),
+    "riccati_inf_constant": lambda: integrate_riccati(params, flat, math.inf),
     "two_phase_inf_dt": lambda: two_phase_trajectory(params, cap, 4.0, math.inf),
     "two_phase_inf_t_end": lambda: two_phase_trajectory(params, cap, math.inf, 1.0),
     "two_phase_nan_t_end": lambda: two_phase_trajectory(params, cap, math.nan, 1.0),
@@ -126,6 +133,10 @@ def cli_results():
         ("integrate_logistic", "finite bounds"),
         ("integrate_riccati", "finite bounds"),
         ("quadrature_solution", "finite bounds"),
+        ("logistic_nan_constant", "finite bounds"),
+        ("riccati_nan_sinusoid", "finite bounds"),
+        ("logistic_inf_sinusoid", "finite bounds"),
+        ("riccati_inf_constant", "finite bounds"),
         ("two_phase_inf_dt", "dt_sample must be finite"),
         ("two_phase_inf_t_end", "t_end must be finite"),
         ("two_phase_nan_t_end", "t_end must be finite"),
