@@ -12,9 +12,9 @@ update is a function of one float, so once a value repeats bit for bit,
 every later value is a periodic extension of those already computed.
 A grid steps as a numpy array, one column per point, in blocks; after
 each block, columns that escaped are recorded and columns whose last
-value repeats an earlier value of the block are retired. Once a dozen
-or fewer columns remain, each finishes alone in a loop over Python
-floats, where Brent's cycle detection finds a repeat of any length.
+value repeats an earlier value of the block are retired. Once 15 or
+fewer columns remain, each finishes alone in a loop over Python floats,
+where Brent's cycle detection finds a repeat of any length.
 Both loops evaluate p + r (M - p) p in the same order, so every record
 is bit-identical to a step-by-step loop.
 """
@@ -53,9 +53,10 @@ class ScanConfig:
 _ESCAPE_BOUND = 10.0  # |normalized value| past which an orbit has diverged
 _BLOCK = 128  # array steps between escape and repeat checks
 _COLUMNS = 1024  # grid points per pass, so memory stays a few window x 1024 arrays
-# this many live columns or fewer finish on Python floats: one array step
-# costs about as much as 12-16 Python-float column steps
-_NARROW = 12
+# this many live columns or fewer finish on Python floats: an array step
+# costs ~2.8 us from 8 to 48 columns and a Python-float column step in
+# _orbit ~180 ns, which break even at ~15 columns (BENCH_15 sweep)
+_NARROW = 15
 _CHUNK = 256  # Python-float steps between escape and repeat checks
 
 
@@ -64,21 +65,13 @@ def _iterate(r: float, m: np.ndarray, rows: np.ndarray) -> None:
 
     Each column is advanced in the scalar order p + r * (m - p) * p, so
     it is bit-identical to _steps' loop over Python floats and
-    independent of the other columns. At r == 1.0 the product by r is
-    exact, so it is left out.
+    independent of the other columns.
     """
     # positional out arguments and an array r keep the per-step call
     # overhead, which dominates for small grids, low
     sub, mul, add = np.subtract, np.multiply, np.add
     t = np.empty_like(rows[0])
     p = rows[0]
-    if r == 1.0:
-        for row in rows[1:]:
-            sub(m, p, t)
-            mul(t, p, t)
-            add(p, t, row)
-            p = row
-        return
     r = np.full_like(t, r)
     for row in rows[1:]:
         sub(m, p, t)
@@ -171,8 +164,17 @@ def iterate_map(r: float, m: float, p0: float, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p0 = float(p0)
-    return np.array([p0, *_steps(float(r), float(m), p0, n)])
+    r, m = float(r), float(m)
+
+    def values(p):
+        # _steps' update, yielded one float at a time so that only the
+        # result array holds the orbit
+        yield p
+        for _ in range(n):
+            p = p + r * (m - p) * p
+            yield p
+
+    return np.fromiter(values(float(p0)), dtype=float, count=n + 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -46,6 +47,16 @@ class TestIterateMap:
                 p = p + r * (m - p) * p
                 want.append(p)
             assert iterate_map(r, m, p0, 300).tobytes() == np.array(want).tobytes()
+
+    def test_holds_the_orbit_only_in_its_result(self):
+        n = 200_000
+        tracemalloc.start()
+        try:
+            out = iterate_map(1.0, 2.7, 0.9, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n + 1,) and peak < 1.5 * out.nbytes
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
