@@ -163,6 +163,9 @@ class TwoPhase(CapacitySchedule):
     def __post_init__(self) -> None:
         if not self.period > 0.0:
             raise ValueError("period must be positive")
+        if not 0.5 * self.period > 0.0:
+            # the switch times are multiples of the half period
+            raise ValueError(f"half the period must be positive, got {self.period}")
         _require_finite(self)
 
     def at(self, t: float) -> float:

@@ -28,6 +28,7 @@ from .capacity import (
 )
 from .closedform import (
     LogisticParams,
+    _propagate,
     logistic_constant,
     quadrature_solution,
     two_phase_trajectory,
@@ -191,8 +192,9 @@ def _cmd_closed_form(args) -> int:
     grid = _time_grid(params.t0, args.t_end, args.dt)
     traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
     rows = []
-    for t, p_num in zip(grid, traj.populations):
-        p_closed = quadrature_solution(params, cap, float(t), cfg)
+    # quadrature_solution at each grid point, from one pass over the grid
+    for t, u, p_num in zip(grid, _propagate(params, cap, grid.tolist(), cfg), traj.populations):
+        p_closed = float(1.0 / u)
         rows.append((t, p_closed, p_num, abs(p_closed - p_num)))
     _emit(["t", "P_closed", "P_numeric", "abs_diff"], rows, args.output)
     return 0

@@ -122,10 +122,12 @@ def _constant_step(r: float, m: float, u: float, tau: float) -> float:
 def _propagate(params, cap, times, cfg) -> np.ndarray:
     """u = 1/P at ascending times >= t0, each the exact step from (t0, 1/p0).
 
-    No value depends on the other times. p0 = inf starts from u = 0.
-    Panel points double away from t, as the quadrature weight is a
-    boundary layer of width ~1/(r max|M|) there. u = inf (P = 0) is
-    absorbing.
+    No value depends on which other times are given. Constant pieces
+    are walked once with the times, u carried across each cut, so memory
+    is bounded by the times. Other schedules take a quadrature per time,
+    panel points doubling away from t, as the weight is a boundary layer
+    of width ~1/(r max|M|) there. p0 = inf starts from u = 0; u = inf
+    (P = 0) is absorbing.
     """
     r, t0 = params.r, params.t0
     u0 = math.inf if params.p0 == 0.0 else 1.0 / params.p0
@@ -135,13 +137,14 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
         return np.full(len(times), math.inf)
     out = np.empty(len(times))
     if isinstance(cap, (Constant, TwoPhase)):
-        starts, levels, carry = [], [], [u0]
-        for lo, hi, m, _ in cap.pieces(t0, times[-1]):
-            starts.append(lo)
-            levels.append(m(lo))
-            carry.append(_constant_step(r, levels[-1], carry[-1], hi - lo))
-        for i, k in enumerate(np.searchsorted(starts, times, side="right") - 1):
-            out[i] = _constant_step(r, levels[k], carry[k], float(times[i]) - starts[k])
+        pieces = cap.pieces(t0, times[-1])
+        (lo, hi, m, _), u = next(pieces), u0
+        for i, t in enumerate(times):
+            # a time on a cut goes with the piece that starts there
+            while t >= hi and hi < times[-1]:
+                u = _constant_step(r, m(lo), u, hi - lo)
+                lo, hi, m, _ = next(pieces)
+            out[i] = _constant_step(r, m(lo), u, float(t) - lo)
         return out
     spread = r * max(abs(cap.min_value()), abs(cap.max_value()))
     width = 4.0 / spread if spread > 0.0 else math.inf

@@ -145,7 +145,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
     isfinite = math.isfinite
     steps: list[tuple] = []
     append = steps.append
-    # (steps so far, hi, M) at each piece end; only the M/2 shift reads them
+    # (hi, M) at each piece end; only the M/2 shift reads them
     ends: list[tuple] = []
     left = cfg.max_iterations
     n_acc = n_rej = n_pieces = 0
@@ -226,28 +226,23 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
         h = h_next
         if shift:
             y = y + 0.5 * m(hi)
-            ends.append((len(steps), hi, m))
+            ends.append((hi, m))
     meta = SolverStats(
         solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min if steps else 0.0, h_max
     )
     if t_eval is None:
-        pops = [p0] + [s[3] for s in steps]
-        a = 0
-        for b, _, m in ends:
-            pops[a + 1:b + 1] = [s[3] + 0.5 * m(s[1]) for s in steps[a:b]]
-            a = b
-        return Trajectory(np.array([t0] + [s[1] for s in steps]), np.array(pops), meta)
+        t_eval = [t0] + [s[1] for s in steps]  # theta = 1 gives each end value exactly
     ts = _check_eval_times(t_eval, t0, t_end)
     out = _sample_steps(steps, ts)
     if shift:
         # each piece shifts a contiguous slice of ts; a sample on a piece's
         # end stays with that piece, as does any past the last end
-        cuts = np.searchsorted(ts, [hi for _, hi, _ in ends[:-1]], side="right").tolist()
-        for (_, _, m), a, b in zip(ends, [0, *cuts], [*cuts, ts.size]):
+        cuts = np.searchsorted(ts, [hi for hi, _ in ends[:-1]], side="right").tolist()
+        for (_, m), a, b in zip(ends, [0, *cuts], [*cuts, ts.size]):
             if a < b:
                 out[a:b] += 0.5 * m(ts[a:b])
-        if ts[0] == t0:
-            out[0] = p0  # W + M/2 need not round back to p0
+    if ts[0] == t0:
+        out[0] = p0  # W + M/2 need not round back to p0, nor y0 + 0.0 to -0.0
     return Trajectory(ts, out, meta)
 
 

@@ -104,7 +104,8 @@ def find_periodic_solution(
     are positive and finite and fixed_point_tol is at least float64
     epsilon; NoPeriodicSolutionError when the capacity mean over one
     period is nonpositive, ExponentOverflowError when a die-off stretch
-    makes u(h) infinite or the exponent of w exceed 700, and
+    makes u(h) infinite or the exponent of w exceed 700, or a subnormal
+    r underflows u(h) or p* to 0, and
     ConvergenceError when the orbit fails to close; numerics errors of
     the quadrature or the orbit integration propagate.
     """
@@ -134,7 +135,10 @@ def find_periodic_solution(
     offset = float(_propagate(start, cap, [h], inner)[0])
     if math.isinf(offset):
         raise ExponentOverflowError("die-off drives the cycle below the float range")
-    p_star = -math.expm1(-r * mass) / offset
+    p_star = -math.expm1(-r * mass) / offset if offset > 0.0 else 0.0
+    if p_star == 0.0:
+        # a subnormal r underflows u(h) or p* to 0
+        raise ExponentOverflowError(f"the cycle is unrepresentable at r = {r:g}")
     grid = _orbit_grid(cap, h)
     orbit = integrate_logistic(LogisticParams(r, p_star, 0.0), cap, h, inner, t_eval=grid)
     residual = abs(orbit.final - p_star) / p_star

@@ -75,6 +75,12 @@ class TestTwoPhase:
         assert cap.at(1.999) == 3.0
         assert cap.at(2.0) == 1.0
 
+    def test_rejects_a_period_whose_half_underflows(self):
+        # the switch times are multiples of period / 2
+        with pytest.raises(ValueError, match="half the period"):
+            TwoPhase(1.0, 3.0, 5e-324)
+        assert TwoPhase(1.0, 3.0, 1e-323).breakpoints_between(0.0, 2e-323) == [5e-324, 1e-323, 1.5e-323]
+
     def test_periodic_extension_negative_times(self):
         cap = TwoPhase(1.0, 3.0, 2.0)
         assert cap.at(-2.0) == cap.at(0.0)

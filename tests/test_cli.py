@@ -139,6 +139,44 @@ class TestClosedForm:
         assert all(float(row[3]) <= 1e-5 * float(row[2]) for row in rows)
 
 
+    @pytest.mark.parametrize(
+        "schedule, p0, t0, t_end, dt",
+        [
+            ("constant:2", "0.5", "0", "5", "0.5"),
+            ("constant:-0.5", "1.5", "0.25", "4", "0.75"),
+            # t0 inside a cycle, samples on every switch time
+            ("twophase:1,3,2", "0.8", "0.5", "9", "0.5"),
+            ("twophase:-1,3,2", "2.5", "1.5", "9", "0.25"),
+            ("twophase:1,3,2", "0", "0.3", "6", "0.5"),
+            ("sinusoid:2,0.5,3", "0.5", "0.7", "12", "0.7"),
+            ("sinusoid:0.3,1,2", "0", "0", "4", "0.5"),
+            # samples on the table's knots
+            ("table", "1.5", "0.25", "5.5", "0.25"),
+        ],
+    )
+    def test_csv_is_quadrature_solution_at_each_point(self, capsys, tmp_path, schedule, p0, t0, t_end, dt):
+        if schedule == "table":
+            knots = np.linspace(0.0, 6.0, 13)
+            rows = [f"{float(t)!r},{float(m)!r}" for t, m in zip(knots, 2.0 + np.sin(knots))]
+            path = tmp_path / "table.csv"
+            path.write_text("t,M\n" + "\n".join(rows) + "\n")
+            schedule = f"table:{path}"
+        code, out, err = run(
+            capsys,
+            "closed-form", "--schedule", schedule, "--r", "1.1", "--p0", p0, "--t0", t0,
+            "--t-end", t_end, "--dt", dt,
+        )
+        assert code == 0, err
+        cap, params = oscpop.parse_schedule(schedule), LogisticParams(1.1, float(p0), float(t0))
+        grid = cli._time_grid(params.t0, float(t_end), float(dt))
+        numeric = integrate_logistic(params, cap, float(grid[-1]), t_eval=grid).populations
+        want = ["t,P_closed,P_numeric,abs_diff"]
+        for t, p_num in zip(grid, numeric):
+            p_closed = quadrature_solution(params, cap, float(t))
+            want.append(",".join(_fmt(v) for v in (t, p_closed, p_num, abs(p_closed - p_num))))
+        assert out == "\n".join(want) + "\n"
+
+
 class TestTwoPhaseCommand:
     def test_report_and_csv(self, tmp_path, capsys):
         target = tmp_path / "square.csv"
@@ -287,6 +325,35 @@ class TestExitCodes:
         )
         assert code == 3
         assert "ExponentOverflowError" in err
+
+    def test_subnormal_square_wave_period_is_usage_error(self, capsys):
+        # half of 5e-324 rounds to 0, the spacing of the switch times
+        code, _, err = run(
+            capsys,
+            "simulate", "--schedule", "twophase:1,3,5e-324", "--r", "1", "--p0", "0.5",
+            "--t-end", "10", "--dt", "1",
+        )
+        assert code == 2
+        assert "half the period must be positive" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # u(h) underflows to 0
+            ["two-phase", "--schedule",
+             "twophase:33.13377201188973,0.08853049708031088,0.05126131047585376",
+             "--r", "5e-324", "--p0", "0.007321679144811101", "--t-end", "51.11324948079499",
+             "--dt", "0.20610181242256045"],
+            # p* underflows to 0
+            ["periodic", "--schedule", "sinusoid:0.12547141870543327,700,1.3104843637962589",
+             "--r", "5e-324", "--max-step", "0.0030027310082997236"],
+        ],
+        ids=["two-phase", "periodic"],
+    )
+    def test_subnormal_rate_cycle_is_domain_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "ExponentOverflowError" in err and "unrepresentable" in err
 
     def test_numerics_error(self, capsys):
         code, _, err = run(

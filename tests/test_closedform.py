@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oscpop import (
     PoleError,
     SinusoidOffset,
     SolverConfig,
+    Tabulated,
     TwoPhase,
     integrate_logistic,
     logistic_constant,
@@ -17,6 +19,7 @@ from oscpop import (
     reciprocal_solution,
     two_phase_trajectory,
 )
+from oscpop.closedform import _propagate
 
 TIGHT = SolverConfig(abs_tol=1e-13, rel_tol=1e-11)
 
@@ -134,6 +137,20 @@ class TestTwoPhaseClosedForm:
         for t, p in zip(traj.times, traj.populations):
             assert p == quadrature_solution(params, cap, float(t))
 
+    def test_fine_square_wave_keeps_nothing_per_piece(self):
+        # 200,000 switch times before t = 100: a list entry per piece would
+        # take tens of megabytes, the walk itself only its samples
+        cap, params = TwoPhase(1.0, 3.0, 1e-3), LogisticParams(1.0, 0.5)
+        tracemalloc.start()
+        try:
+            p = quadrature_solution(params, cap, 100.0)
+            traj = two_phase_trajectory(params, cap, 100.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p == traj.final == pytest.approx(2.0, rel=1e-3)
+        assert peak < 200_000
+
     def test_trajectory_continuous_across_switches(self):
         cap = TwoPhase(0.5, 2.5, 1.0)
         params = LogisticParams(2.0, 1.1, 0.0)
@@ -250,6 +267,27 @@ class TestQuadratureSolution:
         params = LogisticParams(1.0, 0.7, 0.0)
         with pytest.raises(ValueError):
             quadrature_solution(params, Constant(1.0), -0.5)
+
+
+class TestOnePassOverTimes:
+    # t0 inside a cycle, times on switch times and table knots, p0 = 0
+    @pytest.mark.parametrize(
+        "cap, params, dt",
+        [
+            (Constant(2.0), LogisticParams(1.0, 0.5), 0.5),
+            (Constant(-0.5), LogisticParams(1.3, 2.0, 0.25), 0.75),
+            (TwoPhase(1.0, 3.0, 2.0), LogisticParams(1.2, 0.8, 0.5), 0.5),
+            (TwoPhase(-1.0, 3.0, 2.0), LogisticParams(1.3, 2.5, 1.5), 0.25),
+            (TwoPhase(1.0, 3.0, 2.0), LogisticParams(1.0, 0.0, 0.3), 0.5),
+            (SinusoidOffset(2.0, 0.5, 3.0), LogisticParams(1.0, 0.5, 0.7), 0.75),
+            (Tabulated(np.linspace(0.0, 6.0, 13), 2.0 + np.sin(np.linspace(0.0, 6.0, 13))),
+             LogisticParams(1.0, 1.5, 0.25), 0.25),
+        ],
+    )
+    def test_each_value_is_the_single_time_value(self, cap, params, dt):
+        times = (params.t0 + dt * np.arange(20)).tolist()
+        alone = [reciprocal_solution(params, cap, t) for t in times]
+        assert _propagate(params, cap, times, None).tobytes() == np.array(alone).tobytes()
 
 
 class TestReciprocalSolution:

@@ -11,6 +11,8 @@ size the previous piece ended with. The one-piece sinusoid cases kept
 their step loop, so only their dense samples moved; the multi-piece
 square-wave and table cases were re-pinned in full.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,22 @@ def test_outputs_are_bit_identical(case, integrate, n_pieces, n_samples, final, 
     sampled = integrate(params, cap, t_end, t_eval=ts)
     assert [float(p).hex() for p in sampled.populations] == dense
     assert sampled.meta == stats
+
+
+@pytest.mark.parametrize("p0", [None, 0.0])
+@pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_step_samples_are_dense_output_at_the_step_ends(case, integrate, p0):
+    # without t_eval the samples are t0 and the step ends, and each is what
+    # t_eval at those times gives, bit for bit, with the same SolverStats
+    cap, params, t_end = CASES[case]
+    if t_end is None:
+        t_end = float(cap.times[-1])
+    if p0 is not None:
+        params = replace(params, p0=p0)
+    steps = integrate(params, cap, t_end)
+    sampled = integrate(params, cap, t_end, t_eval=steps.times)
+    assert steps.populations[0] == params.p0
+    assert steps.times.tobytes() == sampled.times.tobytes()
+    assert steps.populations.tobytes() == sampled.populations.tobytes()
+    assert steps.meta == sampled.meta

@@ -132,6 +132,17 @@ class TestFindPeriodicSolution:
         with pytest.raises(ExponentOverflowError):
             find_periodic_solution(1.0, TwoPhase(101.0, -100.0, 20.0))
 
+    @pytest.mark.parametrize(
+        "cap",
+        [
+            TwoPhase(33.13377201188973, 0.08853049708031088, 0.05126131047585376),  # u(h) = 0
+            SinusoidOffset(0.12547141870543327, 700.0, 1.3104843637962589),  # p* = 0
+        ],
+    )
+    def test_cycle_start_underflow_is_a_domain_error(self, cap):
+        with pytest.raises(ExponentOverflowError, match="unrepresentable"):
+            find_periodic_solution(5e-324, cap)
+
     def test_requires_declared_period(self):
         with pytest.raises(ValueError):
             find_periodic_solution(1.0, Constant(2.0))
