@@ -37,8 +37,10 @@ class SolverConfig:
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError(
+                f"tolerances must be positive and finite, got abs_tol={self.abs_tol}, rel_tol={self.rel_tol}"
+            )
         if not (0.0 < self.min_step < self.max_step):
             raise ValueError("need 0 < min_step < max_step")
         if self.max_iterations < 1:
@@ -322,41 +324,41 @@ class Tabulated(CapacitySchedule):
     def period(self) -> float | None:
         return self.declared_period
 
-    def _check(self, t: float) -> None:
-        lo, hi = self._knots[0], self._knots[-1]
-        if not lo <= t <= hi:
-            raise ScheduleRangeError(f"t={t} outside sampled range [{lo}, {hi}]")
+    def _locate(self, t: float) -> int:
+        # the one range check and segment lookup behind every query: segment k
+        # runs from knot k to knot k + 1, and the last knot is in the last one
+        knots = self._knots
+        if not knots[0] <= t <= knots[-1]:
+            raise ScheduleRangeError(f"t={t} outside sampled range [{knots[0]}, {knots[-1]}]")
+        return min(bisect.bisect_right(knots, t) - 1, len(knots) - 2)
 
-    def _segment(self, t: float) -> int:
-        k = bisect.bisect_right(self._knots, t) - 1
-        return min(max(k, 0), len(self._knots) - 2)
-
-    def at(self, t: float) -> float:
+    def _value(self, t: float, k: int) -> float:
         # np.interp's rule, without its per-call array conversion: a knot
         # returns its sample, any other t the segment's line from its left knot
-        self._check(t)
-        knots = self._knots
-        k = bisect.bisect_right(knots, t) - 1
-        if k == len(knots) - 1 or knots[k] == t:
-            return self._vals[k]
-        return float(self._slope(k) * (t - knots[k]) + self._vals[k])
+        knots, vals = self._knots, self._vals
+        if t == knots[k]:
+            return vals[k]
+        if t == knots[k + 1]:  # the last knot, the one right end _locate gives
+            return vals[k + 1]
+        return float(self._slope(k) * (t - knots[k]) + vals[k])
+
+    def at(self, t: float) -> float:
+        return self._value(t, self._locate(t))
 
     def _cumulative(self, t: float) -> float:
-        k = self._segment(t)
-        return float(self._cum[k] + (t - self._knots[k]) * 0.5 * (self._vals[k] + self.at(t)))
+        k = self._locate(t)
+        return float(self._cum[k] + (t - self._knots[k]) * 0.5 * (self._vals[k] + self._value(t, k)))
 
     def integral(self, t0: float, t1: float) -> float:
         _require_ordered(t0, t1)
-        self._check(t0)
-        self._check(t1)
-        return self._cumulative(t1) - self._cumulative(t0)
+        start = self._cumulative(t0)  # first, so a t0 out of range is the one named
+        return self._cumulative(t1) - start
 
     def derivative(self, t: float) -> float:
-        self._check(t)
-        idx = bisect.bisect_left(self._knots, t)
-        if idx < len(self._knots) and self._knots[idx] == t:
+        k = self._locate(t)
+        if t == self._knots[k] or t == self._knots[k + 1]:
             raise NonDifferentiableError(f"capacity has a sample kink at t={t}")
-        return self._slope(self._segment(t))
+        return self._slope(k)
 
     def _slope(self, k: int) -> float:
         v, t = self._vals, self._knots
@@ -367,9 +369,11 @@ class Tabulated(CapacitySchedule):
         return knots[bisect.bisect_right(knots, t0):bisect.bisect_left(knots, t1)]
 
     def _piece(self, lo: float, hi: float):
-        self._check(lo)
-        self._check(hi)
-        k = self._segment(0.5 * (lo + hi))
+        # pieces are cut at the knots, so the segment of the midpoint is lo's,
+        # or hi's where the midpoint rounds onto hi
+        k, k_hi = self._locate(lo), self._locate(hi)
+        if 0.5 * (lo + hi) == hi:
+            k = k_hi
         v0, t0, slope = self._vals[k], self._knots[k], self._slope(k)
         return (lambda t: v0 + slope * (t - t0)), (lambda t: slope)
 

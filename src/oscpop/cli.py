@@ -474,6 +474,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a grid or window too large to allocate is a usage error
+        print(f"error: out of memory: {str(exc) or 'request too large'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -46,8 +46,8 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.transient < 0 or self.window < 4:
             raise ValueError("need transient >= 0 and window >= 4")
-        if not self.match_tol > 0.0:
-            raise ValueError("match_tol must be positive")
+        if not 0.0 < self.match_tol < math.inf:
+            raise ValueError(f"match_tol must be positive and finite, got {self.match_tol}")
 
 
 _ESCAPE_BOUND = 10.0  # |normalized value| past which an orbit has diverged

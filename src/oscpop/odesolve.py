@@ -6,8 +6,8 @@ Dense output is the pair's own 4th-order interpolant (Shampine 1986;
 Hairer, Norsett and Wanner, Solving ODEs I, II.6, dopri5's contd5), one
 order above a cubic Hermite, so a sampled orbit is as accurate as the
 steps it comes from and needs no extra step-size cap. Each accepted step
-stores one more float for it, and sampling is one vectorized pass over
-the accepted steps, linear in steps plus samples.
+is one row of seven floats, and sampling is one vectorized pass over
+the rows, linear in steps plus samples.
 
 ``_rk45`` is the one step loop of both integrators and the hot path of
 every long run. It walks the schedule's pieces itself and binds its
@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -117,12 +116,12 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
     the controller's last proposal before the clip to the previous
     piece's end (a sixteenth of the span for the first piece). With
     shift, y is W = P - M/2: each piece restarts W from the carried P,
-    and P = W + M/2 is reported. Each accepted step is a tuple (t0, t1,
-    y0, y1, f0, f1, dk): f0/f1 are the slopes at its ends and dk the
-    continuous-extension combination of its stages. Every step has
-    t1 > t0: a step size that no longer moves t raises StiffnessError.
-    max_iterations caps the attempted steps of the whole call, and a
-    non-finite t_end raises ValueError before any step.
+    and P = W + M/2 is reported. Each accepted step adds the row (t0,
+    t1, y0, y1, f0, f1, dk) to one flat record: f0/f1 are its end slopes
+    and dk the continuous-extension combination of its stages. Every
+    step has t1 > t0: a step size that no longer moves t raises
+    StiffnessError. max_iterations caps the attempted steps of the whole
+    call, and a non-finite t_end raises ValueError before any step.
     """
     cfg = cfg or SolverConfig()
     t0, p0 = params.t0, params.p0
@@ -143,8 +142,8 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
     safety, min_factor, max_factor, err_floor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_FLOOR
     abs_tol, rel_tol, max_step, min_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step, cfg.min_step
     isfinite = math.isfinite
-    steps: list[tuple] = []
-    append = steps.append
+    record: list[float] = []
+    extend = record.extend
     # (hi, M) at each piece end; only the M/2 shift reads them
     ends: list[tuple] = []
     left = cfg.max_iterations
@@ -192,7 +191,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
             if err <= 1.0:
                 t_new = hi if hi - t_next <= snap else t_next
                 dk = d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7
-                append((t, t_new, y, y_new, k1, k7, dk))
+                extend((t, t_new, y, y_new, k1, k7, dk))
                 n_acc += 1
                 if h < h_min:
                     h_min = h
@@ -228,10 +227,13 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
             y = y + 0.5 * m(hi)
             ends.append((hi, m))
     meta = SolverStats(
-        solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min if steps else 0.0, h_max
+        solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min if n_acc else 0.0, h_max
     )
+    # the record becomes the (n, 7) step array, released before sampling
+    steps = np.array(record).reshape(n_acc, 7)
+    record.clear()
     if t_eval is None:
-        t_eval = [t0] + [s[1] for s in steps]  # theta = 1 gives each end value exactly
+        t_eval = np.concatenate(([t0], steps[:, 1]))  # theta = 1 gives each end value exactly
     ts = _check_eval_times(t_eval, t0, t_end)
     out = _sample_steps(steps, ts)
     if shift:
@@ -258,15 +260,15 @@ def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
     return ts
 
 
-def _sample_steps(steps: list[tuple], ts: np.ndarray) -> np.ndarray:
+def _sample_steps(steps, ts: np.ndarray) -> np.ndarray:
     """Continuous-extension dense output at ts, in one vectorized pass.
 
-    A sample on a step end belongs to the step that ends there, and is
-    that step's end value exactly; samples past the last end use the
-    last step.
+    steps holds one row (t0, t1, y0, y1, f0, f1, dk) per step. A sample
+    on a step end is the end value of the step that ends there, exactly;
+    samples past the last end use the last step.
     """
-    n = len(steps)
-    cols = np.fromiter(chain.from_iterable(steps), float, 7 * n).reshape(n, 7)
+    cols = np.asarray(steps, dtype=float)
+    n = len(cols)
     k = np.minimum(np.searchsorted(cols[:, 1], ts, side="left"), n - 1)
     t0, t1, y0, y1, f0, f1, dk = cols[k].T
     dt = t1 - t0

@@ -40,6 +40,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"abs_tol": math.inf}, {"rel_tol": math.inf}, {"rel_tol": math.nan}]
+    )
+    def test_rejects_non_finite_tolerances(self, kwargs):
+        # an infinite tolerance accepts every step, and the state diverges
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            SolverConfig(**kwargs)
+
 
 class TestConstant:
     def test_value_everywhere(self):

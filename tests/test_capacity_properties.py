@@ -7,7 +7,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oscpop import Constant, SinusoidOffset, Tabulated, TwoPhase  # noqa: E402
+from oscpop import (  # noqa: E402
+    Constant,
+    NonDifferentiableError,
+    ScheduleRangeError,
+    SinusoidOffset,
+    Tabulated,
+    TwoPhase,
+)
 
 INWARD = 1e-3  # one-sided limits are compared with M this far into a piece
 
@@ -108,3 +115,110 @@ def windows(draw):
 def test_table_breakpoints_are_the_sample_times_inside(w):
     cap, t0, t1 = w
     assert cap.breakpoints_between(t0, t1) == [float(b) for b in cap.times if t0 < b < t1]
+
+
+class ReferenceTable:
+    """Tabulated's answers, exceptions and messages rebuilt from numpy:
+    np.searchsorted locates segments and np.interp gives values."""
+
+    def __init__(self, times, values):
+        self.ts, self.vs = times, values
+        self.lo, self.hi = times.tolist()[0], times.tolist()[-1]
+        self.cum = np.concatenate(([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))))
+
+    def check(self, t):
+        if not self.lo <= t <= self.hi:
+            raise ScheduleRangeError(f"t={t} outside sampled range [{self.lo}, {self.hi}]")
+
+    def segment(self, t):
+        k = int(np.searchsorted(self.ts, t, side="right")) - 1
+        return min(max(k, 0), self.ts.size - 2)
+
+    def slope(self, k):
+        return float((self.vs[k + 1] - self.vs[k]) / (self.ts[k + 1] - self.ts[k]))
+
+    def at(self, t):
+        self.check(t)
+        return float(np.interp(t, self.ts, self.vs))
+
+    def cumulative(self, t):
+        k = self.segment(t)
+        return float(self.cum[k] + (t - self.ts[k]) * 0.5 * (self.vs[k] + self.at(t)))
+
+    def integral(self, t0, t1):
+        if t1 < t0:
+            raise ValueError(f"integral bounds out of order: {t0} > {t1}")
+        self.check(t0)
+        self.check(t1)
+        return self.cumulative(t1) - self.cumulative(t0)
+
+    def derivative(self, t):
+        self.check(t)
+        idx = int(np.searchsorted(self.ts, t))
+        if idx < self.ts.size and self.ts[idx] == t:
+            raise NonDifferentiableError(f"capacity has a sample kink at t={t}")
+        return self.slope(self.segment(t))
+
+    def piece(self, lo, hi):
+        self.check(lo)
+        self.check(hi)
+        k = self.segment(0.5 * (lo + hi))
+        return float(self.vs[k]), float(self.ts[k]), self.slope(k)
+
+
+def outcome(query, *args):
+    """The bits of a float answer, or the exception's type and message."""
+    try:
+        return float(query(*args)).hex()
+    except (ScheduleRangeError, NonDifferentiableError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def tables(draw):
+    """A table whose samples include +0.0 and -0.0, and its probe times:
+    every sample time (the last included), every midpoint, the float
+    neighbours of both, NaN, times well outside, and +0.0 and -0.0."""
+    gaps = draw(st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=12))
+    start = draw(st.sampled_from([0.0, -1.5]) | st.floats(-20.0, 20.0))
+    times = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    sample = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
+    values = np.array(draw(st.lists(sample, min_size=times.size, max_size=times.size)))
+    base = np.concatenate((times, 0.5 * (times[1:] + times[:-1])))
+    near = np.unique(np.concatenate((base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf))))
+    probes = [*near.tolist(), math.nan, float(times[0]) - 1.0, float(times[-1]) + 1.0, 0.0, -0.0]
+    return times, values, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=tables())
+def test_table_queries_match_the_reference_bit_for_bit(drawn):
+    times, values, probes = drawn
+    cap, ref = Tabulated(times, values), ReferenceTable(times, values)
+    first = float(times[0])
+    for t in probes:
+        assert outcome(cap.at, t) == outcome(ref.at, t)
+        assert outcome(cap.derivative, t) == outcome(ref.derivative, t)
+        assert outcome(cap.integral, first, t) == outcome(ref.integral, first, t)
+        assert outcome(cap.integral, t, first) == outcome(ref.integral, t, first)
+    ordered = sorted(t for t in probes if not math.isnan(t))
+    for a, b in zip(ordered[:-1], ordered[1:]):
+        assert outcome(cap.integral, a, b) == outcome(ref.integral, a, b)
+        # no sample time lies strictly between neighbouring probes, so one piece
+        try:
+            [(lo, hi, value, slope)] = cap.pieces(a, b)
+        except ScheduleRangeError as exc:
+            assert f"{type(exc).__name__}: {exc}" == outcome(ref.piece, a, b)
+            continue
+        v0, t0, s = ref.piece(a, b)
+        assert (lo, hi) == (a, b)
+        for t in (a, 0.5 * (a + b), b):
+            assert float(value(t)).hex() == (v0 + s * (t - t0)).hex()
+            assert float(slope(t)).hex() == s.hex()
+        assert value(np.array([a, b])).tobytes() == np.array([v0 + s * (a - t0), v0 + s * (b - t0)]).tobytes()
+
+
+def test_table_integral_with_both_ends_outside_names_t0():
+    cap = Tabulated.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.5, 0.0)])
+    with pytest.raises(ScheduleRangeError, match=r"^t=-1.0 outside sampled range \[0.0, 2.5\]$"):
+        cap.integral(-1.0, 4.0)

@@ -281,6 +281,15 @@ class TestBifurcationCommand:
 
 
 class TestExitCodes:
+    def test_memory_error_without_a_message_is_one_usage_line(self, capsys, monkeypatch):
+        # numpy's allocation failures carry a message (see
+        # test_nonfinite_times.py); a bare MemoryError gets a stock one
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_verify", exhausted)
+        assert run(capsys, "verify") == (2, "", "error: out of memory: request too large\n")
+
     def test_usage_error_unknown_schedule(self, capsys):
         code, _, err = run(
             capsys,
@@ -403,10 +412,16 @@ class TestExitCodes:
               "--dt", "1", "--regime-tol", "nan"], "regime_tol must be positive and finite, got nan"),
             (["two-phase", "--schedule", "twophase:1,3,2", "--r", "1", "--p0", "1", "--t-end", "4",
               "--dt", "1", "--regime-tol", "0"], "regime_tol must be positive and finite, got 0.0"),
+            (["simulate", "--schedule", "sinusoid:2,0.5,3", "--r", "1", "--p0", "0.5", "--t-end", "10",
+              "--dt", "1", "--rel-tol", "inf"], "tolerances must be positive and finite, got abs_tol=1e-10, rel_tol=inf"),
+            (["simulate", "--schedule", "sinusoid:2,0.5,3", "--r", "1", "--p0", "0.5", "--t-end", "10",
+              "--dt", "1", "--abs-tol", "inf"], "tolerances must be positive and finite, got abs_tol=inf, rel_tol=1e-08"),
+            (["bifurcation", "--rho-min", "1", "--rho-max", "3.5", "--steps", "6", "--match-tol", "inf"],
+             "match_tol must be positive and finite, got inf"),
         ],
         ids=["rho-max-inf", "rho-min-nan", "scan-r-inf", "fixed-point-tol-nan", "fixed-point-tol-inf",
              "fixed-point-tol-negative", "fixed-point-tol-1e-17", "fixed-point-tol-1e-300",
-             "regime-tol-nan", "regime-tol-zero"],
+             "regime-tol-nan", "regime-tol-zero", "rel-tol-inf", "abs-tol-inf", "match-tol-inf"],
     )
     def test_bad_scan_bound_or_tolerance_is_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

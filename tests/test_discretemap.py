@@ -164,6 +164,12 @@ class TestScanConfig:
         with pytest.raises(ValueError):
             ScanConfig(**kwargs)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_non_finite_match_tol(self, tol):
+        # an infinite tolerance would match any two window values
+        with pytest.raises(ValueError, match=f"match_tol must be positive and finite, got {tol}"):
+            ScanConfig(match_tol=tol)
+
 
 class TestBifurcationScan:
     def test_first_doubling_near_two(self):

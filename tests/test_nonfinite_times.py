@@ -9,9 +9,11 @@ TwoPhase.breakpoints_between into a loop that grows a list until memory
 runs out, and r = inf does the same to the panel points of the
 reciprocal-space quadrature, which double a distance that stays 0; a
 schedule that listed every switch time before its first piece would
-exhaust memory on a 1e-5 period over t = 100. Every call here therefore
-runs in a child process with a time limit and a 1 GiB address-space
-limit, so a regression fails the test instead of exhausting the machine.
+exhaust memory on a 1e-5 period over t = 100. A sample grid or scan
+window too large to allocate is a usage error of the CLI too. Every call
+here therefore runs in a child process with a time limit and a 1 GiB
+address-space limit, so a regression fails the test instead of
+exhausting the machine.
 """
 import json
 import os
@@ -89,6 +91,13 @@ CLI_CASES = [
 ]
 DENSE_SWITCHES = ["simulate", "--schedule", "twophase:1,3,1e-5", "--r", "1", "--p0", "0.5", "--t-end", "100",
                   "--dt", "10"]
+# each asks for an array of terabytes (the sample grid) or 14.9 GiB (the scan window)
+TOO_LARGE = [
+    ["simulate", "--schedule", "constant:1", "--r", "1", "--p0", "0.5", "--t-end", "1e9", "--dt", "1e-3"],
+    ["closed-form", "--schedule", "constant:1", "--r", "1", "--p0", "0.5", "--t-end", "1e12", "--dt", "1"],
+    ["two-phase", "--schedule", "twophase:1,3,2", "--r", "1", "--p0", "0.5", "--t-end", "1e12", "--dt", "1"],
+    ["bifurcation", "--rho-min", "1", "--rho-max", "2", "--steps", "2", "--window", "1000000000"],
+]
 
 
 def _limit_memory():
@@ -120,7 +129,7 @@ def library_errors():
 
 @pytest.fixture(scope="module")
 def cli_results():
-    return run_bounded(CLI_RUNS, json.dumps([argv for argv, _ in CLI_CASES] + [DENSE_SWITCHES]))
+    return run_bounded(CLI_RUNS, json.dumps([argv for argv, _ in CLI_CASES] + [DENSE_SWITCHES] + TOO_LARGE))
 
 
 @pytest.mark.parametrize(
@@ -165,4 +174,12 @@ def test_cli_exits_2_naming_the_argument(cli_results, case):
 
 
 def test_cli_exits_4_when_switches_outrun_the_budget(cli_results):
-    assert cli_results[-1] == [4, "ConvergenceError: step budget exhausted (max_iterations)\n"]
+    assert cli_results[len(CLI_CASES)] == [4, "ConvergenceError: step budget exhausted (max_iterations)\n"]
+
+
+@pytest.mark.parametrize("case", range(len(TOO_LARGE)), ids=lambda i: TOO_LARGE[i][0])
+def test_cli_exits_2_when_a_request_outgrows_memory(cli_results, case):
+    code, err = cli_results[len(CLI_CASES) + 1 + case]
+    assert code == 2
+    assert err.startswith("error: out of memory: Unable to allocate ")
+    assert err.count("\n") == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,21 @@ class TestIntegrateRiccati:
     def test_zero_span(self):
         traj = integrate_riccati(LogisticParams(1.0, 0.7, 1.0), Constant(2.0), 1.0)
         assert len(traj) == 1 and traj.final == 0.7
+
+
+@pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+def test_step_mode_keeps_one_record_per_step(integrate):
+    # one record per accepted step peaks near 215 B per step here, step
+    # rows and sampling temporaries included; keeping each step as a tuple
+    # of Python floats beside its array row peaked at 350-400 B per step
+    tracemalloc.start()
+    try:
+        traj = integrate(LogisticParams(1.0, 0.5), SinusoidOffset(2.0, 0.5, 3.0), 200.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.meta.n_accepted > 3000
+    assert peak / traj.meta.n_accepted < 280
 
 
 class TestAdaptiveQuadrature:
