@@ -206,6 +206,7 @@ def _cmd_two_phase(args) -> int:
     cfg = _solver_config(args)
     if not isinstance(cap, TwoPhase):
         raise ValueError("two-phase command requires a twophase: schedule")
+    _time_grid(params.t0, args.t_end, args.dt)  # the grid rule of every sampling command
     traj = two_phase_trajectory(params, cap, args.t_end, args.dt)
     rows = [(t, p, cap.at(float(t))) for t, p in zip(traj.times, traj.populations)]
     report = two_phase_deductions(params, cap, cfg, regime_tol=args.regime_tol)

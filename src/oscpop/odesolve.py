@@ -120,8 +120,9 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
     t1, y0, y1, f0, f1, dk) to one flat record: f0/f1 are its end slopes
     and dk the continuous-extension combination of its stages. Every
     step has t1 > t0: a step size that no longer moves t raises
-    StiffnessError. max_iterations caps the attempted steps of the whole
-    call, and a non-finite t_end raises ValueError before any step.
+    StiffnessError, and a trial is accepted only when err <= 1 and y1 is
+    finite. Before any step, a bad t_end or t_eval raises ValueError;
+    max_iterations caps the attempted steps of the whole call.
     """
     cfg = cfg or SolverConfig()
     t0, p0 = params.t0, params.p0
@@ -132,6 +133,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
         raise ValueError("t_end must not precede the initial time")
     if t_end == t0:
         return Trajectory(np.array([t0]), np.array([p0]), SolverStats(solver))
+    ts = None if t_eval is None else _check_eval_times(t_eval, t0, t_end)
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
@@ -147,7 +149,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
     # (hi, M) at each piece end; only the M/2 shift reads them
     ends: list[tuple] = []
     left = cfg.max_iterations
-    n_acc = n_rej = n_pieces = 0
+    n_rej = n_pieces = 0
     h_min, h_max = math.inf, 0.0
     y, h = p0, None
     for lo, hi, m, dm in cap.pieces(t0, t_end):
@@ -183,16 +185,13 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
             k6 = f(t_next, y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))
             y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
             k7 = f(t_next, y_new)
-            if not (isfinite(y_new) and isfinite(k7) and isfinite(k2 + k3 + k4 + k5 + k6)):
-                raise DivergenceError(f"non-finite state near t={t_next}")
             err_abs = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
             size, size_new = abs(y), abs(y_new)
             err = abs(err_abs) / (abs_tol + rel_tol * (size_new if size_new > size else size))
-            if err <= 1.0:
+            if err <= 1.0 and isfinite(y_new):
                 t_new = hi if hi - t_next <= snap else t_next
                 dk = d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7
                 extend((t, t_new, y, y_new, k1, k7, dk))
-                n_acc += 1
                 if h < h_min:
                     h_min = h
                 if h > h_max:
@@ -214,7 +213,9 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
                     h = max_step
             else:
                 n_rej += 1
-                factor = safety * err ** -0.2
+                # an overflowed trial (err NaN, or 0 beside an infinite
+                # y_new) takes the smallest factor
+                factor = safety * err ** -0.2 if err > 1.0 else min_factor
                 h *= factor if factor > min_factor else min_factor
                 if h < min_step:
                     raise StiffnessError(
@@ -226,16 +227,17 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
         if shift:
             y = y + 0.5 * m(hi)
             ends.append((hi, m))
-    meta = SolverStats(
-        solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min if n_acc else 0.0, h_max
-    )
+    n_acc = len(record) // 7
+    # every piece spans lo < hi, so at least one step was accepted
+    meta = SolverStats(solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min, h_max)
     # the record becomes the (n, 7) step array, released before sampling
     steps = np.array(record).reshape(n_acc, 7)
     record.clear()
-    if t_eval is None:
-        t_eval = np.concatenate(([t0], steps[:, 1]))  # theta = 1 gives each end value exactly
-    ts = _check_eval_times(t_eval, t0, t_end)
-    out = _sample_steps(steps, ts)
+    if ts is None:  # the record's own columns: the step ends and their values
+        ts = np.concatenate(([t0], steps[:, 1]))
+        out = np.concatenate(([p0], steps[:, 3]))
+    else:
+        out = _sample_steps(steps, ts)
     if shift:
         # each piece shifts a contiguous slice of ts; a sample on a piece's
         # end stays with that piece, as does any past the last end
@@ -335,9 +337,12 @@ def adaptive_quadrature(f, a, b, mandatory_points=(), cfg=None) -> float:
     largest estimate is bisected until the summed estimate is at most
     max(abs_tol, rel_tol * |result|). Each bisection spends one unit of
     max_iterations; running out, or a panel too narrow to bisect, raises
-    ConvergenceError. f is called with one float at a time.
+    ConvergenceError. f is called with one float at a time; non-finite
+    bounds raise ValueError before any call.
     """
     cfg = cfg or SolverConfig()
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"quadrature needs finite bounds, got a={a}, b={b}")
     if b < a:
         raise ValueError("integration bounds out of order")
     if a == b:

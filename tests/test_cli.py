@@ -213,6 +213,17 @@ class TestTwoPhaseCommand:
         assert code == 0
         assert "do not saturate" in err
 
+    @pytest.mark.parametrize(
+        "t_end, dt, message",
+        [("0", "1", "--t-end must exceed --t0"), ("-1", "1", "--t-end must exceed --t0"),
+         ("4", "-1", "--dt must be positive"), ("4", "nan", "--dt must be positive")],
+    )
+    def test_grid_rule_is_the_one_of_simulate(self, capsys, t_end, dt, message):
+        grid = ["--r", "1", "--p0", "0.5", "--t-end", t_end, "--dt", dt]
+        for command in ("two-phase", "simulate"):
+            code, out, err = run(capsys, command, "--schedule", "twophase:1,3,2", *grid)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_requires_square_wave_schedule(self, capsys):
         code, _, err = run(
             capsys,
@@ -363,6 +374,24 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert "ExponentOverflowError" in err and "unrepresentable" in err
+
+    def test_long_piece_is_not_a_divergence(self, capsys):
+        # the first trial step of each long piece overflows and is rejected
+        code, out, err = run(
+            capsys,
+            "simulate", "--schedule", "constant:1", "--r", "1", "--p0", "0.5",
+            "--t-end", "30000", "--dt", "7500",
+        )
+        assert code == 0, err
+        t, p, _ = out.splitlines()[-1].split(",")
+        assert float(t) == 30000.0 and float(p) == pytest.approx(1.0, abs=1e-8)
+        code, out, err = run(
+            capsys,
+            "periodic", "--schedule", "twophase:1,3,20000", "--r", "1",
+            "--max-iterations", "1000000", "--output", "-",
+        )
+        assert code == 0, err
+        assert "p_star                 = 3" in err.splitlines()
 
     def test_numerics_error(self, capsys):
         code, _, err = run(

@@ -78,8 +78,8 @@ print(json.dumps(out))
 
 GRID = ["--r", "1", "--p0", "1"]
 CLI_CASES = [
-    (["two-phase", "--schedule", "twophase:1,3,2", *GRID, "--t-end", "4", "--dt", "inf"], "dt_sample"),
-    (["two-phase", "--schedule", "twophase:1,3,2", *GRID, "--t-end", "inf", "--dt", "1"], "t_end"),
+    (["two-phase", "--schedule", "twophase:1,3,2", *GRID, "--t-end", "4", "--dt", "inf"], "--dt"),
+    (["two-phase", "--schedule", "twophase:1,3,2", *GRID, "--t-end", "inf", "--dt", "1"], "--t-end"),
     (["simulate", "--schedule", "twophase:1,3,2", *GRID, "--t-end", "4", "--dt", "inf"], "--dt"),
     (["simulate", "--schedule", "constant:1", *GRID, "--t-end", "inf", "--dt", "1"], "--t-end"),
     (["simulate", "--schedule", "constant:1", *GRID, "--t-end", "4", "--dt", "inf"], "--dt"),

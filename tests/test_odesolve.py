@@ -22,7 +22,7 @@ from oscpop import (
     logistic_constant,
     quadrature_solution,
 )
-from oscpop.odesolve import SolverStats
+from oscpop.odesolve import SolverStats, _rk45
 
 TIGHT = SolverConfig(abs_tol=1e-13, rel_tol=1e-11)
 
@@ -122,6 +122,18 @@ class TestIntegrateLogistic:
         with pytest.raises(ValueError):
             integrate_logistic(LogisticParams(1.0, 0.5, 0.0), Constant(1.0), 4.0, t_eval=grid)
 
+    def test_malformed_eval_grid_fails_before_integrating(self):
+        # a run asks its schedule for pieces before its first RHS call
+        class Untouched(Constant):
+            def pieces(self, t0, t1):
+                raise AssertionError("integrated before t_eval was checked")
+
+        with pytest.raises(ValueError, match="strictly increasing"):
+            integrate_logistic(
+                LogisticParams(1, 0.5), Untouched(1.0), 1e9, SolverConfig(max_iterations=5),
+                t_eval=[1.0, 0.5],
+            )
+
     def test_stats_populated(self):
         traj = integrate_logistic(LogisticParams(1.0, 0.5, 0.0), Constant(1.0), 4.0)
         meta = traj.meta
@@ -143,6 +155,30 @@ class TestIntegrateLogistic:
         cfg = SolverConfig(max_step=1e-11, min_step=1e-13)
         with pytest.raises(StiffnessError, match="vanished"):
             integrate(LogisticParams(1.0, 0.5, 1e6), Constant(1.0), 1e6 + 1.0, cfg, t_eval=[1e6 + 0.5])
+
+    @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+    def test_overflowing_first_trial_is_a_rejected_step(self, integrate):
+        # the first trial, a sixteenth of the span, overflows its stages;
+        # it is rejected like any failed step and the run settles on M = 1
+        cfg = SolverConfig(max_iterations=10**5)
+        traj = integrate(LogisticParams(1, 0.5), Constant(1.0), 1e5, cfg)
+        assert abs(traj.final - 1.0) <= 1e-8
+        assert traj.meta.n_rejected > 0
+
+    def test_stiff_overflow_ends_in_stiffness_error(self):
+        # every trial overflows until the step is cut below min_step
+        with pytest.raises(StiffnessError, match="underflow"):
+            integrate_logistic(LogisticParams(1, 1), Constant(1e160), 1.0)
+
+    def test_infinite_trial_with_zero_error_is_rejected_without_raising(self):
+        # a slope of 1e308 everywhere: y1 overflows while the error estimate
+        # stays finite, so err is 0 against an infinite scale; the rejection
+        # must cut the step, not evaluate 0.0 ** -0.2
+        def rhs_on(m, dm):
+            return lambda t, y: 1e308
+
+        with pytest.raises(StiffnessError, match="underflow"):
+            _rk45(LogisticParams(1.0, 0.0), Constant(1.0), 100.0, None, None, rhs_on, "test", False)
 
     def test_step_budget_error(self):
         cfg = SolverConfig(max_iterations=3)
@@ -270,6 +306,20 @@ class TestAdaptiveQuadrature:
     def test_rejects_reversed_bounds(self):
         with pytest.raises(ValueError):
             adaptive_quadrature(math.sin, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (math.inf, math.inf)]
+    )
+    def test_rejects_non_finite_bounds(self, a, b):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.sin(x)
+
+        with pytest.raises(ValueError, match="finite bounds"):
+            adaptive_quadrature(f, a, b)
+        assert calls == []
 
     def test_budget_exhaustion(self):
         cfg = SolverConfig(abs_tol=1e-15, rel_tol=1e-15, max_iterations=1)

@@ -296,6 +296,14 @@ class TestTwoPhaseDeductions:
         assert rep.mean_condition_gap <= 1e-6
         assert rep.mean_population == pytest.approx(2.0, rel=1e-6)
 
+    def test_very_slow_switching_saturates(self):
+        # the orbit's first trial, a sixteenth of a 10,000-long phase,
+        # overflows its stages and is rejected like any failed step
+        cfg = SolverConfig(max_iterations=10**6)
+        rep = two_phase_deductions(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 20000.0), cfg)
+        assert rep.saturated
+        assert max(rep.plateau_gaps) <= 1e-9
+
     def test_fast_switching_hovers_at_mean(self):
         cap = TwoPhase(1.0, 3.0, 0.05)
         rep = two_phase_deductions(LogisticParams(1.0, 0.5, 0.0), cap)

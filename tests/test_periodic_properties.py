@@ -1,10 +1,19 @@
-"""Property test of the periodic cycle's Floquet multiplier.
+"""Properties of the periodic cycle: its Floquet multiplier and its two
+forcing limits.
 
 Linearizing dP/dt = r (M - P) P about the cycle gives the multiplier
 exp(r * integral of (M - 2P)) over one period, and mean P = mean M on
 the cycle turns it into exp(-r * mass), mass being the integral of M
 over the period. Here it is the slope of the one-period map at p*,
 taken as a central difference of integrate_logistic.
+
+The limits are checked by their order in the period h, not by their
+constants. Fast forcing (first-order averaging; Sanders, Verhulst and
+Murdock, Averaging Methods in Nonlinear Dynamical Systems, 2007): with
+M = Mbar + m(t), I(t) the integral of m from 0 and Ibar its mean, the
+cycle is Mbar + r Mbar (I - Ibar) + O((r Mbar h)^2). Slow forcing
+(quasi-static tracking where M stays away from 0): the cycle is
+M - M' / (r M) + O(h^-2).
 """
 import math
 
@@ -64,3 +73,40 @@ def test_floquet_multiplier_is_exp_of_minus_r_mass(cycle):
     ]
     slope = (ends[0] - ends[1]) / (2.0 * NUDGE * p_star)
     assert slope == pytest.approx(math.exp(-r * cap.integral(0.0, h)), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "r, schedule",
+    [(1.5, lambda h: SinusoidOffset(2.0, 1.0, h)), (0.7, lambda h: TwoPhase(1.0, 3.0, h)),
+     (1.5, lambda h: SinusoidOffset(2.0, 1.5, h))],
+    ids=["sinusoid", "twophase", "sinusoid-deep"],
+)
+def test_fast_forcing_error_is_second_order_in_the_period(r, schedule):
+    errors = []
+    for h in (0.2, 0.1, 0.05, 0.025):
+        cap = schedule(h)
+        sol = find_periodic_solution(r, cap, TIGHT, fixed_point_tol=1e-10)
+        t, p = sol.orbit.times, sol.orbit.populations
+        mbar = cap.integral(0.0, h) / h
+        drift = np.array([cap.integral(0.0, s) for s in t]) - mbar * t  # I(t)
+        mean_drift = float(np.sum(0.5 * (drift[1:] + drift[:-1]) * np.diff(t))) / h
+        errors.append(float(np.max(np.abs(p - (mbar + r * mbar * (drift - mean_drift))))))
+    # a wrong first-order term leaves an O(h) error, a ratio near 2
+    assert [coarse / fine for coarse, fine in zip(errors, errors[1:])] == pytest.approx(
+        [4.0, 4.0, 4.0], abs=0.25
+    )
+
+
+@pytest.mark.parametrize("r, mean, amplitude", [(2.0, 2.0, 1.0), (0.5, 3.0, 1.5)])
+def test_slow_forcing_error_falls_as_the_period_squared(r, mean, amplitude):
+    scaled = []
+    for h in (50.0, 100.0, 200.0, 400.0):
+        cap = SinusoidOffset(mean, amplitude, h)
+        orbit = find_periodic_solution(r, cap).orbit
+        m = np.array([cap.at(s) for s in orbit.times])
+        dm = np.array([cap.derivative(s) for s in orbit.times])
+        scaled.append(float(np.max(np.abs(orbit.populations - (m - dm / (r * m))))) * h * h)
+    # a wrong M'/(r M) term leaves an O(1/h) error, so error * h^2 doubles
+    assert [fine / coarse for coarse, fine in zip(scaled, scaled[1:])] == pytest.approx(
+        [1.0, 1.0, 1.0], abs=0.1
+    )
