@@ -66,6 +66,14 @@ class CapacitySchedule:
         """Exact integral of M over [t0, t1]; requires t0 <= t1."""
         raise NotImplementedError
 
+    def _integrals_to(self, starts: np.ndarray, t1: float) -> list:
+        # integral from each of a float64 array of starts to t1, as floats, or
+        # the error of the first start that fails: closedform's quadrature
+        # weights take a whole batch of nodes at once. This maps integral over
+        # the starts, so any schedule works; Tabulated and SinusoidOffset
+        # override it with one pass that their integral also runs.
+        return [self.integral(t0, t1) for t0 in starts.tolist()]
+
     def derivative(self, t: float) -> float:
         raise NotImplementedError
 
@@ -242,10 +250,19 @@ class SinusoidOffset(CapacitySchedule):
         return self.mean + self.amplitude * math.sin(self._angle(t))
 
     def integral(self, t0: float, t1: float) -> float:
-        _require_ordered(t0, t1)
-        scale = self.period / TWO_PI
-        swing = math.cos(self._angle(t0)) - math.cos(self._angle(t1))
-        return self.mean * (t1 - t0) + self.amplitude * scale * swing
+        return self._integrals_to(np.array([t0], dtype=float), t1)[0]
+
+    def _integrals_to(self, starts: np.ndarray, t1: float) -> list:
+        # a loop, not numpy: np.cos need not round like math.cos on every
+        # CPU; what a batch saves is the cosine at t1, taken once
+        mean, period = self.mean, self.period
+        scale = self.amplitude * (period / TWO_PI)
+        end = math.cos(self._angle(t1))
+        out = []
+        for t0 in starts.tolist():
+            _require_ordered(t0, t1)
+            out.append(mean * (t1 - t0) + scale * (math.cos(TWO_PI * ((t0 % period) / period)) - end))
+        return out
 
     def derivative(self, t: float) -> float:
         return self.amplitude * (TWO_PI / self.period) * math.cos(self._angle(t))
@@ -288,7 +305,7 @@ class Tabulated(CapacitySchedule):
     times: np.ndarray
     values: np.ndarray
     declared_period: float | None = None
-    _cum: list = field(init=False, repr=False)
+    _cum: np.ndarray = field(init=False, repr=False)
     _knots: list = field(init=False, repr=False)
     _vals: list = field(init=False, repr=False)
 
@@ -308,7 +325,7 @@ class Tabulated(CapacitySchedule):
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_cum", cum.tolist())
+        object.__setattr__(self, "_cum", cum)
         object.__setattr__(self, "_knots", t.tolist())
         object.__setattr__(self, "_vals", v.tolist())
 
@@ -345,14 +362,30 @@ class Tabulated(CapacitySchedule):
     def at(self, t: float) -> float:
         return self._value(t, self._locate(t))
 
-    def _cumulative(self, t: float) -> float:
-        k = self._locate(t)
-        return float(self._cum[k] + (t - self._knots[k]) * 0.5 * (self._vals[k] + self._value(t, k)))
-
     def integral(self, t0: float, t1: float) -> float:
-        _require_ordered(t0, t1)
-        start = self._cumulative(t0)  # first, so a t0 out of range is the one named
-        return self._cumulative(t1) - start
+        return self._integrals_to(np.array([t0], dtype=float), t1)[0]
+
+    def _integrals_to(self, starts: np.ndarray, t1: float) -> list:
+        knots = self.times
+        ok = (starts <= t1) & (knots[0] <= starts) & (starts <= knots[-1]) & (knots[0] <= t1 <= knots[-1])
+        if not ok.all():
+            # the first failing start's error: bounds out of order, then that
+            # start out of range, then t1 out of range
+            bad = starts[ok.argmin()].item()
+            _require_ordered(bad, t1)
+            self._locate(bad)
+            self._locate(t1)
+        # the trapezoid area from the first knot to each start and to t1:
+        # segments found as _locate finds them, M by _value's knot rule; like
+        # Python floats, overflow gives inf quietly
+        t = np.append(starts, t1)
+        k = np.minimum(np.searchsorted(knots, t, side="right") - 1, knots.size - 2)
+        t_k, v_k, t_next, v_next = knots[k], self.values[k], knots[k + 1], self.values[k + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            line = (v_next - v_k) / (t_next - t_k) * (t - t_k) + v_k
+            value = np.where(t == t_k, v_k, np.where(t == t_next, v_next, line))
+            area = self._cum[k] + (t - t_k) * 0.5 * (v_k + value)
+            return (area[-1] - area[:-1]).tolist()
 
     def derivative(self, t: float) -> float:
         k = self._locate(t)

@@ -94,6 +94,13 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(**given)
 
 
+def _params(args) -> LogisticParams:
+    # LogisticParams admits p0 = inf (u = 0) for internal use only
+    if not math.isfinite(args.p0):
+        raise ValueError(f"--p0 must be finite, got {args.p0}")
+    return LogisticParams(args.r, args.p0, args.t0)
+
+
 def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     if not dt > 0.0:
         raise ValueError("--dt must be positive")
@@ -176,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     cap = parse_schedule(args.schedule)
-    params = LogisticParams(args.r, args.p0, args.t0)
+    params = _params(args)
     cfg = _solver_config(args)
     grid = _time_grid(params.t0, args.t_end, args.dt)
     traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
@@ -187,7 +194,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_closed_form(args) -> int:
     cap = parse_schedule(args.schedule)
-    params = LogisticParams(args.r, args.p0, args.t0)
+    params = _params(args)
     cfg = _solver_config(args)
     grid = _time_grid(params.t0, args.t_end, args.dt)
     traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
@@ -202,7 +209,7 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_two_phase(args) -> int:
     cap = parse_schedule(args.schedule)
-    params = LogisticParams(args.r, args.p0, args.t0)
+    params = _params(args)
     cfg = _solver_config(args)
     if not isinstance(cap, TwoPhase):
         raise ValueError("two-phase command requires a twophase: schedule")

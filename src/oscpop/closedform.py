@@ -24,7 +24,7 @@ import numpy as np
 
 from .capacity import CapacitySchedule, Constant, SolverConfig, TwoPhase
 from .errors import ExponentOverflowError, PoleError
-from .odesolve import SolverStats, Trajectory, adaptive_quadrature
+from .odesolve import SolverStats, Trajectory, _qag
 
 _MAX_EXPONENT = 700.0  # largest exponent exp() is allowed to take here
 _POLE_TOL = 1e-10  # relative size below which a denominator is a pole
@@ -119,6 +119,13 @@ def _constant_step(r: float, m: float, u: float, tau: float) -> float:
     return u * math.exp(-x) - math.expm1(-x) / m
 
 
+def _weight(exponent: float) -> float:
+    # math.exp of one float: np.exp need not round alike on every CPU
+    if exponent > _MAX_EXPONENT:
+        raise ExponentOverflowError(f"weight exponent {exponent:.3g} > {_MAX_EXPONENT:g}")
+    return math.exp(exponent)
+
+
 def _propagate(params, cap, times, cfg) -> np.ndarray:
     """u = 1/P at ascending times >= t0, each the exact step from (t0, 1/p0).
 
@@ -126,8 +133,9 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
     are walked once with the times, u carried across each cut, so memory
     is bounded by the times. Other schedules take a quadrature per time,
     panel points doubling away from t, as the weight is a boundary layer
-    of width ~1/(r max|M|) there. p0 = inf starts from u = 0; u = inf
-    (P = 0) is absorbing.
+    of width ~1/(r max|M|) there; each batch of panels takes the integral
+    of M from all its nodes in one call. p0 = inf starts from u = 0;
+    u = inf (P = 0) is absorbing.
     """
     r, t0 = params.r, params.t0
     u0 = math.inf if params.p0 == 0.0 else 1.0 / params.p0
@@ -150,19 +158,16 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
     width = 4.0 / spread if spread > 0.0 else math.inf
     for i, t in enumerate(times):
 
-        def weight(s: float, t: float = t) -> float:
-            exponent = -r * cap.integral(s, t)
-            if exponent > _MAX_EXPONENT:
-                raise ExponentOverflowError(f"weight exponent {exponent:.3g} > {_MAX_EXPONENT:g}")
-            return math.exp(exponent)
+        def weight(s: np.ndarray, t: float = t) -> list:
+            return [_weight(-r * x) for x in cap._integrals_to(s, t)]
 
         points = cap.breakpoints_between(t0, t)
         d = width
         while t - d > t0:
             points.append(t - d)
             d *= 2.0
-        forcing = adaptive_quadrature(weight, t0, t, points, cfg)
-        out[i] = u0 * weight(t0) + r * forcing
+        forcing = _qag(weight, t0, t, points, cfg)
+        out[i] = u0 * _weight(-r * cap.integral(t0, t)) + r * forcing
     return out
 
 

@@ -131,9 +131,9 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
         raise ValueError(f"integration needs finite bounds, got t_end={t_end}")
     if t_end < t0:
         raise ValueError("t_end must not precede the initial time")
+    ts = None if t_eval is None else _check_eval_times(t_eval, t0, t_end)
     if t_end == t0:
         return Trajectory(np.array([t0]), np.array([p0]), SolverStats(solver))
-    ts = None if t_eval is None else _check_eval_times(t_eval, t0, t_end)
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
@@ -337,8 +337,20 @@ def adaptive_quadrature(f, a, b, mandatory_points=(), cfg=None) -> float:
     largest estimate is bisected until the summed estimate is at most
     max(abs_tol, rel_tol * |result|). Each bisection spends one unit of
     max_iterations; running out, or a panel too narrow to bisect, raises
-    ConvergenceError. f is called with one float at a time; non-finite
-    bounds raise ValueError before any call.
+    ConvergenceError. f is called with one float at a time, panel by
+    panel in _rate's node order; non-finite bounds raise ValueError
+    before any call.
+    """
+    return _qag(lambda xs: [f(x) for x in xs.tolist()], a, b, mandatory_points, cfg)
+
+
+def _qag(f_nodes, a, b, mandatory_points, cfg) -> float:
+    """adaptive_quadrature over an integrand of a whole batch of nodes.
+
+    f_nodes takes the float64 array of _rate's nodes and returns f at
+    each node, in order, as floats. The starting panels are one batch and
+    each bisection's two halves another, and every panel is rated with
+    the float operations of rating it alone.
     """
     cfg = cfg or SolverConfig()
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -351,8 +363,7 @@ def adaptive_quadrature(f, a, b, mandatory_points=(), cfg=None) -> float:
     edges = [a, *inner, b]
     heap = []
     total = err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        value, e = _kronrod_panel(f, lo, hi)
+    for lo, hi, (value, e) in zip(edges[:-1], edges[1:], _rate(f_nodes, edges)):
         heap.append((-e, lo, hi, value))
         total += value
         err += e
@@ -367,8 +378,7 @@ def adaptive_quadrature(f, a, b, mandatory_points=(), cfg=None) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise ConvergenceError(f"quadrature panel at t={lo} too narrow to bisect")
-        left, e_left = _kronrod_panel(f, lo, mid)
-        right, e_right = _kronrod_panel(f, mid, hi)
+        (left, e_left), (right, e_right) = _rate(f_nodes, [lo, mid, hi])
         heapq.heappush(heap, (-e_left, lo, mid, left))
         heapq.heappush(heap, (-e_right, mid, hi, right))
         total += left + right - value
@@ -395,16 +405,30 @@ _KRONROD_CENTRE = 0.209482141084727828012999174891714
 _GAUSS_CENTRE = 0.417959183673469387755102040816327
 
 
-def _kronrod_panel(f, lo, hi):
-    """(K15 integral, |K15 - G7| error estimate) of f over [lo, hi]."""
-    centre = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    fc = f(centre)
-    kronrod = _KRONROD_CENTRE * fc
-    gauss = _GAUSS_CENTRE * fc
-    for x, wk, wg in _KRONROD_ROWS:
-        d = half * x
-        pair = f(centre - d) + f(centre + d)
-        kronrod += wk * pair
-        gauss += wg * pair
-    return kronrod * half, abs((kronrod - gauss) * half)
+# each panel's 15 nodes, as multiples of its half-width from its centre
+_NODE_OFFSETS = np.array([0.0, *(sign * row[0] for row in _KRONROD_ROWS for sign in (-1.0, 1.0))])
+
+
+def _rate(f_nodes, edges) -> list:
+    """(K15 integral, |K15 - G7| error estimate) of each panel between
+    consecutive edges, f evaluated at all their nodes in one call: panel
+    after panel, the centre, then centre - d and centre + d for each
+    Kronrod abscissa's half-width multiple d."""
+    e = np.array(edges, dtype=float)
+    centre = 0.5 * (e[:-1] + e[1:])
+    half = 0.5 * (e[1:] - e[:-1])
+    # centre + -d is centre - d; the centre itself is kept, not centre + 0.0
+    nodes = centre[:, None] + half[:, None] * _NODE_OFFSETS
+    nodes[:, 0] = centre
+    fx = f_nodes(nodes.ravel())
+    rated = []
+    for i, h in enumerate(half.tolist()):
+        row = fx[15 * i : 15 * i + 15]
+        kronrod = _KRONROD_CENTRE * row[0]
+        gauss = _GAUSS_CENTRE * row[0]
+        for (_, wk, wg), below, above in zip(_KRONROD_ROWS, row[1::2], row[2::2]):
+            pair = below + above
+            kronrod += wk * pair
+            gauss += wg * pair
+        rated.append((kronrod * h, abs((kronrod - gauss) * h)))
+    return rated

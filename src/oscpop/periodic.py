@@ -70,12 +70,17 @@ def period_map(
 
 
 def _orbit_grid(cap: CapacitySchedule, h: float) -> np.ndarray:
-    chunks: list[np.ndarray] = []
-    for i, (lo, hi, _, _) in enumerate(cap.pieces(0.0, h)):
-        n = 2 * max(8, round(_ORBIT_PANELS * (hi - lo) / (2.0 * h)))
-        grid = np.linspace(lo, hi, n + 1)
-        chunks.append(grid if i == 0 else grid[1:])
-    return np.concatenate(chunks)
+    # np.linspace(lo, hi, n + 1) on every piece, in one pass: i * step + lo,
+    # each piece's last point set to hi and its first left to the piece
+    # before; np.rint rounds halves to even, as round does
+    edges = np.array([0.0, *cap.breakpoints_between(0.0, h), h])
+    lo, width = edges[:-1], edges[1:] - edges[:-1]
+    n = 2 * np.maximum(8, np.rint(_ORBIT_PANELS * width / (2.0 * h))).astype(int)
+    ends = n.cumsum()
+    i = np.arange(1, ends[-1] + 1) - (ends - n).repeat(n)
+    grid = i * (width / n).repeat(n) + lo.repeat(n)
+    grid[ends - 1] = edges[1:]
+    return np.concatenate(([0.0], grid))
 
 
 def _require_positive_finite(name: str, value: float) -> None:
@@ -164,23 +169,69 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     )
     total = np.sum(hsum / 6.0 * terms)
     if n < y.size:
-        g0, g1 = x[-2] - x[-3], x[-1] - x[-2]
-        total += (
-            (2.0 * g1**2 + 3.0 * g0 * g1) / (6.0 * (g1 + g0)) * y[-1]
-            + (g1**2 + 3.0 * g0 * g1) / (6.0 * g0) * y[-2]
-            - g1**3 / (6.0 * g0 * (g0 + g1)) * y[-3]
-        )
+        total += _last_interval(y[-3:], x[-3:])
     return float(total)
 
 
-def _segment_slices(orbit: Trajectory, cap: CapacitySchedule):
-    t = orbit.times
-    for lo, hi, m, _ in cap.pieces(float(t[0]), float(t[-1])):
-        i0 = int(np.searchsorted(t, lo, side="left"))
-        i1 = int(np.searchsorted(t, hi, side="right")) - 1
-        if i1 - i0 < 2:
+def _last_interval(y: np.ndarray, x: np.ndarray):
+    # Cartwright's correction from the last three samples
+    g0, g1 = x[1] - x[0], x[2] - x[1]
+    return (
+        (2.0 * g1**2 + 3.0 * g0 * g1) / (6.0 * (g1 + g0)) * y[2]
+        + (g1**2 + 3.0 * g0 * g1) / (6.0 * g0) * y[1]
+        - g1**3 / (6.0 * g0 * (g0 + g1)) * y[0]
+    )
+
+
+def _segment_simpson(orbit: Trajectory, cap: CapacitySchedule, integrands) -> list[float]:
+    """Per array of integrands(M, P), the sum of _simpson over the orbit's
+    segments, one per smooth piece, bit for bit.
+
+    A sample on a cut is in both segments, so capacity jumps stay on panel
+    boundaries: a pair's left end takes the M of the piece it starts, its
+    right end that of the piece it ends. The pairs starting on even, and
+    on odd, samples are each weighted in one strided pass.
+    """
+    t, p = orbit.times, orbit.populations
+    lo, hi = float(t[0]), float(t[-1])
+    edges = [lo, *cap.breakpoints_between(lo, hi), hi]
+    first = np.searchsorted(t, edges[:-1], side="left").tolist()
+    end = np.searchsorted(t, edges[1:], side="right").tolist()
+    m_from, m_to, values = np.empty(t.size), np.empty(t.size), []
+    for (_, _, m, _), a, b in zip(cap.pieces(lo, hi), first, end):
+        if b - a < 3:
             raise ValueError("orbit sampling too coarse for a schedule segment")
-        yield m, t[i0 : i1 + 1], orbit.populations[i0 : i1 + 1]
+        m_from[a:b] = value = m(t[a:b])  # a later piece takes over a shared sample
+        values.append(value)
+    for a, b, value in zip(reversed(first), reversed(end), reversed(values)):
+        m_to[a:b] = value  # an earlier piece takes over a shared sample
+    weights = {}
+    for parity in {a % 2 for a in first}:
+        stop = parity + 2 * ((t.size - 1 - parity) // 2)  # past the last pair's left end
+        h0 = t[parity + 1 : stop + 1 : 2] - t[parity:stop:2]
+        h1 = t[parity + 2 : stop + 2 : 2] - t[parity + 1 : stop + 1 : 2]
+        hsum, ratio = h0 + h1, h0 / h1
+        weights[parity] = (stop, hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio)
+    totals = []
+    for y_from, y_to in zip(integrands(m_from, p), integrands(m_to, p)):
+        terms = {
+            parity: scale
+            * (
+                y_from[parity:stop:2] * w_left
+                + y_from[parity + 1 : stop + 1 : 2] * w_mid
+                + y_to[parity + 2 : stop + 2 : 2] * w_right
+            )
+            for parity, (stop, scale, w_left, w_mid, w_right) in weights.items()
+        }
+        total = 0.0
+        for a, b in zip(first, end):
+            # np.add.reduce is np.sum's own pairwise sum, as _simpson takes it
+            segment = np.add.reduce(terms[a % 2][a // 2 : a // 2 + (b - a - 1) // 2])
+            if (b - a) % 2 == 0:
+                segment += _last_interval(y_to[b - 3 : b], t[b - 3 : b])
+            total += float(segment)
+        totals.append(total)
+    return totals
 
 
 def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
@@ -191,12 +242,12 @@ def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
     Simpson on the orbit samples, segment by segment so capacity jumps
     stay on panel boundaries.
     """
-    num = 0.0
-    den = 0.0
-    for m, tt, pp in _segment_slices(orbit, cap):
-        mm = np.broadcast_to(m(tt), tt.shape)
-        num += _simpson(mm * pp - pp * pp, tt)
-        den += _simpson(pp * pp, tt)
+
+    def integrands(mm, pp):
+        square = pp * pp
+        return mm * pp - square, square
+
+    num, den = _segment_simpson(orbit, cap, integrands)
     if den <= 0.0:
         raise ValueError("orbit has no positive mass")
     return abs(num) / den
@@ -216,13 +267,12 @@ def square_deviation_identity(
     period; the two agree exactly on a true cycle since their
     difference is the same vanishing integral of P^2 - M P.
     """
-    lhs = 0.0
-    rhs = 0.0
-    for m, tt, pp in _segment_slices(sol.orbit, cap):
-        mm = np.broadcast_to(m(tt), tt.shape)
+
+    def integrands(mm, pp):
         dev = pp - 0.5 * mm
-        lhs += _simpson(dev * dev, tt)
-        rhs += _simpson(0.25 * mm * mm, tt)
+        return dev * dev, 0.25 * mm * mm
+
+    lhs, rhs = _segment_simpson(sol.orbit, cap, integrands)
     return lhs, rhs
 
 

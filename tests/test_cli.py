@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,24 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert message in err
+
+    @pytest.mark.parametrize("p0", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--schedule", "constant:1"],
+            ["closed-form", "--schedule", "sinusoid:2,0.5,3"],
+            ["two-phase", "--schedule", "twophase:1,3,2"],
+        ],
+        ids=["simulate", "closed-form", "two-phase"],
+    )
+    def test_non_finite_p0_is_usage_error(self, capsys, argv, p0):
+        # P = inf is u = 0, which the library admits but a start given on the
+        # command line may not be: it is refused before any numerics run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--r", "1", f"--p0={p0}", "--t-end", "4", "--dt", "1")
+        assert (code, out, err) == (2, "", f"error: --p0 must be finite, got {float(p0)}\n")
 
     @pytest.mark.parametrize(
         "argv, message",

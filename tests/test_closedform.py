@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oscpop import (
+    CapacitySchedule,
     Constant,
     ExponentOverflowError,
     LogisticParams,
@@ -248,6 +249,37 @@ class TestQuadratureSolution:
         cap = SinusoidOffset(2.4697327316602875, 0.6998981940009735, 2.707583727239136)
         ref = integrate_logistic(params, cap, 3.5, SolverConfig(abs_tol=1e-15, rel_tol=1e-13)).final
         assert quadrature_solution(params, cap, 3.5) == pytest.approx(ref, rel=1e-9)
+
+    def test_user_schedule_written_for_floats(self):
+        # a subclass outside the package, whose integral takes floats only:
+        # a plain bounds test and math.cos, both of which refuse an array
+        class FloatSinusoid(CapacitySchedule):
+            mean, amplitude, period = 2.0, 0.5, 3.0
+
+            def at(self, t):
+                return self.mean + self.amplitude * math.sin(2.0 * math.pi * t / self.period)
+
+            def integral(self, t0, t1):
+                assert type(t0) is float and type(t1) is float
+                if t1 < t0:
+                    raise ValueError("bounds out of order")
+                w = 2.0 * math.pi / self.period
+                return self.mean * (t1 - t0) + self.amplitude / w * (math.cos(w * t0) - math.cos(w * t1))
+
+            def derivative(self, t):
+                w = 2.0 * math.pi / self.period
+                return self.amplitude * w * math.cos(w * t)
+
+            def min_value(self):
+                return self.mean - self.amplitude
+
+            def max_value(self):
+                return self.mean + self.amplitude
+
+        params = LogisticParams(1.0, 1.0, 0.0)
+        for t in (4.0, 40.0):
+            want = quadrature_solution(params, SinusoidOffset(2.0, 0.5, 3.0), t, TIGHT)
+            assert quadrature_solution(params, FloatSinusoid(), t, TIGHT) == pytest.approx(want, rel=1e-9)
 
     def test_negative_capacity_below_float_range_is_a_domain_error(self):
         # M < 0 throughout: P decays like exp(-800), below the float range

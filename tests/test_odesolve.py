@@ -134,6 +134,18 @@ class TestIntegrateLogistic:
                 t_eval=[1.0, 0.5],
             )
 
+    @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+    def test_eval_grid_is_checked_on_an_empty_span(self, integrate):
+        # t_end == t0 returns the initial sample, but only for a grid that
+        # lies in [t0, t_end]; a reversed or out-of-range one is refused
+        params = LogisticParams(1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            integrate(params, Constant(1.0), 1.0, t_eval=[5.0, 2.5])
+        with pytest.raises(ValueError, match="within the integration interval"):
+            integrate(params, Constant(1.0), 1.0, t_eval=[2.5])
+        traj = integrate(params, Constant(1.0), 1.0, t_eval=[1.0])
+        assert traj.times.tolist() == [1.0] and traj.populations.tolist() == [0.5]
+
     def test_stats_populated(self):
         traj = integrate_logistic(LogisticParams(1.0, 0.5, 0.0), Constant(1.0), 4.0)
         meta = traj.meta

@@ -26,7 +26,7 @@ from oscpop import (
     time_average,
     two_phase_deductions,
 )
-from oscpop.periodic import _segment_slices, _simpson
+from oscpop.periodic import _simpson
 
 EPS = sys.float_info.epsilon
 
@@ -228,7 +228,9 @@ class TestSimpson:
         sol = find_periodic_solution(1.0, cap)
         t, p = sol.orbit.times, sol.orbit.populations
         assert _simpson(p, t) == float(simpson(p, x=t))
-        for m, tt, pp in _segment_slices(sol.orbit, cap):
+        for lo, hi, m, _ in cap.pieces(float(t[0]), float(t[-1])):
+            on_piece = (lo <= t) & (t <= hi)
+            tt, pp = t[on_piece], p[on_piece]
             mm = np.array([m(float(x)) for x in tt])
             assert _simpson(mm * pp - pp * pp, tt) == float(simpson(mm * pp - pp * pp, x=tt))
 
