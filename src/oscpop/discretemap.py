@@ -14,14 +14,15 @@ A grid steps as a numpy array, one column per point, in blocks; after
 each block, columns that escaped are recorded and columns whose last
 value repeats an earlier value of the block are retired. Once 15 or
 fewer columns remain, each finishes alone in a loop over Python floats,
-where Brent's cycle detection finds a repeat of any length.
-Both loops evaluate p + r (M - p) p in the same order, so every record
-is bit-identical to a step-by-step loop.
+in longer blocks under the same two rules. Both loops evaluate
+p + r (M - p) p in the same order, so every record is bit-identical to
+a step-by-step loop.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -57,7 +58,10 @@ _COLUMNS = 1024  # grid points per pass, so memory stays a few window x 1024 arr
 # costs ~2.8 us from 8 to 48 columns and a Python-float column step in
 # _orbit ~180 ns, which break even at ~15 columns (BENCH_15 sweep)
 _NARROW = 15
-_CHUNK = 256  # Python-float steps between escape and repeat checks
+# Python-float steps between escape and repeat checks; a block retires only
+# cycles shorter than itself, such as the exact 160- and 480-step cycles
+# at rho = 2.80095 and 2.647325, and 512 timed faster than 768 to 2048
+_CHUNK = 512
 
 
 def _iterate(r: float, m: np.ndarray, rows: np.ndarray) -> None:
@@ -102,23 +106,20 @@ def _orbit(r: float, m: float, unit: float, p: float, t: int, transient: int, en
     Returns (values, escape, before): the values of steps max(t + 1,
     transient) .. end, or up to the step before `escape`, the first
     escaping step (None if there is none), and `before`, the value at
-    the step before it. Steps run in chunks of up to _CHUNK values. A
-    non-finite value stays non-finite and r p / unit is monotone in p,
-    so a chunk can escape only if its last value or one of its extremes
-    does; only then is it checked value by value, with the array rule.
-    Brent's cycle detection compares every value with a tortoise that
-    jumps ahead to the current value after 1, 2, 4, ... steps. Once a
-    value repeats bit for bit, the orbit, a function of that one float,
-    repeats from there on, and the rest is periodic extension.
+    the step before it. Blocks of up to _CHUNK steps are checked by the
+    array loop's rules. A non-finite value stays non-finite and r p / unit
+    is monotone in p, so a block can escape only if its last value or one
+    of its extremes does; only then is it checked value by value. A block
+    whose last value equals an earlier one retires the column, and the
+    rest of the window repeats the block's tail.
     """
     bound = _ESCAPE_BOUND
-    # x / 0.0 raises on Python floats; a NaN divisor sends every chunk to
+    # x / 0.0 raises on Python floats; a NaN divisor sends every block to
     # the array rule instead, which returns inf or nan as numpy does
     div = unit if unit else math.nan
     values: list[float] = []
-    tortoise, t_tortoise, power = p, t, 1
     while t < end:
-        n = min(_CHUNK, end - t, t_tortoise + power - t)
+        n = min(_CHUNK, end - t)
         start, chunk = p, _steps(r, m, p, n)
         p = chunk[-1]
         first = max(transient - t - 1, 0)  # first chunk index in the window
@@ -132,27 +133,19 @@ def _orbit(r: float, m: float, unit: float, p: float, t: int, transient: int, en
                 i = int(mask.argmax())
                 values += chunk[first:i]
                 return values, t + i + 1, chunk[i - 1] if i else start
-        if tortoise in chunk:
-            # == also matches 0.0 with -0.0, whose orbits differ
-            sign = math.copysign(1.0, tortoise)
-            hits = (i for i, v in enumerate(chunk) if v == tortoise and math.copysign(1.0, v) == sign)
-            i = next(hits, None)
-            if i is not None:
-                # x_s == x_(s-q), so x_(s+1) .. x_(s+q) repeat x_(s-q+1) .. x_s
-                values += chunk[first : i + 1]
-                s = t + i + 1
-                q = s - t_tortoise
-                cycle = _steps(r, m, tortoise, min(q, end - s))
-                # step u >= s + 1 holds cycle[(u - s - 1) % q]; the window
-                # still needs steps u0 .. end
-                u0 = max(s + 1, transient)
-                off = (u0 - s - 1) % q
-                values += (cycle * ((end - u0) // q + 2))[off : off + end - u0 + 1]
-                return values, None, p
         values += chunk[first:]
         t += n
-        if t == t_tortoise + power:
-            tortoise, t_tortoise, power = p, t, 2 * power
+        # x_t == x_(t-q) for the block's largest such q, so the steps after
+        # t repeat chunk[n - q:]. == also matches 0.0 with -0.0, which is
+        # safe: 0.0 maps to 0.0 and only -0.0 maps to -0.0, so an orbit
+        # holding both zeros maps -0.0 to 0.0 too
+        q = n if start == p else n - 1 - chunk.index(p)
+        if q:
+            # step t + 1 + i holds chunk[n - q + i % q]; the window still
+            # needs i = k .. end - t - 1
+            k = max(transient - t - 1, 0)
+            values += islice(cycle(chunk[n - q :]), k % q, k % q + end - t - k)
+            break
     return values, None, p
 
 

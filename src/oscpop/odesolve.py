@@ -233,11 +233,9 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
     # the record becomes the (n, 7) step array, released before sampling
     steps = np.array(record).reshape(n_acc, 7)
     record.clear()
-    if ts is None:  # the record's own columns: the step ends and their values
+    if ts is None:  # the step ends, where sampling returns each step's end value
         ts = np.concatenate(([t0], steps[:, 1]))
-        out = np.concatenate(([p0], steps[:, 3]))
-    else:
-        out = _sample_steps(steps, ts)
+    out = _sample_steps(steps, ts)
     if shift:
         # each piece shifts a contiguous slice of ts; a sample on a piece's
         # end stays with that piece, as does any past the last end

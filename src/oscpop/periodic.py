@@ -153,45 +153,72 @@ def find_periodic_solution(
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    # composite Simpson with the rules of scipy.integrate.simpson: the
-    # irregular-spacing formula on each pair of intervals and, for an even
-    # sample count, Cartwright's correction for the last interval
+    # composite Simpson with the rules of scipy.integrate.simpson
     if y.size == 2:
         return float(0.5 * (x[1] - x[0]) * (y[0] + y[1]))
-    n = y.size - 1 + y.size % 2  # samples covered by interval pairs
-    h = np.diff(x[:n])
-    h0, h1 = h[0::2], h[1::2]
-    hsum, ratio = h0 + h1, h0 / h1
-    terms = (
-        y[: n - 2 : 2] * (2.0 - 1.0 / ratio)
-        + y[1 : n - 1 : 2] * (hsum * (hsum / (h0 * h1)))
-        + y[2:n:2] * (2.0 - ratio)
-    )
-    total = np.sum(hsum / 6.0 * terms)
-    if n < y.size:
-        total += _last_interval(y[-3:], x[-3:])
-    return float(total)
+    return _simpson_segments(x, [0], [x.size], [(y, y)])[0]
 
 
-def _last_interval(y: np.ndarray, x: np.ndarray):
-    # Cartwright's correction from the last three samples
-    g0, g1 = x[1] - x[0], x[2] - x[1]
-    return (
-        (2.0 * g1**2 + 3.0 * g0 * g1) / (6.0 * (g1 + g0)) * y[2]
-        + (g1**2 + 3.0 * g0 * g1) / (6.0 * g0) * y[1]
-        - g1**3 / (6.0 * g0 * (g0 + g1)) * y[0]
-    )
+def _simpson_segments(t: np.ndarray, first, end, integrands) -> list[float]:
+    """Per pair (y_from, y_to) of arrays on t, composite Simpson by the rules
+    of scipy.integrate.simpson, bit for bit, summed over the segments t[a:b]
+    for a, b in zip(first, end). A pair of intervals takes y_from at its left
+    end and middle and y_to at its right end, so a sample on a cut can hold
+    one value in each segment. The pairs starting on even, and on odd,
+    samples are each weighted in one strided pass. Raises ValueError when a
+    product of gaps that the weights take leaves the normal float range.
+    """
+    # a pair's weights divide by the product of its two gaps and Cartwright's
+    # take g1**3: a subnormal product loses bits, an infinite one all of
+    # them (math.prod of Python floats rounds to inf where ** would raise)
+    k = 3 if any((b - a) % 2 == 0 for a, b in zip(first, end)) else 2
+    gaps = t[1:] - t[:-1]
+    lo, hi = (math.prod([float(g)] * k) for g in (gaps.min(), gaps.max()))
+    if not sys.float_info.min <= lo <= hi < math.inf:
+        raise ValueError("orbit sample spacing leaves the float range of the Simpson weights")
+    # each pair of intervals takes the irregular-spacing formula, and the
+    # last interval of an even sample count Cartwright's correction
+    weights = {}
+    for parity in {a % 2 for a in first}:
+        stop = parity + 2 * ((t.size - 1 - parity) // 2)  # past the last pair's left end
+        h0, h1 = gaps[parity:stop:2], gaps[parity + 1 : stop + 1 : 2]
+        hsum, ratio = h0 + h1, h0 / h1
+        weights[parity] = (stop, hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio)
+    totals = []
+    for y_from, y_to in integrands:
+        terms = {
+            parity: scale
+            * (
+                y_from[parity:stop:2] * w_left
+                + y_from[parity + 1 : stop + 1 : 2] * w_mid
+                + y_to[parity + 2 : stop + 2 : 2] * w_right
+            )
+            for parity, (stop, scale, w_left, w_mid, w_right) in weights.items()
+        }
+        # from the first segment's sum, not 0.0, so that one segment keeps
+        # scipy's sign of zero
+        total = None
+        for a, b in zip(first, end):
+            # np.add.reduce is np.sum's own pairwise sum, as scipy takes it
+            segment = np.add.reduce(terms[a % 2][a // 2 : a // 2 + (b - a - 1) // 2])
+            if (b - a) % 2 == 0:
+                # Cartwright's correction from the last three samples
+                (g0, g1), y = gaps[b - 3 : b - 1], y_to[b - 3 : b]
+                segment += (
+                    (2.0 * g1**2 + 3.0 * g0 * g1) / (6.0 * (g1 + g0)) * y[2]
+                    + (g1**2 + 3.0 * g0 * g1) / (6.0 * g0) * y[1]
+                    - g1**3 / (6.0 * g0 * (g0 + g1)) * y[0]
+                )
+            total = float(segment) if total is None else total + float(segment)
+        totals.append(total)
+    return totals
 
 
 def _segment_simpson(orbit: Trajectory, cap: CapacitySchedule, integrands) -> list[float]:
     """Per array of integrands(M, P), the sum of _simpson over the orbit's
-    segments, one per smooth piece, bit for bit.
-
-    A sample on a cut is in both segments, so capacity jumps stay on panel
-    boundaries: a pair's left end takes the M of the piece it starts, its
-    right end that of the piece it ends. The pairs starting on even, and
-    on odd, samples are each weighted in one strided pass.
-    """
+    segments, one per smooth piece, bit for bit. A sample on a cut is in
+    both segments, with each piece's M, so capacity jumps stay on panel
+    boundaries."""
     t, p = orbit.times, orbit.populations
     lo, hi = float(t[0]), float(t[-1])
     edges = [lo, *cap.breakpoints_between(lo, hi), hi]
@@ -205,33 +232,7 @@ def _segment_simpson(orbit: Trajectory, cap: CapacitySchedule, integrands) -> li
         values.append(value)
     for a, b, value in zip(reversed(first), reversed(end), reversed(values)):
         m_to[a:b] = value  # an earlier piece takes over a shared sample
-    weights = {}
-    for parity in {a % 2 for a in first}:
-        stop = parity + 2 * ((t.size - 1 - parity) // 2)  # past the last pair's left end
-        h0 = t[parity + 1 : stop + 1 : 2] - t[parity:stop:2]
-        h1 = t[parity + 2 : stop + 2 : 2] - t[parity + 1 : stop + 1 : 2]
-        hsum, ratio = h0 + h1, h0 / h1
-        weights[parity] = (stop, hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio)
-    totals = []
-    for y_from, y_to in zip(integrands(m_from, p), integrands(m_to, p)):
-        terms = {
-            parity: scale
-            * (
-                y_from[parity:stop:2] * w_left
-                + y_from[parity + 1 : stop + 1 : 2] * w_mid
-                + y_to[parity + 2 : stop + 2 : 2] * w_right
-            )
-            for parity, (stop, scale, w_left, w_mid, w_right) in weights.items()
-        }
-        total = 0.0
-        for a, b in zip(first, end):
-            # np.add.reduce is np.sum's own pairwise sum, as _simpson takes it
-            segment = np.add.reduce(terms[a % 2][a // 2 : a // 2 + (b - a - 1) // 2])
-            if (b - a) % 2 == 0:
-                segment += _last_interval(y_to[b - 3 : b], t[b - 3 : b])
-            total += float(segment)
-        totals.append(total)
-    return totals
+    return _simpson_segments(t, first, end, zip(integrands(m_from, p), integrands(m_to, p)))
 
 
 def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:

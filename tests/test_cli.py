@@ -347,6 +347,14 @@ class TestExitCodes:
         assert code == 3
         assert "ExponentOverflowError" in err
 
+    @pytest.mark.parametrize("schedule", ["sinusoid:2,0.5,1e-159", "twophase:1,3,1e-300"])
+    def test_orbit_too_fine_for_simpson_weights_is_usage_error(self, capsys, schedule):
+        # the gap products of the weights underflowed to 0: the command
+        # printed mean_population = inf and a nan residual, with exit 0
+        code, out, err = run(capsys, "periodic", "--schedule", schedule, "--r", "1")
+        assert code == 2
+        assert "float range of the Simpson weights" in err and "mean_population" not in out + err
+
     def test_subnormal_square_wave_period_is_usage_error(self, capsys):
         # half of 5e-324 rounds to 0, the spacing of the switch times
         code, _, err = run(

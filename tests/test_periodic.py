@@ -241,6 +241,39 @@ class TestSimpson:
         y = np.exp(-x) + rng.uniform(0.0, 1.0, n)
         assert _simpson(y, x) == float(simpson(y, x=x))
 
+    @pytest.mark.parametrize(
+        "r, cap",
+        [
+            (1.0, SinusoidOffset(2.0, 0.5, 1e-158)),
+            (1.0, TwoPhase(1.0, 3.0, 1e-300)),
+            (1e-158, SinusoidOffset(2.0, 0.5, 1e158)),
+        ],
+        ids=["subnormal-gap-products", "zero-gap-products", "infinite-gap-products"],
+    )
+    def test_gap_products_outside_the_normal_range_raise(self, r, cap):
+        # the middle weight hsum * (hsum / (h0 * h1)) rounds once h0 * h1 is
+        # subnormal: at period 1e-158 the cycle mean read 2.0212, not 2
+        sol = find_periodic_solution(r, cap)
+        for diagnostic in (lambda: time_average(sol), lambda: orbit_identity_residual(sol.orbit, cap)):
+            with pytest.raises(ValueError, match="float range of the Simpson weights"):
+                diagnostic()
+
+    @pytest.mark.parametrize("r, period", [(1.0, 1e-150), (1e-150, 1e150)])
+    def test_extreme_periods_inside_the_normal_range_keep_scipy(self, r, period):
+        cap = SinusoidOffset(2.0, 0.5, period)
+        sol = find_periodic_solution(r, cap)
+        t, p = sol.orbit.times, sol.orbit.populations
+        assert _simpson(p, t) == float(simpson(p, x=t))
+        assert time_average(sol) == pytest.approx(2.0, rel=1e-9)
+
+    def test_cartwright_term_takes_three_gaps(self):
+        # g1**3 underflows at gaps of 1e-110, where scipy reads 37/12 for 3;
+        # without the last-interval term the same gaps are in range
+        x = 1e-110 * np.arange(4.0)
+        with pytest.raises(ValueError, match="float range"):
+            _simpson(np.ones(4), x)
+        assert _simpson(np.ones(3), x[:3]) == float(simpson(np.ones(3), x=x[:3]))
+
 
 class TestHalfPeakFraction:
     def test_equilibrium_far_from_half_peak(self):

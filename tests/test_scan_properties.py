@@ -73,13 +73,17 @@ def _scalar_attractor(r, m, p0, transient, window, match_tol, escape_bound):
     transient=st.integers(0, 2000),
     window=st.integers(4, 400),
 )
+# -0.0 maps to itself for rho > 0, and to 0.0 for rho < 0, where the
+# Python-float block rule's == matches the two zeros
+@example(r=1.0, rho=2.5, x0=-0.0, transient=0, window=4)
+@example(r=1.0, rho=-0.5, x0=-0.0, transient=0, window=8)
 def test_detect_attractor_equals_scalar_loop(r, rho, x0, transient, window):
     m = rho / r
     p0 = x0 * (1.0 + rho) / r
     rec = detect_attractor(r, m, p0, transient=transient, window=window)
     values, period, diverged = _scalar_attractor(r, m, p0, transient, window, ScanConfig().match_tol, 10.0)
     assert (rec.detected_period, rec.diverged) == (period, diverged)
-    assert np.array_equal(rec.attractor, values)
+    assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
 
 
 # At r = 1 the critical orbits of these controls land on exact
@@ -118,8 +122,9 @@ def test_default_scan_records_equal_scalar_loop(lo, hi, steps, r):
 
 def test_default_scan_examples_reach_every_path(monkeypatch):
     dm = oscpop.discretemap
-    seen = {"array_steps": 0, "orbits": 0}
-    iterate, orbit = dm._iterate, dm._orbit
+    seen = {"array_steps": 0, "orbits": 0, "float_steps": 0}
+    orbit_steps = []  # the Python-float steps of each _orbit call
+    iterate, orbit, steps = dm._iterate, dm._orbit, dm._steps
 
     def counted_iterate(r, m, rows):
         seen["array_steps"] += rows.shape[0] - 1
@@ -127,10 +132,18 @@ def test_default_scan_examples_reach_every_path(monkeypatch):
 
     def counted_orbit(*args):
         seen["orbits"] += 1
-        return orbit(*args)
+        before = seen["float_steps"]
+        result = orbit(*args)
+        orbit_steps.append(seen["float_steps"] - before)
+        return result
+
+    def counted_steps(r, m, p, n):
+        seen["float_steps"] += n
+        return steps(r, m, p, n)
 
     monkeypatch.setattr(dm, "_iterate", counted_iterate)
     monkeypatch.setattr(dm, "_orbit", counted_orbit)
+    monkeypatch.setattr(dm, "_steps", counted_steps)
     records = bifurcation_scan(*RETIRING[:3], r_fixed=RETIRING[3]).records
     # no point diverges, yet most leave the array steps within two blocks
     # and the rest finish on Python floats
@@ -140,7 +153,37 @@ def test_default_scan_examples_reach_every_path(monkeypatch):
     for rho in LONG_CYCLES:
         bits = iterate_map(1.0, rho, 0.5 * (1.0 + rho), 10_511).view(np.int64)
         q = next(q for q in range(1, 1000) if bits[-1] == bits[-1 - q])
-        assert q > dm._BLOCK and np.array_equal(bits[10_000 - q : 10_000], bits[10_000 : 10_000 + q])
+        assert dm._BLOCK < q < dm._CHUNK
+        assert np.array_equal(bits[10_000 - q : 10_000], bits[10_000 : 10_000 + q])
+    # too long for an array block, both cycles retire in a Python-float
+    # block before the window's last step
+    orbit_steps.clear()
+    bifurcation_scan(*LONG[:3], r_fixed=LONG[3])
+    end = ScanConfig().transient + ScanConfig().window - 1
+    assert len(orbit_steps) == len(LONG_CYCLES) and max(orbit_steps) < end
     records = bifurcation_scan(*ESCAPING[:3], r_fixed=ESCAPING[3]).records
     assert any(rec.diverged for rec in records)
     assert any(rec.detected_period is None and not rec.diverged for rec in records)
+
+
+def _grid_records():
+    scans = [bifurcation_scan(lo, hi, 2) for lo, hi in zip(EDGES, EDGES[1:])]
+    scans += [bifurcation_scan(*grid[:3], r_fixed=grid[3]) for grid in (RETIRING, LONG, ESCAPING, ZERO_UNIT)]
+    return [
+        (rec.control, rec.attractor.tobytes(), rec.detected_period, rec.diverged)
+        for scan in scans
+        for rec in scan.records
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name in ("_BLOCK", "_CHUNK", "_NARROW") for value in (1, 7, 10**6)]
+    + [("_NARROW", 0), ("_NARROW", 10**9)],
+)
+def test_records_do_not_depend_on_block_lengths(monkeypatch, name, value):
+    # which loop finishes a column, and at which step it retires, moves
+    # with these constants; the records must not
+    want = _grid_records()
+    monkeypatch.setattr(oscpop.discretemap, name, value)
+    assert _grid_records() == want
