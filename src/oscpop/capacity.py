@@ -7,16 +7,26 @@ clamped; parameters must be finite.
 """
 from __future__ import annotations
 
-import bisect
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NonDifferentiableError, ScheduleRangeError
+
+__all__ = [
+    "CapacitySchedule",
+    "Constant",
+    "TwoPhase",
+    "SinusoidOffset",
+    "Tabulated",
+    "SolverConfig",
+    "load_capacity_csv",
+    "parse_schedule",
+]
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,9 +128,10 @@ def _require_ordered(t0: float, t1: float) -> None:
 
 
 def _require_finite(schedule: CapacitySchedule) -> None:
+    # the float parameters; a table checks its sample arrays itself
     for f in fields(schedule):
-        value = getattr(schedule, f.name)
-        if value is not None and not math.isfinite(value):
+        value = getattr(schedule, f.name) if f.init else None
+        if value is not None and not isinstance(value, np.ndarray) and not math.isfinite(value):
             raise ValueError(f"schedule parameter {f.name} must be finite, got {value}")
 
 
@@ -306,8 +317,6 @@ class Tabulated(CapacitySchedule):
     values: np.ndarray
     declared_period: float | None = None
     _cum: np.ndarray = field(init=False, repr=False)
-    _knots: list = field(init=False, repr=False)
-    _vals: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -320,14 +329,13 @@ class Tabulated(CapacitySchedule):
             raise ValueError("samples must be finite")
         if not np.all(np.diff(t) > 0.0):
             raise ValueError("sample times must be strictly increasing")
-        if self.declared_period is not None and not self.declared_period > 0.0:
-            raise ValueError("declared_period must be positive")
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+        if self.declared_period is not None and not self.declared_period > 0.0:
+            raise ValueError("declared_period must be positive")
+        _require_finite(self)
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))))
         object.__setattr__(self, "_cum", cum)
-        object.__setattr__(self, "_knots", t.tolist())
-        object.__setattr__(self, "_vals", v.tolist())
 
     @classmethod
     def from_pairs(
@@ -341,26 +349,20 @@ class Tabulated(CapacitySchedule):
     def period(self) -> float | None:
         return self.declared_period
 
-    def _locate(self, t: float) -> int:
-        # the one range check and segment lookup behind every query: segment k
-        # runs from knot k to knot k + 1, and the last knot is in the last one
-        knots = self._knots
-        if not knots[0] <= t <= knots[-1]:
-            raise ScheduleRangeError(f"t={t} outside sampled range [{knots[0]}, {knots[-1]}]")
-        return min(bisect.bisect_right(knots, t) - 1, len(knots) - 2)
+    def _check(self, t: float) -> None:
+        # the one range check of every query
+        lo, hi = self.times[0], self.times[-1]
+        if not lo <= t <= hi:
+            raise ScheduleRangeError(f"t={t} outside sampled range [{lo}, {hi}]")
 
-    def _value(self, t: float, k: int) -> float:
-        # np.interp's rule, without its per-call array conversion: a knot
-        # returns its sample, any other t the segment's line from its left knot
-        knots, vals = self._knots, self._vals
-        if t == knots[k]:
-            return vals[k]
-        if t == knots[k + 1]:  # the last knot, the one right end _locate gives
-            return vals[k + 1]
-        return float(self._slope(k) * (t - knots[k]) + vals[k])
+    def _segments(self, t: np.ndarray) -> np.ndarray:
+        # the one segment lookup: segment k runs from knot k to knot k + 1, and
+        # the last knot is in the last one
+        return np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
 
     def at(self, t: float) -> float:
-        return self._value(t, self._locate(t))
+        self._check(t)
+        return float(np.interp(t, self.times, self.values))
 
     def integral(self, t0: float, t1: float) -> float:
         return self._integrals_to(np.array([t0], dtype=float), t1)[0]
@@ -373,48 +375,52 @@ class Tabulated(CapacitySchedule):
             # start out of range, then t1 out of range
             bad = starts[ok.argmin()].item()
             _require_ordered(bad, t1)
-            self._locate(bad)
-            self._locate(t1)
-        # the trapezoid area from the first knot to each start and to t1:
-        # segments found as _locate finds them, M by _value's knot rule; like
-        # Python floats, overflow gives inf quietly
+            self._check(bad)
+            self._check(t1)
+        # the trapezoid area from the first knot to each start and to t1, with
+        # M by at's rule; like Python floats, overflow gives inf quietly
         t = np.append(starts, t1)
-        k = np.minimum(np.searchsorted(knots, t, side="right") - 1, knots.size - 2)
-        t_k, v_k, t_next, v_next = knots[k], self.values[k], knots[k + 1], self.values[k + 1]
+        k = self._segments(t)
+        t_k, v_k = knots[k], self.values[k]
         with np.errstate(over="ignore", invalid="ignore"):
-            line = (v_next - v_k) / (t_next - t_k) * (t - t_k) + v_k
-            value = np.where(t == t_k, v_k, np.where(t == t_next, v_next, line))
-            area = self._cum[k] + (t - t_k) * 0.5 * (v_k + value)
+            area = self._cum[k] + (t - t_k) * 0.5 * (v_k + np.interp(t, knots, self.values))
             return (area[-1] - area[:-1]).tolist()
 
     def derivative(self, t: float) -> float:
-        k = self._locate(t)
-        if t == self._knots[k] or t == self._knots[k + 1]:
+        [(_, _, _, slope)] = self.pieces(t, t)  # t's segment, range-checked
+        if (self.times == t).any():
             raise NonDifferentiableError(f"capacity has a sample kink at t={t}")
-        return self._slope(k)
-
-    def _slope(self, k: int) -> float:
-        v, t = self._vals, self._knots
-        return (v[k + 1] - v[k]) / (t[k + 1] - t[k])
+        return slope(t)
 
     def breakpoints_between(self, t0: float, t1: float) -> list[float]:
-        knots = self._knots
-        return knots[bisect.bisect_right(knots, t0):bisect.bisect_left(knots, t1)]
+        knots = self.times
+        return knots[(t0 < knots) & (knots < t1)].tolist()
 
-    def _piece(self, lo: float, hi: float):
-        # pieces are cut at the knots, so the segment of the midpoint is lo's,
-        # or hi's where the midpoint rounds onto hi
-        k, k_hi = self._locate(lo), self._locate(hi)
-        if 0.5 * (lo + hi) == hi:
-            k = k_hi
-        v0, t0, slope = self._vals[k], self._knots[k], self._slope(k)
-        return (lambda t: v0 + slope * (t - t0)), (lambda t: slope)
+    def pieces(self, t0: float, t1: float):
+        # both ends are located in one lookup, and piece j lies on segment
+        # k0 + j, or on its hi's where its midpoint rounds onto hi; t1 is
+        # range-checked when its piece comes due, as every cut is in range
+        self._check(t0)
+        k0, k1 = self._segments(np.array([t0, t1], dtype=float)).tolist()
+        cuts = self.breakpoints_between(t0, t1)
+        first, last = min(k0, k1), max(k0, k1) + 2
+        knots, vals = self.times[first:last].tolist(), self.values[first:last].tolist()
+        for j, (lo, hi) in enumerate(zip([t0, *cuts], [*cuts, t1])):
+            if j == len(cuts):
+                self._check(t1)
+            k = (min(k0 + j + 1, k1) if 0.5 * (lo + hi) == hi else k0 + j) - first
+            yield (lo, hi, *_line(knots[k], vals[k], (vals[k + 1] - vals[k]) / (knots[k + 1] - knots[k])))
 
     def min_value(self) -> float:
         return float(self.values.min())
 
     def max_value(self) -> float:
         return float(self.values.max())
+
+
+def _line(t0: float, v0: float, slope: float):
+    # a table piece's value and slope: the segment's line from its left knot
+    return (lambda t: v0 + slope * (t - t0)), (lambda t: slope)
 
 
 def load_capacity_csv(path: str | Path) -> Tabulated:
@@ -447,14 +453,22 @@ def parse_schedule(text: str) -> CapacitySchedule:
     """Build a schedule from the plain-text grammar used by the CLI.
 
     Forms: ``constant:M``, ``twophase:M1,M2,period``,
-    ``sinusoid:mean,amplitude,period``, ``table:path.csv``.
+    ``sinusoid:mean,amplitude,period``, ``table:path.csv[,period]``; a
+    float after a table path's last comma is the table's declared period.
     """
     head, sep, rest = text.partition(":")
     head = head.strip().lower()
     if not sep:
         raise ValueError(f"schedule {text!r} is missing ':'")
     if head == "table":
-        return load_capacity_csv(rest.strip())
+        path, comma, period = rest.rpartition(",")
+        try:
+            declared = float(period) if comma else None
+        except ValueError:
+            declared = None
+        if declared is None:
+            return load_capacity_csv(rest.strip())
+        return replace(load_capacity_csv(path.strip()), declared_period=declared)
     try:
         args = [float(part) for part in rest.split(",")]
     except ValueError:

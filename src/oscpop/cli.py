@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .capacity import (
 from .closedform import (
     LogisticParams,
     _propagate,
+    _sample_grid,
     logistic_constant,
     quadrature_solution,
     two_phase_trajectory,
@@ -87,11 +89,13 @@ def _emit(header: list[str], rows, destination: str, report: str | None = None) 
             sys.stdout.write(report)
 
 
+def _given(args, names) -> dict:
+    # the flags among names that were given; the library's defaults stand for the rest
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _solver_config(args) -> SolverConfig:
-    """SolverConfig from the solver flags given; defaults for the rest."""
-    names = ("abs_tol", "rel_tol", "max_step", "min_step", "max_iterations")
-    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-    return SolverConfig(**given)
+    return SolverConfig(**_given(args, [f.name for f in fields(SolverConfig)]))
 
 
 def _params(args) -> LogisticParams:
@@ -109,16 +113,13 @@ def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     for flag, value in (("--t-end", t_end), ("--dt", dt)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite")
-    n = int(math.floor((t_end - t0) / dt + 1e-9))
-    return t0 + dt * np.arange(n + 1)
+    return _sample_grid(t0, t_end, dt)
 
 
 def _add_solver_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--max-step", dest="max_step", type=float, default=None)
-    p.add_argument("--min-step", dest="min_step", type=float, default=None)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
+    # one flag per SolverConfig field, typed like its default
+    for f in fields(SolverConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default), default=None)
 
 
 def _add_model_options(p: argparse.ArgumentParser, with_grid: bool = True) -> None:
@@ -154,13 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("two-phase", help="piecewise-exact square-wave trajectory plus cycle report")
     _add_model_options(p)
     _add_solver_options(p)
-    p.add_argument("--regime-tol", dest="regime_tol", type=float, default=0.05)
+    p.add_argument("--regime-tol", dest="regime_tol", type=float, default=None)
     p.set_defaults(func=_cmd_two_phase)
 
     p = sub.add_parser("periodic", help="periodic cycle: orbit CSV plus summary")
     _add_model_options(p, with_grid=False)
     _add_solver_options(p)
-    p.add_argument("--fixed-point-tol", dest="fixed_point_tol", type=float, default=1e-8)
+    p.add_argument("--fixed-point-tol", dest="fixed_point_tol", type=float, default=None)
     p.set_defaults(func=_cmd_periodic)
 
     p = sub.add_parser("bifurcation", help="discrete-map attractor scan over rho = r*M")
@@ -216,7 +217,7 @@ def _cmd_two_phase(args) -> int:
     _time_grid(params.t0, args.t_end, args.dt)  # the grid rule of every sampling command
     traj = two_phase_trajectory(params, cap, args.t_end, args.dt)
     rows = [(t, p, cap.at(float(t))) for t, p in zip(traj.times, traj.populations)]
-    report = two_phase_deductions(params, cap, cfg, regime_tol=args.regime_tol)
+    report = two_phase_deductions(params, cap, cfg, **_given(args, ["regime_tol"]))
     lines = [
         f"phase1_end_population  = {_fmt(report.p1)}",
         f"phase2_end_population  = {_fmt(report.p2)}",
@@ -238,7 +239,7 @@ def _cmd_two_phase(args) -> int:
 def _cmd_periodic(args) -> int:
     cap = parse_schedule(args.schedule)
     cfg = _solver_config(args)
-    sol = find_periodic_solution(args.r, cap, cfg, fixed_point_tol=args.fixed_point_tol)
+    sol = find_periodic_solution(args.r, cap, cfg, **_given(args, ["fixed_point_tol"]))
     mean_pop = time_average(sol)
     residual = mean_identity_residual(sol, cap)
     peak = cap.max_value()

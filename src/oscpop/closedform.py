@@ -26,6 +26,14 @@ from .capacity import CapacitySchedule, Constant, SolverConfig, TwoPhase
 from .errors import ExponentOverflowError, PoleError
 from .odesolve import SolverStats, Trajectory, _qag
 
+__all__ = [
+    "LogisticParams",
+    "logistic_constant",
+    "two_phase_trajectory",
+    "quadrature_solution",
+    "reciprocal_solution",
+]
+
 _MAX_EXPONENT = 700.0  # largest exponent exp() is allowed to take here
 _POLE_TOL = 1e-10  # relative size below which a denominator is a pole
 
@@ -101,9 +109,14 @@ def two_phase_trajectory(
     for name, value in (("t_end", t_end), ("dt_sample", dt_sample)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
-    n = int(math.floor((t_end - params.t0) / dt_sample + 1e-9))
-    ts = params.t0 + dt_sample * np.arange(n + 1)
+    ts = _sample_grid(params.t0, t_end, dt_sample)
     return Trajectory(ts, 1.0 / _propagate(params, cap, ts, None), SolverStats("piecewise-exact"))
+
+
+def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
+    # t0, t0 + dt, ... up to t_end, which is kept when within 1e-9 steps of
+    # the grid; callers check that the bounds and spacing are finite
+    return t0 + dt * np.arange(math.floor((t_end - t0) / dt + 1e-9) + 1)
 
 
 def _constant_step(r: float, m: float, u: float, tau: float) -> float:

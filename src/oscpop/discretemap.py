@@ -26,6 +26,16 @@ from itertools import cycle, islice
 
 import numpy as np
 
+__all__ = [
+    "normalized_state",
+    "iterate_map",
+    "detect_attractor",
+    "BifurcationRecord",
+    "ScanConfig",
+    "ScanResult",
+    "bifurcation_scan",
+]
+
 
 def normalized_state(r: float, m: float, p: float) -> float:
     """Map population to the conjugate quadratic-map coordinate."""

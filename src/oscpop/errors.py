@@ -7,6 +7,20 @@ them to distinct exit codes, so keep new exceptions inside one of the
 two branches.
 """
 
+__all__ = [
+    "OscPopError",
+    "DomainError",
+    "NumericsError",
+    "ScheduleRangeError",
+    "NonDifferentiableError",
+    "PoleError",
+    "NoPeriodicSolutionError",
+    "ExponentOverflowError",
+    "ConvergenceError",
+    "StiffnessError",
+    "DivergenceError",
+]
+
 
 class OscPopError(Exception):
     """Base class for all library-specific failures."""

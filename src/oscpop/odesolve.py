@@ -34,6 +34,14 @@ import numpy as np
 from .capacity import SolverConfig
 from .errors import ConvergenceError, DivergenceError, StiffnessError
 
+__all__ = [
+    "Trajectory",
+    "SolverStats",
+    "integrate_logistic",
+    "integrate_riccati",
+    "adaptive_quadrature",
+]
+
 # Dormand-Prince 5(4) coefficients. The fifth-order solution is propagated;
 # the difference row _E* feeds the error estimate. Stage 7 is FSAL.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9

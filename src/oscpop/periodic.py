@@ -25,6 +25,19 @@ from .closedform import LogisticParams, _propagate
 from .errors import ConvergenceError, ExponentOverflowError, NoPeriodicSolutionError
 from .odesolve import Trajectory, integrate_logistic
 
+__all__ = [
+    "PeriodicSolution",
+    "TwoPhaseReport",
+    "period_map",
+    "find_periodic_solution",
+    "orbit_identity_residual",
+    "mean_identity_residual",
+    "square_deviation_identity",
+    "time_average",
+    "half_peak_fraction",
+    "two_phase_deductions",
+]
+
 _ORBIT_PANELS = 1024  # target Simpson panels across one period
 _EPS = sys.float_info.epsilon
 

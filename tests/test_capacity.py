@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -362,6 +363,21 @@ class TestTabulatedLookup:
                 k = self.ref_segment(cap, 0.5 * (a + b))
                 assert slope(t) == float(self.ref_slope(cap, k))
 
+    def test_walks_match_reference(self, cap):
+        # multi-piece walks between probes: each piece is cut at the knots and
+        # takes the line of its midpoint's segment, one-float-wide ends included
+        inside = [t for t in self.probes(cap) if cap.times[0] <= t <= cap.times[-1]]
+        for a in inside[::5]:
+            for b in [b for b in inside[::7] if b >= a]:
+                pieces = list(cap.pieces(a, b))
+                cuts = cap.breakpoints_between(a, b)
+                assert [(lo, hi) for lo, hi, *_ in pieces] == list(zip([a, *cuts], [*cuts, b]))
+                for lo, hi, value, slope in pieces:
+                    k = self.ref_segment(cap, 0.5 * (lo + hi))
+                    for t in (lo, hi):
+                        assert value(t) == self.ref_piece_value(cap, t, lo, hi)
+                        assert slope(t) == float(self.ref_slope(cap, k))
+
     def test_one_ulp_outside_the_range_raises(self, cap):
         lo, hi = cap.times[0], cap.times[-1]
         for t in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
@@ -467,6 +483,41 @@ class CountingTwoPhase(TwoPhase):
 
 
 class TestPieces:
+    @staticmethod
+    def count_lookups(monkeypatch, call):
+        """Calls of np.searchsorted and of bisect's searches made by call()."""
+        calls = []
+        for owner, name in ((np, "searchsorted"), (bisect, "bisect_left"), (bisect, "bisect_right")):
+            original = getattr(owner, name)
+
+            def counted(*args, original=original, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        call()
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_table_walk_locates_its_ends_once(self, monkeypatch):
+        small = Tabulated.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.5, 0.0)])
+        times = np.linspace(0.0, 100.0, 2000)
+        large = Tabulated(times, np.sin(times))
+        counts = [
+            self.count_lookups(monkeypatch, lambda: list(cap.pieces(cap.times[0] + 0.1, cap.times[-1])))
+            for cap in (small, large)
+        ]
+        assert counts[0] == counts[1] <= 2
+
+    def test_table_walk_reaches_its_range_error_at_the_last_piece(self):
+        # as with every query, the end is checked when its piece comes due,
+        # so a walk past the last knot yields the pieces inside first
+        cap = Tabulated.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.5, 0.0)])
+        pieces = cap.pieces(0.0, 3.0)
+        assert [next(pieces)[:2], next(pieces)[:2]] == [(0.0, 1.0), (1.0, 2.5)]
+        with pytest.raises(ScheduleRangeError, match="t=3.0 outside"):
+            next(pieces)
+
     def test_pieces_are_resolved_lazily(self):
         # 20,000 pieces on [0, 100]; a budget of 50 steps reaches a few
         # dozen, so only those may be resolved
@@ -554,3 +605,36 @@ class TestParseSchedule:
     def test_rejects_non_finite_declared_period(self):
         with pytest.raises(ValueError, match="declared_period must be finite"):
             Constant(1.0, declared_period=math.inf)
+
+    @pytest.mark.parametrize("period, message", [
+        (math.inf, "declared_period must be finite"),
+        (math.nan, "declared_period must be positive"),
+        (-1.0, "declared_period must be positive"),
+    ])
+    def test_table_rejects_bad_declared_period(self, period, message):
+        with pytest.raises(ValueError, match=message):
+            Tabulated.from_pairs([(0.0, 1.0), (2.0, 1.0)], declared_period=period)
+
+    def test_table_with_declared_period(self, tmp_path):
+        path = tmp_path / "cap.csv"
+        path.write_text("t,M\n0,1\n1,2\n2,1\n")
+        cap = parse_schedule(f"table: {path} , 2")
+        plain = parse_schedule(f"table:{path}")
+        assert cap.period == 2.0 and plain.period is None
+        assert cap.times.tobytes() == plain.times.tobytes()
+        assert cap.values.tobytes() == plain.values.tobytes()
+        assert cap.integral(0.0, 2.0) == plain.integral(0.0, 2.0) == 3.0
+
+    def test_table_path_with_a_comma(self, tmp_path):
+        # only a float after the last comma is a period
+        path = tmp_path / "cap,v2.csv"
+        path.write_text("t,M\n0,1\n1,2\n")
+        assert parse_schedule(f"table:{path}").period is None
+        assert parse_schedule(f"table:{path},1").period == 1.0
+
+    @pytest.mark.parametrize("tail", ["inf", "nan", "-1", "0"])
+    def test_table_rejects_bad_period(self, tmp_path, tail):
+        path = tmp_path / "cap.csv"
+        path.write_text("t,M\n0,1\n1,2\n")
+        with pytest.raises(ValueError, match="declared_period"):
+            parse_schedule(f"table:{path},{tail}")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 import os
@@ -5,13 +6,24 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oscpop
-from oscpop import Constant, LogisticParams, TwoPhase, integrate_logistic, quadrature_solution
+from oscpop import (
+    Constant,
+    LogisticParams,
+    SolverConfig,
+    Tabulated,
+    TwoPhase,
+    find_periodic_solution,
+    integrate_logistic,
+    load_capacity_csv,
+    quadrature_solution,
+)
 from oscpop import cli
 from oscpop.cli import _fmt, main
 
@@ -263,6 +275,69 @@ class TestPeriodicCommand:
         fields = dict(line.split("=") for line in err.strip().splitlines() if "=" in line)
         fields = {k.strip(): float(v) for k, v in fields.items()}
         assert fields["p_star"] == pytest.approx(3.0, rel=1e-10)
+
+    @pytest.fixture
+    def sinusoid_table(self, tmp_path, capsys):
+        # one period of sinusoid:2,0.5,6 sampled every 0.05, as simulate writes it
+        path = tmp_path / "cap.csv"
+        code, _, _ = run(
+            capsys,
+            "simulate", "--schedule", "sinusoid:2,0.5,6", "--r", "1", "--p0", "1",
+            "--t-end", "6", "--dt", "0.05", "--output", str(path),
+        )
+        assert code == 0
+        return path
+
+    def test_table_cycle_with_declared_period(self, sinusoid_table, capsys):
+        code, _, err = run(capsys, "periodic", "--schedule", f"table:{sinusoid_table},6", "--r", "1")
+        assert code == 0
+        summary = {k.strip(): v.strip() for k, v in (line.split("=") for line in err.splitlines())}
+        table = load_capacity_csv(sinusoid_table)
+        sol = find_periodic_solution(1.0, Tabulated(table.times, table.values, 6.0))
+        assert summary["p_star"] == _fmt(sol.p_star)
+        assert float(summary["p_star"]) == pytest.approx(1.7757, abs=1e-4)
+        assert float(summary["mean_population"]) == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("period", ["inf", "nan", "-1"])
+    def test_table_rejects_bad_period(self, sinusoid_table, capsys, period):
+        code, out, err = run(capsys, "periodic", "--schedule", f"table:{sinusoid_table},{period}", "--r", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "declared_period" in err
+
+    def test_table_without_period_has_no_cycle(self, sinusoid_table, capsys):
+        code, _, err = run(capsys, "periodic", "--schedule", f"table:{sinusoid_table}", "--r", "1")
+        assert (code, err) == (2, "error: schedule declares no period\n")
+
+
+class TestLibraryDefaults:
+    """The CLI passes only the flags given, so each default lives in the library."""
+
+    @staticmethod
+    def actions(command):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {a.dest: a for a in sub.choices[command]._actions}
+
+    @pytest.mark.parametrize("command", ["simulate", "closed-form", "two-phase", "periodic"])
+    def test_one_flag_per_solver_field(self, command):
+        actions = self.actions(command)
+        for f in fields(SolverConfig):
+            action = actions[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert action.type is type(f.default)
+            assert action.default is None
+
+    @pytest.mark.parametrize("command, dest", [("periodic", "fixed_point_tol"), ("two-phase", "regime_tol")])
+    def test_cycle_tolerances_default_to_the_library(self, command, dest):
+        assert self.actions(command)[dest].default is None
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["periodic", "--schedule", "sinusoid:2,0.8,3", "--r", "1"], ["--fixed-point-tol", "1e-8"]),
+        (["two-phase", "--schedule", "twophase:1,3,4", "--r", "1", "--p0", "0.5", "--t-end", "8", "--dt", "1"],
+         ["--regime-tol", "0.05"]),
+    ])
+    def test_default_flag_prints_the_same_bytes(self, capsys, argv, flag):
+        assert run(capsys, *argv) == run(capsys, *argv, *flag)
 
 
 class TestBifurcationCommand:
