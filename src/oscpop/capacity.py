@@ -327,14 +327,17 @@ class Tabulated(CapacitySchedule):
             raise ValueError("need at least two samples")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("samples must be finite")
-        if not np.all(np.diff(t) > 0.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # like Python floats, an overflowing gap or area gives inf quietly
+            gaps = np.diff(t)
+            cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * gaps)))
+        if not np.all(gaps > 0.0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         if self.declared_period is not None and not self.declared_period > 0.0:
             raise ValueError("declared_period must be positive")
         _require_finite(self)
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))))
         object.__setattr__(self, "_cum", cum)
 
     @classmethod
@@ -419,8 +422,15 @@ class Tabulated(CapacitySchedule):
 
 
 def _line(t0: float, v0: float, slope: float):
-    # a table piece's value and slope: the segment's line from its left knot
-    return (lambda t: v0 + slope * (t - t0)), (lambda t: slope)
+    # a table piece's value and slope: the segment's line from its left knot;
+    # on an array, as on Python floats, overflow gives inf or nan quietly
+    def value(t):
+        if type(t) is float:
+            return v0 + slope * (t - t0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return v0 + slope * (t - t0)
+
+    return value, (lambda t: slope)
 
 
 def load_capacity_csv(path: str | Path) -> Tabulated:

@@ -123,7 +123,7 @@ def _add_solver_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_options(p: argparse.ArgumentParser, with_grid: bool = True) -> None:
-    p.add_argument("--schedule", required=True, help="constant:M | twophase:M1,M2,period | sinusoid:mean,amp,period | table:path.csv")
+    p.add_argument("--schedule", required=True, help="constant:M | twophase:M1,M2,period | sinusoid:mean,amp,period | table:path.csv[,period]")
     p.add_argument("--r", type=float, required=True, help="growth rate")
     if with_grid:
         p.add_argument("--p0", type=float, required=True, help="initial population")

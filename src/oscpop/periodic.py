@@ -101,6 +101,28 @@ def _require_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _cycle_start(start: LogisticParams, cap: CapacitySchedule, cfg) -> tuple[float, float, float]:
+    # (h, mass, p*): the period, the integral of M over it and the fixed point
+    # of the affine return map at rate start.r, start being P = inf at t = 0
+    r, h = start.r, cap.period
+    if h is None:
+        raise ValueError("schedule declares no period")
+    mass = cap.integral(0.0, h)
+    if mass <= 0.0:
+        raise NoPeriodicSolutionError(
+            f"capacity mean over one period is {mass / h:.3g}; no positive cycle exists"
+        )
+    # from u = 0 (P = inf) the step gives u(h) = the affine map's offset
+    offset = float(_propagate(start, cap, [h], cfg)[0])
+    if math.isinf(offset):
+        raise ExponentOverflowError("die-off drives the cycle below the float range")
+    p_star = -math.expm1(-r * mass) / offset if offset > 0.0 else 0.0
+    if p_star == 0.0:
+        # a subnormal r underflows u(h) or p* to 0
+        raise ExponentOverflowError(f"the cycle is unrepresentable at r = {r:g}")
+    return h, mass, p_star
+
+
 def find_periodic_solution(
     r: float,
     cap: CapacitySchedule,
@@ -135,28 +157,12 @@ def find_periodic_solution(
         raise ValueError(
             f"fixed_point_tol must be at least float64 epsilon {_EPS}, got {fixed_point_tol}"
         )
-    h = cap.period
-    if h is None:
-        raise ValueError("schedule declares no period")
-    mass = cap.integral(0.0, h)
-    if mass <= 0.0:
-        raise NoPeriodicSolutionError(
-            f"capacity mean over one period is {mass / h:.3g}; no positive cycle exists"
-        )
     inner = replace(
         cfg,
         rel_tol=min(cfg.rel_tol, 1e-2 * fixed_point_tol),
         abs_tol=min(cfg.abs_tol, 1e-4 * fixed_point_tol),
     )
-
-    # from u = 0 (P = inf) the step gives u(h) = the affine map's offset
-    offset = float(_propagate(start, cap, [h], inner)[0])
-    if math.isinf(offset):
-        raise ExponentOverflowError("die-off drives the cycle below the float range")
-    p_star = -math.expm1(-r * mass) / offset if offset > 0.0 else 0.0
-    if p_star == 0.0:
-        # a subnormal r underflows u(h) or p* to 0
-        raise ExponentOverflowError(f"the cycle is unrepresentable at r = {r:g}")
+    h, _, p_star = _cycle_start(start, cap, inner)
     grid = _orbit_grid(cap, h)
     orbit = integrate_logistic(LogisticParams(r, p_star, 0.0), cap, h, inner, t_eval=grid)
     residual = abs(orbit.final - p_star) / p_star
@@ -331,27 +337,24 @@ def two_phase_deductions(
     cfg: SolverConfig | None = None,
     regime_tol: float = 0.05,
 ) -> TwoPhaseReport:
-    """Cycle diagnostics for a square-wave schedule.
+    """Cycle diagnostics for a square-wave schedule, in closed form.
 
-    The cycle itself does not depend on params.p0 or params.t0; only
-    the growth rate matters here. p1 is the population where phase one
-    ends, p2 where the cycle closes. saturated reports whether both
-    plateau gaps are within regime_tol of their capacity levels, the
-    slow-switching regime in which each phase has time to settle.
+    Only the growth rate matters, not params.p0, params.t0 or cfg. p1,
+    the population at the phase switch, is one exact step from p2 = p*,
+    where the cycle closes; P'/P = r (M - P) and P(h) = P(0) make the
+    mean population exactly mass / h. saturated reports whether both
+    plateau gaps are within regime_tol of their capacity levels (slow
+    switching). ExponentOverflowError means p1 leaves the float range.
     """
     _require_positive_finite("regime_tol", regime_tol)
-    sol = find_periodic_solution(params.r, cap, cfg)
-    half = 0.5 * cap.period
-    times = sol.orbit.times
-    i = int(np.searchsorted(times, half, side="left"))
-    if i >= times.size or abs(times[i] - half) > 1e-9 * cap.period:
-        raise ValueError("orbit grid does not include the phase switch")
-    p1 = float(sol.orbit.populations[i])
-    p2 = sol.orbit.final
-    mean_pop = time_average(sol)
+    h, mass, p_star = _cycle_start(LogisticParams(params.r, math.inf), cap, cfg)
+    p1 = 1.0 / float(_propagate(LogisticParams(params.r, p_star), cap, [0.5 * h], cfg)[0])
+    if not 0.0 < p1 < math.inf:
+        raise ExponentOverflowError("the cycle's phase-one population leaves the float range")
+    mean_pop = mass / h
     gap = abs(0.5 * (cap.m1 + cap.m2) - mean_pop)
-    plateau = (abs(p1 - cap.m1), abs(p2 - cap.m2))
+    plateau = (abs(p1 - cap.m1), abs(p_star - cap.m2))
     saturated = (
         plateau[0] < regime_tol * abs(cap.m1) and plateau[1] < regime_tol * abs(cap.m2)
     )
-    return TwoPhaseReport(p1, p2, mean_pop, gap, plateau, saturated, regime_tol)
+    return TwoPhaseReport(p1, p_star, mean_pop, gap, plateau, saturated, regime_tol)

@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -462,6 +463,24 @@ class TestArrayPieceValues:
                 assert np.broadcast_to(value(one), one.shape).tolist() == [value(float(one[0]))]
                 checked += inside.size
         assert checked >= 2000
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            ([0.0, 1.0, 2.0], [1.5e308, 1.5e308, 1e308]),  # areas overflow
+            ([-1e308, 1e308], [1.0, 2.0]),  # the gap overflows
+            ([0.0, 1.0, 2.0], [1.5e308, -1.5e308, 1e308]),  # slopes overflow
+        ],
+    )
+    def test_overflowing_table_is_quiet(self, times, values):
+        # overflow gives inf or nan quietly, as on Python floats, so that
+        # -W error::RuntimeWarning passes; an array call keeps the scalar values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cap = Tabulated(times, values)
+            for lo, hi, value, _ in cap.pieces(times[0], times[-1]):
+                ts = np.array([lo, 0.5 * lo + 0.5 * hi, hi])
+                np.testing.assert_array_equal(value(ts), [value(t) for t in ts.tolist()])
 
     @pytest.mark.parametrize("seed", range(40))
     def test_tabulated_at_matches_np_interp(self, seed):

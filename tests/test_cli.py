@@ -237,6 +237,15 @@ class TestTwoPhaseCommand:
             code, out, err = run(capsys, command, "--schedule", "twophase:1,3,2", *grid)
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_report_takes_no_solver_steps(self, capsys):
+        # the report is closed form, so a 3-step budget changes no byte
+        argv = ["two-phase", "--schedule", "twophase:-0.5,3,5", "--r", "0.9", "--p0", "0.5",
+                "--t-end", "20", "--dt", "0.5"]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert "mean_population        = 1.25\n" in plain[2]  # stderr, beside the CSV on stdout
+        assert run(capsys, *argv, "--max-iterations", "3") == plain
+
     def test_requires_square_wave_schedule(self, capsys):
         code, _, err = run(
             capsys,

@@ -347,6 +347,30 @@ class TestTwoPhaseDeductions:
         assert rep.p2 == pytest.approx(2.0, abs=0.05)
         assert rep.plateau_gaps[0] > 0.5
 
+    def test_runs_no_integrator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the square-wave report integrated an orbit")
+
+        monkeypatch.setattr("oscpop.periodic.integrate_logistic", refuse)
+        monkeypatch.setattr("oscpop.odesolve._rk45", refuse)
+        rep = two_phase_deductions(LogisticParams(0.9, 0.5), TwoPhase(-0.5, 3.0, 5.0))
+        assert rep.p2 == pytest.approx(mobius_fixed_point(0.9, -0.5, 3.0, 5.0), rel=1e-12)
+        assert rep.mean_population == pytest.approx(1.25, rel=1e-15)
+
+    @pytest.mark.parametrize("r", [1e-8, 1e-15, 1e-100])
+    def test_mean_is_the_mean_capacity_at_any_rate(self, r):
+        # ln(P(h)/p*)/r would divide rounding error by r: 3e84 at r = 1e-100
+        for cap in (TwoPhase(1.0, 3.0, 2.0), TwoPhase(-0.5, 3.0, 5.0), TwoPhase(0.7, 2.9, 0.37)):
+            rep = two_phase_deductions(LogisticParams(r, 1.0), cap)
+            assert rep.mean_population == pytest.approx(0.5 * (cap.m1 + cap.m2), rel=1e-15)
+
+    def test_phase_end_below_the_float_range(self):
+        # u* ~ 1/(r mass) times a die-off factor e^699 overflows; the
+        # orbit cannot close there either
+        cap = TwoPhase(-46.6, 46.6 + 1e-13, 30.0)
+        with pytest.raises(ExponentOverflowError, match="phase-one population"):
+            two_phase_deductions(LogisticParams(1.0, 1.0), cap)
+
     def test_independent_of_initial_condition(self):
         cap = TwoPhase(1.0, 3.0, 2.0)
         a = two_phase_deductions(LogisticParams(1.0, 0.2, 0.0), cap)

@@ -1,5 +1,5 @@
-"""Properties of the periodic cycle: its Floquet multiplier and its two
-forcing limits.
+"""Properties of the periodic cycle: its Floquet multiplier, its two
+forcing limits and the closed-form square-wave report.
 
 Linearizing dP/dt = r (M - P) P about the cycle gives the multiplier
 exp(r * integral of (M - 2P)) over one period, and mean P = mean M on
@@ -16,12 +16,13 @@ cycle is Mbar + r Mbar (I - Ibar) + O((r Mbar h)^2). Slow forcing
 M - M' / (r M) + O(h^-2).
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from oscpop import (  # noqa: E402
     LogisticParams,
@@ -31,10 +32,14 @@ from oscpop import (  # noqa: E402
     TwoPhase,
     find_periodic_solution,
     integrate_logistic,
+    time_average,
+    two_phase_deductions,
 )
 
 TIGHT = SolverConfig(abs_tol=1e-14, rel_tol=1e-12)
 NUDGE = 1e-4  # relative offset of the two starts from p*
+# relative error control only: a die-off phase takes P far below any abs_tol
+RELATIVE = SolverConfig(abs_tol=1e-300, rel_tol=1e-10)
 
 
 @st.composite
@@ -110,3 +115,29 @@ def test_slow_forcing_error_falls_as_the_period_squared(r, mean, amplitude):
     assert [fine / coarse for coarse, fine in zip(scaled, scaled[1:])] == pytest.approx(
         [1.0, 1.0, 1.0], abs=0.1
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m1=st.floats(-0.6, 1.1),
+    m2=st.floats(2.0, 4.0),
+    period=st.floats(0.05, 40.0),
+    r=st.floats(0.3, 3.0),
+)
+@example(m1=-0.6, m2=4.0, period=40.0, r=3.0)  # the deepest die-off, the steepest regrowth
+def test_two_phase_report_matches_the_integrated_cycle(m1, m2, period, r):
+    # the report is exact steps in u = 1/P; RK45 on P is the cross-check
+    cap = TwoPhase(m1, m2, period)
+    rep = two_phase_deductions(LogisticParams(r, 1.0), cap)
+    sol = find_periodic_solution(r, cap, RELATIVE)
+    t, p = sol.orbit.times, sol.orbit.populations
+    half = int(np.searchsorted(t, 0.5 * period))
+    assert t[half] == 0.5 * period
+    assert rep.p1 == pytest.approx(p[half], rel=1e-8)
+    assert rep.p2 == pytest.approx(p[-1], rel=1e-8)
+    # Simpson's error on the 1,025-sample orbit reaches 1e-5 where a phase
+    # regrows steeply, so the mean is taken on a 16x finer sampling
+    fine = np.linspace(0.0, period, 16 * 1024 + 1)  # holds period / 2
+    orbit = integrate_logistic(LogisticParams(r, sol.p_star), cap, period, RELATIVE, t_eval=fine)
+    assert rep.mean_population == pytest.approx(time_average(replace(sol, orbit=orbit)), abs=1e-6)
+    assert rep.mean_condition_gap <= 1e-12 * rep.mean_population
