@@ -199,7 +199,9 @@ class TwoPhase(CapacitySchedule):
         k = math.floor(t / self.period)
         tau = min(max(t - k * self.period, 0.0), self.period)
         half = 0.5 * self.period
-        full_cycles = k * (self.m1 + self.m2) * half
+        # the first period holds no whole cycle: the signed zero that
+        # 0 * (m1 + m2) gives, but not its nan where m1 + m2 overflows
+        full_cycles = k * (self.m1 + self.m2) * half if k else math.copysign(0.0, self.m1 + self.m2)
         return full_cycles + self.m1 * min(tau, half) + self.m2 * max(0.0, tau - half)
 
     def integral(self, t0: float, t1: float) -> float:
@@ -381,12 +383,15 @@ class Tabulated(CapacitySchedule):
             self._check(bad)
             self._check(t1)
         # the trapezoid area from the first knot to each start and to t1, with
-        # M by at's rule; like Python floats, overflow gives inf quietly
+        # M by at's rule; like Python floats, overflow gives inf quietly. On a
+        # knot the partial area is the zero of the sign 0 * v_k takes, without
+        # its nan where v_k + v_k overflows
         t = np.append(starts, t1)
         k = self._segments(t)
         t_k, v_k = knots[k], self.values[k]
         with np.errstate(over="ignore", invalid="ignore"):
-            area = self._cum[k] + (t - t_k) * 0.5 * (v_k + np.interp(t, knots, self.values))
+            partial = (t - t_k) * 0.5 * (v_k + np.interp(t, knots, self.values))
+            area = self._cum[k] + np.where(t == t_k, 0.0 * v_k, partial)
             return (area[-1] - area[:-1]).tolist()
 
     def derivative(self, t: float) -> float:

@@ -154,14 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("two-phase", help="piecewise-exact square-wave trajectory plus cycle report")
     _add_model_options(p)
-    _add_solver_options(p)
-    p.add_argument("--regime-tol", dest="regime_tol", type=float, default=None)
+    p.add_argument("--regime-tol", dest="regime_tol", type=float, default=None, help="saturated when each plateau gap is below this fraction of its level")
     p.set_defaults(func=_cmd_two_phase)
 
     p = sub.add_parser("periodic", help="periodic cycle: orbit CSV plus summary")
     _add_model_options(p, with_grid=False)
     _add_solver_options(p)
-    p.add_argument("--fixed-point-tol", dest="fixed_point_tol", type=float, default=None)
+    p.add_argument("--fixed-point-tol", dest="fixed_point_tol", type=float, default=None, help="relative closure tolerance |P(h) - p*| / p* of the cycle")
     p.set_defaults(func=_cmd_periodic)
 
     p = sub.add_parser("bifurcation", help="discrete-map attractor scan over rho = r*M")
@@ -211,13 +210,12 @@ def _cmd_closed_form(args) -> int:
 def _cmd_two_phase(args) -> int:
     cap = parse_schedule(args.schedule)
     params = _params(args)
-    cfg = _solver_config(args)
     if not isinstance(cap, TwoPhase):
         raise ValueError("two-phase command requires a twophase: schedule")
     _time_grid(params.t0, args.t_end, args.dt)  # the grid rule of every sampling command
     traj = two_phase_trajectory(params, cap, args.t_end, args.dt)
     rows = [(t, p, cap.at(float(t))) for t, p in zip(traj.times, traj.populations)]
-    report = two_phase_deductions(params, cap, cfg, **_given(args, ["regime_tol"]))
+    report = two_phase_deductions(params, cap, **_given(args, ["regime_tol"]))
     lines = [
         f"phase1_end_population  = {_fmt(report.p1)}",
         f"phase2_end_population  = {_fmt(report.p2)}",

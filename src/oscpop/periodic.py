@@ -40,6 +40,7 @@ __all__ = [
 
 _ORBIT_PANELS = 1024  # target Simpson panels across one period
 _EPS = sys.float_info.epsilon
+_HUGE = 2.0**500  # past it a square of M or P can overflow a Simpson sum
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,8 @@ def _cycle_start(start: LogisticParams, cap: CapacitySchedule, cfg) -> tuple[flo
         raise NoPeriodicSolutionError(
             f"capacity mean over one period is {mass / h:.3g}; no positive cycle exists"
         )
+    if not mass < math.inf:
+        raise ExponentOverflowError("the capacity integral over one period leaves the float range")
     # from u = 0 (P = inf) the step gives u(h) = the affine map's offset
     offset = float(_propagate(start, cap, [h], cfg)[0])
     if math.isinf(offset):
@@ -143,9 +146,9 @@ def find_periodic_solution(
     Raises ValueError, before any work, unless r and fixed_point_tol
     are positive and finite and fixed_point_tol is at least float64
     epsilon; NoPeriodicSolutionError when the capacity mean over one
-    period is nonpositive, ExponentOverflowError when a die-off stretch
-    makes u(h) infinite or the exponent of w exceed 700, or a subnormal
-    r underflows u(h) or p* to 0, and
+    period is nonpositive, ExponentOverflowError when that integral
+    overflows, a die-off stretch makes u(h) infinite or the exponent of
+    w exceed 700, or a subnormal r underflows u(h) or p* to 0, and
     ConvergenceError when the orbit fails to close; numerics errors of
     the quadrature or the orbit integration propagate.
     """
@@ -183,9 +186,10 @@ def _simpson_segments(t: np.ndarray, first, end, integrands) -> list[float]:
     of scipy.integrate.simpson, bit for bit, summed over the segments t[a:b]
     for a, b in zip(first, end). A pair of intervals takes y_from at its left
     end and middle and y_to at its right end, so a sample on a cut can hold
-    one value in each segment. The pairs starting on even, and on odd,
-    samples are each weighted in one strided pass. Raises ValueError when a
-    product of gaps that the weights take leaves the normal float range.
+    one value in each segment. Every pair of consecutive intervals is
+    weighted once, and a segment sums every other pair from its first
+    sample. Raises ValueError when a product of gaps that the weights take
+    leaves the normal float range.
     """
     # a pair's weights divide by the product of its two gaps and Cartwright's
     # take g1**3: a subnormal product loses bits, an infinite one all of
@@ -195,31 +199,20 @@ def _simpson_segments(t: np.ndarray, first, end, integrands) -> list[float]:
     lo, hi = (math.prod([float(g)] * k) for g in (gaps.min(), gaps.max()))
     if not sys.float_info.min <= lo <= hi < math.inf:
         raise ValueError("orbit sample spacing leaves the float range of the Simpson weights")
-    # each pair of intervals takes the irregular-spacing formula, and the
+    # the pair from sample i takes the irregular-spacing formula, and the
     # last interval of an even sample count Cartwright's correction
-    weights = {}
-    for parity in {a % 2 for a in first}:
-        stop = parity + 2 * ((t.size - 1 - parity) // 2)  # past the last pair's left end
-        h0, h1 = gaps[parity:stop:2], gaps[parity + 1 : stop + 1 : 2]
-        hsum, ratio = h0 + h1, h0 / h1
-        weights[parity] = (stop, hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio)
+    h0, h1 = gaps[:-1], gaps[1:]
+    hsum, ratio = h0 + h1, h0 / h1
+    scale, w_left, w_mid, w_right = hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio
     totals = []
     for y_from, y_to in integrands:
-        terms = {
-            parity: scale
-            * (
-                y_from[parity:stop:2] * w_left
-                + y_from[parity + 1 : stop + 1 : 2] * w_mid
-                + y_to[parity + 2 : stop + 2 : 2] * w_right
-            )
-            for parity, (stop, scale, w_left, w_mid, w_right) in weights.items()
-        }
+        terms = scale * (y_from[:-2] * w_left + y_from[1:-1] * w_mid + y_to[2:] * w_right)
         # from the first segment's sum, not 0.0, so that one segment keeps
         # scipy's sign of zero
         total = None
         for a, b in zip(first, end):
             # np.add.reduce is np.sum's own pairwise sum, as scipy takes it
-            segment = np.add.reduce(terms[a % 2][a // 2 : a // 2 + (b - a - 1) // 2])
+            segment = np.add.reduce(terms[a : a + 2 * ((b - a - 1) // 2) : 2])
             if (b - a) % 2 == 0:
                 # Cartwright's correction from the last three samples
                 (g0, g1), y = gaps[b - 3 : b - 1], y_to[b - 3 : b]
@@ -233,11 +226,25 @@ def _simpson_segments(t: np.ndarray, first, end, integrands) -> list[float]:
     return totals
 
 
-def _segment_simpson(orbit: Trajectory, cap: CapacitySchedule, integrands) -> list[float]:
-    """Per array of integrands(M, P), the sum of _simpson over the orbit's
-    segments, one per smooth piece, bit for bit. A sample on a cut is in
-    both segments, with each piece's M, so capacity jumps stay on panel
-    boundaries."""
+def _scaled(*arrays: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
+    # s and the arrays times s: 1.0 and the arrays themselves, or where the
+    # largest magnitude passes _HUGE the power of two that takes it below
+    # _HUGE. The diagnostics are homogeneous in (M, P) and scaling by a
+    # power of two is exact, so an answer that is finite unscaled keeps its
+    # bits unless a scaled value leaves the normal range
+    big = float(np.abs(np.concatenate(arrays)).max())
+    if not big > _HUGE:
+        return 1.0, arrays
+    s = math.ldexp(_HUGE, -math.frexp(min(big, sys.float_info.max))[1])
+    return s, tuple(s * a for a in arrays)
+
+
+def _segment_simpson(orbit: Trajectory, cap: CapacitySchedule, integrands) -> tuple[float, list[float]]:
+    """s and, per array of integrands(s M, s P), the sum of _simpson over
+    the orbit's segments, one per smooth piece, bit for bit; s is 1.0 or,
+    where M or P is huge, the power of two of _scaled. A sample on a cut
+    is in both segments, with each piece's M, so capacity jumps stay on
+    panel boundaries."""
     t, p = orbit.times, orbit.populations
     lo, hi = float(t[0]), float(t[-1])
     edges = [lo, *cap.breakpoints_between(lo, hi), hi]
@@ -251,7 +258,8 @@ def _segment_simpson(orbit: Trajectory, cap: CapacitySchedule, integrands) -> li
         values.append(value)
     for a, b, value in zip(reversed(first), reversed(end), reversed(values)):
         m_to[a:b] = value  # an earlier piece takes over a shared sample
-    return _simpson_segments(t, first, end, zip(integrands(m_from, p), integrands(m_to, p)))
+    s, (m_from, m_to, p) = _scaled(m_from, m_to, p)
+    return s, _simpson_segments(t, first, end, zip(integrands(m_from, p), integrands(m_to, p)))
 
 
 def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
@@ -260,14 +268,15 @@ def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
     Along any exact periodic cycle the numerator vanishes, because
     M P - P^2 is dP/dt / r and the cycle closes. Computed by composite
     Simpson on the orbit samples, segment by segment so capacity jumps
-    stay on panel boundaries.
+    stay on panel boundaries, and on M and P scaled by a power of two
+    where a square could overflow.
     """
 
     def integrands(mm, pp):
         square = pp * pp
         return mm * pp - square, square
 
-    num, den = _segment_simpson(orbit, cap, integrands)
+    _, (num, den) = _segment_simpson(orbit, cap, integrands)
     if den <= 0.0:
         raise ValueError("orbit has no positive mass")
     return abs(num) / den
@@ -292,14 +301,15 @@ def square_deviation_identity(
         dev = pp - 0.5 * mm
         return dev * dev, 0.25 * mm * mm
 
-    lhs, rhs = _segment_simpson(sol.orbit, cap, integrands)
-    return lhs, rhs
+    s, (lhs, rhs) = _segment_simpson(sol.orbit, cap, integrands)
+    return lhs / s / s, rhs / s / s
 
 
 def time_average(sol: PeriodicSolution) -> float:
     """Mean population over one period of the cycle."""
     t = sol.orbit.times
-    return _simpson(sol.orbit.populations, t) / float(t[-1] - t[0])
+    s, (p,) = _scaled(sol.orbit.populations)  # so that no Simpson sum overflows
+    return _simpson(p, t) / float(t[-1] - t[0]) / s
 
 
 def half_peak_fraction(sol: PeriodicSolution, cap: CapacitySchedule, band: float = 0.10) -> float:
@@ -334,21 +344,22 @@ class TwoPhaseReport:
 def two_phase_deductions(
     params: LogisticParams,
     cap: TwoPhase,
-    cfg: SolverConfig | None = None,
+    *,
     regime_tol: float = 0.05,
 ) -> TwoPhaseReport:
     """Cycle diagnostics for a square-wave schedule, in closed form.
 
-    Only the growth rate matters, not params.p0, params.t0 or cfg. p1,
+    Only the growth rate matters, not params.p0 or params.t0. p1,
     the population at the phase switch, is one exact step from p2 = p*,
     where the cycle closes; P'/P = r (M - P) and P(h) = P(0) make the
     mean population exactly mass / h. saturated reports whether both
     plateau gaps are within regime_tol of their capacity levels (slow
-    switching). ExponentOverflowError means p1 leaves the float range.
+    switching). ExponentOverflowError means the integral of M over the
+    period or p1 leaves the float range.
     """
     _require_positive_finite("regime_tol", regime_tol)
-    h, mass, p_star = _cycle_start(LogisticParams(params.r, math.inf), cap, cfg)
-    p1 = 1.0 / float(_propagate(LogisticParams(params.r, p_star), cap, [0.5 * h], cfg)[0])
+    h, mass, p_star = _cycle_start(LogisticParams(params.r, math.inf), cap, None)
+    p1 = 1.0 / float(_propagate(LogisticParams(params.r, p_star), cap, [0.5 * h], None)[0])
     if not 0.0 < p1 < math.inf:
         raise ExponentOverflowError("the cycle's phase-one population leaves the float range")
     mean_pop = mass / h

@@ -269,7 +269,8 @@ def test_segment_simpson_is_simpson_on_each_segment(case, integrands):
         with pytest.raises(ValueError, match="too coarse"):
             _segment_simpson(orbit, cap, integrands)
     else:
-        got = _segment_simpson(orbit, cap, integrands)
+        s, got = _segment_simpson(orbit, cap, integrands)
+        assert s == 1.0
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
 

@@ -115,6 +115,12 @@ class TestTwoPhase:
             split = cap.integral(float(a), float(b)) + cap.integral(float(b), float(c))
             assert abs(whole - split) <= 1e-12 * max(1.0, abs(whole))
 
+    def test_first_period_integral_of_an_overflowing_sum(self):
+        # no whole cycle was 0 * (m1 + m2) * half, nan once m1 + m2 overflows
+        cap = TwoPhase(1e308, 1e308, 1.0)
+        assert cap.integral(0.0, 0.25) == 2.5e307
+        assert cap.integral(0.5, 0.75) == 2.5e307
+
     def test_derivative_flat_inside_pieces(self):
         cap = TwoPhase(1.0, 3.0, 2.0)
         assert cap.derivative(0.4) == 0.0
@@ -248,6 +254,13 @@ class TestTabulated:
         # piecewise-linear areas: [0,1] -> 2, [1,2.5] -> 1.5*1.5 = 2.25
         assert cap.integral(0.0, 2.5) == pytest.approx(4.25, abs=1e-14)
         assert cap.integral(0.5, 1.0) == pytest.approx(0.5 * (2.0 + 3.0) * 0.5, abs=1e-14)
+
+    def test_integral_from_a_knot_of_an_overflowing_segment(self):
+        # the partial area at a knot was 0 * inf = nan where v_k + v_k overflows
+        cap = Tabulated([0.0, 1.0, 2.0], [1.5e308, 1.5e308, 1e308])
+        assert cap.integral(0.0, 2.0) == math.inf
+        # and a knot still gives the zero of the sign 0 * v_k takes
+        assert math.copysign(1.0, Tabulated([0.0, 1.0, 2.0], [-0.0, -0.0, -1.0]).integral(0.0, 1.0)) == -1.0
 
     def test_integral_matches_dense_trapezoid(self):
         cap = self.make()

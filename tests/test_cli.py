@@ -237,14 +237,19 @@ class TestTwoPhaseCommand:
             code, out, err = run(capsys, command, "--schedule", "twophase:1,3,2", *grid)
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    def test_report_takes_no_solver_steps(self, capsys):
-        # the report is closed form, so a 3-step budget changes no byte
+    @pytest.mark.parametrize("field", [f.name for f in fields(SolverConfig)])
+    def test_solver_flag_is_a_usage_error(self, capsys, field):
+        # the trajectory and the report are exact steps, so no solver setting
+        # has anything to change
         argv = ["two-phase", "--schedule", "twophase:-0.5,3,5", "--r", "0.9", "--p0", "0.5",
                 "--t-end", "20", "--dt", "0.5"]
         plain = run(capsys, *argv)
         assert plain[0] == 0
         assert "mean_population        = 1.25\n" in plain[2]  # stderr, beside the CSV on stdout
-        assert run(capsys, *argv, "--max-iterations", "3") == plain
+        flag = "--" + field.replace("_", "-")
+        code, out, err = run(capsys, *argv, flag, "3")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err and flag in err
 
     def test_requires_square_wave_schedule(self, capsys):
         code, _, err = run(
@@ -327,7 +332,7 @@ class TestLibraryDefaults:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         return {a.dest: a for a in sub.choices[command]._actions}
 
-    @pytest.mark.parametrize("command", ["simulate", "closed-form", "two-phase", "periodic"])
+    @pytest.mark.parametrize("command", ["simulate", "closed-form", "periodic"])
     def test_one_flag_per_solver_field(self, command):
         actions = self.actions(command)
         for f in fields(SolverConfig):
@@ -335,6 +340,29 @@ class TestLibraryDefaults:
             assert action.option_strings == ["--" + f.name.replace("_", "-")]
             assert action.type is type(f.default)
             assert action.default is None
+
+    def test_two_phase_takes_no_solver_flag(self):
+        actions = self.actions("two-phase")
+        assert not {f.name for f in fields(SolverConfig)} & set(actions)
+        flags = {o for a in actions.values() for o in a.option_strings} - {"-h", "--help"}
+        assert flags == {"--schedule", "--r", "--p0", "--t0", "--t-end", "--dt", "--output", "--regime-tol"}
+
+    # a setting each solver command reads: a tighter tolerance or step cap
+    # moves the floats, a one-step budget or a coarse step floor fails
+    SOLVER_SETTINGS = {"abs_tol": "1e-14", "rel_tol": "1e-12", "max_step": "0.01",
+                       "min_step": "0.1", "max_iterations": "1"}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--schedule", "twophase:1,3,2", "--r", "1.2", "--p0", "0.8", "--t-end", "10", "--dt", "0.1"],
+        ["closed-form", "--schedule", "sinusoid:2,0.5,3", "--r", "1", "--p0", "0.5", "--t-end", "5", "--dt", "0.5"],
+        ["periodic", "--schedule", "sinusoid:2,0.5,3", "--r", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_every_solver_flag_reaches_a_solver(self, capsys, argv):
+        assert set(self.SOLVER_SETTINGS) == {f.name for f in fields(SolverConfig)}
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        for field, value in self.SOLVER_SETTINGS.items():
+            assert run(capsys, *argv, "--" + field.replace("_", "-"), value) != plain, field
 
     @pytest.mark.parametrize("command, dest", [("periodic", "fixed_point_tol"), ("two-phase", "regime_tol")])
     def test_cycle_tolerances_default_to_the_library(self, command, dest):
@@ -430,6 +458,27 @@ class TestExitCodes:
         )
         assert code == 3
         assert "ExponentOverflowError" in err
+
+    def test_huge_cycle_reports_finite_diagnostics(self, capsys):
+        # squares of P = 1e200 overflowed: mean_identity_residual = nan with
+        # exit 0, and a traceback under -W error::RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "periodic", "--schedule", "twophase:1e200,1e200,1", "--r", "1")
+        assert code == 0
+        assert "mean_identity_residual = 0\n" in err
+        assert "nan" not in err and "inf" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["periodic", "--schedule", "twophase:1e308,1e308,1", "--r", "1"],
+        ["two-phase", "--schedule", "twophase:1e308,1e308,1", "--r", "1", "--p0", "1", "--t-end", "2", "--dt", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_period_mass_is_domain_error(self, capsys, argv):
+        # m1 + m2 overflows: the integral was nan, reported as a bad initial
+        # population the user never gave
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "ExponentOverflowError: the capacity integral over one period leaves the float range\n"
 
     @pytest.mark.parametrize("schedule", ["sinusoid:2,0.5,1e-159", "twophase:1,3,1e-300"])
     def test_orbit_too_fine_for_simpson_weights_is_usage_error(self, capsys, schedule):

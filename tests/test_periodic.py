@@ -1,11 +1,14 @@
 import math
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from oscpop import (
+    CapacitySchedule,
     Constant,
     ExponentOverflowError,
     LogisticParams,
@@ -208,6 +211,58 @@ class TestCycleIdentities:
         assert lhs == pytest.approx(rhs, rel=1e-6)
         assert rhs == pytest.approx(0.25 * (1.0 + 9.0) * 1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [511, 1021])
+    def test_huge_cycles_are_exact_rescalings(self, k):
+        # the diagnostics are homogeneous in (M, P): an orbit and schedule
+        # scaled by 2**k give the unscaled answers times 2**k, bit for bit,
+        # though squares of the scaled values (k = 511) or their Simpson
+        # sums (k = 1021) overflow
+        cap = SinusoidOffset(2.0, 0.5, 3.0)
+        sol = find_periodic_solution(1.0, cap)
+        c = math.ldexp(1.0, k)
+        big_cap = SinusoidOffset(2.0 * c, 0.5 * c, 3.0)
+        orbit = Trajectory(sol.orbit.times, sol.orbit.populations * c, sol.orbit.meta)
+        big = replace(sol, p_star=sol.p_star * c, orbit=orbit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert mean_identity_residual(big, big_cap) == mean_identity_residual(sol, cap)
+            assert time_average(big) == time_average(sol) * c
+            lhs, rhs = square_deviation_identity(big, big_cap)
+        assert [lhs, rhs] == [v * c * c for v in square_deviation_identity(sol, cap)]
+
+    def test_huge_cycle_solves_and_reports(self):
+        cap = TwoPhase(1e200, 1e200, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = find_periodic_solution(1.0, cap)
+            assert (sol.p_star, time_average(sol)) == (1e200, 1e200)
+            assert mean_identity_residual(sol, cap) == 0.0
+
+
+    def test_schedule_without_extrema(self):
+        # the diagnostics take their scale from the orbit's M and P, so a
+        # schedule that defines neither min_value nor max_value gives the
+        # answers of the same schedule with them
+        class Bare(CapacitySchedule):
+            period = 3.0
+
+            def at(self, t):
+                return 2.0 + 0.5 * np.sin(2.0 * np.pi * t / 3.0)
+
+        class WithExtrema(Bare):
+            def min_value(self):
+                return 1.5
+
+            def max_value(self):
+                return 2.5
+
+        sol = find_periodic_solution(1.0, SinusoidOffset(2.0, 0.5, 3.0))
+        with pytest.raises(NotImplementedError):
+            Bare().max_value()
+        residual = orbit_identity_residual(sol.orbit, Bare())
+        assert residual == orbit_identity_residual(sol.orbit, WithExtrema()) < 1e-9
+        assert square_deviation_identity(sol, Bare()) == square_deviation_identity(sol, WithExtrema())
+
 
 class TestSimpson:
     @pytest.mark.parametrize(
@@ -332,10 +387,8 @@ class TestTwoPhaseDeductions:
         assert rep.mean_population == pytest.approx(2.0, rel=1e-6)
 
     def test_very_slow_switching_saturates(self):
-        # the orbit's first trial, a sixteenth of a 10,000-long phase,
-        # overflows its stages and is rejected like any failed step
-        cfg = SolverConfig(max_iterations=10**6)
-        rep = two_phase_deductions(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 20000.0), cfg)
+        # a 10,000-long phase is one exact step, with no solver budget to spend
+        rep = two_phase_deductions(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 20000.0))
         assert rep.saturated
         assert max(rep.plateau_gaps) <= 1e-9
 
@@ -370,6 +423,17 @@ class TestTwoPhaseDeductions:
         cap = TwoPhase(-46.6, 46.6 + 1e-13, 30.0)
         with pytest.raises(ExponentOverflowError, match="phase-one population"):
             two_phase_deductions(LogisticParams(1.0, 1.0), cap)
+
+    def test_takes_no_solver_config(self):
+        # regime_tol is keyword-only, so a config passed where the solver
+        # settings went is an error, not a tolerance
+        with pytest.raises(TypeError):
+            two_phase_deductions(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 2.0), SolverConfig())
+
+    def test_overflowing_period_mass_is_a_domain_error(self):
+        # m1 + m2 overflows, so the integral of M over a period is inf
+        with pytest.raises(ExponentOverflowError, match="capacity integral over one period"):
+            two_phase_deductions(LogisticParams(1.0, 0.5), TwoPhase(1e308, 1e308, 1.0))
 
     def test_independent_of_initial_condition(self):
         cap = TwoPhase(1.0, 3.0, 2.0)
