@@ -9,14 +9,17 @@ The pins were last moved when dense output became Dormand-Prince's
 continuous extension and each smooth piece began to start from the step
 size the previous piece ended with. The one-piece sinusoid cases kept
 their step loop, so only their dense samples moved; the multi-piece
-square-wave and table cases were re-pinned in full.
+square-wave and table cases were re-pinned in full. The constant and
+die-off cases, whose level pieces the step loop reads M of once per
+piece, were added with the values of the loop that called a right-hand
+side closure per stage.
 """
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oscpop import LogisticParams, SinusoidOffset, Tabulated, TwoPhase, integrate_logistic, integrate_riccati
+from oscpop import Constant, LogisticParams, SinusoidOffset, Tabulated, TwoPhase, integrate_logistic, integrate_riccati
 from oscpop.odesolve import SolverStats
 
 
@@ -31,6 +34,9 @@ CASES = {
     "sinusoid": (SinusoidOffset(2.0, 1.5, 3.0), LogisticParams(1.3, 0.4), 40.0),
     "twophase": (TwoPhase(1.0, 3.0, 0.7), LogisticParams(1.1, 0.6), 25.0),
     "table": (_table(), LogisticParams(0.9, 1.7, 0.2), None),
+    # one piece that does not start at 0, and a square wave with a negative level
+    "constant": (Constant(2.5), LogisticParams(1.2, 0.3, 1.5), 12.0),
+    "dieoff": (TwoPhase(-0.5, 3.0, 5.0), LogisticParams(0.9, 0.5), 20.0),
 }
 FRACS = (0.13, 0.37, 0.5, 0.81, 1.0)
 
@@ -62,6 +68,22 @@ PINNED = [
      ["0x1.d27d5182718efp+0", "0x1.806980c944292p+0", "0x1.afa1f07718dfdp+0",
       "0x1.d574d56f2ac8cp+0", "0x1.83d6a07c987abp+0"],
      325, 23, 2147, "0x1.5d913908d4000p-11", "0x1.834420e0cd0c0p-4"),
+    ("constant", integrate_logistic, 1, 83, "0x1.3ffffffff28a1p+1",
+     ["0x1.1d2b3abc24ee9p+1", "0x1.3ffac9db1c13ep+1", "0x1.3fffe9c5f3946p+1",
+      "0x1.3fffffffc339fp+1", "0x1.3ffffffff28a1p+1"],
+     82, 2, 505, "0x1.378a3139b9aeep-5", "0x1.0ebcccffa1d65p+0"),
+    ("constant", integrate_riccati, 1, 93, "0x1.3ffffffffa3d1p+1",
+     ["0x1.1d2b3abbbfaf0p+1", "0x1.3ffac9dc2bea8p+1", "0x1.3fffe9c6c0f08p+1",
+      "0x1.3fffffffb63e2p+1", "0x1.3ffffffffa3d1p+1"],
+     92, 3, 571, "0x1.3f1ce3a60b062p-5", "0x1.fe76c0cab6f3dp-1"),
+    ("dieoff", integrate_logistic, 8, 397, "0x1.798a2baf8f9a0p+1",
+     ["0x1.015d1794620d4p-3", "0x1.a180c103f6b74p-3", "0x1.7984032199f67p+1",
+      "0x1.fc7d8b7389618p-2", "0x1.798a2baf8f9a0p+1"],
+     396, 9, 2438, "0x1.16483869b2000p-8", "0x1.e096f88eb44cdp-4"),
+    ("dieoff", integrate_riccati, 8, 390, "0x1.798a2bb210e08p+1",
+     ["0x1.015d17f989808p-3", "0x1.a180c10a3ba88p-3", "0x1.798403242c570p+1",
+      "0x1.fc7d8b71a72d8p-2", "0x1.798a2bb210e08p+1"],
+     389, 8, 2390, "0x1.3251520b25400p-6", "0x1.1b4d42a55aa6cp-3"),
 ]
 
 
