@@ -438,6 +438,13 @@ def _line(t0: float, v0: float, slope: float):
     return value, (lambda t: slope)
 
 
+def _piecewise_constant(schedule: CapacitySchedule) -> bool:
+    # every piece of a Constant or TwoPhase schedule is one level: value
+    # returns it at any t and slope returns 0.0, so the closed form and
+    # the RK45 loop may read M once per piece
+    return isinstance(schedule, (Constant, TwoPhase))
+
+
 def load_capacity_csv(path: str | Path) -> Tabulated:
     """Read a tabulated schedule from CSV with a header naming columns t and M.
 

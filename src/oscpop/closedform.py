@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacitySchedule, Constant, SolverConfig, TwoPhase
+from .capacity import CapacitySchedule, SolverConfig, TwoPhase, _piecewise_constant
 from .errors import ExponentOverflowError, PoleError
 from .odesolve import SolverStats, Trajectory, _qag
 
@@ -157,7 +157,7 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
     if math.isinf(u0):
         return np.full(len(times), math.inf)
     out = np.empty(len(times))
-    if isinstance(cap, (Constant, TwoPhase)):
+    if _piecewise_constant(cap):
         pieces = cap.pieces(t0, times[-1])
         (lo, hi, m, _), u = next(pieces), u0
         for i, t in enumerate(times):

@@ -10,11 +10,17 @@ is one row of seven floats, and sampling is one vectorized pass over
 the rows, linear in steps plus samples.
 
 ``_rk45`` is the one step loop of both integrators and the hot path of
-every long run. It walks the schedule's pieces itself and binds its
-coefficients and settings to locals once per call, keeping its counters,
-step budget and carried step size in locals too; that saves each step's
-and each piece's global and attribute lookups without changing any
-float it produces.
+every long run. It walks the schedule's pieces itself and evaluates each
+stage's right-hand side in its own body, in the logistic or the shifted
+form chosen once per call, so a stage calls no function but the
+schedule's. On a schedule of level pieces (Constant, TwoPhase) M is read
+once per piece and dM/dt is 0.0; elsewhere each stage time is one call
+of the piece's value, and of its slope in the shifted form, and stages 6
+and 7, which both sit at the step's end (the pair is FSAL), share them.
+It binds its coefficients and settings to locals once per call, keeping
+its counters, step budget and carried step size in locals too; that
+saves each step's and each piece's global and attribute lookups without
+changing any float it produces.
 
 Capacity breakpoints are treated as hard step boundaries: the integrator
 never takes a step across one, and each smooth piece is integrated with
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import SolverConfig
+from .capacity import SolverConfig, _piecewise_constant
 from .errors import ConvergenceError, DivergenceError, StiffnessError
 
 __all__ = [
@@ -116,24 +122,29 @@ class Trajectory:
         return float(self.populations[-1])
 
 
-def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
-    """Integrate y' = rhs_on(m, dm)(t, y) from (t0, p0) to t_end, piece by piece.
+def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
+    """Integrate P' = r (M - P) P, or with shift W' = r (M^2/4 - W^2) - M'/2
+    for W = P - M/2, from (t0, p0) to t_end, piece by piece.
 
-    One pass over cap.pieces: each smooth piece gets the right-hand side
-    of its own M and dM/dt and starts at min(max_step, span, h), h being
-    the controller's last proposal before the clip to the previous
-    piece's end (a sixteenth of the span for the first piece). With
-    shift, y is W = P - M/2: each piece restarts W from the carried P,
-    and P = W + M/2 is reported. Each accepted step adds the row (t0,
-    t1, y0, y1, f0, f1, dk) to one flat record: f0/f1 are its end slopes
-    and dk the continuous-extension combination of its stages. Every
-    step has t1 > t0: a step size that no longer moves t raises
-    StiffnessError, and a trial is accepted only when err <= 1 and y1 is
-    finite. Before any step, a bad t_end or t_eval raises ValueError;
-    max_iterations caps the attempted steps of the whole call.
+    One pass over cap.pieces: each stage's right-hand side is evaluated
+    in the loop, with M from the piece's value and, with shift, dM/dt
+    from its slope. On a schedule of level pieces M is read once per
+    piece and dM/dt is 0.0; otherwise each stage time is one value call
+    (and one slope call), stages 6 and 7 sharing those at t_next. Each
+    piece starts at min(max_step, span, h), h being the controller's
+    last proposal before the clip to the previous piece's end (a
+    sixteenth of the span for the first piece). With shift, each piece
+    restarts W from the carried P, and P = W + M/2 is reported. Each
+    accepted step adds the row (t0, t1, y0, y1, f0, f1, dk) to one flat
+    record: f0/f1 are its end slopes and dk the continuous-extension
+    combination of its stages. Every step has t1 > t0: a step size that
+    no longer moves t raises StiffnessError, and a trial is accepted
+    only when err <= 1 and y1 is finite. Before any step, a bad t_end or
+    t_eval raises ValueError; max_iterations caps the attempted steps of
+    the whole call.
     """
     cfg = cfg or SolverConfig()
-    t0, p0 = params.t0, params.p0
+    t0, p0, r = params.t0, params.p0, params.r
     if not math.isfinite(t_end):
         # NaN passes both comparisons below and never ends a piece
         raise ValueError(f"integration needs finite bounds, got t_end={t_end}")
@@ -152,6 +163,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
     safety, min_factor, max_factor, err_floor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_FLOOR
     abs_tol, rel_tol, max_step, min_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step, cfg.min_step
     isfinite = math.isfinite
+    levels = _piecewise_constant(cap)
     record: list[float] = []
     extend = record.extend
     # (hi, M) at each piece end; only the M/2 shift reads them
@@ -160,12 +172,19 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
     n_rej = n_pieces = 0
     h_min, h_max = math.inf, 0.0
     y, h = p0, None
+    # m1..m6 and s1..s6 are M and dM/dt at stages 1 to 6; s stays 0.0 on
+    # level pieces and is read only with shift
+    s1 = s2 = s3 = s4 = s5 = s6 = 0.0
     for lo, hi, m, dm in cap.pieces(t0, t_end):
-        f = rhs_on(m, dm)
-        if shift:
-            y = y - 0.5 * m(lo)
         t = lo
-        k1 = f(t, y)
+        m1 = m(lo)
+        if levels:
+            m2 = m3 = m4 = m5 = m6 = m1
+        elif shift:
+            s1 = dm(lo)
+        if shift:
+            y = y - 0.5 * m1
+        k1 = r * (0.25 * m1 * m1 - y * y) - 0.5 * s1 if shift else r * (m1 - y) * y
         n_pieces += 1
         if not isfinite(k1) or not isfinite(y):
             raise DivergenceError(f"non-finite state at t={t}")
@@ -185,14 +204,25 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
             if left <= 0:
                 raise ConvergenceError("step budget exhausted (max_iterations)")
             left -= 1
-            k2 = f(t + c2 * h, y + h * (a21 * k1))
-            k3 = f(t + c3 * h, y + h * (a31 * k1 + a32 * k2))
-            k4 = f(t + c4 * h, y + h * (a41 * k1 + a42 * k2 + a43 * k3))
-            k5 = f(t + c5 * h, y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
             t_next = t + h
-            k6 = f(t_next, y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))
+            if not levels:
+                t2, t3, t4, t5 = t + c2 * h, t + c3 * h, t + c4 * h, t + c5 * h
+                m2, m3, m4, m5, m6 = m(t2), m(t3), m(t4), m(t5), m(t_next)
+                if shift:
+                    s2, s3, s4, s5, s6 = dm(t2), dm(t3), dm(t4), dm(t5), dm(t_next)
+            z = y + h * (a21 * k1)
+            k2 = r * (0.25 * m2 * m2 - z * z) - 0.5 * s2 if shift else r * (m2 - z) * z
+            z = y + h * (a31 * k1 + a32 * k2)
+            k3 = r * (0.25 * m3 * m3 - z * z) - 0.5 * s3 if shift else r * (m3 - z) * z
+            z = y + h * (a41 * k1 + a42 * k2 + a43 * k3)
+            k4 = r * (0.25 * m4 * m4 - z * z) - 0.5 * s4 if shift else r * (m4 - z) * z
+            z = y + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+            k5 = r * (0.25 * m5 * m5 - z * z) - 0.5 * s5 if shift else r * (m5 - z) * z
+            z = y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+            k6 = r * (0.25 * m6 * m6 - z * z) - 0.5 * s6 if shift else r * (m6 - z) * z
             y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-            k7 = f(t_next, y_new)
+            z = y_new  # stage 7, the next step's first, at stage 6's time
+            k7 = r * (0.25 * m6 * m6 - z * z) - 0.5 * s6 if shift else r * (m6 - z) * z
             err_abs = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
             size, size_new = abs(y), abs(y_new)
             err = abs(err_abs) / (abs_tol + rel_tol * (size_new if size_new > size else size))
@@ -221,8 +251,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
                     h = max_step
             else:
                 n_rej += 1
-                # an overflowed trial (err NaN, or 0 beside an infinite
-                # y_new) takes the smallest factor
+                # an overflowed trial (err NaN) takes the smallest factor
                 factor = safety * err ** -0.2 if err > 1.0 else min_factor
                 h *= factor if factor > min_factor else min_factor
                 if h < min_step:
@@ -233,7 +262,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, rhs_on, solver, shift) -> Trajectory:
                 raise StiffnessError(f"step size vanished at t={t}")
         h = h_next
         if shift:
-            y = y + 0.5 * m(hi)
+            y = y + 0.5 * (m1 if levels else m(hi))
             ends.append((hi, m))
     n_acc = len(record) // 7
     # every piece spans lo < hi, so at least one step was accepted
@@ -260,6 +289,9 @@ def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
     ts = np.asarray(t_eval, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
         raise ValueError("t_eval must be a non-empty 1-D array")
+    if not np.isfinite(ts).all():
+        # NaN passes both range comparisons below
+        raise ValueError("t_eval must be finite")
     if ts.size > 1 and not np.all(np.diff(ts) > 0.0):
         raise ValueError("t_eval must be strictly increasing")
     slack = 1e-12 * max(1.0, abs(t0), abs(t_end))
@@ -298,15 +330,7 @@ def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     accepted steps, linear in steps plus samples. The first sample is
     exactly the supplied initial condition.
     """
-    r = params.r
-
-    def rhs_on(m, dm):
-        def rhs(t: float, p: float, m=m) -> float:
-            return r * (m(t) - p) * p
-
-        return rhs
-
-    return _rk45(params, cap, t_end, cfg, t_eval, rhs_on, "logistic-rk45", shift=False)
+    return _rk45(params, cap, t_end, cfg, t_eval, "logistic-rk45", shift=False)
 
 
 def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
@@ -321,16 +345,7 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     samples. The first sample is exactly the supplied initial
     condition, on both routes.
     """
-    r = params.r
-
-    def rhs_on(m, dm):
-        def rhs(t: float, w: float, m=m, dm=dm) -> float:
-            mt = m(t)
-            return r * (0.25 * mt * mt - w * w) - 0.5 * dm(t)
-
-        return rhs
-
-    return _rk45(params, cap, t_end, cfg, t_eval, rhs_on, "riccati-rk45", shift=True)
+    return _rk45(params, cap, t_end, cfg, t_eval, "riccati-rk45", shift=True)
 
 
 def adaptive_quadrature(f, a, b, mandatory_points=(), cfg=None) -> float:

@@ -22,7 +22,7 @@ from oscpop import (
     logistic_constant,
     quadrature_solution,
 )
-from oscpop.odesolve import SolverStats, _rk45
+from oscpop.odesolve import SolverStats
 
 TIGHT = SolverConfig(abs_tol=1e-13, rel_tol=1e-11)
 
@@ -134,6 +134,19 @@ class TestIntegrateLogistic:
                 t_eval=[1.0, 0.5],
             )
 
+    @pytest.mark.parametrize("t_end", [1.0, 1e9])
+    @pytest.mark.parametrize("grid", [[math.nan], [1.5, math.nan], [-math.inf], [math.inf]])
+    @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+    def test_non_finite_eval_grid_fails_before_integrating(self, integrate, grid, t_end):
+        # a lone NaN passes both range comparisons; it must not integrate the
+        # whole span, nor, on an empty one, come back as the sample at t0
+        class Untouched(Constant):
+            def pieces(self, t0, t1):
+                raise AssertionError("integrated before t_eval was checked")
+
+        with pytest.raises(ValueError, match="t_eval must be finite"):
+            integrate(LogisticParams(1, 0.5, 1.0), Untouched(2.0), t_end, t_eval=grid)
+
     @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
     def test_eval_grid_is_checked_on_an_empty_span(self, integrate):
         # t_end == t0 returns the initial sample, but only for a grid that
@@ -181,16 +194,6 @@ class TestIntegrateLogistic:
         # every trial overflows until the step is cut below min_step
         with pytest.raises(StiffnessError, match="underflow"):
             integrate_logistic(LogisticParams(1, 1), Constant(1e160), 1.0)
-
-    def test_infinite_trial_with_zero_error_is_rejected_without_raising(self):
-        # a slope of 1e308 everywhere: y1 overflows while the error estimate
-        # stays finite, so err is 0 against an infinite scale; the rejection
-        # must cut the step, not evaluate 0.0 ** -0.2
-        def rhs_on(m, dm):
-            return lambda t, y: 1e308
-
-        with pytest.raises(StiffnessError, match="underflow"):
-            _rk45(LogisticParams(1.0, 0.0), Constant(1.0), 100.0, None, None, rhs_on, "test", False)
 
     def test_step_budget_error(self):
         cfg = SolverConfig(max_iterations=3)
