@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -104,13 +103,9 @@ class CapacitySchedule:
         produced lazily.
         """
         lo = t0
-        for hi in chain(self._cuts(t0, t1), [t1]):
+        for hi in [*self.breakpoints_between(t0, t1), t1]:
             yield (lo, hi, *self._piece(lo, hi))
             lo = hi
-
-    def _cuts(self, t0: float, t1: float):
-        # breakpoints_between as any ascending iterable, for pieces to walk
-        return self.breakpoints_between(t0, t1)
 
     def _piece(self, lo: float, hi: float):
         return self.at, self.derivative
@@ -128,11 +123,15 @@ def _require_ordered(t0: float, t1: float) -> None:
 
 
 def _require_finite(schedule: CapacitySchedule) -> None:
-    # the float parameters; a table checks its sample arrays itself
-    for f in fields(schedule):
-        value = getattr(schedule, f.name) if f.init else None
+    # the float parameters, after a period's own check (a declared one may
+    # be None); a table checks its sample arrays itself
+    params = [(f.name, getattr(schedule, f.name)) for f in fields(schedule) if f.init]
+    for name, value in params:
+        if name.endswith("period") and value is not None and not value > 0.0:
+            raise ValueError(f"{name} must be positive")
+    for name, value in params:
         if value is not None and not isinstance(value, np.ndarray) and not math.isfinite(value):
-            raise ValueError(f"schedule parameter {f.name} must be finite, got {value}")
+            raise ValueError(f"schedule parameter {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,6 @@ class Constant(CapacitySchedule):
     declared_period: float | None = None
 
     def __post_init__(self) -> None:
-        if self.declared_period is not None and not self.declared_period > 0.0:
-            raise ValueError("declared_period must be positive")
         _require_finite(self)
 
     @property
@@ -172,9 +169,13 @@ class Constant(CapacitySchedule):
 class TwoPhase(CapacitySchedule):
     """Square-wave capacity: m1 on the first half of each cycle, m2 on the second.
 
-    Pieces are left-closed and right-open, so the value exactly at a
-    switch time belongs to the piece that starts there. The pattern
-    repeats with the given period for all t, negative times included.
+    The switch times are the floats k * (period / 2) for every integer
+    k, and M is m1 from an even switch and m2 from an odd one, so the
+    pattern repeats for all t, negative times included. Pieces are
+    left-closed and right-open: the value exactly at a switch time
+    belongs to the piece that starts there. at, derivative,
+    breakpoints_between and pieces all read this one grid; a t whose
+    t / (period / 2) leaves the float range raises ValueError.
     """
 
     m1: float
@@ -182,26 +183,35 @@ class TwoPhase(CapacitySchedule):
     period: float
 
     def __post_init__(self) -> None:
-        if not self.period > 0.0:
-            raise ValueError("period must be positive")
+        _require_finite(self)
         if not 0.5 * self.period > 0.0:
             # the switch times are multiples of the half period
             raise ValueError(f"half the period must be positive, got {self.period}")
-        _require_finite(self)
+
+    def _switch(self, t: float) -> int:
+        # the largest k with k * half <= t; t / half rounds, so its floor may
+        # be one switch off, which the two products settle (within 2**52
+        # switches of 0; beyond, switches are closer than the floats near t)
+        half = 0.5 * self.period
+        q = t / half
+        if not math.isfinite(q):
+            raise ValueError(f"switch times need finite bounds, got t={t} for half period {half}")
+        k = math.floor(q)
+        if k * half > t:
+            return k - 1
+        return k + 1 if (k + 1) * half <= t else k
 
     def at(self, t: float) -> float:
-        # t % period rounds up to period only for t < 0 just below a
-        # switch, which lies in the m2 half
-        return self.m1 if t % self.period < 0.5 * self.period else self.m2
+        return self.m2 if self._switch(t) % 2 else self.m1
 
     def _cumulative(self, t: float) -> float:
-        # antiderivative anchored at 0, exact up to float rounding
+        # antiderivative anchored at 0, exact up to float rounding; a whole
+        # cycle's mass is formed from the halves, so it is finite wherever
+        # the integral is
         k = math.floor(t / self.period)
         tau = min(max(t - k * self.period, 0.0), self.period)
         half = 0.5 * self.period
-        # the first period holds no whole cycle: the signed zero that
-        # 0 * (m1 + m2) gives, but not its nan where m1 + m2 overflows
-        full_cycles = k * (self.m1 + self.m2) * half if k else math.copysign(0.0, self.m1 + self.m2)
+        full_cycles = k * (0.5 * self.m1 + 0.5 * self.m2) * self.period
         return full_cycles + self.m1 * min(tau, half) + self.m2 * max(0.0, tau - half)
 
     def integral(self, t0: float, t1: float) -> float:
@@ -209,31 +219,34 @@ class TwoPhase(CapacitySchedule):
         return self._cumulative(t1) - self._cumulative(t0)
 
     def derivative(self, t: float) -> float:
-        tau = t % self.period
-        if tau == 0.0 or tau == 0.5 * self.period:
+        if self._switch(t) * (0.5 * self.period) == t:
             raise NonDifferentiableError(f"capacity jumps at t={t}")
         return 0.0
 
     def breakpoints_between(self, t0: float, t1: float) -> list[float]:
-        return list(self._cuts(t0, t1))
+        return [lo for lo, _, _, _ in self.pieces(t0, t1)][1:]
 
-    def _cuts(self, t0: float, t1: float):
-        # a generator, so a short step budget never builds every switch time
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise ValueError(f"switch times need finite bounds, got ({t0}, {t1})")
+    def pieces(self, t0: float, t1: float):
+        # a walk up the switch index from t0's, so a short step budget never
+        # builds every switch time; the piece from switch k holds at's level
+        # of k, and one of two closures serves every piece
         half = 0.5 * self.period
-        k = math.floor(t0 / half)
-        while True:
-            k += 1
-            b = k * half
-            if b >= t1:
-                return
-            if b > t0:
-                yield b
+        m1, m2 = self.m1, self.m2
+        levels = (lambda t: m1), (lambda t: m2)
 
-    def _piece(self, lo: float, hi: float):
-        m = self.at(0.5 * (lo + hi))
-        return (lambda t: m), (lambda t: 0.0)
+        def slope(t: float) -> float:
+            return 0.0
+
+        lo, k, last = t0, self._switch(t0), self._switch(t1)
+        while k < last:
+            hi = (k + 1) * half
+            if hi >= t1:  # t1 on a switch ends the last piece
+                break
+            if hi > lo:  # beyond 2**52 switches, neighbours may share a float
+                yield lo, hi, levels[k % 2], slope
+                lo = hi
+            k += 1
+        yield lo, t1, levels[k % 2], slope
 
     def min_value(self) -> float:
         return min(self.m1, self.m2)
@@ -251,8 +264,6 @@ class SinusoidOffset(CapacitySchedule):
     period: float
 
     def __post_init__(self) -> None:
-        if not self.period > 0.0:
-            raise ValueError("period must be positive")
         _require_finite(self)
 
     def _angle(self, t: float) -> float:
@@ -337,8 +348,6 @@ class Tabulated(CapacitySchedule):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        if self.declared_period is not None and not self.declared_period > 0.0:
-            raise ValueError("declared_period must be positive")
         _require_finite(self)
         object.__setattr__(self, "_cum", cum)
 

@@ -94,8 +94,9 @@ def _given(args, names) -> dict:
     return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(**_given(args, [f.name for f in fields(SolverConfig)]))
+def _config(args, settings: type):
+    # a settings dataclass from the flags of its fields that were given
+    return settings(**_given(args, [f.name for f in fields(settings)]))
 
 
 def _params(args) -> LogisticParams:
@@ -116,9 +117,9 @@ def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     return _sample_grid(t0, t_end, dt)
 
 
-def _add_solver_options(p: argparse.ArgumentParser) -> None:
-    # one flag per SolverConfig field, typed like its default
-    for f in fields(SolverConfig):
+def _add_config_options(p: argparse.ArgumentParser, settings: type) -> None:
+    # one flag per field of a settings dataclass, typed like its default
+    for f in fields(settings):
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default), default=None)
 
 
@@ -142,14 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="adaptive integration, CSV of t,P,M")
     _add_model_options(p)
-    _add_solver_options(p)
+    _add_config_options(p, SolverConfig)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
         "closed-form", help="quadrature solution vs. integrator, CSV of t,P_closed,P_numeric,abs_diff"
     )
     _add_model_options(p)
-    _add_solver_options(p)
+    _add_config_options(p, SolverConfig)
     p.set_defaults(func=_cmd_closed_form)
 
     p = sub.add_parser("two-phase", help="piecewise-exact square-wave trajectory plus cycle report")
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periodic", help="periodic cycle: orbit CSV plus summary")
     _add_model_options(p, with_grid=False)
-    _add_solver_options(p)
+    _add_config_options(p, SolverConfig)
     p.add_argument("--fixed-point-tol", dest="fixed_point_tol", type=float, default=None, help="relative closure tolerance |P(h) - p*| / p* of the cycle")
     p.set_defaults(func=_cmd_periodic)
 
@@ -168,9 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-max", dest="rho_max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--r", type=float, default=1.0, help="fixed growth rate")
-    p.add_argument("--transient", type=int, default=ScanConfig.transient)
-    p.add_argument("--window", type=int, default=ScanConfig.window)
-    p.add_argument("--match-tol", dest="match_tol", type=float, default=ScanConfig.match_tol)
+    _add_config_options(p, ScanConfig)
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_bifurcation)
 
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     cap = parse_schedule(args.schedule)
     params = _params(args)
-    cfg = _solver_config(args)
+    cfg = _config(args, SolverConfig)
     grid = _time_grid(params.t0, args.t_end, args.dt)
     traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
     rows = [(t, p, cap.at(float(t))) for t, p in zip(traj.times, traj.populations)]
@@ -195,7 +194,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_closed_form(args) -> int:
     cap = parse_schedule(args.schedule)
     params = _params(args)
-    cfg = _solver_config(args)
+    cfg = _config(args, SolverConfig)
     grid = _time_grid(params.t0, args.t_end, args.dt)
     traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
     rows = []
@@ -236,7 +235,7 @@ def _cmd_two_phase(args) -> int:
 
 def _cmd_periodic(args) -> int:
     cap = parse_schedule(args.schedule)
-    cfg = _solver_config(args)
+    cfg = _config(args, SolverConfig)
     sol = find_periodic_solution(args.r, cap, cfg, **_given(args, ["fixed_point_tol"]))
     mean_pop = time_average(sol)
     residual = mean_identity_residual(sol, cap)
@@ -257,7 +256,7 @@ def _cmd_periodic(args) -> int:
 
 
 def _cmd_bifurcation(args) -> int:
-    scan = ScanConfig(transient=args.transient, window=args.window, match_tol=args.match_tol)
+    scan = _config(args, ScanConfig)
     result = bifurcation_scan(args.rho_min, args.rho_max, args.steps, scan, r_fixed=args.r)
     rows = []
     for rec in result.records:

@@ -116,33 +116,22 @@ def _orbit(r: float, m: float, unit: float, p: float, t: int, transient: int, en
     Returns (values, escape, before): the values of steps max(t + 1,
     transient) .. end, or up to the step before `escape`, the first
     escaping step (None if there is none), and `before`, the value at
-    the step before it. Blocks of up to _CHUNK steps are checked by the
-    array loop's rules. A non-finite value stays non-finite and r p / unit
-    is monotone in p, so a block can escape only if its last value or one
-    of its extremes does; only then is it checked value by value. A block
-    whose last value equals an earlier one retires the column, and the
-    rest of the window repeats the block's tail.
+    the step before it. Each block of up to _CHUNK steps takes the array
+    loop's two rules: the first value _escape_mask flags ends the column,
+    and a last value equal to an earlier one retires it, the rest of the
+    window repeating the block's tail.
     """
-    bound = _ESCAPE_BOUND
-    # x / 0.0 raises on Python floats; a NaN divisor sends every block to
-    # the array rule instead, which returns inf or nan as numpy does
-    div = unit if unit else math.nan
     values: list[float] = []
     while t < end:
         n = min(_CHUNK, end - t)
         start, chunk = p, _steps(r, m, p, n)
         p = chunk[-1]
         first = max(transient - t - 1, 0)  # first chunk index in the window
-        if not (
-            math.isfinite(p)
-            and -bound <= r * min(chunk) / div <= bound
-            and -bound <= r * max(chunk) / div <= bound
-        ):
-            mask = _escape_mask(r, unit, np.array(chunk))
-            if mask.any():
-                i = int(mask.argmax())
-                values += chunk[first:i]
-                return values, t + i + 1, chunk[i - 1] if i else start
+        mask = _escape_mask(r, unit, np.fromiter(chunk, float, n))
+        if mask.any():
+            i = int(mask.argmax())
+            values += chunk[first:i]
+            return values, t + i + 1, chunk[i - 1] if i else start
         values += chunk[first:]
         t += n
         # x_t == x_(t-q) for the block's largest such q, so the steps after

@@ -363,7 +363,7 @@ def two_phase_deductions(
     if not 0.0 < p1 < math.inf:
         raise ExponentOverflowError("the cycle's phase-one population leaves the float range")
     mean_pop = mass / h
-    gap = abs(0.5 * (cap.m1 + cap.m2) - mean_pop)
+    gap = abs(0.5 * cap.m1 + 0.5 * cap.m2 - mean_pop)
     plateau = (abs(p1 - cap.m1), abs(p_star - cap.m2))
     saturated = (
         plateau[0] < regime_tol * abs(cap.m1) and plateau[1] < regime_tol * abs(cap.m2)

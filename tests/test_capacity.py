@@ -121,6 +121,58 @@ class TestTwoPhase:
         assert cap.integral(0.0, 0.25) == 2.5e307
         assert cap.integral(0.5, 0.75) == 2.5e307
 
+    def test_whole_cycles_of_an_overflowing_sum(self):
+        # k * (m1 + m2) * half was inf for a true 5e307
+        cap = TwoPhase(1e308, 1e308, 1.0)
+        assert cap.integral(0.5, 1.0) == 5e307
+        assert cap.integral(0.0, 1.0) == 1e308
+        assert cap.integral(1.0, 1.75) == 7.5e307
+
+    @pytest.mark.parametrize("period", [0.1, 0.3, 1.0 / 3.0, 0.7, 1e-3])
+    def test_switch_times_start_their_pieces(self, period):
+        # at and derivative took t % period, which at most of these switch
+        # times gave the previous piece's level and a slope of 0.0
+        cap = TwoPhase(1.0, 3.0, period)
+        pieces = list(cap.pieces(0.0, 2000.0 * period))[1:4000]
+        assert len(pieces) == 3999
+        for k, (lo, _, value, _) in enumerate(pieces, start=1):
+            assert lo == k * (0.5 * period)
+            assert cap.at(lo) == value(lo) == (3.0 if k % 2 else 1.0)
+            with pytest.raises(NonDifferentiableError):
+                cap.derivative(lo)
+
+    @pytest.mark.parametrize("period, t0, t1, switch", [
+        (0.1, 7.8, 7.9, 7.800000000000001),
+        (1.0 / 3.0, 10.999999999999998, 11.1, 11.0),
+    ])
+    def test_switch_an_ulp_after_the_start(self, period, t0, t1, switch):
+        # floor(t0 / half) rounded up past this switch, which was skipped
+        cap = TwoPhase(1.0, 3.0, period)
+        assert math.nextafter(t0, math.inf) == switch
+        assert cap.breakpoints_between(t0, t1)[0] == switch
+        (lo, hi, first, _), (start, _, second, _) = list(cap.pieces(t0, t1))[:2]
+        assert (lo, hi, start) == (t0, switch, switch)
+        assert first(t0) == cap.at(t0) and second(switch) == cap.at(switch) != cap.at(t0)
+
+    def test_switches_closer_than_the_floats_leave_no_empty_piece(self):
+        # 2e20 switches from 0, neighbouring k * half round to one float; an
+        # empty first piece would leave the RK45 loop without a step
+        cap = TwoPhase(1.0, 3.0, 1e-20)
+        pieces = list(cap.pieces(1.0, 1.0 + 1e-15))
+        assert all(lo < hi for lo, hi, _, _ in pieces)
+        assert [lo for lo, _, _, _ in pieces[1:]] == cap.breakpoints_between(1.0, 1.0 + 1e-15)
+        traj = integrate_logistic(LogisticParams(1.0, 0.5, 1.0), cap, 1.0 + 1e-15)
+        assert traj.meta.n_accepted == len(pieces)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e10])
+    def test_switch_index_past_the_float_range(self, t):
+        # 1e10 / 5e-301 overflows: math.floor raised OverflowError
+        cap = TwoPhase(1.0, 3.0, 1e-300)
+        for query in (cap.at, cap.derivative, lambda t: cap.breakpoints_between(t, t + 1.0),
+                      lambda t: list(cap.pieces(-1.0, t))):
+            with pytest.raises(ValueError, match="switch times need finite bounds"):
+                query(t)
+
     def test_derivative_flat_inside_pieces(self):
         cap = TwoPhase(1.0, 3.0, 2.0)
         assert cap.derivative(0.4) == 0.0
@@ -507,11 +559,12 @@ class TestArrayPieceValues:
 
 
 class CountingTwoPhase(TwoPhase):
-    at_calls = 0
+    pieces_drawn = 0
 
-    def at(self, t):
-        type(self).at_calls += 1
-        return super().at(t)
+    def pieces(self, t0, t1):
+        for piece in super().pieces(t0, t1):
+            type(self).pieces_drawn += 1
+            yield piece
 
 
 class TestPieces:
@@ -553,11 +606,36 @@ class TestPieces:
     def test_pieces_are_resolved_lazily(self):
         # 20,000 pieces on [0, 100]; a budget of 50 steps reaches a few
         # dozen, so only those may be resolved
-        CountingTwoPhase.at_calls = 0
+        CountingTwoPhase.pieces_drawn = 0
         cap = CountingTwoPhase(1.0, 3.0, 0.01)
         with pytest.raises(ConvergenceError):
             integrate_logistic(LogisticParams(1.0, 0.5), cap, 100.0, SolverConfig(max_iterations=50))
-        assert 0 < CountingTwoPhase.at_calls <= 50
+        assert 0 < CountingTwoPhase.pieces_drawn <= 50
+
+
+PAIRS = [(0.0, 1.0), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Constant(1.0, -1.0), "declared_period must be positive"),
+    (lambda: Constant(1.0, math.nan), "declared_period must be positive"),
+    (lambda: Constant(1.0, math.inf), "schedule parameter declared_period must be finite, got inf"),
+    (lambda: Constant(math.nan), "schedule parameter m must be finite, got nan"),
+    (lambda: TwoPhase(1.0, 2.0, 0.0), "period must be positive"),
+    (lambda: TwoPhase(1.0, 2.0, math.inf), "schedule parameter period must be finite, got inf"),
+    (lambda: TwoPhase(1.0, 2.0, 5e-324), "half the period must be positive, got 5e-324"),
+    (lambda: TwoPhase(math.inf, 2.0, 1.0), "schedule parameter m1 must be finite, got inf"),
+    (lambda: SinusoidOffset(1.0, 1.0, -2.0), "period must be positive"),
+    (lambda: SinusoidOffset(1.0, 1.0, math.inf), "schedule parameter period must be finite, got inf"),
+    (lambda: Tabulated.from_pairs(PAIRS, -1.0), "declared_period must be positive"),
+    (lambda: Tabulated.from_pairs(PAIRS, math.nan), "declared_period must be positive"),
+    (lambda: Tabulated.from_pairs(PAIRS, math.inf), "schedule parameter declared_period must be finite, got inf"),
+])
+def test_one_bad_parameter_names_itself(make, message):
+    # one period check for every schedule, before the finiteness check
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 class TestCsvLoading:

@@ -19,12 +19,6 @@ from oscpop import (  # noqa: E402
 INWARD = 1e-3  # one-sided limits are compared with M this far into a piece
 
 
-def resolvable(lo, hi):
-    # a square wave's phase is rounded relative to |t|, so M at points
-    # within that rounding of a switch time may resolve to either side
-    return hi - lo > 1e-9 * max(1.0, abs(lo), abs(hi))
-
-
 @st.composite
 def intervals(draw):
     """(schedule, t0, t1, bound on |dM/dt|, bound on |d2M/dt2|).
@@ -78,7 +72,7 @@ def test_piece_matches_the_schedule_inside(iv, frac):
     cap, t0, t1, _, _ = iv
     for lo, hi, value, slope in cap.pieces(t0, t1):
         x = lo + frac * (hi - lo)
-        if resolvable(lo, hi) and lo < x < hi:
+        if lo < x < hi:
             assert value(x) == cap.at(x)
             assert slope(x) == cap.derivative(x)
 
@@ -88,8 +82,6 @@ def test_piece_matches_the_schedule_inside(iv, frac):
 def test_piece_ends_give_one_sided_limits(iv):
     cap, t0, t1, dm_bound, d2m_bound = iv
     for lo, hi, value, slope in cap.pieces(t0, t1):
-        if not resolvable(lo, hi):
-            continue
         step = INWARD * (hi - lo)
         for end, inside in ((lo, lo + step), (hi, hi - step)):
             if not lo < inside < hi:
@@ -97,6 +89,59 @@ def test_piece_ends_give_one_sided_limits(iv):
             reach = abs(inside - end)
             assert value(end) == pytest.approx(cap.at(inside), rel=1e-12, abs=dm_bound * reach + 1e-12)
             assert slope(end) == pytest.approx(cap.derivative(inside), rel=1e-12, abs=d2m_bound * reach + 1e-12)
+
+
+@st.composite
+def near_breakpoints(draw):
+    """(schedule, t0, t1, every breakpoint in (t0, t1)) with t0 on a
+    breakpoint or one ulp to either side of it.
+
+    A square wave's breakpoints are listed from the switch grid k * (period
+    / 2) and a table's are its sample times; a constant or a sinusoid has
+    none, so t0 is drawn near an arbitrary time for them.
+    """
+    kind = draw(st.sampled_from(["constant", "twophase", "sinusoid", "table"]))
+    side = draw(st.sampled_from([-math.inf, None, math.inf]))
+
+    def near(b):
+        return b if side is None else math.nextafter(b, side)
+
+    if kind == "twophase":
+        period = draw(st.sampled_from([0.1, 0.3, 1.0 / 3.0, 0.7, 1e-3, 2.0]) | st.floats(1e-3, 5.0))
+        cap = TwoPhase(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), period)
+        half = 0.5 * period
+        k = draw(st.integers(-40, 40) if period > 0.5 else st.integers(-20_000, 20_000))
+        t0 = near(k * half)
+        t1 = t0 + half * draw(st.floats(0.0, 60.0))
+        grid = (j * half for j in range(math.floor(t0 / half) - 2, math.ceil(t1 / half) + 3))
+        return cap, t0, t1, [b for b in grid if t0 < b < t1]
+    if kind == "table":
+        gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=40))
+        times = draw(st.floats(-20.0, 20.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+        values = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=times.size, max_size=times.size)))
+        knots = times.tolist()
+        t0 = near(knots[draw(st.integers(1, len(knots) - 2))])
+        t1 = draw(st.sampled_from([k for k in knots if k >= t0]) | st.floats(t0, knots[-1]))
+        return Tabulated(times, values), t0, t1, [b for b in knots if t0 < b < t1]
+    t0 = near(draw(st.floats(-40.0, 40.0)))
+    t1 = t0 + draw(st.floats(0.0, 20.0))
+    if kind == "constant":
+        return Constant(draw(st.floats(-3.0, 3.0))), t0, t1, []
+    return SinusoidOffset(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), draw(st.floats(0.5, 5.0))), t0, t1, []
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=near_breakpoints())
+def test_each_breakpoint_starts_its_piece(drawn):
+    # at, derivative, breakpoints_between and pieces agree on every
+    # breakpoint: none is skipped, M there is the level of the piece that
+    # starts there, and M is not differentiable there
+    cap, t0, t1, every = drawn
+    assert cap.breakpoints_between(t0, t1) == every
+    for lo, _, value, _ in list(cap.pieces(t0, t1))[1:]:
+        assert cap.at(lo) == value(lo)
+        with pytest.raises(NonDifferentiableError):
+            cap.derivative(lo)
 
 
 @st.composite

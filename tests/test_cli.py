@@ -16,6 +16,7 @@ import oscpop
 from oscpop import (
     Constant,
     LogisticParams,
+    ScanConfig,
     SolverConfig,
     Tabulated,
     TwoPhase,
@@ -341,6 +342,24 @@ class TestLibraryDefaults:
             assert action.type is type(f.default)
             assert action.default is None
 
+    def test_one_flag_per_scan_field(self):
+        actions = self.actions("bifurcation")
+        for f in fields(ScanConfig):
+            action = actions[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert action.type is type(f.default)
+            assert action.default is None
+
+    @pytest.mark.parametrize("field, value", [("transient", "500"), ("window", "64"), ("match_tol", "1e-3")])
+    def test_every_scan_flag_reaches_the_scan(self, capsys, field, value):
+        # the grid straddles the 1 -> 2 doubling, where orbits settle slowly,
+        # so each setting moves the records; its default moves nothing
+        argv = ["bifurcation", "--rho-min", "1.98", "--rho-max", "2.02", "--steps", "9"]
+        flag = "--" + field.replace("_", "-")
+        default = str(getattr(ScanConfig(), field))
+        assert run(capsys, *argv, flag, default) == run(capsys, *argv)
+        assert run(capsys, *argv, flag, value) != run(capsys, *argv)
+
     def test_two_phase_takes_no_solver_flag(self):
         actions = self.actions("two-phase")
         assert not {f.name for f in fields(SolverConfig)} & set(actions)
@@ -470,15 +489,57 @@ class TestExitCodes:
         assert "nan" not in err and "inf" not in err
 
     @pytest.mark.parametrize("argv", [
-        ["periodic", "--schedule", "twophase:1e308,1e308,1", "--r", "1"],
-        ["two-phase", "--schedule", "twophase:1e308,1e308,1", "--r", "1", "--p0", "1", "--t-end", "2", "--dt", "0.5"],
+        ["periodic", "--schedule", "twophase:1e308,1e308,4", "--r", "1"],
+        ["two-phase", "--schedule", "twophase:1e308,1e308,4", "--r", "1", "--p0", "1", "--t-end", "2", "--dt", "0.5"],
     ], ids=lambda argv: argv[0])
     def test_overflowing_period_mass_is_domain_error(self, capsys, argv):
-        # m1 + m2 overflows: the integral was nan, reported as a bad initial
-        # population the user never gave
+        # the mass of a period, 4e308, is past the float range: the integral
+        # was nan, reported as a bad initial population the user never gave
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == "ExponentOverflowError: the capacity integral over one period leaves the float range\n"
+
+    def test_samples_on_switch_times_take_the_new_level(self, capsys):
+        # every sample is a switch time; three M cells held the old level
+        code, out, _ = run(
+            capsys, "simulate", "--schedule", "twophase:1,3,0.3", "--r", "1", "--p0", "0.5",
+            "--t-end", "1.5", "--dt", "0.15",
+        )
+        assert code == 0
+        assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["1", "3"] * 5 + ["1"]
+
+    @pytest.mark.parametrize("command", ["simulate", "two-phase"])
+    def test_switch_index_past_the_float_range_is_usage_error(self, capsys, command):
+        # t0 / (period / 2) overflows: a traceback (OverflowError), exit 1
+        code, out, err = run(
+            capsys, command, "--schedule", "twophase:1,3,1e-300", "--r", "1", "--p0", "0.5",
+            "--t0", "1e10", "--t-end", "10000000001", "--dt", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: switch times need finite bounds, got t=10000000000.0")
+
+    def test_cycle_whose_level_sum_overflows_solves(self, capsys):
+        # m1 + m2 overflows, but the mass 1e308 and p* = 1e308 do not: the
+        # whole-cycle term was inf, and the command exited 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "periodic", "--schedule", "twophase:1e308,1e308,1", "--r", "1")
+        assert code == 0
+        assert "p_star                 = 1e+308\n" in err
+        assert "mean_population        = 1e+308\n" in err
+        assert "nan" not in out + err and "inf" not in out + err
+
+    def test_square_wave_report_whose_level_sum_overflows(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(
+                capsys, "two-phase", "--schedule", "twophase:1e308,1e308,1", "--r", "1", "--p0", "1",
+                "--t-end", "2", "--dt", "0.5",
+            )
+        assert code == 0
+        assert "mean_condition_gap     = 0\n" in err
+        assert "mean_population        = 1e+308\n" in err
+        assert "nan" not in out + err and "inf" not in out + err
 
     @pytest.mark.parametrize("schedule", ["sinusoid:2,0.5,1e-159", "twophase:1,3,1e-300"])
     def test_orbit_too_fine_for_simpson_weights_is_usage_error(self, capsys, schedule):

@@ -431,9 +431,16 @@ class TestTwoPhaseDeductions:
             two_phase_deductions(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 2.0), SolverConfig())
 
     def test_overflowing_period_mass_is_a_domain_error(self):
-        # m1 + m2 overflows, so the integral of M over a period is inf
+        # the integral of M over a period, 4e308, is inf
         with pytest.raises(ExponentOverflowError, match="capacity integral over one period"):
-            two_phase_deductions(LogisticParams(1.0, 0.5), TwoPhase(1e308, 1e308, 1.0))
+            two_phase_deductions(LogisticParams(1.0, 0.5), TwoPhase(1e308, 1e308, 4.0))
+
+    def test_report_whose_level_sum_overflows(self):
+        # m1 + m2 overflows, but the mass of a period, 1e308, does not
+        report = two_phase_deductions(LogisticParams(1.0, 0.5), TwoPhase(1e308, 1e308, 1.0))
+        assert (report.p1, report.p2, report.mean_population) == (1e308, 1e308, 1e308)
+        assert report.mean_condition_gap == 0.0
+        assert report.plateau_gaps == (0.0, 0.0) and report.saturated
 
     def test_independent_of_initial_condition(self):
         cap = TwoPhase(1.0, 3.0, 2.0)

@@ -86,6 +86,37 @@ def test_detect_attractor_equals_scalar_loop(r, rho, x0, transient, window):
     assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
 
 
+# every column of this narrow grid finishes on Python floats and escapes
+# within 20 steps, just past rho = 3
+NARROW_ESCAPING = (3.0 + 1e-9, 3.0 + 1e-6, 3)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.7])
+@pytest.mark.parametrize("transient, window", [(0, 400), (5, 8), (10_000, 512)])
+def test_narrow_escaping_scan_equals_scalar_loop(r, transient, window):
+    lo, hi, steps = NARROW_ESCAPING
+    assert steps <= oscpop.discretemap._NARROW
+    cfg = ScanConfig(transient=transient, window=window)
+    res = bifurcation_scan(lo, hi, steps, cfg, r_fixed=r)
+    for rho, rec in zip(np.linspace(lo, hi, steps).tolist(), res.records):
+        values, period, diverged = _scalar_attractor(
+            r, rho / r, 0.5 * (1.0 + rho) / r, transient, window, cfg.match_tol, 10.0
+        )
+        # a window that ends first, before step 13, sees no escape
+        assert (rec.detected_period, rec.diverged) == (period, diverged) == (None, transient + window > 20)
+        assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("p0", [0.25, -3.0, 0.0, -0.0])
+@pytest.mark.parametrize("r", [1.0, 0.5])
+def test_zero_unit_equals_scalar_loop(r, p0):
+    # rho = -1, so 1 + rho = 0 and r p / unit is an infinity or nan
+    rec = detect_attractor(r, -1.0 / r, p0, transient=0, window=8)
+    values, period, diverged = _scalar_attractor(r, -1.0 / r, p0, 0, 8, ScanConfig().match_tol, 10.0)
+    assert (rec.detected_period, rec.diverged) == (period, diverged)
+    assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
 # At r = 1 the critical orbits of these controls land on exact
 # floating-point cycles of 160 and 480 steps, longer than one 128-step
 # block, within the default transient
