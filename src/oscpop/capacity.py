@@ -173,9 +173,9 @@ class TwoPhase(CapacitySchedule):
     k, and M is m1 from an even switch and m2 from an odd one, so the
     pattern repeats for all t, negative times included. Pieces are
     left-closed and right-open: the value exactly at a switch time
-    belongs to the piece that starts there. at, derivative,
-    breakpoints_between and pieces all read this one grid; a t whose
-    t / (period / 2) leaves the float range raises ValueError.
+    belongs to the piece that starts there. Every query, the integral
+    included, reads this one grid; a t not within 2**52 half periods of 0,
+    where neighbouring switches share a float, raises ValueError first.
     """
 
     m1: float
@@ -190,12 +190,12 @@ class TwoPhase(CapacitySchedule):
 
     def _switch(self, t: float) -> int:
         # the largest k with k * half <= t; t / half rounds, so its floor may
-        # be one switch off, which the two products settle (within 2**52
-        # switches of 0; beyond, switches are closer than the floats near t)
+        # be one switch off, which the two products settle. 2**52 is the
+        # float64 fraction: past it, neighbouring k * half share a float
         half = 0.5 * self.period
         q = t / half
-        if not math.isfinite(q):
-            raise ValueError(f"switch times need finite bounds, got t={t} for half period {half}")
+        if not abs(q) < 2.0**52:
+            raise ValueError(f"switch times need finite bounds, got t={t} for half period {half} (at most 2**52 of them from 0)")
         k = math.floor(q)
         if k * half > t:
             return k - 1
@@ -205,14 +205,15 @@ class TwoPhase(CapacitySchedule):
         return self.m2 if self._switch(t) % 2 else self.m1
 
     def _cumulative(self, t: float) -> float:
-        # antiderivative anchored at 0, exact up to float rounding; a whole
-        # cycle's mass is formed from the halves, so it is finite wherever
-        # the integral is
-        k = math.floor(t / self.period)
-        tau = min(max(t - k * self.period, 0.0), self.period)
-        half = 0.5 * self.period
-        full_cycles = k * (0.5 * self.m1 + 0.5 * self.m2) * self.period
-        return full_cycles + self.m1 * min(tau, half) + self.m2 * max(0.0, tau - half)
+        # antiderivative anchored at 0, exact up to float rounding: the whole
+        # cycles before switch k, then its first half if k is odd, then switch
+        # k's level up to t; a whole cycle's mass is formed from the halves,
+        # so it is finite wherever the integral is
+        k, half = self._switch(t), 0.5 * self.period
+        mass = (k // 2) * (0.5 * self.m1 + 0.5 * self.m2) * self.period
+        if k % 2:
+            return mass + self.m1 * half + self.m2 * (t - k * half)
+        return mass + self.m1 * (t - k * half)
 
     def integral(self, t0: float, t1: float) -> float:
         _require_ordered(t0, t1)
@@ -242,9 +243,8 @@ class TwoPhase(CapacitySchedule):
             hi = (k + 1) * half
             if hi >= t1:  # t1 on a switch ends the last piece
                 break
-            if hi > lo:  # beyond 2**52 switches, neighbours may share a float
-                yield lo, hi, levels[k % 2], slope
-                lo = hi
+            yield lo, hi, levels[k % 2], slope
+            lo = hi
             k += 1
         yield lo, t1, levels[k % 2], slope
 
@@ -323,13 +323,15 @@ class Tabulated(CapacitySchedule):
 
     Queries outside the sampled range raise ScheduleRangeError rather
     than extrapolating. Integrals are the exact trapezoid areas of the
-    interpolant, including partial end segments.
+    interpolant, including partial end segments, and finite wherever the
+    float range holds them.
     """
 
     times: np.ndarray
     values: np.ndarray
     declared_period: float | None = None
     _cum: np.ndarray = field(init=False, repr=False)
+    _shift: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -341,15 +343,21 @@ class Tabulated(CapacitySchedule):
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("samples must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
-            # like Python floats, an overflowing gap or area gives inf quietly
-            gaps = np.diff(t)
-            cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * gaps)))
+            # like Python floats, an overflowing gap gives inf quietly; halves
+            # are summed first only where a sum of samples overflows, and the
+            # running area is kept below about 2**1000 at the scale 2**-shift,
+            # so no difference of two of its sums overflows
+            gaps, total = np.diff(t), v[1:] + v[:-1]
+            mids = np.where(np.isinf(total), 0.5 * v[1:] + 0.5 * v[:-1], 0.5 * total)
+            shift = max(0, int((np.frexp(mids)[1] + np.frexp(gaps)[1]).max()) + gaps.size.bit_length() - 1000)
+            cum = np.concatenate(([0.0], np.cumsum(np.ldexp(mids, -shift) * gaps)))
         if not np.all(gaps > 0.0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         _require_finite(self)
         object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_shift", shift)
 
     @classmethod
     def from_pairs(
@@ -392,16 +400,17 @@ class Tabulated(CapacitySchedule):
             self._check(bad)
             self._check(t1)
         # the trapezoid area from the first knot to each start and to t1, with
-        # M by at's rule; like Python floats, overflow gives inf quietly. On a
-        # knot the partial area is the zero of the sign 0 * v_k takes, without
-        # its nan where v_k + v_k overflows
+        # M by at's rule, at _cum's scale; like Python floats, overflow gives
+        # inf quietly
         t = np.append(starts, t1)
         k = self._segments(t)
         t_k, v_k = knots[k], self.values[k]
         with np.errstate(over="ignore", invalid="ignore"):
-            partial = (t - t_k) * 0.5 * (v_k + np.interp(t, knots, self.values))
-            area = self._cum[k] + np.where(t == t_k, 0.0 * v_k, partial)
-            return (area[-1] - area[:-1]).tolist()
+            v = np.interp(t, knots, self.values)
+            width, total = np.ldexp(t - t_k, -self._shift), v_k + v
+            partial = np.where(np.isinf(total), width * (0.5 * v_k + 0.5 * v), width * 0.5 * total)
+            area = self._cum[k] + partial
+            return np.ldexp(area[-1] - area[:-1], self._shift).tolist()
 
     def derivative(self, t: float) -> float:
         [(_, _, _, slope)] = self.pieces(t, t)  # t's segment, range-checked
@@ -414,17 +423,16 @@ class Tabulated(CapacitySchedule):
         return knots[(t0 < knots) & (knots < t1)].tolist()
 
     def pieces(self, t0: float, t1: float):
-        # both ends are located in one lookup, and piece j lies on segment
-        # k0 + j, or on its hi's where its midpoint rounds onto hi; t1 is
-        # range-checked when its piece comes due, as every cut is in range
+        # both ends are range-checked before the first piece and located in
+        # one lookup, and piece j lies on segment k0 + j, or on its hi's where
+        # its midpoint rounds onto hi
         self._check(t0)
+        self._check(t1)
         k0, k1 = self._segments(np.array([t0, t1], dtype=float)).tolist()
         cuts = self.breakpoints_between(t0, t1)
         first, last = min(k0, k1), max(k0, k1) + 2
         knots, vals = self.times[first:last].tolist(), self.values[first:last].tolist()
         for j, (lo, hi) in enumerate(zip([t0, *cuts], [*cuts, t1])):
-            if j == len(cuts):
-                self._check(t1)
             k = (min(k0 + j + 1, k1) if 0.5 * (lo + hi) == hi else k0 + j) - first
             yield (lo, hi, *_line(knots[k], vals[k], (vals[k + 1] - vals[k]) / (knots[k + 1] - knots[k])))
 

@@ -13,11 +13,13 @@ with A(a, b) the integral of M. One routine takes that step for the
 solutions here and for the periodic cycle: in closed form on constant
 pieces (Constant, TwoPhase), otherwise by quadrature of a weight that,
 anchored at b, never exceeds 1 where M >= 0; only where M < 0 can its
-exponent pass 700 and raise ExponentOverflowError.
+exponent pass 700, and only where an integral of M leaves the float
+range can its exponent be unknown, each raising ExponentOverflowError.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +134,13 @@ def _constant_step(r: float, m: float, u: float, tau: float) -> float:
     return u * math.exp(-x) - math.expm1(-x) / m
 
 
-def _weight(exponent: float) -> float:
-    # math.exp of one float: np.exp need not round alike on every CPU
+def _weight(r: float, area: float) -> float:
+    # exp(-r * area) by math.exp of one float: np.exp need not round alike
+    # on every CPU. An area past the float range is unknown, so its weight
+    # is known only where exp(-r * the largest float) is already 0
+    exponent = -r * area
+    if math.isnan(exponent) or exponent == -math.inf and math.exp(-r * sys.float_info.max) > 0.0:
+        raise ExponentOverflowError("the capacity integral leaves the float range")
     if exponent > _MAX_EXPONENT:
         raise ExponentOverflowError(f"weight exponent {exponent:.3g} > {_MAX_EXPONENT:g}")
     return math.exp(exponent)
@@ -147,8 +154,9 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
     is bounded by the times. Other schedules take a quadrature per time,
     panel points doubling away from t, as the weight is a boundary layer
     of width ~1/(r max|M|) there; each batch of panels takes the integral
-    of M from all its nodes in one call. p0 = inf starts from u = 0;
-    u = inf (P = 0) is absorbing.
+    of M from all its nodes in one call, and an integral past the float
+    range raises ExponentOverflowError unless its weight is 0 whatever
+    its value. p0 = inf starts from u = 0; u = inf (P = 0) is absorbing.
     """
     r, t0 = params.r, params.t0
     u0 = math.inf if params.p0 == 0.0 else 1.0 / params.p0
@@ -172,7 +180,7 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
     for i, t in enumerate(times):
 
         def weight(s: np.ndarray, t: float = t) -> list:
-            return [_weight(-r * x) for x in cap._integrals_to(s, t)]
+            return [_weight(r, x) for x in cap._integrals_to(s, t)]
 
         points = cap.breakpoints_between(t0, t)
         d = width
@@ -180,7 +188,7 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
             points.append(t - d)
             d *= 2.0
         forcing = _qag(weight, t0, t, points, cfg)
-        out[i] = u0 * _weight(-r * cap.integral(t0, t)) + r * forcing
+        out[i] = u0 * _weight(r, cap.integral(t0, t)) + r * forcing
     return out
 
 
@@ -193,7 +201,8 @@ def quadrature_solution(
     exp(-r A(s, t)) ds. Anchored at t, the weight cannot overflow where
     M >= 0; constant pieces take the closed form, others one adaptive
     quadrature with schedule breakpoints as mandatory points.
-    ExponentOverflowError means M < 0 drives P below the float range.
+    ExponentOverflowError means M < 0 drives P below the float range, or
+    an integral of M that the quadrature needs leaves the float range.
     """
     return float(1.0 / _propagate(params, cap, [t], cfg)[0])
 

@@ -154,22 +154,28 @@ class TestTwoPhase:
         assert (lo, hi, start) == (t0, switch, switch)
         assert first(t0) == cap.at(t0) and second(switch) == cap.at(switch) != cap.at(t0)
 
-    def test_switches_closer_than_the_floats_leave_no_empty_piece(self):
-        # 2e20 switches from 0, neighbouring k * half round to one float; an
-        # empty first piece would leave the RK45 loop without a step
+    def test_switches_closer_than_the_floats_are_a_usage_error(self):
+        # 2e20 switches from 0, where neighbouring k * half round to one
+        # float: the walk skipped the empty pieces; now the grid ends at
+        # 2**52 half periods, before the first piece and the first step
         cap = TwoPhase(1.0, 3.0, 1e-20)
-        pieces = list(cap.pieces(1.0, 1.0 + 1e-15))
-        assert all(lo < hi for lo, hi, _, _ in pieces)
-        assert [lo for lo, _, _, _ in pieces[1:]] == cap.breakpoints_between(1.0, 1.0 + 1e-15)
-        traj = integrate_logistic(LogisticParams(1.0, 0.5, 1.0), cap, 1.0 + 1e-15)
-        assert traj.meta.n_accepted == len(pieces)
+        with pytest.raises(ValueError, match=r"at most 2\*\*52"):
+            next(cap.pieces(1.0, 1.0 + 1e-15))
+        with pytest.raises(ValueError, match=r"at most 2\*\*52"):
+            integrate_logistic(LogisticParams(1.0, 0.5, 1.0), cap, 1.0 + 1e-15)
+
+    def test_a_walk_past_the_switch_grid_fails_before_its_first_piece(self):
+        # 2e301 switches from 0 to 10: the walk ran until killed
+        with pytest.raises(ValueError, match=r"got t=10.0 for half period 5e-301"):
+            next(TwoPhase(1.0, 3.0, 1e-300).pieces(0.0, 10.0))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e10])
     def test_switch_index_past_the_float_range(self, t):
-        # 1e10 / 5e-301 overflows: math.floor raised OverflowError
+        # 1e10 / 5e-301 overflows: math.floor raised OverflowError, and the
+        # integral still raises it
         cap = TwoPhase(1.0, 3.0, 1e-300)
         for query in (cap.at, cap.derivative, lambda t: cap.breakpoints_between(t, t + 1.0),
-                      lambda t: list(cap.pieces(-1.0, t))):
+                      lambda t: list(cap.pieces(-1.0, t)), lambda t: cap.integral(t, t)):
             with pytest.raises(ValueError, match="switch times need finite bounds"):
                 query(t)
 
@@ -313,6 +319,16 @@ class TestTabulated:
         assert cap.integral(0.0, 2.0) == math.inf
         # and a knot still gives the zero of the sign 0 * v_k takes
         assert math.copysign(1.0, Tabulated([0.0, 1.0, 2.0], [-0.0, -0.0, -1.0]).integral(0.0, 1.0)) == -1.0
+
+    def test_integrals_of_a_huge_table_are_finite_where_representable(self):
+        # a sum of two samples and the running area from the first knot
+        # overflowed: inf for a true 1.5e308, nan for the rest
+        cap = Tabulated([0.0, 1.0, 2.0], [1.5e308, 1.5e308, 1e308])
+        assert cap.integral(0.0, 1.0) == 1.5e308
+        assert cap.integral(1.0, 2.0) == 1.25e308
+        assert cap.integral(0.5, 1.5) == 1.4375e308
+        assert cap.integral(1.5, 2.0) == 5.625e307
+        assert cap.integral(0.0, 2.0) == math.inf  # 2.75e308
 
     def test_integral_matches_dense_trapezoid(self):
         cap = self.make()
@@ -594,14 +610,13 @@ class TestPieces:
         ]
         assert counts[0] == counts[1] <= 2
 
-    def test_table_walk_reaches_its_range_error_at_the_last_piece(self):
-        # as with every query, the end is checked when its piece comes due,
-        # so a walk past the last knot yields the pieces inside first
+    def test_table_walk_checks_its_end_before_the_first_piece(self):
+        # the end was checked when its piece came due, so a walk past the
+        # last knot yielded the pieces inside first; like a square wave past
+        # its switch grid, it now fails before any piece
         cap = Tabulated.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.5, 0.0)])
-        pieces = cap.pieces(0.0, 3.0)
-        assert [next(pieces)[:2], next(pieces)[:2]] == [(0.0, 1.0), (1.0, 2.5)]
         with pytest.raises(ScheduleRangeError, match="t=3.0 outside"):
-            next(pieces)
+            next(cap.pieces(0.0, 3.0))
 
     def test_pieces_are_resolved_lazily(self):
         # 20,000 pieces on [0, 100]; a budget of 50 steps reaches a few

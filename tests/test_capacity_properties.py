@@ -267,3 +267,43 @@ def test_table_integral_with_both_ends_outside_names_t0():
     cap = Tabulated.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.5, 0.0)])
     with pytest.raises(ScheduleRangeError, match=r"^t=-1.0 outside sampled range \[0.0, 2.5\]$"):
         cap.integral(-1.0, 4.0)
+
+
+@st.composite
+def switch_grid_edges(draw):
+    """(square wave, t) with t on either side of 2**52 half periods from 0,
+    the end of the switch grid, its float neighbours, NaN and infinities."""
+    period = draw(st.sampled_from([1e-300, 1e-20, 1.0 / 3.0, 2.0]) | st.floats(1e-6, 1e6))
+    cap = TwoPhase(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), period)
+    edge = 2.0**52 * (0.5 * period)
+    t = draw(
+        st.sampled_from([edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), math.inf, math.nan])
+        | st.floats(0.0, 2.0).map(lambda x: x * edge)
+    )
+    return cap, draw(st.sampled_from([1.0, -1.0])) * t
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=switch_grid_edges(), halves=st.floats(0.0, 3.0))
+def test_every_square_wave_query_shares_one_domain(drawn, halves):
+    # past the grid, at, derivative, breakpoints_between, pieces and the
+    # integral raise one ValueError; inside it, each piece's integral is its
+    # level times its width and integrals add up, to rounding
+    cap, t = drawn
+    half = 0.5 * cap.period
+    if not abs(t / half) < 2.0**52:
+        lo, hi = (t, 0.0) if t < 0.0 else (0.0, t)
+        message = f"switch times need finite bounds, got t={t} for half period {half} (at most 2**52 of them from 0)"
+        for query in (lambda: cap.at(t), lambda: cap.derivative(t), lambda: cap.breakpoints_between(lo, hi),
+                      lambda: next(cap.pieces(lo, hi)), lambda: cap.integral(lo, hi)):
+            with pytest.raises(ValueError) as raised:
+                query()
+            assert str(raised.value) == message
+        return
+    # an interval of up to three half periods from t towards 0 stays inside
+    lo, hi = sorted((t, t - math.copysign(halves * half, t)))
+    rounding = 16.0 * 2.0**-52 * max(abs(cap.m1), abs(cap.m2)) * (abs(lo) + abs(hi) + half)
+    pieces = list(cap.pieces(lo, hi))
+    for a, b, value, _ in pieces:
+        assert cap.integral(a, b) == pytest.approx(value(a) * (b - a), rel=0.0, abs=rounding)
+    assert cap.integral(lo, hi) == pytest.approx(sum(cap.integral(a, b) for a, b, _, _ in pieces), rel=0.0, abs=rounding)

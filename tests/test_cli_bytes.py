@@ -70,6 +70,7 @@ def argvs() -> list[str]:
     ]
     # a square wave of period 1e-300, and capacity integrals past the float range
     edges = [
+        "two-phase --schedule twophase:1,3,1e-300 --r 1 --p0 0.5 --t-end 10 --dt 1",
         "simulate --schedule twophase:1,3,1e-300 --r 1 --p0 0.5 --t-end 10 --dt 1",
         "closed-form --schedule twophase:1,3,1e-300 --r 1 --p0 0.5 --t-end 10 --dt 1",
         "closed-form --schedule sinusoid:1e308,5e307,3 --r 1e-308 --p0 1 --t-end 3 --dt 1",

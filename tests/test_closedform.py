@@ -287,6 +287,22 @@ class TestQuadratureSolution:
         with pytest.raises(ExponentOverflowError):
             quadrature_solution(params, SinusoidOffset(-1.0, 0.5, 3.0), 800.0)
 
+    @pytest.mark.parametrize("cap, t", [
+        (SinusoidOffset(1e308, 5e307, 3.0), 2.0),
+        (Tabulated([0.0, 1.0, 2.0, 3.0], [8e307] * 4), 3.0),
+    ])
+    def test_capacity_integral_past_the_float_range_is_a_domain_error(self, cap, t):
+        # the integral of M over [0, t] overflows, and a weight
+        # exp(-1e-308 * inf) read 0: P was about 1e308 where RK45 gives 10.6
+        # and 11.0
+        with pytest.raises(ExponentOverflowError, match="capacity integral leaves the float range"):
+            quadrature_solution(LogisticParams(1e-308, 1.0), cap, t)
+
+    def test_an_infinite_integral_weighs_zero_where_any_finite_one_would(self):
+        # r * (the largest float) > 745: the true weight underflows to 0
+        got = quadrature_solution(LogisticParams(1e-305, 1.0), SinusoidOffset(1e308, 5e307, 3.0), 3.0)
+        assert got == pytest.approx(1e308, rel=2e-3)
+
     def test_zero_initial_population_stays_zero(self):
         params = LogisticParams(1.0, 0.0, 0.0)
         assert quadrature_solution(params, Constant(2.0), 3.0) == 0.0

@@ -176,6 +176,13 @@ class TestFindPeriodicSolution:
         exact = np.array([quadrature_solution(start, cap, t) for t in sol.orbit.times])
         assert np.max(np.abs(sol.orbit.populations - exact) / exact) <= 1e-8
 
+    def test_table_cycle_whose_running_area_overflows_solves(self):
+        # both knots 1e308: a sum of two samples overflowed, the mass of the
+        # period read inf, and the cycle was a domain error
+        cap = Tabulated([0.0, 1.0], [1e308, 1e308], declared_period=1.0)
+        sol = find_periodic_solution(1e-308, cap)
+        assert sol.p_star == pytest.approx(1e308, rel=1e-15) and sol.residual < 1e-15
+
 
 class TestCycleIdentities:
     def test_mean_population_equals_mean_capacity(self):
