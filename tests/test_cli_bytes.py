@@ -77,7 +77,14 @@ def argvs() -> list[str]:
         "periodic --schedule table:{tmp}/flat.csv,1 --r 1e-308",
         "closed-form --schedule table:{tmp}/knots4.csv --r 1e-308 --p0 1 --t-end 3 --dt 1",
     ]
-    return _readme() + helps + ci + exits + edges
+    # scans whose orbits escape: past rho = 3, below rho = -1 (the grid
+    # holds rho = -1, where 1 + rho = 0), and at r != 1
+    escapes = [
+        "bifurcation --rho-min 2.9 --rho-max 3.4 --steps 40",
+        "bifurcation --rho-min -1.5 --rho-max -0.5 --steps 21",
+        "bifurcation --rho-min 2.5 --rho-max 3.3 --steps 20 --r 0.7",
+    ]
+    return _readme() + helps + ci + exits + edges + escapes
 
 
 def _digest(data: bytes) -> str:
