@@ -323,8 +323,9 @@ class Tabulated(CapacitySchedule):
 
     Queries outside the sampled range raise ScheduleRangeError rather
     than extrapolating. Integrals are the exact trapezoid areas of the
-    interpolant, including partial end segments, and finite wherever the
-    float range holds them.
+    interpolant, including partial end segments. Values and integrals are
+    finite wherever the float range holds them, between two samples that
+    differ past it too.
     """
 
     times: np.ndarray
@@ -332,6 +333,7 @@ class Tabulated(CapacitySchedule):
     declared_period: float | None = None
     _cum: np.ndarray = field(init=False, repr=False)
     _shift: int = field(init=False, repr=False)
+    _steep: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -351,6 +353,7 @@ class Tabulated(CapacitySchedule):
             mids = np.where(np.isinf(total), 0.5 * v[1:] + 0.5 * v[:-1], 0.5 * total)
             shift = max(0, int((np.frexp(mids)[1] + np.frexp(gaps)[1]).max()) + gaps.size.bit_length() - 1000)
             cum = np.concatenate(([0.0], np.cumsum(np.ldexp(mids, -shift) * gaps)))
+            steep = np.flatnonzero(np.isinf(np.diff(v)))
         if not np.all(gaps > 0.0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)
@@ -358,6 +361,7 @@ class Tabulated(CapacitySchedule):
         _require_finite(self)
         object.__setattr__(self, "_cum", cum)
         object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_steep", steep)
 
     @classmethod
     def from_pairs(
@@ -382,9 +386,19 @@ class Tabulated(CapacitySchedule):
         # the last knot is in the last one
         return np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
 
+    def _interp(self, t):
+        # np.interp's rule, whose slope (v1 - v0) / gap overflows where the
+        # sample difference does; on those segments alone, the same rule on
+        # halved samples, doubled, which is finite between the knots
+        v = np.interp(t, self.times, self.values)
+        if self._steep.size:
+            half = np.interp(t, self.times, 0.5 * self.values)
+            v = np.where(np.isin(self._segments(t), self._steep), 2.0 * half, v)
+        return v
+
     def at(self, t: float) -> float:
         self._check(t)
-        return float(np.interp(t, self.times, self.values))
+        return float(self._interp(t))
 
     def integral(self, t0: float, t1: float) -> float:
         return self._integrals_to(np.array([t0], dtype=float), t1)[0]
@@ -406,7 +420,7 @@ class Tabulated(CapacitySchedule):
         k = self._segments(t)
         t_k, v_k = knots[k], self.values[k]
         with np.errstate(over="ignore", invalid="ignore"):
-            v = np.interp(t, knots, self.values)
+            v = self._interp(t)
             width, total = np.ldexp(t - t_k, -self._shift), v_k + v
             partial = np.where(np.isinf(total), width * (0.5 * v_k + 0.5 * v), width * 0.5 * total)
             area = self._cum[k] + partial
@@ -434,7 +448,7 @@ class Tabulated(CapacitySchedule):
         knots, vals = self.times[first:last].tolist(), self.values[first:last].tolist()
         for j, (lo, hi) in enumerate(zip([t0, *cuts], [*cuts, t1])):
             k = (min(k0 + j + 1, k1) if 0.5 * (lo + hi) == hi else k0 + j) - first
-            yield (lo, hi, *_line(knots[k], vals[k], (vals[k + 1] - vals[k]) / (knots[k + 1] - knots[k])))
+            yield (lo, hi, *_line(knots[k], vals[k], knots[k + 1], vals[k + 1]))
 
     def min_value(self) -> float:
         return float(self.values.min())
@@ -443,9 +457,15 @@ class Tabulated(CapacitySchedule):
         return float(self.values.max())
 
 
-def _line(t0: float, v0: float, slope: float):
+def _line(t0: float, v0: float, t1: float, v1: float):
     # a table piece's value and slope: the segment's line from its left knot;
     # on an array, as on Python floats, overflow gives inf or nan quietly
+    if math.isinf(v1 - v0):
+        # the same line through halved samples, doubled, as in _interp
+        half, half_slope = _line(t0, 0.5 * v0, t1, 0.5 * v1)
+        return (lambda t: 2.0 * half(t)), (lambda t: 2.0 * half_slope(t))
+    slope = (v1 - v0) / (t1 - t0)
+
     def value(t):
         if type(t) is float:
             return v0 + slope * (t - t0)

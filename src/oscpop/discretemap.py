@@ -12,11 +12,18 @@ update is a function of one float, so once a value repeats bit for bit,
 every later value is a periodic extension of those already computed.
 A grid steps as a numpy array, one column per point, in blocks; after
 each block, columns that escaped are recorded and columns whose last
-value repeats an earlier value of the block are retired. Once 15 or
-fewer columns remain, each finishes alone in a loop over Python floats,
-in longer blocks under the same two rules. Both loops evaluate
-p + r (M - p) p in the same order, so every record is bit-identical to
-a step-by-step loop.
+value repeats an earlier value of the block are retired. Where
+|1 + rho| >= 1/4 an escaped orbit never comes back, so a block escaped
+iff its last value did, and only the columns whose last value escaped,
+or that lie nearer rho = -1, are checked step by step. Once 15 or fewer
+columns remain, each finishes alone in a loop over Python floats, in
+blocks under the same rules. Both loops evaluate p + r (M - p) p in the
+same order, so every record is bit-identical to a step-by-step loop.
+
+The window is then classified once for the whole grid: a period is
+tested only on the columns still unresolved that match at its lag, and
+the records of one period are built together. About a quarter of a
+default scan's time is this bookkeeping; the rest is map steps.
 """
 from __future__ import annotations
 
@@ -62,15 +69,24 @@ class ScanConfig:
 
 
 _ESCAPE_BOUND = 10.0  # |normalized value| past which an orbit has diverged
-_BLOCK = 128  # array steps between escape and repeat checks
+# below this |1 + rho| a column is fickle: an escaped orbit may come back.
+# At or above it |x'| = |1 + rho| |x| |1 - x| >= 2.25 |x| once |x| > 10,
+# and a non-finite value stays non-finite, so a block escaped iff its
+# last value did, and only the last value needs the escape check
+_STICKY = 0.25
+# array steps between escape and repeat checks: in process, over the
+# scan ops of seeds 1-3 x cycles 0-2, 256 timed 2-4% faster than 128 and
+# 512, and 768 to 2048 slower still (BENCH_27 sweep)
+_BLOCK = 256
 _COLUMNS = 1024  # grid points per pass, so memory stays a few window x 1024 arrays
 # this many live columns or fewer finish on Python floats: an array step
-# costs ~2.8 us from 8 to 48 columns and a Python-float column step in
-# _orbit ~180 ns, which break even at ~15 columns (BENCH_15 sweep)
+# costs ~1.5-2.1 us from 12 to 32 columns and a Python-float column step
+# in _orbit ~85-110 ns, which break even at ~16 columns (BENCH_27 sweep)
 _NARROW = 15
 # Python-float steps between escape and repeat checks; a block retires only
-# cycles shorter than itself, such as the exact 160- and 480-step cycles
-# at rho = 2.80095 and 2.647325, and 512 timed faster than 768 to 2048
+# cycles shorter than itself, such as the exact 288- and 480-step cycles
+# at rho = 2.63278 and 2.647325, and 512 timed as fast as 256 and faster
+# than 1024 and 2048 (BENCH_27 sweep)
 _CHUNK = 512
 
 
@@ -97,12 +113,7 @@ def _iterate(r: float, m: np.ndarray, rows: np.ndarray) -> None:
 
 def _steps(r: float, m: float, p: float, n: int) -> list[float]:
     """The n values after p, on Python floats, in _iterate's order."""
-    out = []
-    append = out.append
-    for _ in range(n):
-        p = p + r * (m - p) * p
-        append(p)
-    return out
+    return [p := p + r * (m - p) * p for _ in range(n)]
 
 
 def _escape_mask(r: float, unit, values: np.ndarray) -> np.ndarray:
@@ -121,17 +132,20 @@ def _orbit(r: float, m: float, unit: float, p: float, t: int, transient: int, en
     and a last value equal to an earlier one retires it, the rest of the
     window repeating the block's tail.
     """
+    fickle = abs(unit) < _STICKY
     values: list[float] = []
     while t < end:
         n = min(_CHUNK, end - t)
         start, chunk = p, _steps(r, m, p, n)
         p = chunk[-1]
         first = max(transient - t - 1, 0)  # first chunk index in the window
-        mask = _escape_mask(r, unit, np.fromiter(chunk, float, n))
-        if mask.any():
-            i = int(mask.argmax())
-            values += chunk[first:i]
-            return values, t + i + 1, chunk[i - 1] if i else start
+        # the block escaped iff its last value did, unless the column is fickle
+        if fickle or not math.isfinite(p) or abs(r * p / unit) > _ESCAPE_BOUND:
+            mask = _escape_mask(r, unit, np.fromiter(chunk, float, n))
+            if mask.any():
+                i = int(mask.argmax())
+                values += chunk[first:i]
+                return values, t + i + 1, chunk[i - 1] if i else start
         values += chunk[first:]
         t += n
         # x_t == x_(t-q) for the block's largest such q, so the steps after
@@ -201,8 +215,8 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
     w = np.empty((cfg.window, m.size))
     w[0] = p0  # overwritten by the transient unless it is empty
     escapes = []  # (column, first escaping step, the value before it)
-    # the live columns: their indices, m, unit and values at step t
-    live, ml, ul, p, t = np.arange(m.size), m, unit, p0, 0
+    # the live columns: their indices, m, unit, fickleness and values at step t
+    live, ml, ul, fl, p, t = np.arange(m.size), m, unit, np.abs(unit) < _STICKY, p0, 0
     with np.errstate(all="ignore"):
         buf = np.empty((_BLOCK + 1, m.size))
         while live.size > _NARROW and t < end:
@@ -213,26 +227,35 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
             if t + n >= transient:
                 a = max(t + 1, transient)
                 w[a - transient : t + n + 1 - transient, live] = rows[a - t :]
-            mask = _escape_mask(r, ul, rows[1:])
-            gone = mask.any(axis=0)
-            hit = np.flatnonzero(gone)
-            i = mask[:, hit].argmax(axis=0)
-            escapes += zip(live[hit].tolist(), (t + 1 + i).tolist(), rows[i, hit].tolist())
             bits = rows.view(np.int64)
-            repeat = bits[:n] == bits[n]
-            settled = np.flatnonzero(repeat.any(axis=0) & ~gone)
+            repeats = (bits[:n] == bits[n]).any(axis=0)
+            # only a fickle column can escape and come back within a block
+            hit = np.flatnonzero(_escape_mask(r, ul, rows[n]) | fl)
+            if hit.size:
+                mask = _escape_mask(r, ul[hit], rows[1:, hit])
+                gone = mask.any(axis=0)
+                hit, mask = hit[gone], mask[:, gone]
+                i = mask.argmax(axis=0)
+                escapes += zip(live[hit].tolist(), (t + 1 + i).tolist(), rows[i, hit].tolist())
+                repeats[hit] = False
+            settled = np.flatnonzero(repeats)
             if settled.size:
                 # x_u = rows[i0 + (u - t - i0) % q] for u >= t + i0, where
                 # i0 is the last earlier row equal to row n and q = n - i0
-                i0 = n - 1 - repeat[::-1, settled].argmax(axis=0)
+                repeat = bits[:n, settled] == bits[n, settled]
+                i0 = n - 1 - repeat[::-1].argmax(axis=0)
                 q = n - i0
                 a = max(t + n + 1, transient)
                 u = np.arange(a, end + 1)[:, None]
                 idx = i0 + (u - t - i0) % q
                 w[a - transient :, live[settled]] = np.take_along_axis(rows[:, settled], idx, axis=0)
-            gone[settled] = True
-            keep = ~gone
-            live, ml, ul, p, t = live[keep], ml[keep], ul[keep], rows[n, keep], t + n
+            t += n
+            if hit.size or settled.size:
+                keep = np.ones(live.size, dtype=bool)
+                keep[hit] = keep[settled] = False
+                live, ml, ul, fl, p = live[keep], ml[keep], ul[keep], fl[keep], rows[n, keep]
+            else:
+                p = rows[n]
         if t < end:
             a = max(t + 1, transient) - transient
             for c, mc, uc, pc in zip(live.tolist(), ml.tolist(), ul.tolist(), p.tolist()):
@@ -252,35 +275,49 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
         # every (period, column) pair before the full comparison
         x = np.multiply(r, w)
         np.divide(x, unit, out=x)
-        lags = x[-2::-1][: cfg.window // 2]
-        candidate = (np.abs(x[-1] - lags) <= cfg.match_tol) & alive
+        candidate = (np.abs(x[-1] - x[-2::-1][: cfg.window // 2]) <= cfg.match_tol) & alive
         period = np.zeros(m.size, dtype=int)
-        for p in (np.flatnonzero(candidate.any(axis=1)) + 1).tolist():
-            cols = np.flatnonzero(candidate[p - 1] & (period == 0))
-            if cols.size:
-                gap = x[p:] - x[:-p]
-                gap = np.abs(gap, out=gap).max(axis=0)[cols]
-                # the first and last cycles of the window must match too:
-                # just below a doubling the orbit still spirals onto the
-                # old cycle, each lag-p step moves less than match_tol but
-                # the moves add up across the window
-                j = cfg.window % p
-                drift = np.abs(x[j : j + p, cols] - x[-p:, cols]).max(axis=0)
-                period[cols[(gap <= cfg.match_tol) & (drift <= cfg.match_tol)]] = p
+        # the columns still open: unresolved, with a candidate above lag
+        cols, lag = np.flatnonzero(candidate.any(axis=0)), 0
+        while cols.size:
+            lag += 1 + int(candidate[lag:, cols].any(axis=1).argmax())
+            test = cols[candidate[lag - 1, cols]]
+            xt = x[:, test]
+            gap = xt[lag:] - xt[:-lag]
+            gap = np.abs(gap, out=gap).max(axis=0)
+            # the first and last cycles of the window must match too: just
+            # below a doubling the orbit still spirals onto the old cycle,
+            # each lag step moves less than match_tol but the moves add up
+            # across the window
+            j = cfg.window % lag
+            drift = np.abs(xt[j : j + lag] - xt[-lag:]).max(axis=0)
+            period[test[(gap <= cfg.match_tol) & (drift <= cfg.match_tol)]] = lag
+            cols = cols[(period[cols] == 0) & candidate[lag:, cols].any(axis=0)]
+
+        # one cycle per row, contiguous, so that np.prod and np.argsort run
+        # along each row as they run along one record's cycle
+        cycles: dict[int, np.ndarray] = {}
+        for p in sorted(set(period.tolist()) - {0}):
+            cols = np.flatnonzero(period == p)
+            xc = np.ascontiguousarray(x[-p:, cols].T)
+            multiplier = np.prod(unit[cols, None] * (1.0 - 2.0 * xc), axis=1)
+            # an orbit that lands exactly on a repelling cycle (at rho = 3
+            # the critical orbit 1/2 -> 1 -> 0 does) is not an attractor
+            repelling = np.abs(multiplier) > 1.0
+            period[cols[repelling]] = 0
+            cols, xc = cols[~repelling], xc[~repelling]
+            order = np.argsort(xc, axis=1)
+            keep = np.ones(xc.shape, dtype=bool)
+            keep[:, 1:] = np.diff(np.take_along_axis(xc, order, axis=1), axis=1) > cfg.match_tol
+            values = np.take_along_axis(w[-p:, cols].T, order, axis=1)
+            cycles.update(zip(cols.tolist(), [v[k] for v, k in zip(values, keep)]))
 
     records = []
     for c, (rho, p) in enumerate(zip(control.tolist(), period.tolist())):
-        if p and abs(np.prod(unit[c] * (1.0 - 2.0 * x[-p:, c]))) > 1.0:
-            # an orbit that lands exactly on a repelling cycle (at rho = 3
-            # the critical orbit 1/2 -> 1 -> 0 does) is not an attractor
-            p = 0
         if c in diverged:
             records.append(BifurcationRecord(rho, diverged[c], None, diverged=True))
         elif p:
-            order = np.argsort(x[-p:, c])
-            xs = x[-p:, c][order]
-            keep = np.concatenate(([True], np.diff(xs) > cfg.match_tol))
-            records.append(BifurcationRecord(rho, w[-p:, c][order][keep].copy(), p))
+            records.append(BifurcationRecord(rho, cycles[c], p))
         else:
             records.append(BifurcationRecord(rho, w[:, c].copy(), None))
     return records

@@ -330,6 +330,20 @@ class TestTabulated:
         assert cap.integral(1.5, 2.0) == 5.625e307
         assert cap.integral(0.0, 2.0) == math.inf  # 2.75e308
 
+    def test_a_segment_whose_samples_differ_past_the_float_range_is_finite(self):
+        # np.interp's slope (v1 - v0) / gap and the piece's slope overflowed:
+        # -inf for a true 0 and 3.75e307, and nan for a piece at its knot
+        cap = Tabulated([0.0, 1.0, 2.0], [1.5e308, -1.5e308, 1e308])
+        assert [cap.at(t) for t in (0.5, 0.25, 1.5)] == [0.0, 7.5e307, -2.5e307]
+        assert cap.integral(0.0, 0.5) == 3.75e307
+        assert cap._integrals_to(np.array([0.0, 0.25]), 0.5) == [3.75e307, 9.375e306]
+        assert cap.integral(0.25, 1.75) == -7.03125e307
+        values = [value(t) for lo, hi, value, _ in cap.pieces(0.0, 2.0) for t in (lo, 0.5 * (lo + hi), hi)]
+        assert values == [1.5e308, 0.0, -1.5e308, -1.5e308, -2.5e307, 1e308]
+        # the knots keep their samples, and a slope in range is finite
+        assert [cap.at(t) for t in (0.0, 1.0, 2.0)] == [1.5e308, -1.5e308, 1e308]
+        assert Tabulated([0.0, 2.0], [1.5e308, -1.5e308]).derivative(1.0) == -1.5e308
+
     def test_integral_matches_dense_trapezoid(self):
         cap = self.make()
         ts = np.linspace(0.2, 2.3, 100_001)

@@ -9,27 +9,41 @@ import oscpop.discretemap  # noqa: E402
 from oscpop import ScanConfig, bifurcation_scan, detect_attractor, iterate_map  # noqa: E402
 
 
+# where the escape checks differ: below rho = -1; near it, where an
+# escaped orbit may come back (rho = -1 itself gives 1 + rho = 0); and past
+# rho = 3, where orbits escape
+REGIONS = [(0.3, 3.6), (-3.0, -1.0), (-1.25, -0.75), (3.0, 3.6)]
+
+
+def _rhos(region):
+    rho = st.floats(*region)
+    return st.one_of(st.just(-1.0), rho) if region[0] <= -1.0 <= region[1] else rho
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    lo=st.floats(0.3, 3.6),
-    hi=st.floats(0.3, 3.6),
-    steps=st.integers(2, 12),
+    bounds=st.sampled_from(REGIONS).flatmap(lambda region: st.tuples(_rhos(region), _rhos(region))),
+    steps=st.integers(2, 30),
     r=st.sampled_from([1.0, 0.25, 0.7, 1.9]),
     transient=st.integers(0, 3000),
     window=st.integers(4, 600),
 )
-def test_scan_record_equals_detect_attractor_from_the_critical_point(lo, hi, steps, r, transient, window):
-    # rho > 3 diverges and [2.6, 3] is mostly chaotic, so every record
-    # kind is compared, bit for bit
+def test_scan_record_equals_detect_attractor_from_the_critical_point(bounds, steps, r, transient, window):
+    # [2.6, 3] is mostly chaotic, so every record kind is compared, bit for
+    # bit, with the one-point detector and the step-by-step loop; grids of
+    # more than _NARROW points start on the array steps
+    lo, hi = bounds
     cfg = ScanConfig(transient=transient, window=window)
     res = bifurcation_scan(lo, hi, steps, cfg, r_fixed=r)
-    for rho, rec in zip(np.linspace(lo, hi, steps), res.records):
-        rho = float(rho)
+    for rho, rec in zip(np.linspace(lo, hi, steps).tolist(), res.records):
         want = detect_attractor(r, rho / r, 0.5 * (1.0 + rho) / r, transient=transient, window=window)
+        values, period, diverged = _scalar_attractor(
+            r, rho / r, 0.5 * (1.0 + rho) / r, transient, window, cfg.match_tol, 10.0
+        )
         assert rec.control == want.control
-        assert rec.detected_period == want.detected_period
-        assert rec.diverged == want.diverged
-        assert np.array_equal(rec.attractor, want.attractor)
+        assert rec.detected_period == want.detected_period == period
+        assert rec.diverged == want.diverged == diverged
+        assert rec.attractor.tobytes() == want.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -117,10 +131,26 @@ def test_zero_unit_equals_scalar_loop(r, p0):
     assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
 
 
+@pytest.mark.parametrize("narrow", [0, oscpop.discretemap._NARROW])
+@pytest.mark.parametrize("transient", [0, 2])
+@pytest.mark.parametrize("rho", [-0.95, -1.05])
+def test_an_orbit_that_escapes_and_comes_back_is_diverged(monkeypatch, narrow, transient, rho):
+    # with |1 + rho| < 1/4 the normalized orbit from 17.8 runs out to about
+    # +-15, past the bound, and back inside it within three steps, so only
+    # a check of every step sees the escape; _NARROW = 0 puts the lone
+    # column on the array steps
+    monkeypatch.setattr(oscpop.discretemap, "_NARROW", narrow)
+    p0 = 17.8 * (1.0 + rho)
+    rec = detect_attractor(1.0, rho, p0, transient=transient, window=8)
+    values, period, diverged = _scalar_attractor(1.0, rho, p0, transient, 8, ScanConfig().match_tol, 10.0)
+    assert diverged and rec.diverged and rec.detected_period is period is None
+    assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
 # At r = 1 the critical orbits of these controls land on exact
-# floating-point cycles of 160 and 480 steps, longer than one 128-step
+# floating-point cycles of 288 and 480 steps, longer than one 256-step
 # block, within the default transient
-LONG_CYCLES = (2.80095, 2.647325)
+LONG_CYCLES = (2.63278, 2.647325)
 EDGES = (-1.0, 3.2, *LONG_CYCLES)
 # the grids below reach every way a default scan can end a column:
 RETIRING = (0.5, 2.4, 30, 1.0)  # exact cycles retired by the array steps
