@@ -22,8 +22,8 @@ same order, so every record is bit-identical to a step-by-step loop.
 
 The window is then classified once for the whole grid: a period is
 tested only on the columns still unresolved that match at its lag, and
-the records of one period are built together. About a quarter of a
-default scan's time is this bookkeeping; the rest is map steps.
+the records of one period are built together. Map steps take about two
+thirds of a default scan's time, and this bookkeeping the rest.
 """
 from __future__ import annotations
 
@@ -71,8 +71,8 @@ class ScanConfig:
 _ESCAPE_BOUND = 10.0  # |normalized value| past which an orbit has diverged
 # below this |1 + rho| a column is fickle: an escaped orbit may come back.
 # At or above it |x'| = |1 + rho| |x| |1 - x| >= 2.25 |x| once |x| > 10,
-# and a non-finite value stays non-finite, so a block escaped iff its
-# last value did, and only the last value needs the escape check
+# a margin no rounding closes, and a non-finite value stays non-finite,
+# so a block escaped iff its last value did
 _STICKY = 0.25
 # array steps between escape and repeat checks: in process, over the
 # scan ops of seeds 1-3 x cycles 0-2, 256 timed 2-4% faster than 128 and
@@ -132,7 +132,6 @@ def _orbit(r: float, m: float, unit: float, p: float, t: int, transient: int, en
     and a last value equal to an earlier one retires it, the rest of the
     window repeating the block's tail.
     """
-    fickle = abs(unit) < _STICKY
     values: list[float] = []
     while t < end:
         n = min(_CHUNK, end - t)
@@ -140,7 +139,7 @@ def _orbit(r: float, m: float, unit: float, p: float, t: int, transient: int, en
         p = chunk[-1]
         first = max(transient - t - 1, 0)  # first chunk index in the window
         # the block escaped iff its last value did, unless the column is fickle
-        if fickle or not math.isfinite(p) or abs(r * p / unit) > _ESCAPE_BOUND:
+        if abs(unit) < _STICKY or not math.isfinite(p) or abs(r * p / unit) > _ESCAPE_BOUND:
             mask = _escape_mask(r, unit, np.fromiter(chunk, float, n))
             if mask.any():
                 i = int(mask.argmax())
@@ -215,8 +214,8 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
     w = np.empty((cfg.window, m.size))
     w[0] = p0  # overwritten by the transient unless it is empty
     escapes = []  # (column, first escaping step, the value before it)
-    # the live columns: their indices, m, unit, fickleness and values at step t
-    live, ml, ul, fl, p, t = np.arange(m.size), m, unit, np.abs(unit) < _STICKY, p0, 0
+    # the live columns: their indices, m, unit and values at step t
+    live, ml, ul, p, t = np.arange(m.size), m, unit, p0, 0
     with np.errstate(all="ignore"):
         buf = np.empty((_BLOCK + 1, m.size))
         while live.size > _NARROW and t < end:
@@ -230,7 +229,7 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
             bits = rows.view(np.int64)
             repeats = (bits[:n] == bits[n]).any(axis=0)
             # only a fickle column can escape and come back within a block
-            hit = np.flatnonzero(_escape_mask(r, ul, rows[n]) | fl)
+            hit = np.flatnonzero(_escape_mask(r, ul, rows[n]) | (np.abs(ul) < _STICKY))
             if hit.size:
                 mask = _escape_mask(r, ul[hit], rows[1:, hit])
                 gone = mask.any(axis=0)
@@ -253,7 +252,7 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
             if hit.size or settled.size:
                 keep = np.ones(live.size, dtype=bool)
                 keep[hit] = keep[settled] = False
-                live, ml, ul, fl, p = live[keep], ml[keep], ul[keep], fl[keep], rows[n, keep]
+                live, ml, ul, p = live[keep], ml[keep], ul[keep], rows[n, keep]
             else:
                 p = rows[n]
         if t < end:
