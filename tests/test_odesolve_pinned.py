@@ -12,14 +12,27 @@ their step loop, so only their dense samples moved; the multi-piece
 square-wave and table cases were re-pinned in full. The constant and
 die-off cases, whose level pieces the step loop reads M of once per
 piece, were added with the values of the loop that called a right-hand
-side closure per stage.
+side closure per stage. The steep-table and user-subclass cases were
+added with the values of the loop that called each piece's value (and
+slope) once per stage time, before it evaluated M once per step.
 """
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oscpop import Constant, LogisticParams, SinusoidOffset, Tabulated, TwoPhase, integrate_logistic, integrate_riccati
+from oscpop import (
+    CapacitySchedule,
+    Constant,
+    LogisticParams,
+    SinusoidOffset,
+    StiffnessError,
+    Tabulated,
+    TwoPhase,
+    integrate_logistic,
+    integrate_riccati,
+)
 from oscpop.odesolve import SolverStats
 
 
@@ -27,6 +40,30 @@ def _table():
     rng = np.random.default_rng(11)
     times = np.concatenate(([0.2], 0.2 + np.cumsum(rng.uniform(0.05, 0.4, 59))))
     return Tabulated(times, rng.uniform(0.5, 3.0, times.size))
+
+
+class Arches(CapacitySchedule):
+    """A user schedule, 2 + |sin t|, with kinks at the multiples of pi: it
+    defines only at, derivative, breakpoints_between and its bounds, so
+    the solvers reach it through the base class's pieces."""
+
+    def at(self, t):
+        if isinstance(t, np.ndarray):
+            return np.array([self.at(x) for x in t.tolist()])
+        return 2.0 + abs(math.sin(t))
+
+    def derivative(self, t):
+        return math.cos(t) if math.sin(t) >= 0.0 else -math.cos(t)
+
+    def breakpoints_between(self, t0, t1):
+        k = math.floor(t0 / math.pi) + 1
+        return [j * math.pi for j in range(k, math.ceil(t1 / math.pi) + 1) if t0 < j * math.pi < t1]
+
+    def min_value(self):
+        return 2.0
+
+    def max_value(self):
+        return 3.0
 
 
 # (schedule, params, t_end); the table runs over its whole sampled range
@@ -37,6 +74,10 @@ CASES = {
     # one piece that does not start at 0, and a square wave with a negative level
     "constant": (Constant(2.5), LogisticParams(1.2, 0.3, 1.5), 12.0),
     "dieoff": (TwoPhase(-0.5, 3.0, 5.0), LogisticParams(0.9, 0.5), 20.0),
+    # a table whose middle segment's sample difference overflows, so its
+    # line runs through the halved samples; r * M stays within about 15
+    "steep": (Tabulated([0.0, 1.0, 2.5, 4.0], [1.0, -1.5e308, 1e308, 2.0]), LogisticParams(1e-307, 0.5), None),
+    "arches": (Arches(), LogisticParams(0.8, 0.4, 0.3), 15.0),
 }
 FRACS = (0.13, 0.37, 0.5, 0.81, 1.0)
 
@@ -84,6 +125,18 @@ PINNED = [
      ["0x1.015d17f989808p-3", "0x1.a180c10a3ba88p-3", "0x1.798403242c570p+1",
       "0x1.fc7d8b71a72d8p-2", "0x1.798a2bb210e08p+1"],
      389, 8, 2390, "0x1.3251520b25400p-6", "0x1.1b4d42a55aa6cp-3"),
+    ("steep", integrate_logistic, 3, 171, "0x1.81537e34cda65p-7",
+     ["0x1.0d837db048f00p-4", "0x1.7a07d29c856aep-20", "0x1.79e386b613b26p-22",
+      "0x1.c1872fdafe84dp-10", "0x1.81537e34cda65p-7"],
+     170, 6, 1059, "0x1.faeac55778a00p-10", "0x1.0c5edbef89dfbp-3"),
+    ("arches", integrate_logistic, 5, 236, "0x1.69b463667848ep+1",
+     ["0x1.56ac6006fd0d4p+1", "0x1.601dd704d6898p+1", "0x1.618a8e239fdccp+1",
+      "0x1.52a5d6eefec5cp+1", "0x1.69b463667848ep+1"],
+     235, 4, 1439, "0x1.4e9e59909a000p-8", "0x1.d5a05d2e769adp-4"),
+    ("arches", integrate_riccati, 5, 311, "0x1.69b46377893f0p+1",
+     ["0x1.56ac60041d6acp+1", "0x1.601dd70dff273p+1", "0x1.618a8ecc77546p+1",
+      "0x1.52a5d6f4162b6p+1", "0x1.69b46377893f0p+1"],
+     310, 54, 2189, "0x1.4dfb69c1f86f4p-17", "0x1.add107d98885fp-4"),
 ]
 
 
@@ -118,9 +171,25 @@ def test_outputs_are_bit_identical(case, integrate, n_pieces, n_samples, final, 
     assert sampled.meta == stats
 
 
+def test_shifted_form_fails_where_m_squared_overflows():
+    # W' holds M^2 / 4, past the float range wherever a sample difference
+    # is, so the shifted form cannot step the steep table's first piece
+    cap, params, _ = CASES["steep"]
+    with pytest.raises(StiffnessError, match=r"^step size underflow at t=0.0 \(needed 8.192e-14 < min_step\)$"):
+        integrate_riccati(params, cap, 4.0)
+
+
+# every case in both forms, but the one the shifted form cannot step
+STEPPED = [
+    (case, integrate)
+    for case in sorted(CASES)
+    for integrate in (integrate_logistic, integrate_riccati)
+    if (case, integrate) != ("steep", integrate_riccati)
+]
+
+
 @pytest.mark.parametrize("p0", [None, 0.0])
-@pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case, integrate", STEPPED, ids=[f"{c}-{f.__name__}" for c, f in STEPPED])
 def test_step_samples_are_dense_output_at_the_step_ends(case, integrate, p0):
     # without t_eval the samples are t0 and the step ends, and each is what
     # t_eval at those times gives, bit for bit, with the same SolverStats
