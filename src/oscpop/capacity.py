@@ -100,7 +100,9 @@ class CapacitySchedule:
         returns M at each, elementwise with the same float operations as
         its scalar calls, or one level for callers to broadcast where M
         is constant on the piece. slope takes floats only. Pieces are
-        produced lazily.
+        produced lazily. The RK45 loop walks them through _staged_pieces,
+        whose stage evaluator gives the value and slope of the piece last
+        drawn at an attempted step's five stage times in one call.
         """
         lo = t0
         for hi in [*self.breakpoints_between(t0, t1), t1]:
@@ -109,6 +111,28 @@ class CapacitySchedule:
 
     def _piece(self, lo: float, hi: float):
         return self.at, self.derivative
+
+    def _staged_pieces(self, t0: float, t1: float, shift: bool):
+        """pieces(t0, t1) and one stage evaluator for the RK45 step loop.
+
+        stages(t2, t3, t4, t5, t6) returns M at the five stage times of a
+        step on the piece last drawn and, with shift, dM/dt at them after:
+        the floats that piece's value and slope give at each time, in one
+        call. This fallback calls at and then derivative, so a subclass
+        that defines only those works; SinusoidOffset and Tabulated inline
+        their arithmetic.
+        """
+        at, derivative = self.at, self.derivative
+        if shift:
+            def stages(t2, t3, t4, t5, t6):
+                return (
+                    at(t2), at(t3), at(t4), at(t5), at(t6),
+                    derivative(t2), derivative(t3), derivative(t4), derivative(t5), derivative(t6),
+                )
+        else:
+            def stages(t2, t3, t4, t5, t6):
+                return at(t2), at(t3), at(t4), at(t5), at(t6)
+        return self.pieces(t0, t1), stages
 
     def min_value(self) -> float:
         raise NotImplementedError
@@ -310,6 +334,35 @@ class SinusoidOffset(CapacitySchedule):
 
         return value, slope
 
+    def _staged_pieces(self, t0: float, t1: float, shift: bool):
+        # the one piece's value and slope at the five stage times, each angle
+        # taken once for both the sine and the cosine
+        mean, amplitude, period = self.mean, self.amplitude, self.period
+        rate = amplitude * (TWO_PI / period)
+        sin, cos = math.sin, math.cos
+        if shift:
+            def stages(t2, t3, t4, t5, t6):
+                a2 = TWO_PI * ((t2 % period) / period)
+                a3 = TWO_PI * ((t3 % period) / period)
+                a4 = TWO_PI * ((t4 % period) / period)
+                a5 = TWO_PI * ((t5 % period) / period)
+                a6 = TWO_PI * ((t6 % period) / period)
+                return (
+                    mean + amplitude * sin(a2), mean + amplitude * sin(a3), mean + amplitude * sin(a4),
+                    mean + amplitude * sin(a5), mean + amplitude * sin(a6),
+                    rate * cos(a2), rate * cos(a3), rate * cos(a4), rate * cos(a5), rate * cos(a6),
+                )
+        else:
+            def stages(t2, t3, t4, t5, t6):
+                return (
+                    mean + amplitude * sin(TWO_PI * ((t2 % period) / period)),
+                    mean + amplitude * sin(TWO_PI * ((t3 % period) / period)),
+                    mean + amplitude * sin(TWO_PI * ((t4 % period) / period)),
+                    mean + amplitude * sin(TWO_PI * ((t5 % period) / period)),
+                    mean + amplitude * sin(TWO_PI * ((t6 % period) / period)),
+                )
+        return self.pieces(t0, t1), stages
+
     def min_value(self) -> float:
         return self.mean - abs(self.amplitude)
 
@@ -437,18 +490,42 @@ class Tabulated(CapacitySchedule):
         return knots[(t0 < knots) & (knots < t1)].tolist()
 
     def pieces(self, t0: float, t1: float):
-        # both ends are range-checked before the first piece and located in
-        # one lookup, and piece j lies on segment k0 + j, or on its hi's where
-        # its midpoint rounds onto hi
-        self._check(t0)
-        self._check(t1)
-        k0, k1 = self._segments(np.array([t0, t1], dtype=float)).tolist()
-        cuts = self.breakpoints_between(t0, t1)
-        first, last = min(k0, k1), max(k0, k1) + 2
-        knots, vals = self.times[first:last].tolist(), self.values[first:last].tolist()
-        for j, (lo, hi) in enumerate(zip([t0, *cuts], [*cuts, t1])):
-            k = (min(k0 + j + 1, k1) if 0.5 * (lo + hi) == hi else k0 + j) - first
-            yield (lo, hi, *_line(knots[k], vals[k], knots[k + 1], vals[k + 1]))
+        return self._staged_pieces(t0, t1, False)[0]
+
+    def _staged_pieces(self, t0: float, t1: float, shift: bool):
+        # one evaluator for the whole walk, on the line of the piece the walk
+        # handed out last, so a piece makes no closure but value and slope
+        line = None
+
+        def walk():
+            nonlocal line
+            # both ends are range-checked before the first piece and located in
+            # one lookup, and piece j lies on segment k0 + j, or on its hi's
+            # where its midpoint rounds onto hi
+            self._check(t0)
+            self._check(t1)
+            k0, k1 = self._segments(np.array([t0, t1], dtype=float)).tolist()
+            cuts = self.breakpoints_between(t0, t1)
+            first, last = min(k0, k1), max(k0, k1) + 2
+            knots, vals = self.times[first:last].tolist(), self.values[first:last].tolist()
+            for j, (lo, hi) in enumerate(zip([t0, *cuts], [*cuts, t1])):
+                k = (min(k0 + j + 1, k1) if 0.5 * (lo + hi) == hi else k0 + j) - first
+                line, value, slope = _line(knots[k], vals[k], knots[k + 1], vals[k + 1])
+                yield lo, hi, value, slope
+
+        def values(t2, t3, t4, t5, t6):
+            tk, vk, rate, scale = line
+            return (
+                scale * (vk + rate * (t2 - tk)), scale * (vk + rate * (t3 - tk)),
+                scale * (vk + rate * (t4 - tk)), scale * (vk + rate * (t5 - tk)),
+                scale * (vk + rate * (t6 - tk)),
+            )
+
+        def stages(t2, t3, t4, t5, t6):
+            s = line[3] * line[2]
+            return (*values(t2, t3, t4, t5, t6), s, s, s, s, s)
+
+        return walk(), stages if shift else values
 
     def min_value(self) -> float:
         return float(self.values.min())
@@ -458,21 +535,25 @@ class Tabulated(CapacitySchedule):
 
 
 def _line(t0: float, v0: float, t1: float, v1: float):
-    # a table piece's value and slope: the segment's line from its left knot;
-    # on an array, as on Python floats, overflow gives inf or nan quietly
+    # a table segment's line from its left knot, (t0, v0, rate, scale), and
+    # its value and slope: M is scale * (v0 + rate * (t - t0)) and dM/dt is
+    # scale * rate. Where the sample difference overflows, as in _interp, the
+    # line runs through the halved samples and scale is 2.0; elsewhere it is
+    # 1.0, which changes no float. On an array, as on Python floats,
+    # overflow gives inf or nan quietly
+    scale = 1.0
     if math.isinf(v1 - v0):
-        # the same line through halved samples, doubled, as in _interp
-        half, half_slope = _line(t0, 0.5 * v0, t1, 0.5 * v1)
-        return (lambda t: 2.0 * half(t)), (lambda t: 2.0 * half_slope(t))
-    slope = (v1 - v0) / (t1 - t0)
+        v0, v1, scale = 0.5 * v0, 0.5 * v1, 2.0
+    rate = (v1 - v0) / (t1 - t0)
+    slope = scale * rate
 
     def value(t):
         if type(t) is float:
-            return v0 + slope * (t - t0)
+            return scale * (v0 + rate * (t - t0))
         with np.errstate(over="ignore", invalid="ignore"):
-            return v0 + slope * (t - t0)
+            return scale * (v0 + rate * (t - t0))
 
-    return value, (lambda t: slope)
+    return (t0, v0, rate, scale), value, (lambda t: slope)
 
 
 def _piecewise_constant(schedule: CapacitySchedule) -> bool:

@@ -12,15 +12,17 @@ the rows, linear in steps plus samples.
 ``_rk45`` is the one step loop of both integrators and the hot path of
 every long run. It walks the schedule's pieces itself and evaluates each
 stage's right-hand side in its own body, in the logistic or the shifted
-form chosen once per call, so a stage calls no function but the
-schedule's. On a schedule of level pieces (Constant, TwoPhase) M is read
-once per piece and dM/dt is 0.0; elsewhere each stage time is one call
-of the piece's value, and of its slope in the shifted form, and stages 6
-and 7, which both sit at the step's end (the pair is FSAL), share them.
-It binds its coefficients and settings to locals once per call, keeping
-its counters, step budget and carried step size in locals too; that
-saves each step's and each piece's global and attribute lookups without
-changing any float it produces.
+form chosen once per call. On a schedule of level pieces (Constant,
+TwoPhase) M is read once per piece and dM/dt is 0.0; elsewhere each
+attempted step makes one call, of the schedule's stage evaluator, which
+returns M at the step's five stage times, and dM/dt too in the shifted
+form. The loop computes those times, so the Dormand-Prince nodes stay in
+this module, and stages 6 and 7, which both sit at the step's end (the
+pair is FSAL), share the values at it. The loop binds its coefficients
+and settings to locals once per call, keeping its counters, step budget
+and carried step size in locals too; that saves each step's and each
+piece's global and attribute lookups without changing any float it
+produces.
 
 Capacity breakpoints are treated as hard step boundaries: the integrator
 never takes a step across one, and each smooth piece is integrated with
@@ -129,15 +131,18 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     One pass over cap.pieces: each stage's right-hand side is evaluated
     in the loop, with M from the piece's value and, with shift, dM/dt
     from its slope. On a schedule of level pieces M is read once per
-    piece and dM/dt is 0.0; otherwise each stage time is one value call
-    (and one slope call), stages 6 and 7 sharing those at t_next. Each
-    piece starts at min(max_step, span, h), h being the controller's
+    piece and dM/dt is 0.0; otherwise M (and dM/dt) at a piece's start
+    is one value (and slope) call, and at an attempted step's five other
+    stage times one call of the schedule's stage evaluator, which gives
+    the floats of those calls; stages 6 and 7 share the values at
+    t_next. Each piece starts at min(max_step, span, h), h being the controller's
     last proposal before the clip to the previous piece's end (a
     sixteenth of the span for the first piece). With shift, each piece
     restarts W from the carried P, and P = W + M/2 is reported. Each
     accepted step adds the row (t0, t1, y0, y1, f0, f1, dk) to one flat
-    record: f0/f1 are its end slopes and dk the continuous-extension
-    combination of its stages. Every step has t1 > t0: a step size that
+    record, which becomes the (n, 7) step array in one np.fromiter pass:
+    f0/f1 are its end slopes and dk the continuous-extension combination
+    of its stages. Every step has t1 > t0: a step size that
     no longer moves t raises StiffnessError, and a trial is accepted
     only when err <= 1 and y1 is finite. Before any step, a bad t_end or
     t_eval raises ValueError; max_iterations caps the attempted steps of
@@ -175,7 +180,8 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     # m1..m6 and s1..s6 are M and dM/dt at stages 1 to 6; s stays 0.0 on
     # level pieces and is read only with shift
     s1 = s2 = s3 = s4 = s5 = s6 = 0.0
-    for lo, hi, m, dm in cap.pieces(t0, t_end):
+    walk, stages = cap._staged_pieces(t0, t_end, shift)
+    for lo, hi, m, dm in walk:
         t = lo
         m1 = m(lo)
         if levels:
@@ -207,9 +213,10 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
             t_next = t + h
             if not levels:
                 t2, t3, t4, t5 = t + c2 * h, t + c3 * h, t + c4 * h, t + c5 * h
-                m2, m3, m4, m5, m6 = m(t2), m(t3), m(t4), m(t5), m(t_next)
                 if shift:
-                    s2, s3, s4, s5, s6 = dm(t2), dm(t3), dm(t4), dm(t5), dm(t_next)
+                    m2, m3, m4, m5, m6, s2, s3, s4, s5, s6 = stages(t2, t3, t4, t5, t_next)
+                else:
+                    m2, m3, m4, m5, m6 = stages(t2, t3, t4, t5, t_next)
             z = y + h * (a21 * k1)
             k2 = r * (0.25 * m2 * m2 - z * z) - 0.5 * s2 if shift else r * (m2 - z) * z
             z = y + h * (a31 * k1 + a32 * k2)
@@ -268,7 +275,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     # every piece spans lo < hi, so at least one step was accepted
     meta = SolverStats(solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min, h_max)
     # the record becomes the (n, 7) step array, released before sampling
-    steps = np.array(record).reshape(n_acc, 7)
+    steps = np.fromiter(record, float, 7 * n_acc).reshape(n_acc, 7)
     record.clear()
     if ts is None:  # the step ends, where sampling returns each step's end value
         ts = np.concatenate(([t0], steps[:, 1]))

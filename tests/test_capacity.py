@@ -344,6 +344,17 @@ class TestTabulated:
         assert [cap.at(t) for t in (0.0, 1.0, 2.0)] == [1.5e308, -1.5e308, 1e308]
         assert Tabulated([0.0, 2.0], [1.5e308, -1.5e308]).derivative(1.0) == -1.5e308
 
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_stage_evaluator_of_a_segment_whose_samples_differ_past_the_float_range(self, shift):
+        # the RK45 loop's one call per step gives what the piece's value and
+        # slope give at each stage time, on the halved-sample line too
+        cap = Tabulated([0.0, 1.0, 2.0], [1.5e308, -1.5e308, 1e308])
+        walk, stages = cap._staged_pieces(0.0, 2.0, shift)
+        for lo, hi, value, slope in walk:
+            ts = [lo + f * (hi - lo) for f in (0.2, 0.3, 0.8, 8 / 9)] + [hi]
+            expected = [value(t) for t in ts] + ([slope(t) for t in ts] if shift else [])
+            assert [x.hex() for x in stages(*ts)] == [x.hex() for x in expected]
+
     def test_integral_matches_dense_trapezoid(self):
         cap = self.make()
         ts = np.linspace(0.2, 2.3, 100_001)

@@ -91,6 +91,23 @@ def test_piece_ends_give_one_sided_limits(iv):
             assert slope(end) == pytest.approx(cap.derivative(inside), rel=1e-12, abs=d2m_bound * reach + 1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    iv=intervals().filter(lambda iv: isinstance(iv[0], (SinusoidOffset, Tabulated))),
+    fracs=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    shift=st.booleans(),
+)
+def test_stage_evaluator_gives_the_piece_value_and_slope(iv, fracs, shift):
+    # one call per RK45 step returns, bit for bit, the piece's value at each
+    # of the step's five stage times and, with shift, its slope after them
+    cap, t0, t1, _, _ = iv
+    walk, stages = cap._staged_pieces(t0, t1, shift)
+    for lo, hi, value, slope in walk:
+        ts = [lo + f * (hi - lo) for f in fracs] + [hi]
+        expected = [value(t) for t in ts] + ([slope(t) for t in ts] if shift else [])
+        assert [x.hex() for x in stages(*ts)] == [x.hex() for x in expected]
+
+
 @st.composite
 def near_breakpoints(draw):
     """(schedule, t0, t1, every breakpoint in (t0, t1)) with t0 on a
