@@ -239,8 +239,8 @@ def _grid_records():
 
 @pytest.mark.parametrize(
     "name, value",
-    [(name, value) for name in ("_BLOCK", "_CHUNK", "_NARROW") for value in (1, 7, 10**6)]
-    + [("_NARROW", 0), ("_NARROW", 10**9)],
+    [(name, value) for name in ("_BLOCK", "_CHUNK", "_NARROW", "_TAIL", "_FULL") for value in (1, 7, 10**6)]
+    + [("_NARROW", 0), ("_NARROW", 10**9), ("_TAIL", 0)],
 )
 def test_records_do_not_depend_on_block_lengths(monkeypatch, name, value):
     # which loop finishes a column, and at which step it retires, moves
