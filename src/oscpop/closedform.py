@@ -38,6 +38,12 @@ __all__ = [
 
 _MAX_EXPONENT = 700.0  # largest exponent exp() is allowed to take here
 _POLE_TOL = 1e-10  # relative size below which a denominator is a pole
+# fewest floats the weight's boundary layer, 4 / (r max|M|) wide, must span
+# at t: the quadrature nodes there are floats, and on zero-amplitude
+# sinusoids against logistic_constant the relative error came to about
+# 2 ulp(t) / width (worst 2e-5 from 2**15 floats up, 3e-4 at 2**12, 0.75
+# at 1); under one float the layer is unseen and P came out 1e293 too small
+_LAYER_FLOATS = 2.0**16
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,9 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
     of width ~1/(r max|M|) there; each batch of panels takes the integral
     of M from all its nodes in one call, and an integral past the float
     range raises ExponentOverflowError unless its weight is 0 whatever
-    its value. p0 = inf starts from u = 0; u = inf (P = 0) is absorbing.
+    its value. So does a layer too narrow for the floats near t, which
+    no quadrature can resolve. p0 = inf starts from u = 0; u = inf
+    (P = 0) is absorbing.
     """
     r, t0 = params.r, params.t0
     u0 = math.inf if params.p0 == 0.0 else 1.0 / params.p0
@@ -178,6 +186,10 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
     spread = r * max(abs(cap.min_value()), abs(cap.max_value()))
     width = 4.0 / spread if spread > 0.0 else math.inf
     for i, t in enumerate(times):
+        if t > t0 and width < _LAYER_FLOATS * math.ulp(t):
+            raise ExponentOverflowError(
+                f"the weight's boundary layer at t={t} is {width:.3g} wide, under 2**16 float spacings"
+            )
 
         def weight(s: np.ndarray, t: float = t) -> list:
             return [_weight(r, x) for x in cap._integrals_to(s, t)]

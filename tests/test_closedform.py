@@ -298,6 +298,29 @@ class TestQuadratureSolution:
         with pytest.raises(ExponentOverflowError, match="capacity integral leaves the float range"):
             quadrature_solution(LogisticParams(1e-308, 1.0), cap, t)
 
+    def test_a_boundary_layer_narrower_than_the_floats_near_t_is_a_domain_error(self):
+        # the weight falls from 1 to 0 within 4 / (r max|M|) ~ 2.7e-308 of
+        # t = 3, where floats are 4.4e-16 apart: P read 2.25e15 for about 1e308
+        with pytest.raises(ExponentOverflowError, match="boundary layer"):
+            quadrature_solution(LogisticParams(1.0, 1.0), SinusoidOffset(1e308, 5e307, 3.0), 3.0)
+
+    @pytest.mark.parametrize("t", [3.0, 1e6])
+    def test_a_boundary_layer_of_enough_floats_keeps_the_constant_solution(self, t):
+        # zero-amplitude sinusoids take the quadrature route; a layer 2**17
+        # float spacings wide keeps logistic_constant's value to the node
+        # rounding, and one of 2**15 raises
+        params = LogisticParams(1.0, 0.5)
+        for floats in (2.0**17, 2.0**15):
+            m = 4.0 / (floats * math.ulp(t))
+            if floats > 2.0**16:
+                got = quadrature_solution(params, SinusoidOffset(m, 0.0, 3.0), t)
+                assert got == pytest.approx(logistic_constant(params, m, t), rel=2e-5)
+            else:
+                with pytest.raises(ExponentOverflowError, match="boundary layer"):
+                    quadrature_solution(params, SinusoidOffset(m, 0.0, 3.0), t)
+        # at t0 there is no quadrature and no layer to resolve
+        assert quadrature_solution(params, SinusoidOffset(1e308, 0.0, 3.0), 0.0) == 0.5
+
     def test_an_infinite_integral_weighs_zero_where_any_finite_one_would(self):
         # r * (the largest float) > 745: the true weight underflows to 0
         got = quadrature_solution(LogisticParams(1e-305, 1.0), SinusoidOffset(1e308, 5e307, 3.0), 3.0)
