@@ -197,8 +197,13 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
         span = hi - lo
         if h is None:
             h = max(span / 16.0, min_step)
-        h = min(max_step, span, h)
-        snap = 1e-14 * max(abs(hi), 1.0)
+        # min and max, without their calls
+        if span < h:
+            h = span
+        if max_step < h:
+            h = max_step
+        snap = abs(hi)
+        snap = 1e-14 * (snap if snap > 1.0 else 1.0)
         err_prev = None
         while t < hi:
             # the controller's proposal, kept before the clip to the piece end
