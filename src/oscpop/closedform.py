@@ -14,7 +14,8 @@ solutions here and for the periodic cycle: in closed form on constant
 pieces (Constant, TwoPhase), otherwise by quadrature of a weight that,
 anchored at b, never exceeds 1 where M >= 0; only where M < 0 can its
 exponent pass 700, and only where an integral of M leaves the float
-range can its exponent be unknown, each raising ExponentOverflowError.
+range can its exponent be unknown, each raising ExponentOverflowError,
+as does a boundary layer at b too narrow for the floats there.
 """
 from __future__ import annotations
 
