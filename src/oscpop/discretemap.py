@@ -18,8 +18,9 @@ iff its last value did, and only the columns whose last value escaped,
 or that lie nearer rho = -1, are checked step by step. Once 15 or fewer
 columns remain, each finishes alone in a loop over Python floats, in
 blocks under the same rules, though most of its blocks look for the
-repeat in their last values alone. Both loops evaluate p + r (M - p) p in the
-same order, so every record is bit-identical to a step-by-step loop.
+repeat in their last values alone. Both loops evaluate p + r (M - p) p
+in the same order, so every record is bit-identical to a step-by-step
+loop.
 
 The window is then classified once for the whole grid: a period is
 tested only on the columns still unresolved that match at its lag, and

@@ -128,25 +128,24 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     """Integrate P' = r (M - P) P, or with shift W' = r (M^2/4 - W^2) - M'/2
     for W = P - M/2, from (t0, p0) to t_end, piece by piece.
 
-    One pass over cap.pieces: each stage's right-hand side is evaluated
-    in the loop, with M from the piece's value and, with shift, dM/dt
-    from its slope. On a schedule of level pieces M is read once per
-    piece and dM/dt is 0.0; otherwise M (and dM/dt) at a piece's start
-    is one value (and slope) call, and at an attempted step's five other
-    stage times one call of the schedule's stage evaluator, which gives
-    the floats of those calls; stages 6 and 7 share the values at
-    t_next. Each piece starts at min(max_step, span, h), h being the controller's
-    last proposal before the clip to the previous piece's end (a
-    sixteenth of the span for the first piece). With shift, each piece
-    restarts W from the carried P, and P = W + M/2 is reported. Each
-    accepted step adds the row (t0, t1, y0, y1, f0, f1, dk) to one flat
-    record, which becomes the (n, 7) step array in one np.fromiter pass:
-    f0/f1 are its end slopes and dk the continuous-extension combination
-    of its stages. Every step has t1 > t0: a step size that
-    no longer moves t raises StiffnessError, and a trial is accepted
-    only when err <= 1 and y1 is finite. Before any step, a bad t_end or
-    t_eval raises ValueError; max_iterations caps the attempted steps of
-    the whole call.
+    One pass over cap.pieces: each stage's right-hand side is evaluated in
+    the loop, with M from the piece's value and, with shift, dM/dt from its
+    slope. On a schedule of level pieces M is read once per piece and dM/dt
+    is 0.0; otherwise M (and dM/dt) at a piece's start is one value (and
+    slope) call, and at an attempted step's five other stage times one call
+    of the schedule's stage evaluator, which gives the floats of those
+    calls; stages 6 and 7 share the values at t_next. Each piece starts at
+    min(max_step, span, h), h being the controller's last proposal before
+    the clip to the previous piece's end (a sixteenth of the span for the
+    first piece). With shift, each piece restarts W from the carried P, and
+    P = W + M/2 is reported. Each accepted step adds the row (t0, t1, y0,
+    y1, f0, f1, dk) to one flat record, which becomes the (n, 7) step array
+    in one np.fromiter pass: f0/f1 are its end slopes and dk the
+    continuous-extension combination of its stages. Every step has t1 > t0:
+    a step size that no longer moves t raises StiffnessError, and a trial is
+    accepted only when err <= 1 and y1 is finite. Before any step, a bad
+    t_end or t_eval raises ValueError; max_iterations caps the attempted
+    steps of the whole call.
     """
     cfg = cfg or SolverConfig()
     t0, p0, r = params.t0, params.p0, params.r
