@@ -7,7 +7,9 @@ clamped; parameters must be finite.
 """
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -93,24 +95,28 @@ class CapacitySchedule:
     def pieces(self, t0: float, t1: float):
         """Yield (lo, hi, value, slope) for each smooth piece of [t0, t1].
 
-        The pieces tile [t0, t1] in order, cut at breakpoints_between.
-        value and slope are M and dM/dt on the piece as functions of t,
-        resolved once per piece; at lo and hi they give the piece's
+        The pieces tile [t0, t1] in order, cut at breakpoints_between,
+        and are produced lazily. value and slope are M and dM/dt on the
+        piece, resolved once per piece; at lo and hi they give its
         one-sided limits. value also takes a float64 array of times and
-        returns M at each, elementwise with the same float operations as
-        its scalar calls, or one level for callers to broadcast where M
-        is constant on the piece. slope takes floats only. Pieces are
-        produced lazily. The RK45 loop walks them through _staged_pieces,
-        whose stage evaluator gives the value and slope of the piece last
-        drawn at an attempted step's five stage times in one call.
+        returns M at each, with the same float operations as its scalar
+        calls, or one level to broadcast where M is constant on the
+        piece; slope takes floats only. The RK45 loop walks the pieces
+        through _staged_pieces. A schedule that keeps this method hands
+        out at, mapped over an array's floats where at takes floats only.
         """
+        def value(t):
+            try:
+                return self.at(t)
+            except TypeError:
+                # at takes floats only: mapped over an array's floats, while a
+                # float that at refuses raises its TypeError again
+                return np.vectorize(self.at, otypes=[float])(t)
+
         lo = t0
         for hi in [*self.breakpoints_between(t0, t1), t1]:
-            yield (lo, hi, *self._piece(lo, hi))
+            yield lo, hi, value, self.derivative
             lo = hi
-
-    def _piece(self, lo: float, hi: float):
-        return self.at, self.derivative
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         """pieces(t0, t1) and one stage evaluator for the RK45 step loop.
@@ -295,7 +301,13 @@ class SinusoidOffset(CapacitySchedule):
         return TWO_PI * ((t % self.period) / self.period)
 
     def at(self, t: float) -> float:
-        return self.mean + self.amplitude * math.sin(self._angle(t))
+        # also M at each time of a float64 array: math.sin raises TypeError on
+        # one, and trying it first spares a float call a type test
+        angle = self._angle(t)
+        try:
+            return self.mean + self.amplitude * math.sin(angle)
+        except TypeError:
+            return self.mean + self.amplitude * np.sin(angle)
 
     def integral(self, t0: float, t1: float) -> float:
         return self._integrals_to(np.array([t0], dtype=float), t1)[0]
@@ -314,25 +326,6 @@ class SinusoidOffset(CapacitySchedule):
 
     def derivative(self, t: float) -> float:
         return self.amplitude * (TWO_PI / self.period) * math.cos(self._angle(t))
-
-    def _piece(self, lo: float, hi: float):
-        # the arithmetic of at and derivative, without their method calls
-        mean, amplitude, period = self.mean, self.amplitude, self.period
-        rate = amplitude * (TWO_PI / period)
-        sin, cos, array_sin = math.sin, math.cos, np.sin
-
-        def value(t):
-            # math.sin raises TypeError on an array; trying it first spares the
-            # float calls of the RK45 right-hand side a type test
-            try:
-                return mean + amplitude * sin(TWO_PI * ((t % period) / period))
-            except TypeError:
-                return mean + amplitude * array_sin(TWO_PI * ((t % period) / period))
-
-        def slope(t: float) -> float:
-            return rate * cos(TWO_PI * ((t % period) / period))
-
-        return value, slope
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         # the one piece's value and slope at the five stage times, each angle
@@ -375,10 +368,14 @@ class Tabulated(CapacitySchedule):
     """Piecewise-linear capacity through sampled (time, value) points.
 
     Queries outside the sampled range raise ScheduleRangeError rather
-    than extrapolating. Integrals are the exact trapezoid areas of the
-    interpolant, including partial end segments. Values and integrals are
-    finite wherever the float range holds them, between two samples that
-    differ past it too.
+    than extrapolating. Every query reads one line per segment, built
+    once: M = scale * (v + rate * (t - t_k)) from its left knot t_k, with
+    v the samples over scale, rate their slope and scale the smallest
+    power of two at which rate is finite: 1.0 wherever np.interp's slope
+    is, so M there is np.interp's, bit for bit. As in np.interp, a knot's
+    M is its sample, but a piece's value is its line up to both ends.
+    Integrals are the exact trapezoid areas of the interpolant. Values
+    and integrals are finite wherever the float range holds them.
     """
 
     times: np.ndarray
@@ -386,7 +383,9 @@ class Tabulated(CapacitySchedule):
     declared_period: float | None = None
     _cum: np.ndarray = field(init=False, repr=False)
     _shift: int = field(init=False, repr=False)
-    _steep: np.ndarray = field(init=False, repr=False)
+    _lines: np.ndarray = field(init=False, repr=False)
+    _rows: list = field(init=False, repr=False)
+    _knots: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -398,23 +397,36 @@ class Tabulated(CapacitySchedule):
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("samples must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
-            # like Python floats, an overflowing gap gives inf quietly; halves
-            # are summed first only where a sum of samples overflows, and the
-            # running area is kept below about 2**1000 at the scale 2**-shift,
-            # so no difference of two of its sums overflows
-            gaps, total = np.diff(t), v[1:] + v[:-1]
+            gaps = np.diff(t)  # like Python floats, an overflowing gap is inf quietly
+            if not np.all(gaps > 0.0):
+                raise ValueError("sample times must be strictly increasing")
+            # halves are summed first only where a sum of samples overflows,
+            # and the running area is kept below about 2**1000 at the scale
+            # 2**-shift, so no difference of two of its sums overflows
+            total = v[1:] + v[:-1]
             mids = np.where(np.isinf(total), 0.5 * v[1:] + 0.5 * v[:-1], 0.5 * total)
             shift = max(0, int((np.frexp(mids)[1] + np.frexp(gaps)[1]).max()) + gaps.size.bit_length() - 1000)
             cum = np.concatenate(([0.0], np.cumsum(np.ldexp(mids, -shift) * gaps)))
-            steep = np.flatnonzero(np.isinf(np.diff(v)))
-        if not np.all(gaps > 0.0):
-            raise ValueError("sample times must be strictly increasing")
+            # each segment's line (t_k, v_k / scale, rate, scale), scale = 2**e:
+            # a slope past the float range starts e where the exponents of the
+            # sample difference and the gap rule out any smaller one, and it
+            # doubles until finite, a pass or two
+            least = np.frexp(0.5 * v[1:] - 0.5 * v[:-1])[1] - np.frexp(gaps)[1] - 1023
+            e = np.zeros(gaps.size, dtype=int)
+            while True:
+                scale = np.ldexp(1.0, e)
+                rate = (v[1:] / scale - v[:-1] / scale) / gaps
+                steep = ~np.isfinite(rate)
+                if not steep.any():
+                    break
+                e = np.where(steep, np.maximum(e + 1, least), e)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         _require_finite(self)
-        object.__setattr__(self, "_cum", cum)
-        object.__setattr__(self, "_shift", shift)
-        object.__setattr__(self, "_steep", steep)
+        lines = np.stack((t[:-1], v[:-1] / scale, rate, scale), axis=1)
+        derived = {"_cum": cum, "_shift": shift, "_lines": lines, "_rows": lines.tolist(), "_knots": t.tolist()}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_pairs(
@@ -430,28 +442,16 @@ class Tabulated(CapacitySchedule):
 
     def _check(self, t: float) -> None:
         # the one range check of every query
-        lo, hi = self.times[0], self.times[-1]
+        lo, hi = self._knots[0], self._knots[-1]
         if not lo <= t <= hi:
             raise ScheduleRangeError(f"t={t} outside sampled range [{lo}, {hi}]")
 
-    def _segments(self, t: np.ndarray) -> np.ndarray:
-        # the one segment lookup: segment k runs from knot k to knot k + 1, and
-        # the last knot is in the last one
-        return np.minimum(np.searchsorted(self.times, t, side="right") - 1, self.times.size - 2)
-
-    def _interp(self, t):
-        # np.interp's rule, whose slope (v1 - v0) / gap overflows where the
-        # sample difference does; on those segments alone, the same rule on
-        # halved samples, doubled, which is finite between the knots
-        v = np.interp(t, self.times, self.values)
-        if self._steep.size:
-            half = np.interp(t, self.times, 0.5 * self.values)
-            v = np.where(np.isin(self._segments(t), self._steep), 2.0 * half, v)
-        return v
-
     def at(self, t: float) -> float:
+        # t's segment k runs from knot k to knot k + 1, and at knot k, the last
+        # one included, M is its sample
         self._check(t)
-        return float(self._interp(t))
+        k = bisect.bisect_right(self._knots, t) - 1
+        return self.values.item(k) if t == self._knots[k] else float(_on_line(self._rows[k], t))
 
     def integral(self, t0: float, t1: float) -> float:
         return self._integrals_to(np.array([t0], dtype=float), t1)[0]
@@ -466,14 +466,15 @@ class Tabulated(CapacitySchedule):
             _require_ordered(bad, t1)
             self._check(bad)
             self._check(t1)
-        # the trapezoid area from the first knot to each start and to t1, with
-        # M by at's rule, at _cum's scale; like Python floats, overflow gives
-        # inf quietly
+        # the trapezoid area from the first knot to each start and to t1, the
+        # last knot on the last segment, with M by at's rule, at _cum's scale;
+        # like Python floats, overflow gives inf quietly
         t = np.append(starts, t1)
-        k = self._segments(t)
+        j = np.searchsorted(knots, t, side="right") - 1
+        k = np.minimum(j, knots.size - 2)
         t_k, v_k = knots[k], self.values[k]
         with np.errstate(over="ignore", invalid="ignore"):
-            v = self._interp(t)
+            v = np.where(t == knots[j], self.values[j], _on_line(self._lines[k].T, t))
             width, total = np.ldexp(t - t_k, -self._shift), v_k + v
             partial = np.where(np.isinf(total), width * (0.5 * v_k + 0.5 * v), width * 0.5 * total)
             area = self._cum[k] + partial
@@ -494,24 +495,23 @@ class Tabulated(CapacitySchedule):
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         # one evaluator for the whole walk, on the line of the piece the walk
-        # handed out last, so a piece makes no closure but value and slope
+        # handed out last, so a piece makes no closure but its slope
         line = None
 
         def walk():
             nonlocal line
-            # both ends are range-checked before the first piece and located in
-            # one lookup, and piece j lies on segment k0 + j, or on its hi's
-            # where its midpoint rounds onto hi
+            # both ends are range-checked before the first piece and located
+            # once, and piece j lies on segment k0 + j, or on its hi's where
+            # its midpoint rounds onto hi
             self._check(t0)
             self._check(t1)
-            k0, k1 = self._segments(np.array([t0, t1], dtype=float)).tolist()
+            rows = self._rows
+            k0, k1 = (min(bisect.bisect_right(self._knots, t) - 1, len(rows) - 1) for t in (t0, t1))
             cuts = self.breakpoints_between(t0, t1)
-            first, last = min(k0, k1), max(k0, k1) + 2
-            knots, vals = self.times[first:last].tolist(), self.values[first:last].tolist()
             for j, (lo, hi) in enumerate(zip([t0, *cuts], [*cuts, t1])):
-                k = (min(k0 + j + 1, k1) if 0.5 * (lo + hi) == hi else k0 + j) - first
-                line, value, slope = _line(knots[k], vals[k], knots[k + 1], vals[k + 1])
-                yield lo, hi, value, slope
+                line = rows[min(k0 + j + 1, k1) if 0.5 * (lo + hi) == hi else k0 + j]
+                # the default binds this piece's slope, not the walk's last
+                yield lo, hi, functools.partial(_on_line, line), lambda t, s=line[3] * line[2]: s
 
         def values(t2, t3, t4, t5, t6):
             tk, vk, rate, scale = line
@@ -534,26 +534,16 @@ class Tabulated(CapacitySchedule):
         return float(self.values.max())
 
 
-def _line(t0: float, v0: float, t1: float, v1: float):
-    # a table segment's line from its left knot, (t0, v0, rate, scale), and
-    # its value and slope: M is scale * (v0 + rate * (t - t0)) and dM/dt is
-    # scale * rate. Where the sample difference overflows, as in _interp, the
-    # line runs through the halved samples and scale is 2.0; elsewhere it is
-    # 1.0, which changes no float. On an array, as on Python floats,
-    # overflow gives inf or nan quietly
-    scale = 1.0
-    if math.isinf(v1 - v0):
-        v0, v1, scale = 0.5 * v0, 0.5 * v1, 2.0
-    rate = (v1 - v0) / (t1 - t0)
-    slope = scale * rate
-
-    def value(t):
-        if type(t) is float:
-            return scale * (v0 + rate * (t - t0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return scale * (v0 + rate * (t - t0))
-
-    return (t0, v0, rate, scale), value, (lambda t: slope)
+def _on_line(line, t):
+    # M at t on a table segment's line (t_k, v, rate, scale), the value rule
+    # of every table query, which the stage evaluator inlines; t may be a
+    # float64 array, and line a row of arrays, one segment per time. On
+    # arrays, as on Python floats, overflow gives inf or nan quietly
+    tk, v, rate, scale = line
+    if type(t) is float:
+        return scale * (v + rate * (t - tk))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scale * (v + rate * (t - tk))
 
 
 def _piecewise_constant(schedule: CapacitySchedule) -> bool:

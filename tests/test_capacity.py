@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oscpop import (
+    CapacitySchedule,
     Constant,
     ConvergenceError,
     LogisticParams,
@@ -20,6 +21,8 @@ from oscpop import (
     load_capacity_csv,
     parse_schedule,
 )
+from oscpop.capacity import TWO_PI
+from oscpop.periodic import orbit_identity_residual
 
 
 class TestSolverConfig:
@@ -344,10 +347,27 @@ class TestTabulated:
         assert [cap.at(t) for t in (0.0, 1.0, 2.0)] == [1.5e308, -1.5e308, 1e308]
         assert Tabulated([0.0, 2.0], [1.5e308, -1.5e308]).derivative(1.0) == -1.5e308
 
+    def test_a_segment_whose_slope_alone_passes_the_float_range_is_finite(self):
+        # the last segment's difference -1e308 is finite but its slope over
+        # the 0.5 gap is not: at(2.75) was -inf for a true 5e307, and the
+        # piece's value at its own left knot nan
+        cap = Tabulated([0.0, 1.0, 2.5, 3.0], [1.0, -1.5e308, 1e308, 2.0])
+        assert cap.at(2.75) == 5e307
+        for lo, _, value, _ in cap.pieces(0.0, 3.0):
+            assert math.isfinite(value(lo))
+        assert integrate_logistic(LogisticParams(1e-307, 0.5), cap, 3.0).final > 0.0
+
+    def test_a_segment_steeper_than_twice_the_float_range_is_finite(self):
+        # the slope -2e309 needs the scale 16, not the halving of a sample
+        # difference past the float range: at(0.05) was -inf for a true 0
+        cap = Tabulated([0.0, 0.1], [1e308, -1e308])
+        assert abs(cap.at(0.05)) <= 1e293
+        assert cap.integral(0.0, 0.05) == pytest.approx(2.5e306, rel=1e-15)
+
     @pytest.mark.parametrize("shift", [False, True])
     def test_stage_evaluator_of_a_segment_whose_samples_differ_past_the_float_range(self, shift):
         # the RK45 loop's one call per step gives what the piece's value and
-        # slope give at each stage time, on the halved-sample line too
+        # slope give at each stage time, on a scaled line too
         cap = Tabulated([0.0, 1.0, 2.0], [1.5e308, -1.5e308, 1e308])
         walk, stages = cap._staged_pieces(0.0, 2.0, shift)
         for lo, hi, value, slope in walk:
@@ -576,6 +596,7 @@ class TestArrayPieceValues:
             ([0.0, 1.0, 2.0], [1.5e308, 1.5e308, 1e308]),  # areas overflow
             ([-1e308, 1e308], [1.0, 2.0]),  # the gap overflows
             ([0.0, 1.0, 2.0], [1.5e308, -1.5e308, 1e308]),  # slopes overflow
+            ([0.0, 1.0, 2.5, 3.0], [1.0, -1.5e308, 1e308, 2.0]),  # a slope alone overflows
         ],
     )
     def test_overflowing_table_is_quiet(self, times, values):
@@ -597,6 +618,45 @@ class TestArrayPieceValues:
         probes = _near(np.concatenate((times, 0.5 * (times[1:] + times[:-1]))))
         for t in probes[(probes >= times[0]) & (probes <= times[-1])].tolist():
             assert cap.at(t) == float(np.interp(t, times, values))
+
+
+class SineAt(CapacitySchedule):
+    """A user schedule, 2 + 0.5 sin(2 pi t / 3), whose at takes floats only
+    and which keeps the base class's pieces."""
+
+    period = 3.0
+
+    def at(self, t):
+        return 2.0 + 0.5 * math.sin(TWO_PI * t / 3.0)
+
+    def derivative(self, t):
+        return 0.5 * (TWO_PI / 3.0) * math.cos(TWO_PI * t / 3.0)
+
+    def min_value(self):
+        return 1.5
+
+    def max_value(self):
+        return 2.5
+
+
+class TestFloatOnlyUserSchedule:
+    # the dense output and the cycle diagnostics call a piece's value on an
+    # array, which raised TypeError through an at that takes floats only
+
+    def test_riccati_samples_agree_with_the_logistic_form(self):
+        params, ts = LogisticParams(1.0, 0.5), np.linspace(0.0, 6.0, 61)
+        riccati = integrate_riccati(params, SineAt(), 6.0, t_eval=ts).populations
+        logistic = integrate_logistic(params, SineAt(), 6.0, t_eval=ts).populations
+        np.testing.assert_allclose(riccati, logistic, rtol=1e-6, atol=0.0)
+
+    def test_orbit_identity_residual_reads_the_orbit(self):
+        orbit = integrate_logistic(LogisticParams(1.0, 0.5), SineAt(), 6.0, t_eval=np.linspace(0.0, 6.0, 61))
+        assert math.isfinite(orbit_identity_residual(orbit, SineAt()))
+
+    def test_a_type_error_of_at_on_a_scalar_propagates(self):
+        (_, _, value, _), = SineAt().pieces(0.0, 1.0)
+        with pytest.raises(TypeError):
+            value("0.5")
 
 
 class CountingTwoPhase(TwoPhase):

@@ -43,15 +43,28 @@ def intervals(draw):
         cap = SinusoidOffset(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), draw(st.floats(0.5, 5.0)))
         omega = 2.0 * math.pi / cap.period
         return cap, t0, t1, abs(cap.amplitude) * omega, abs(cap.amplitude) * omega**2
+    return _table_interval(draw, t0, st.floats(-3.0, 3.0))
+
+
+def _table_interval(draw, t0, sample):
     gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=40))
     times = t0 + np.concatenate(([0.0], np.cumsum(gaps)))
-    values = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=times.size, max_size=times.size)))
+    values = np.array(draw(st.lists(sample, min_size=times.size, max_size=times.size)))
     cap = Tabulated(times, values)
     knots = times.tolist()
     lo = draw(st.sampled_from(knots) | st.floats(knots[0], knots[-1]))
     hi = draw(st.sampled_from(knots) | st.floats(knots[0], knots[-1]))
     lo, hi = min(lo, hi), max(lo, hi)
-    return cap, lo, hi, float(np.max(np.abs(np.diff(values) / np.diff(times)))), 0.0
+    with np.errstate(over="ignore"):  # a steep table's bound is inf, as on Python floats
+        return cap, lo, hi, float(np.max(np.abs(np.diff(values) / np.diff(times)))), 0.0
+
+
+@st.composite
+def steep_tables(draw):
+    """intervals' tables with samples up to +-1.5e308 among small ones, so
+    that slopes pass the float range and lines are scaled by powers of two."""
+    sample = st.floats(-3.0, 3.0)
+    return _table_interval(draw, draw(st.floats(-20.0, 20.0)), sample.map(lambda x: x * 5e307) | sample)
 
 
 @settings(max_examples=300, deadline=None)
@@ -67,7 +80,7 @@ def test_pieces_tile_the_interval_at_the_breakpoints(iv):
 
 
 @settings(max_examples=300, deadline=None)
-@given(iv=intervals(), frac=st.floats(0.01, 0.99))
+@given(iv=intervals() | steep_tables(), frac=st.floats(0.01, 0.99))
 def test_piece_matches_the_schedule_inside(iv, frac):
     cap, t0, t1, _, _ = iv
     for lo, hi, value, slope in cap.pieces(t0, t1):
@@ -93,7 +106,7 @@ def test_piece_ends_give_one_sided_limits(iv):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    iv=intervals().filter(lambda iv: isinstance(iv[0], (SinusoidOffset, Tabulated))),
+    iv=intervals().filter(lambda iv: isinstance(iv[0], (SinusoidOffset, Tabulated))) | steep_tables(),
     fracs=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
     shift=st.booleans(),
 )
