@@ -371,9 +371,9 @@ class Tabulated(CapacitySchedule):
     than extrapolating. Every query reads one line per segment, built
     once: M = scale * (v + rate * (t - t_k)) from its left knot t_k, with
     v the samples over scale, rate their slope and scale the smallest
-    power of two at which rate is finite: 1.0 wherever np.interp's slope
-    is, so M there is np.interp's, bit for bit. As in np.interp, a knot's
-    M is its sample, but a piece's value is its line up to both ends.
+    power of two at which rate is finite: 1.0 wherever numpy.interp's
+    slope is, so M there is numpy.interp's, bit for bit. As there, a
+    knot's M is its sample, but a piece's value is its line up to both ends.
     Integrals are the exact trapezoid areas of the interpolant. Values
     and integrals are finite wherever the float range holds them.
     """
