@@ -102,16 +102,17 @@ class CapacitySchedule:
         returns M at each, with the same float operations as its scalar
         calls, or one level to broadcast where M is constant on the
         piece; slope takes floats only. The RK45 loop walks the pieces
-        through _staged_pieces. A schedule that keeps this method hands
-        out at, mapped over an array's floats where at takes floats only.
+        through _staged_pieces. This method, where kept, hands out at,
+        mapped over an array's Python floats where at takes floats only.
         """
         def value(t):
             try:
                 return self.at(t)
             except TypeError:
-                # at takes floats only: mapped over an array's floats, while a
-                # float that at refuses raises its TypeError again
-                return np.vectorize(self.at, otypes=[float])(t)
+                if not isinstance(t, np.ndarray):
+                    raise  # a scalar that at refuses
+                # at takes floats only: mapped over the array's Python floats
+                return np.array([self.at(x) for x in t.tolist()], dtype=float)
 
         lo = t0
         for hi in [*self.breakpoints_between(t0, t1), t1]:
@@ -370,11 +371,13 @@ class Tabulated(CapacitySchedule):
     Queries outside the sampled range raise ScheduleRangeError rather
     than extrapolating. Every query reads one line per segment, built
     once: M = scale * (v + rate * (t - t_k)) from its left knot t_k, with
-    v the samples over scale, rate their slope and scale the smallest
-    power of two at which rate is finite: 1.0 wherever numpy.interp's
-    slope is, so M there is numpy.interp's, bit for bit. As there, a
-    knot's M is its sample, but a piece's value is its line up to both ends.
-    Integrals are the exact trapezoid areas of the interpolant. Values
+    v the samples over scale, rate their slope and scale a power of two
+    at which rate is finite: 1.0 wherever numpy.interp's slope is, so M
+    there is numpy.interp's, bit for bit. As there, a knot's M is its
+    sample, and M is the right knot's sample where t - t_k overflows on a
+    gap past the float range; a piece's value is its line up to both
+    ends. Integrals are the exact trapezoid areas of the interpolant.
+    Where the gaps are finite and the slopes below about 2**2047, values
     and integrals are finite wherever the float range holds them.
     """
 
@@ -408,18 +411,12 @@ class Tabulated(CapacitySchedule):
             shift = max(0, int((np.frexp(mids)[1] + np.frexp(gaps)[1]).max()) + gaps.size.bit_length() - 1000)
             cum = np.concatenate(([0.0], np.cumsum(np.ldexp(mids, -shift) * gaps)))
             # each segment's line (t_k, v_k / scale, rate, scale), scale = 2**e:
-            # a slope past the float range starts e where the exponents of the
-            # sample difference and the gap rule out any smaller one, and it
-            # doubles until finite, a pass or two
-            least = np.frexp(0.5 * v[1:] - 0.5 * v[:-1])[1] - np.frexp(gaps)[1] - 1023
-            e = np.zeros(gaps.size, dtype=int)
-            while True:
-                scale = np.ldexp(1.0, e)
-                rate = (v[1:] / scale - v[:-1] / scale) / gaps
-                steep = ~np.isfinite(rate)
-                if not steep.any():
-                    break
-                e = np.where(steep, np.maximum(e + 1, least), e)
+            # e is 0 where the slope is finite; past the float range, the
+            # exponents of the sample difference and the gap put rate below
+            # 2**1023 at e, which stays at most 1023 so that scale is finite
+            e = np.frexp(0.5 * v[1:] - 0.5 * v[:-1])[1] - np.frexp(gaps)[1] - 1021
+            scale = np.ldexp(1.0, np.where(np.isfinite(np.diff(v) / gaps), 0, np.clip(e, 1, 1023)))
+            rate = (v[1:] / scale - v[:-1] / scale) / gaps
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         _require_finite(self)
@@ -448,10 +445,11 @@ class Tabulated(CapacitySchedule):
 
     def at(self, t: float) -> float:
         # t's segment k runs from knot k to knot k + 1, and at knot k, the last
-        # one included, M is its sample
+        # one included, M is its sample; where the line gives nan, knot k + 1's
         self._check(t)
         k = bisect.bisect_right(self._knots, t) - 1
-        return self.values.item(k) if t == self._knots[k] else float(_on_line(self._rows[k], t))
+        m = self.values.item(k) if t == self._knots[k] else _on_line(self._rows[k], t)
+        return m if m == m else self.values.item(k + 1)
 
     def integral(self, t0: float, t1: float) -> float:
         return self._integrals_to(np.array([t0], dtype=float), t1)[0]
@@ -474,7 +472,8 @@ class Tabulated(CapacitySchedule):
         k = np.minimum(j, knots.size - 2)
         t_k, v_k = knots[k], self.values[k]
         with np.errstate(over="ignore", invalid="ignore"):
-            v = np.where(t == knots[j], self.values[j], _on_line(self._lines[k].T, t))
+            v = _on_line(self._lines[k].T, t)
+            v = np.where(t == knots[j], self.values[j], np.where(np.isnan(v), self.values[k + 1], v))
             width, total = np.ldexp(t - t_k, -self._shift), v_k + v
             partial = np.where(np.isinf(total), width * (0.5 * v_k + 0.5 * v), width * 0.5 * total)
             area = self._cum[k] + partial

@@ -358,11 +358,25 @@ class TestTabulated:
         assert integrate_logistic(LogisticParams(1e-307, 0.5), cap, 3.0).final > 0.0
 
     def test_a_segment_steeper_than_twice_the_float_range_is_finite(self):
-        # the slope -2e309 needs the scale 16, not the halving of a sample
+        # the slope -2e309 needs a scale past 2, the halving of a sample
         # difference past the float range: at(0.05) was -inf for a true 0
         cap = Tabulated([0.0, 0.1], [1e308, -1e308])
         assert abs(cap.at(0.05)) <= 1e293
         assert cap.integral(0.0, 0.05) == pytest.approx(2.5e306, rel=1e-15)
+
+    def test_a_slope_past_every_finite_scale_is_infinite_between_the_knots(self):
+        # 1e308 over a subnormal gap needs a scale past 2**1023, the largest
+        # finite one: between the knots M and its slope are +inf, not nan
+        cap = Tabulated([0.0, 1e-310], [0.0, 1e308])
+        assert cap.at(5e-311) == cap.derivative(5e-311) == math.inf
+        assert [cap.at(0.0), cap.at(1e-310)] == [0.0, 1e308]
+
+    def test_a_gap_past_the_float_range_reads_the_right_knot_where_the_line_is_nan(self):
+        # 9e307 - -1e308 overflows, so the line from the left knot gives
+        # 0 * inf; like np.interp, M is then read from the right knot
+        cap = Tabulated([-1e308, 1e308], [1.0, 2.0])
+        assert cap.at(9e307) == float(np.interp(9e307, cap.times, cap.values)) == 2.0
+        assert cap.integral(-1e308, 9e307) == math.inf  # a true 2.8e308
 
     @pytest.mark.parametrize("shift", [False, True])
     def test_stage_evaluator_of_a_segment_whose_samples_differ_past_the_float_range(self, shift):
@@ -652,6 +666,18 @@ class TestFloatOnlyUserSchedule:
     def test_orbit_identity_residual_reads_the_orbit(self):
         orbit = integrate_logistic(LogisticParams(1.0, 0.5), SineAt(), 6.0, t_eval=np.linspace(0.0, 6.0, 61))
         assert math.isfinite(orbit_identity_residual(orbit, SineAt()))
+
+    def test_an_array_is_mapped_as_python_floats_quietly(self):
+        # a user at whose float product overflows gives inf quietly, as on
+        # Python floats, with no RuntimeWarning from an array mapping
+        class Huge(SineAt):
+            def at(self, t):
+                return 1e308 * (2.0 + math.sin(t))
+
+        (_, _, value, _), = Huge().pieces(0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert value(np.array([0.25, 0.5])).tolist() == [math.inf, math.inf]
 
     def test_a_type_error_of_at_on_a_scalar_propagates(self):
         (_, _, value, _), = SineAt().pieces(0.0, 1.0)

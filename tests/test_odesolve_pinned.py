@@ -48,6 +48,8 @@ class Arches(CapacitySchedule):
     the solvers reach it through the base class's pieces."""
 
     def at(self, t):
+        if isinstance(t, np.ndarray):
+            return np.array([self.at(x) for x in t.tolist()])
         return 2.0 + abs(math.sin(t))
 
     def derivative(self, t):
