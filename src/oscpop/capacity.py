@@ -445,10 +445,11 @@ class Tabulated(CapacitySchedule):
 
     def at(self, t: float) -> float:
         # t's segment k runs from knot k to knot k + 1, and at knot k, the last
-        # one included, M is its sample; where the line gives nan, knot k + 1's
+        # one included, M is its sample; where t - t_k overflows and the line
+        # gives nan, M is knot k + 1's sample, as numpy.interp retries there
         self._check(t)
         k = bisect.bisect_right(self._knots, t) - 1
-        m = self.values.item(k) if t == self._knots[k] else _on_line(self._rows[k], t)
+        m = self.values.item(k) if t == self._knots[k] else float(_on_line(self._rows[k], t))
         return m if m == m else self.values.item(k + 1)
 
     def integral(self, t0: float, t1: float) -> float:
