@@ -123,22 +123,19 @@ class CapacitySchedule:
         """pieces(t0, t1) and one stage evaluator for the RK45 step loop.
 
         stages(t2, t3, t4, t5, t6) returns M at the five stage times of a
-        step on the piece last drawn and, with shift, dM/dt at them after:
-        the floats that piece's value and slope give at each time, in one
-        call. This fallback calls at and then derivative, so a subclass
+        step on the piece last drawn and, only with shift, dM/dt at them
+        after: the floats that piece's value and slope give at each time,
+        in one call. A schedule has one such evaluator, SinusoidOffset
+        two. This fallback calls at and then derivative, so a subclass
         that defines only those works; SinusoidOffset and Tabulated inline
         their arithmetic.
         """
         at, derivative = self.at, self.derivative
-        if shift:
-            def stages(t2, t3, t4, t5, t6):
-                return (
-                    at(t2), at(t3), at(t4), at(t5), at(t6),
-                    derivative(t2), derivative(t3), derivative(t4), derivative(t5), derivative(t6),
-                )
-        else:
-            def stages(t2, t3, t4, t5, t6):
-                return at(t2), at(t3), at(t4), at(t5), at(t6)
+
+        def stages(t2, t3, t4, t5, t6):
+            m = at(t2), at(t3), at(t4), at(t5), at(t6)
+            return (*m, *map(derivative, (t2, t3, t4, t5, t6))) if shift else m
+
         return self.pieces(t0, t1), stages
 
     def min_value(self) -> float:
@@ -330,7 +327,8 @@ class SinusoidOffset(CapacitySchedule):
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         # the one piece's value and slope at the five stage times, each angle
-        # taken once for both the sine and the cosine
+        # taken once for both the sine and the cosine; two closures, since one
+        # that tests shift cost 5-6% per attempted integrate_riccati step
         mean, amplitude, period = self.mean, self.amplitude, self.period
         rate = amplitude * (TWO_PI / period)
         sin, cos = math.sin, math.cos
@@ -369,16 +367,18 @@ class Tabulated(CapacitySchedule):
     """Piecewise-linear capacity through sampled (time, value) points.
 
     Queries outside the sampled range raise ScheduleRangeError rather
-    than extrapolating. Every query reads one line per segment, built
-    once: M = scale * (v + rate * (t - t_k)) from its left knot t_k, with
-    v the samples over scale, rate their slope and scale a power of two
-    at which rate is finite: 1.0 wherever numpy.interp's slope is, so M
-    there is numpy.interp's, bit for bit. As there, a knot's M is its
-    sample, and M is the right knot's sample where t - t_k overflows on a
-    gap past the float range; a piece's value is its line up to both
-    ends. Integrals are the exact trapezoid areas of the interpolant.
-    Where the gaps are finite and the slopes below about 2**2047, values
-    and integrals are finite wherever the float range holds them.
+    than extrapolating. A scalar query checks its range and finds its
+    segment with one binary search, a walk of pieces with one per end.
+    Every query reads one line per segment, built once: M = scale * (v +
+    rate * (t - t_k)) from its left knot t_k, with v the samples over
+    scale, rate their slope and scale a power of two at which rate is
+    finite: 1.0 wherever numpy.interp's slope is, so M there is
+    numpy.interp's, bit for bit. As there, a knot's M is its sample, and
+    M is the right knot's sample where t - t_k overflows on a gap past
+    the float range; a piece's value is its line up to both ends.
+    Integrals are the exact trapezoid areas of the interpolant. Where the
+    gaps are finite and the slopes below about 2**2047, values and
+    integrals are finite wherever the float range holds them.
     """
 
     times: np.ndarray
@@ -437,18 +437,19 @@ class Tabulated(CapacitySchedule):
     def period(self) -> float | None:
         return self.declared_period
 
-    def _check(self, t: float) -> None:
-        # the one range check of every query
-        lo, hi = self._knots[0], self._knots[-1]
-        if not lo <= t <= hi:
-            raise ScheduleRangeError(f"t={t} outside sampled range [{lo}, {hi}]")
+    def _locate(self, t: float) -> int:
+        # the one range check and binary search of every scalar query: the
+        # index of the last knot at or before t, the last knot's own at the end
+        knots = self._knots
+        if not knots[0] <= t <= knots[-1]:
+            raise ScheduleRangeError(f"t={t} outside sampled range [{knots[0]}, {knots[-1]}]")
+        return bisect.bisect_right(knots, t) - 1
 
     def at(self, t: float) -> float:
         # t's segment k runs from knot k to knot k + 1, and at knot k, the last
         # one included, M is its sample; where t - t_k overflows and the line
         # gives nan, M is knot k + 1's sample, as numpy.interp retries there
-        self._check(t)
-        k = bisect.bisect_right(self._knots, t) - 1
+        k = self._locate(t)
         m = self.values.item(k) if t == self._knots[k] else float(_on_line(self._rows[k], t))
         return m if m == m else self.values.item(k + 1)
 
@@ -463,8 +464,8 @@ class Tabulated(CapacitySchedule):
             # start out of range, then t1 out of range
             bad = starts[ok.argmin()].item()
             _require_ordered(bad, t1)
-            self._check(bad)
-            self._check(t1)
+            self._locate(bad)
+            self._locate(t1)
         # the trapezoid area from the first knot to each start and to t1, the
         # last knot on the last segment, with M by at's rule, at _cum's scale;
         # like Python floats, overflow gives inf quietly
@@ -481,14 +482,16 @@ class Tabulated(CapacitySchedule):
             return np.ldexp(area[-1] - area[:-1], self._shift).tolist()
 
     def derivative(self, t: float) -> float:
-        [(_, _, _, slope)] = self.pieces(t, t)  # t's segment, range-checked
-        if (self.times == t).any():
+        k = self._locate(t)
+        if t == self._knots[k]:
             raise NonDifferentiableError(f"capacity has a sample kink at t={t}")
-        return slope(t)
+        _, _, rate, scale = self._rows[k]
+        return scale * rate
 
     def breakpoints_between(self, t0: float, t1: float) -> list[float]:
-        knots = self.times
-        return knots[(t0 < knots) & (knots < t1)].tolist()
+        # a fresh list, which a caller may extend
+        knots = self._knots
+        return knots[bisect.bisect_right(knots, t0) : bisect.bisect_left(knots, t1)]
 
     def pieces(self, t0: float, t1: float):
         return self._staged_pieces(t0, t1, False)[0]
@@ -500,32 +503,28 @@ class Tabulated(CapacitySchedule):
 
         def walk():
             nonlocal line
-            # both ends are range-checked before the first piece and located
-            # once, and piece j lies on segment k0 + j, or on its hi's where
-            # its midpoint rounds onto hi
-            self._check(t0)
-            self._check(t1)
-            rows = self._rows
-            k0, k1 = (min(bisect.bisect_right(self._knots, t) - 1, len(rows) - 1) for t in (t0, t1))
-            cuts = self.breakpoints_between(t0, t1)
+            # both ends are located, and so range-checked, before the first
+            # piece; the cuts are the knots between them, and piece j lies on
+            # segment k0 + j, or on its hi's where its midpoint rounds onto hi
+            j0, j1 = self._locate(t0), self._locate(t1)
+            rows, knots = self._rows, self._knots
+            cuts = knots[j0 + 1 : j1 if knots[j1] == t1 else j1 + 1]
+            k0, k1 = min(j0, len(rows) - 1), min(j1, len(rows) - 1)
             for j, (lo, hi) in enumerate(zip([t0, *cuts], [*cuts, t1])):
                 line = rows[min(k0 + j + 1, k1) if 0.5 * (lo + hi) == hi else k0 + j]
                 # the default binds this piece's slope, not the walk's last
                 yield lo, hi, functools.partial(_on_line, line), lambda t, s=line[3] * line[2]: s
 
-        def values(t2, t3, t4, t5, t6):
+        def stages(t2, t3, t4, t5, t6):
             tk, vk, rate, scale = line
-            return (
+            m = (
                 scale * (vk + rate * (t2 - tk)), scale * (vk + rate * (t3 - tk)),
                 scale * (vk + rate * (t4 - tk)), scale * (vk + rate * (t5 - tk)),
                 scale * (vk + rate * (t6 - tk)),
             )
+            return (*m, *[scale * rate] * 5) if shift else m
 
-        def stages(t2, t3, t4, t5, t6):
-            s = line[3] * line[2]
-            return (*values(t2, t3, t4, t5, t6), s, s, s, s, s)
-
-        return walk(), stages if shift else values
+        return walk(), stages
 
     def min_value(self) -> float:
         return float(self.values.min())

@@ -246,12 +246,11 @@ def _segment_simpson(orbit: Trajectory, cap: CapacitySchedule, integrands) -> tu
     is in both segments, with each piece's M, so capacity jumps stay on
     panel boundaries."""
     t, p = orbit.times, orbit.populations
-    lo, hi = float(t[0]), float(t[-1])
-    edges = [lo, *cap.breakpoints_between(lo, hi), hi]
-    first = np.searchsorted(t, edges[:-1], side="left").tolist()
-    end = np.searchsorted(t, edges[1:], side="right").tolist()
+    pieces = list(cap.pieces(float(t[0]), float(t[-1])))
+    first = np.searchsorted(t, [piece[0] for piece in pieces], side="left").tolist()
+    end = np.searchsorted(t, [piece[1] for piece in pieces], side="right").tolist()
     m_from, m_to, values = np.empty(t.size), np.empty(t.size), []
-    for (_, _, m, _), a, b in zip(cap.pieces(lo, hi), first, end):
+    for (_, _, m, _), a, b in zip(pieces, first, end):
         if b - a < 3:
             raise ValueError("orbit sampling too coarse for a schedule segment")
         m_from[a:b] = value = m(t[a:b])  # a later piece takes over a shared sample

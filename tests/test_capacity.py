@@ -721,6 +721,21 @@ class TestPieces:
         ]
         assert counts[0] == counts[1] <= 2
 
+    @staticmethod
+    def small_and_large():
+        """The 3-knot and the 2,000-knot table of the walk's lookup test."""
+        times = np.linspace(0.0, 100.0, 2000)
+        return Tabulated.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.5, 0.0)]), Tabulated(times, np.sin(times))
+
+    def test_table_derivative_makes_one_lookup(self, monkeypatch):
+        tables = self.small_and_large()
+        assert [self.count_lookups(monkeypatch, lambda: cap.derivative(0.05)) for cap in tables] == [1, 1]
+
+    def test_table_breakpoints_make_two_lookups(self, monkeypatch):
+        tables = self.small_and_large()
+        counts = [self.count_lookups(monkeypatch, lambda: cap.breakpoints_between(0.1, 2.0)) for cap in tables]
+        assert counts == [2, 2]
+
     def test_table_walk_checks_its_end_before_the_first_piece(self):
         # the end was checked when its piece came due, so a walk past the
         # last knot yielded the pieces inside first; like a square wave past

@@ -177,11 +177,19 @@ def test_each_breakpoint_starts_its_piece(drawn):
 @st.composite
 def windows(draw):
     """(table, t0, t1) with ends inside or outside the table, on sample
-    times or between them, in either order."""
+    times, one ulp to either side of one or between them, infinite or
+    NaN, in either order."""
     gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=40))
     times = draw(st.floats(-20.0, 20.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
     cap = Tabulated(times, np.ones(times.size))
-    ends = st.sampled_from(times.tolist()) | st.floats(float(times[0]) - 5.0, float(times[-1]) + 5.0)
+    knots = st.sampled_from(times.tolist())
+    ends = (
+        knots
+        | knots.map(lambda t: math.nextafter(t, -math.inf))
+        | knots.map(lambda t: math.nextafter(t, math.inf))
+        | st.floats(float(times[0]) - 5.0, float(times[-1]) + 5.0)
+        | st.sampled_from([-math.inf, math.inf, math.nan])
+    )
     return cap, draw(ends), draw(ends)
 
 
@@ -190,6 +198,18 @@ def windows(draw):
 def test_table_breakpoints_are_the_sample_times_inside(w):
     cap, t0, t1 = w
     assert cap.breakpoints_between(t0, t1) == [float(b) for b in cap.times if t0 < b < t1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=windows())
+def test_table_breakpoints_are_a_fresh_list_each_call(w):
+    cap, t0, t1 = w
+    inside = [k for k in cap.times.tolist() if t0 < k < t1]
+    first = cap.breakpoints_between(t0, t1)
+    assert first == inside
+    first.append(math.inf)  # as closedform's _propagate extends its list
+    first[:1] = []
+    assert cap.breakpoints_between(t0, t1) == inside
 
 
 class ReferenceTable:

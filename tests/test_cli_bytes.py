@@ -25,11 +25,15 @@ from oscpop.cli import main
 RECORD = Path(__file__).with_name("cli_bytes.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# input tables the argvs below read: a flat cycle of 1e308 and four knots
-# of 8e307, whose integral over [0, 3] passes the float range
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+# input tables the argvs below read: a flat cycle of 1e308, four knots of
+# 8e307, whose integral over [0, 3] passes the float range, and a table
+# whose last segment's slope passes the float range
 TABLES = {
     "flat.csv": "t,M\n0,1e308\n1,1e308\n",
     "knots4.csv": "t,M\n0,8e307\n1,8e307\n2,8e307\n3,8e307\n",
+    "steep.csv": "t,M\n0,1\n1,-1.5e308\n2.5,1e308\n3,2\n",
 }
 
 
@@ -55,6 +59,7 @@ def argvs() -> list[str]:
         "two-phase --schedule twophase:-0.5,3,5 --r 0.9 --p0 0.5 --t-end 20 --dt 0.5",
         "periodic --schedule table:{tmp}/cap.csv,6 --r 1",
         "simulate --schedule twophase:1,3,0.3 --r 1 --p0 0.5 --t-end 1.5 --dt 0.15",
+        "simulate --schedule table:{tmp}/steep.csv --r 1e-307 --p0 0.5 --t-end 3 --dt 0.25",
         "two-phase --schedule twophase:-0.5,3,5 --r 0.9 --p0 0.5 --t-end 20 --dt 0.5 --max-iterations 3",
         "periodic --schedule twophase:1e200,1e200,1 --r 1",
         "periodic --schedule twophase:1e308,1e308,1 --r 1",
@@ -140,6 +145,15 @@ def test_the_record_lists_every_argv_in_order(recorded):
 @pytest.mark.parametrize("argv", argvs())
 def test_argv_bytes_match_the_record(observed, recorded, argv):
     assert observed[argv] == next((e for e in recorded if e["argv"] == argv), None)
+
+
+def test_every_console_script_argv_of_ci_is_recorded():
+    # the argvs of the workflow's console-script loop, its heredoc but for
+    # the README block, with the runner's temporary directory as {tmp}
+    lines = [line.strip() for line in WORKFLOW.read_text().split("<<EOF\n", 1)[1].splitlines()]
+    ci = [line.replace("$RUNNER_TEMP", "{tmp}") for line in lines[: lines.index("EOF")] if line != "$readme"]
+    assert ci
+    assert [argv for argv in ci if argv not in argvs()] == []
 
 
 if __name__ == "__main__":
