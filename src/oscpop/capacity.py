@@ -328,7 +328,8 @@ class SinusoidOffset(CapacitySchedule):
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         # the one piece's value and slope at the five stage times, each angle
         # taken once for both the sine and the cosine; two closures, since one
-        # that tests shift cost 5-6% per attempted integrate_riccati step
+        # for both forms made each shifted call 0.06-0.2 us slower, 1-4% of an
+        # attempted integrate_riccati step (Python 3.11, 2-vCPU VM)
         mean, amplitude, period = self.mean, self.amplitude, self.period
         rate = amplitude * (TWO_PI / period)
         sin, cos = math.sin, math.cos
@@ -522,7 +523,7 @@ class Tabulated(CapacitySchedule):
                 scale * (vk + rate * (t4 - tk)), scale * (vk + rate * (t5 - tk)),
                 scale * (vk + rate * (t6 - tk)),
             )
-            return (*m, *[scale * rate] * 5) if shift else m
+            return m + (scale * rate,) * 5 if shift else m
 
         return walk(), stages
 
