@@ -24,7 +24,6 @@ from oscpop.cli import main
 
 RECORD = Path(__file__).with_name("cli_bytes.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
-
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
 # input tables the argvs below read: a flat cycle of 1e308, four knots of
