@@ -98,12 +98,12 @@ class CapacitySchedule:
         The pieces tile [t0, t1] in order, cut at breakpoints_between,
         and are produced lazily. value and slope are M and dM/dt on the
         piece, resolved once per piece; at lo and hi they give its
-        one-sided limits. value also takes a float64 array of times and
-        returns M at each, with the same float operations as its scalar
-        calls, or one level to broadcast where M is constant on the
-        piece; slope takes floats only. The RK45 loop walks the pieces
-        through _staged_pieces. This method, where kept, hands out at,
-        mapped over an array's Python floats where at takes floats only.
+        one-sided limits. value also takes a float64 array of any shape
+        and returns M at each time, with the float operations of its
+        scalar calls, or one level to broadcast where M is constant on
+        the piece; slope takes floats only. The RK45 loop walks the
+        pieces through _staged_pieces. This method, where kept, hands out
+        at, mapped over an array's Python floats where at takes floats only.
         """
         def value(t):
             try:
@@ -112,7 +112,7 @@ class CapacitySchedule:
                 if not isinstance(t, np.ndarray):
                     raise  # a scalar that at refuses
                 # at takes floats only: mapped over the array's Python floats
-                return np.array([self.at(x) for x in t.tolist()], dtype=float)
+                return np.array([self.at(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
         lo = t0
         for hi in [*self.breakpoints_between(t0, t1), t1]:

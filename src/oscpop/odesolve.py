@@ -6,8 +6,8 @@ Dense output is the pair's own 4th-order interpolant (Shampine 1986;
 Hairer, Norsett and Wanner, Solving ODEs I, II.6, dopri5's contd5), one
 order above a cubic Hermite, so a sampled orbit is as accurate as the
 steps it comes from and needs no extra step-size cap. Each accepted step
-is one row of seven floats, and sampling is one vectorized pass over
-the rows, linear in steps plus samples.
+is one row of seven floats (a logistic trajectory's steps), and sampling
+is one vectorized pass over the rows, linear in steps plus samples.
 
 ``_rk45`` is the one step loop of both integrators and the hot path of
 every long run. It walks the schedule's pieces itself and evaluates each
@@ -98,11 +98,15 @@ class SolverStats:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled solution: strictly increasing times, finite populations."""
+    """Sampled solution: strictly increasing times, finite populations and
+    steps, the (n, 7) array of the accepted RK45 steps on P, one row (t0,
+    t1, y0, y1, f0, f1, dk) each; None for integrate_riccati, whose rows
+    hold W = P - M/2, and where no step was taken."""
 
     times: np.ndarray
     populations: np.ndarray
     meta: SolverStats
+    steps: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -140,12 +144,12 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     first piece). With shift, each piece restarts W from the carried P, and
     P = W + M/2 is reported. Each accepted step adds the row (t0, t1, y0,
     y1, f0, f1, dk) to one flat record, which becomes the (n, 7) step array
-    in one np.fromiter pass: f0/f1 are its end slopes and dk the
-    continuous-extension combination of its stages. Every step has t1 > t0:
-    a step size that no longer moves t raises StiffnessError, and a trial is
-    accepted only when err <= 1 and y1 is finite. Before any step, a bad
-    t_end or t_eval raises ValueError; max_iterations caps the attempted
-    steps of the whole call.
+    in one np.fromiter pass, kept as the trajectory's steps without shift:
+    f0/f1 are its end slopes and dk the continuous-extension combination of
+    its stages. Every step has t1 > t0: a step size that no longer moves t
+    raises StiffnessError, and a trial is accepted only when err <= 1 and
+    y1 is finite. Before any step, a bad t_end or t_eval raises ValueError;
+    max_iterations caps the attempted steps of the whole call.
     """
     cfg = cfg or SolverConfig()
     t0, p0, r = params.t0, params.p0, params.r
@@ -278,7 +282,8 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     n_acc = len(record) // 7
     # every piece spans lo < hi, so at least one step was accepted
     meta = SolverStats(solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min, h_max)
-    # the record becomes the (n, 7) step array, released before sampling
+    # the record becomes the (n, 7) step array, released before sampling;
+    # a logistic trajectory keeps the array
     steps = np.fromiter(record, float, 7 * n_acc).reshape(n_acc, 7)
     record.clear()
     if ts is None:  # the step ends, where sampling returns each step's end value
@@ -293,7 +298,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
                 out[a:b] += 0.5 * m(ts[a:b])
     if ts[0] == t0:
         out[0] = p0  # W + M/2 need not round back to p0, nor y0 + 0.0 to -0.0
-    return Trajectory(ts, out, meta)
+    return Trajectory(ts, out, meta, None if shift else steps)
 
 
 def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
@@ -320,17 +325,22 @@ def _sample_steps(steps, ts: np.ndarray) -> np.ndarray:
     """
     cols = np.asarray(steps, dtype=float)
     n = len(cols)
-    k = np.minimum(np.searchsorted(cols[:, 1], ts, side="left"), n - 1)
-    t0, t1, y0, y1, f0, f1, dk = cols[k].T
+    rows = cols[np.minimum(np.searchsorted(cols[:, 1], ts, side="left"), n - 1)].T
+    theta = (ts - rows[0]) / (rows[1] - rows[0])
+    # y0 + (y1 - y0) need not round back to y1
+    return np.where(theta == 1.0, rows[3], _extension(rows, theta))
+
+
+def _extension(cols, theta):
+    """The continuous extension (dopri5's contd5) at fractions theta of the
+    steps whose columns t0, t1, y0, y1, f0, f1, dk cols holds, broadcast."""
+    t0, t1, y0, y1, f0, f1, dk = cols
     dt = t1 - t0
-    theta = (ts - t0) / dt
     omt = 1.0 - theta
     delta = y1 - y0
     r3 = dt * f0 - delta
     r4 = delta - dt * f1 - r3
-    y = y0 + theta * (delta + omt * (r3 + theta * (r4 + omt * (dt * dk))))
-    # y0 + (y1 - y0) need not round back to y1
-    return np.where(theta == 1.0, y1, y)
+    return y0 + theta * (delta + omt * (r3 + theta * (r4 + omt * (dt * dk))))
 
 
 def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:

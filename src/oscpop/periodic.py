@@ -23,7 +23,7 @@ import numpy as np
 from .capacity import CapacitySchedule, SolverConfig, TwoPhase
 from .closedform import LogisticParams, _propagate
 from .errors import ConvergenceError, ExponentOverflowError, NoPeriodicSolutionError
-from .odesolve import Trajectory, integrate_logistic
+from .odesolve import Trajectory, _extension, integrate_logistic
 
 __all__ = [
     "PeriodicSolution",
@@ -38,9 +38,13 @@ __all__ = [
     "two_phase_deductions",
 ]
 
-_ORBIT_PANELS = 1024  # target Simpson panels across one period
+_ORBIT_PANELS = 1024  # target intervals of the printed orbit across one period
 _EPS = sys.float_info.epsilon
-_HUGE = 2.0**500  # past it a square of M or P can overflow a Simpson sum
+_HUGE = 2.0**500  # past it a square of M or P can overflow a cycle integral
+# the 4-point Gauss-Legendre rule on [0, 1], exact to degree 7: its nodes,
+# as fractions of a step, and its weights, as columns
+_GAUSS_THETA = np.array([0.069431844202973712, 0.33000947820757187, 0.66999052179242813, 0.93056815579702629])[:, None]
+_GAUSS_WEIGHTS = np.array([0.17392742256872693, 0.32607257743127307, 0.32607257743127307, 0.17392742256872693])[:, None]
 
 
 @dataclass(frozen=True)
@@ -174,58 +178,6 @@ def find_periodic_solution(
     return PeriodicSolution(p_star, h, orbit, residual, r, fixed_point_tol)
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    # composite Simpson with the rules of scipy.integrate.simpson
-    if y.size == 2:
-        return float(0.5 * (x[1] - x[0]) * (y[0] + y[1]))
-    return _simpson_segments(x, [0], [x.size], [(y, y)])[0]
-
-
-def _simpson_segments(t: np.ndarray, first, end, integrands) -> list[float]:
-    """Per pair (y_from, y_to) of arrays on t, composite Simpson by the rules
-    of scipy.integrate.simpson, bit for bit, summed over the segments t[a:b]
-    for a, b in zip(first, end). A pair of intervals takes y_from at its left
-    end and middle and y_to at its right end, so a sample on a cut can hold
-    one value in each segment. Every pair of consecutive intervals is
-    weighted once, and a segment sums every other pair from its first
-    sample. Raises ValueError when a product of gaps that the weights take
-    leaves the normal float range.
-    """
-    # a pair's weights divide by the product of its two gaps and Cartwright's
-    # take g1**3: a subnormal product loses bits, an infinite one all of
-    # them (math.prod of Python floats rounds to inf where ** would raise)
-    k = 3 if any((b - a) % 2 == 0 for a, b in zip(first, end)) else 2
-    gaps = t[1:] - t[:-1]
-    lo, hi = (math.prod([float(g)] * k) for g in (gaps.min(), gaps.max()))
-    if not sys.float_info.min <= lo <= hi < math.inf:
-        raise ValueError("orbit sample spacing leaves the float range of the Simpson weights")
-    # the pair from sample i takes the irregular-spacing formula, and the
-    # last interval of an even sample count Cartwright's correction
-    h0, h1 = gaps[:-1], gaps[1:]
-    hsum, ratio = h0 + h1, h0 / h1
-    scale, w_left, w_mid, w_right = hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio
-    totals = []
-    for y_from, y_to in integrands:
-        terms = scale * (y_from[:-2] * w_left + y_from[1:-1] * w_mid + y_to[2:] * w_right)
-        # from the first segment's sum, not 0.0, so that one segment keeps
-        # scipy's sign of zero
-        total = None
-        for a, b in zip(first, end):
-            # np.add.reduce is np.sum's own pairwise sum, as scipy takes it
-            segment = np.add.reduce(terms[a : a + 2 * ((b - a - 1) // 2) : 2])
-            if (b - a) % 2 == 0:
-                # Cartwright's correction from the last three samples
-                (g0, g1), y = gaps[b - 3 : b - 1], y_to[b - 3 : b]
-                segment += (
-                    (2.0 * g1**2 + 3.0 * g0 * g1) / (6.0 * (g1 + g0)) * y[2]
-                    + (g1**2 + 3.0 * g0 * g1) / (6.0 * g0) * y[1]
-                    - g1**3 / (6.0 * g0 * (g0 + g1)) * y[0]
-                )
-            total = float(segment) if total is None else total + float(segment)
-        totals.append(total)
-    return totals
-
-
 def _scaled(*arrays: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
     # s and the arrays times s: 1.0 and the arrays themselves, or where the
     # largest magnitude passes _HUGE the power of two that takes it below
@@ -239,43 +191,52 @@ def _scaled(*arrays: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
     return s, tuple(s * a for a in arrays)
 
 
-def _segment_simpson(orbit: Trajectory, cap: CapacitySchedule, integrands) -> tuple[float, list[float]]:
-    """s and, per array of integrands(s M, s P), the sum of _simpson over
-    the orbit's segments, one per smooth piece, bit for bit; s is 1.0 or,
-    where M or P is huge, the power of two of _scaled. A sample on a cut
-    is in both segments, with each piece's M, so capacity jumps stay on
-    panel boundaries."""
-    t, p = orbit.times, orbit.populations
-    pieces = list(cap.pieces(float(t[0]), float(t[-1])))
-    first = np.searchsorted(t, [piece[0] for piece in pieces], side="left").tolist()
-    end = np.searchsorted(t, [piece[1] for piece in pieces], side="right").tolist()
-    m_from, m_to, values = np.empty(t.size), np.empty(t.size), []
-    for (_, _, m, _), a, b in zip(pieces, first, end):
-        if b - a < 3:
-            raise ValueError("orbit sampling too coarse for a schedule segment")
-        m_from[a:b] = value = m(t[a:b])  # a later piece takes over a shared sample
-        values.append(value)
-    for a, b, value in zip(reversed(first), reversed(end), reversed(values)):
-        m_to[a:b] = value  # an earlier piece takes over a shared sample
-    s, (m_from, m_to, p) = _scaled(m_from, m_to, p)
-    return s, _simpson_segments(t, first, end, zip(integrands(m_from, p), integrands(m_to, p)))
+def _orbit_integrals(orbit: Trajectory, cap: CapacitySchedule | None, integrands) -> tuple[float, list[float]]:
+    """s and, per array of integrands(s M, s P), or of integrands(s P)
+    where cap is None, its integral over the orbit's steps: the 4-point
+    Gauss-Legendre rule on every accepted step, P at the nodes from the
+    step's continuous extension and M from the piece the step lies on,
+    each sum one np.add.reduce; s is 1.0 or, where M or P is huge, the
+    power of two of _scaled. ValueError for an orbit without steps.
+    """
+    steps = orbit.steps
+    if steps is None:
+        raise ValueError("cycle integrals need the orbit's RK45 step record (Trajectory.steps)")
+    # one row per node, one column per step
+    cols = steps.T[:, None, :]
+    dt = cols[1] - cols[0]
+    arrays = [_extension(cols, _GAUSS_THETA)]
+    if cap is not None:
+        nodes = cols[0] + _GAUSS_THETA * dt
+        pieces = list(cap.pieces(float(steps[0, 0]), float(steps[-1, 1])))
+        # every piece ends on a step end, so its steps are one slice; a node
+        # that rounds onto a breakpoint keeps its step's piece
+        ends = np.searchsorted(steps[:, 1], [piece[1] for piece in pieces], side="right").tolist()
+        m = np.empty(nodes.shape)
+        for (_, _, value, _), a, b in zip(pieces, [0, *ends], ends):
+            m[:, a:b] = value(nodes[:, a:b])
+        arrays.insert(0, m)
+    s, arrays = _scaled(*arrays)
+    weights = _GAUSS_WEIGHTS * dt
+    return s, [float(np.add.reduce((y * weights).ravel())) for y in integrands(*arrays)]
 
 
 def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
-    """|integral of (M P - P^2)| / integral of P^2 over the orbit span.
+    """|integral of (M P - P^2)| / integral of P^2 over the orbit's steps.
 
     Along any exact periodic cycle the numerator vanishes, because
-    M P - P^2 is dP/dt / r and the cycle closes. Computed by composite
-    Simpson on the orbit samples, segment by segment so capacity jumps
-    stay on panel boundaries, and on M and P scaled by a power of two
-    where a square could overflow.
+    M P - P^2 is dP/dt / r and the cycle closes. Computed by the 4-point
+    Gauss-Legendre rule on every accepted RK45 step, through the step's
+    continuous extension and with M from the step's own piece, on M and
+    P scaled by a power of two where a square could overflow. Raises
+    ValueError for an orbit without its step record.
     """
 
     def integrands(mm, pp):
         square = pp * pp
         return mm * pp - square, square
 
-    _, (num, den) = _segment_simpson(orbit, cap, integrands)
+    _, (num, den) = _orbit_integrals(orbit, cap, integrands)
     if den <= 0.0:
         raise ValueError("orbit has no positive mass")
     return abs(num) / den
@@ -300,15 +261,15 @@ def square_deviation_identity(
         dev = pp - 0.5 * mm
         return dev * dev, 0.25 * mm * mm
 
-    s, (lhs, rhs) = _segment_simpson(sol.orbit, cap, integrands)
+    s, (lhs, rhs) = _orbit_integrals(sol.orbit, cap, integrands)
     return lhs / s / s, rhs / s / s
 
 
 def time_average(sol: PeriodicSolution) -> float:
     """Mean population over one period of the cycle."""
     t = sol.orbit.times
-    s, (p,) = _scaled(sol.orbit.populations)  # so that no Simpson sum overflows
-    return _simpson(p, t) / float(t[-1] - t[0]) / s
+    s, (total,) = _orbit_integrals(sol.orbit, None, lambda pp: (pp,))
+    return total / float(t[-1] - t[0]) / s
 
 
 def half_peak_fraction(sol: PeriodicSolution, cap: CapacitySchedule, band: float = 0.10) -> float:

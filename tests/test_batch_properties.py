@@ -2,13 +2,16 @@
 
 The reciprocal-space quadrature rates many Kronrod panels in one call of
 its integrand, which takes the integral of M from an array of lower
-bounds, and the cycle diagnostics weight every Simpson pair of an orbit
-in one pass. Each must give the floats, and the errors, of the one-at-a-
-time computation it replaces: the schedule's integral in Python floats,
-one bound at a time, and _simpson on each smooth segment of the orbit.
+bounds, the printed orbit's grid is laid out on every piece in one pass,
+and the cycle integrals weigh every Gauss node of every RK45 step in one
+pass. Each must give the floats, and the errors, of the one-at-a-time
+computation it replaces: the schedule's integral in Python floats, one
+bound at a time, np.linspace on each smooth piece, and a loop over the
+steps, one node at a time; the integrals only to their summation order.
 """
 import bisect
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -19,14 +22,17 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from oscpop import (  # noqa: E402
     Constant,
+    LogisticParams,
     ScheduleRangeError,
     SinusoidOffset,
     Tabulated,
     TwoPhase,
     adaptive_quadrature,
+    integrate_logistic,
 )
-from oscpop.odesolve import Trajectory, SolverStats  # noqa: E402
-from oscpop.periodic import _orbit_grid, _segment_simpson, _simpson  # noqa: E402
+from oscpop.periodic import _GAUSS_THETA, _GAUSS_WEIGHTS, _orbit_grid, _orbit_integrals  # noqa: E402
+
+EPS = sys.float_info.epsilon
 
 
 def _table_integral(cap, t0, t1):
@@ -197,16 +203,11 @@ def test_orbit_grid_is_linspace_on_each_piece(cap):
 
 
 @st.composite
-def orbits(draw):
-    """(orbit, schedule): samples over a span that holds several pieces.
-
-    The samples may or may not land on the breakpoints, so segments share
-    a sample at a capacity jump or end either side of one, and segments
-    come with odd and even sample counts.
-    """
+def logistic_runs(draw):
+    """(trajectory, schedule): integrate_logistic over a span that holds
+    several pieces of a constant, square-wave, sinusoid or table schedule."""
     kind = draw(st.sampled_from(["constant", "twophase", "sinusoid", "table"]))
-    lo = draw(st.floats(-5.0, 5.0))
-    span = draw(st.floats(1.0, 10.0))
+    lo, span = draw(st.floats(-5.0, 5.0)), draw(st.floats(1.0, 10.0))
     if kind == "constant":
         cap = Constant(draw(st.floats(0.1, 3.0)))
     elif kind == "twophase":
@@ -214,64 +215,56 @@ def orbits(draw):
     elif kind == "sinusoid":
         cap = SinusoidOffset(draw(st.floats(0.5, 3.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(0.5, 5.0)))
     else:
-        knots = lo + np.concatenate(([0.0], np.sort(draw(st.lists(st.floats(0.1, span - 0.1), max_size=6, unique=True))), [span]))
-        knots = np.unique(knots)
-        values = draw(st.lists(st.floats(0.1, 3.0), min_size=knots.size, max_size=knots.size))
-        cap = Tabulated(knots, np.array(values))
-    hi = lo + span
-    cuts = cap.breakpoints_between(lo, hi)
-    n = draw(st.integers(3, 120))
-    times = set(np.linspace(lo, hi, n).tolist())
-    times.update(draw(st.lists(st.floats(lo, hi), max_size=20)))
-    if draw(st.booleans()):
-        times.update(cuts)
-    # samples closer than 1e-6 would make _simpson's own interval products
-    # underflow; the reference needs it to run cleanly
-    kept = []
-    for t in sorted(times):
-        if lo <= t <= hi and (not kept or t - kept[-1] > 1e-6):
-            kept.append(t)
-    times = np.array(kept)
-    pops = np.array(draw(st.lists(st.floats(0.01, 5.0), min_size=times.size, max_size=times.size)))
-    return Trajectory(times, pops, SolverStats("drawn")), cap
+        inner = draw(st.lists(st.floats(0.1, span - 0.1), max_size=6, unique=True))
+        knots = np.unique(lo + np.array([0.0, *inner, span]))
+        cap = Tabulated(knots, np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=knots.size, max_size=knots.size))))
+    params = LogisticParams(draw(st.floats(0.3, 3.0)), draw(st.floats(0.2, 3.0)), lo)
+    return integrate_logistic(params, cap, lo + span), cap
 
 
-def _reference(orbit, cap, integrands):
-    # _simpson on each smooth segment's samples, with that piece's own M
-    t, p = orbit.times, orbit.populations
-    totals = [0.0, 0.0]
-    for lo, hi, m, _ in cap.pieces(float(t[0]), float(t[-1])):
-        on_piece = (lo <= t) & (t <= hi)
-        if on_piece.sum() < 3:
-            return None
-        tt, pp = t[on_piece], p[on_piece]
-        ys = integrands(np.broadcast_to(m(tt), tt.shape), pp)
-        parts = [_simpson(y, tt) for y in ys]
-        totals = [a + b for a, b in zip(totals, parts)]
-    return totals
-
-
-def _identity(mm, pp):
-    return mm * pp - pp * pp, pp * pp
-
-
-def _deviation(mm, pp):
-    dev = pp - 0.5 * mm
-    return dev * dev, 0.25 * mm * mm
+def _loop_integrals(traj, cap, integrands):
+    """Per integrand, its terms one step and one Gauss node at a time in
+    Python floats: P from the step's continuous extension, M from the value
+    of the piece the step ends in, each term weight * width * integrand."""
+    steps = traj.steps.tolist()
+    pieces = list(cap.pieces(steps[0][0], steps[-1][1])) if cap is not None else None
+    terms, k = None, 0
+    for t0, t1, y0, y1, f0, f1, dk in steps:
+        dt, delta = t1 - t0, y1 - y0
+        r3 = dt * f0 - delta
+        r4 = delta - dt * f1 - r3
+        while pieces is not None and pieces[k][1] < t1:
+            k += 1
+        for theta, w in zip(_GAUSS_THETA.ravel().tolist(), _GAUSS_WEIGHTS.ravel().tolist()):
+            omt = 1.0 - theta
+            p = y0 + theta * (delta + omt * (r3 + theta * (r4 + omt * (dt * dk))))
+            ys = integrands(p) if cap is None else integrands(float(pieces[k][2](t0 + theta * dt)), p)
+            terms = terms or [[] for _ in ys]
+            for acc, y in zip(terms, ys):
+                acc.append(y * (w * dt))
+    return terms
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=orbits(), integrands=st.sampled_from([_identity, _deviation]))
-def test_segment_simpson_is_simpson_on_each_segment(case, integrands):
-    orbit, cap = case
-    want = _reference(orbit, cap, integrands)
-    if want is None:
-        with pytest.raises(ValueError, match="too coarse"):
-            _segment_simpson(orbit, cap, integrands)
-    else:
-        s, got = _segment_simpson(orbit, cap, integrands)
-        assert s == 1.0
-        assert [x.hex() for x in got] == [x.hex() for x in want]
+@given(run=logistic_runs(), which=st.sampled_from(["identity", "deviation", "mean"]))
+def test_orbit_integrals_are_the_per_step_loop(run, which):
+    traj, cap = run
+
+    def identity(mm, pp):
+        return mm * pp - pp * pp, pp * pp
+
+    def deviation(mm, pp):
+        dev = pp - 0.5 * mm
+        return dev * dev, 0.25 * mm * mm
+
+    integrands, cap = {"identity": (identity, cap), "deviation": (deviation, cap), "mean": (lambda pp: (pp,), None)}[which]
+    s, got = _orbit_integrals(traj, cap, integrands)
+    assert s == 1.0
+    # the terms agree to rounding (np.sin and math.sin may differ in the
+    # last bit); numpy's pairwise sum is off the exact sum by at most a few
+    # ulps of the terms' magnitudes per doubling of their count
+    for total, acc in zip(got, _loop_integrals(traj, cap, integrands)):
+        assert abs(total - math.fsum(acc)) <= 64 * EPS * math.fsum(abs(y) for y in acc)
 
 
 @settings(max_examples=100, deadline=None)

@@ -72,6 +72,9 @@ class TestConstant:
     def test_derivative_zero(self):
         assert Constant(4.0).derivative(1.23) == 0.0
 
+    def test_extrema_are_the_level(self):
+        assert (Constant(-1.5).min_value(), Constant(-1.5).max_value()) == (-1.5, -1.5)
+
     def test_period_declaration(self):
         assert Constant(1.0).period is None
         assert Constant(1.0, declared_period=2.5).period == 2.5

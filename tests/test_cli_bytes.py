@@ -63,6 +63,7 @@ def argvs() -> list[str]:
         "periodic --schedule twophase:1e200,1e200,1 --r 1",
         "periodic --schedule twophase:1e308,1e308,1 --r 1",
         "periodic --schedule twophase:1e308,1e308,4 --r 1",
+        "periodic --schedule sinusoid:2,0.5,1e-300 --r 1",
     ]
     # the exit-code argvs of verify's battery
     exits = [

@@ -147,6 +147,35 @@ class TestIntegrateLogistic:
         with pytest.raises(ValueError, match="t_eval must be finite"):
             integrate(LogisticParams(1, 0.5, 1.0), Untouched(2.0), t_end, t_eval=grid)
 
+    @pytest.mark.parametrize("grid", [[], np.zeros((2, 2)), [[0.5]]])
+    @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+    def test_empty_or_nested_eval_grid_is_refused(self, integrate, grid):
+        with pytest.raises(ValueError, match="t_eval must be a non-empty 1-D array"):
+            integrate(LogisticParams(1.0, 0.5), Constant(1.0), 1.0, t_eval=grid)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+    def test_non_finite_end_is_refused(self, integrate, t_end):
+        with pytest.raises(ValueError, match="integration needs finite bounds"):
+            integrate(LogisticParams(1.0, 0.5), Constant(1.0), t_end)
+
+    @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 6.0, 13)])
+    def test_trajectory_keeps_the_step_record_of_p(self, t_eval):
+        # one row (t0, t1, y0, y1, f0, f1, dk) per accepted step, whose ends
+        # tile the span and whose end values are the step-mode samples
+        params, cap = LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 2.0)
+        traj = integrate_logistic(params, cap, 6.0, t_eval=t_eval)
+        steps = traj.steps
+        assert steps.shape == (traj.meta.n_accepted, 7)
+        assert steps[0, 0] == 0.0 and steps[-1, 1] == 6.0
+        assert np.array_equal(steps[1:, 0], steps[:-1, 1])
+        assert np.array_equal(steps[:, 3], integrate_logistic(params, cap, 6.0).populations[1:])
+
+    def test_riccati_trajectory_has_no_step_record(self):
+        # its rows hold W = P - M/2, not P
+        assert integrate_riccati(LogisticParams(1.0, 0.5), SinusoidOffset(2.0, 0.5, 3.0), 6.0).steps is None
+        assert Trajectory(np.array([0.0]), np.array([1.0]), _stats()).steps is None
+
     @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
     def test_eval_grid_is_checked_on_an_empty_span(self, integrate):
         # t_end == t0 returns the initial sample, but only for a grid that
@@ -335,6 +364,13 @@ class TestAdaptiveQuadrature:
         with pytest.raises(ValueError, match="finite bounds"):
             adaptive_quadrature(f, a, b)
         assert calls == []
+
+    def test_panel_too_narrow_to_bisect(self):
+        # one ulp wide, a panel's midpoint rounds onto an end, and a jump
+        # inside it keeps the estimate above any tolerance
+        cfg = SolverConfig(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(ConvergenceError, match="too narrow to bisect"):
+            adaptive_quadrature(lambda x: 0.0 if x == 1.0 else 1e300, 1.0, math.nextafter(1.0, 2.0), (), cfg)
 
     def test_budget_exhaustion(self):
         cfg = SolverConfig(abs_tol=1e-15, rel_tol=1e-15, max_iterations=1)

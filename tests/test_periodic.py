@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 
 from oscpop import (
     CapacitySchedule,
@@ -21,6 +20,7 @@ from oscpop import (
     TwoPhase,
     find_periodic_solution,
     half_peak_fraction,
+    integrate_riccati,
     mean_identity_residual,
     orbit_identity_residual,
     period_map,
@@ -29,7 +29,6 @@ from oscpop import (
     time_average,
     two_phase_deductions,
 )
-from oscpop.periodic import _simpson
 
 EPS = sys.float_info.epsilon
 
@@ -46,6 +45,13 @@ def mobius_fixed_point(r: float, m1: float, m2: float, period: float) -> float:
     c1, c2 = (1.0 - rho1) / m1, (1.0 - rho2) / m2
     z_star = (rho2 * c1 + c2) / (1.0 - rho1 * rho2)
     return 1.0 / z_star
+
+
+def scaled_orbit(orbit: Trajectory, c: float) -> Trajectory:
+    """The orbit with P, and the P columns of its step record, times c."""
+    steps = orbit.steps.copy()
+    steps[:, 2:] *= c  # y0, y1, f0, f1, dk
+    return Trajectory(orbit.times, orbit.populations * c, orbit.meta, steps)
 
 
 class TestPeriodMap:
@@ -204,9 +210,7 @@ class TestCycleIdentities:
         cap = SinusoidOffset(2.0, 0.8, 3.0)
         sol = find_periodic_solution(1.0, cap)
         base = orbit_identity_residual(sol.orbit, cap)
-        bumped = Trajectory(
-            sol.orbit.times, sol.orbit.populations * 1.05, sol.orbit.meta
-        )
+        bumped = scaled_orbit(sol.orbit, 1.05)
         assert orbit_identity_residual(bumped, cap) > max(100.0 * base, 1e-3)
 
     def test_square_deviation_form_agrees(self):
@@ -222,14 +226,14 @@ class TestCycleIdentities:
     def test_huge_cycles_are_exact_rescalings(self, k):
         # the diagnostics are homogeneous in (M, P): an orbit and schedule
         # scaled by 2**k give the unscaled answers times 2**k, bit for bit,
-        # though squares of the scaled values (k = 511) or their Simpson
-        # sums (k = 1021) overflow
+        # though squares of the scaled values (k = 511) or their sums
+        # (k = 1021) overflow; the continuous extension is linear in the
+        # step record's y0, y1, f0, f1 and dk, so they scale with P
         cap = SinusoidOffset(2.0, 0.5, 3.0)
         sol = find_periodic_solution(1.0, cap)
         c = math.ldexp(1.0, k)
         big_cap = SinusoidOffset(2.0 * c, 0.5 * c, 3.0)
-        orbit = Trajectory(sol.orbit.times, sol.orbit.populations * c, sol.orbit.meta)
-        big = replace(sol, p_star=sol.p_star * c, orbit=orbit)
+        big = replace(sol, p_star=sol.p_star * c, orbit=scaled_orbit(sol.orbit, c))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert mean_identity_residual(big, big_cap) == mean_identity_residual(sol, cap)
@@ -244,6 +248,42 @@ class TestCycleIdentities:
             sol = find_periodic_solution(1.0, cap)
             assert (sol.p_star, time_average(sol)) == (1e200, 1e200)
             assert mean_identity_residual(sol, cap) == 0.0
+
+    @pytest.mark.parametrize(
+        "r, cap",
+        [
+            (1.0, SinusoidOffset(2.0, 0.5, 1e-150)),
+            (1e-150, SinusoidOffset(2.0, 0.5, 1e150)),
+            (1.0, SinusoidOffset(2.0, 0.5, 1e-158)),
+            (1.0, TwoPhase(1.0, 3.0, 1e-300)),
+            (1e-158, SinusoidOffset(2.0, 0.5, 1e158)),
+        ],
+        ids=["period-1e-150", "period-1e150", "period-1e-158", "twophase-1e-300", "period-1e158"],
+    )
+    def test_extreme_periods_keep_the_mean(self, r, cap):
+        # the cycle integrals weigh each step by its own width, so no product
+        # of two sample gaps leaves the float range (the composite Simpson
+        # weights did, from a period of 1e-158 down)
+        sol = find_periodic_solution(r, cap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert time_average(sol) == pytest.approx(2.0, rel=1e-9)
+            assert orbit_identity_residual(sol.orbit, cap) <= 1e-9
+
+    def test_diagnostics_need_the_step_record(self):
+        cap = SinusoidOffset(2.0, 0.8, 3.0)
+        sol = find_periodic_solution(1.0, cap)
+        bare = replace(sol, orbit=Trajectory(sol.orbit.times, sol.orbit.populations, sol.orbit.meta))
+        riccati = integrate_riccati(LogisticParams(1.0, sol.p_star), cap, 3.0)
+        for diagnostic in (
+            lambda: orbit_identity_residual(bare.orbit, cap),
+            lambda: orbit_identity_residual(riccati, cap),
+            lambda: mean_identity_residual(bare, cap),
+            lambda: square_deviation_identity(bare, cap),
+            lambda: time_average(bare),
+        ):
+            with pytest.raises(ValueError, match=r"step record \(Trajectory\.steps\)"):
+                diagnostic()
 
 
     def test_schedule_without_extrema(self):
@@ -269,72 +309,6 @@ class TestCycleIdentities:
         residual = orbit_identity_residual(sol.orbit, Bare())
         assert residual == orbit_identity_residual(sol.orbit, WithExtrema()) < 1e-9
         assert square_deviation_identity(sol, Bare()) == square_deviation_identity(sol, WithExtrema())
-
-
-class TestSimpson:
-    @pytest.mark.parametrize(
-        "cap",
-        [
-            Constant(2.0, declared_period=1.5),
-            TwoPhase(1.0, 3.0, 2.0),
-            SinusoidOffset(2.0, 0.8, 3.0),
-            Tabulated(
-                np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.2, 1.6, 2.0]),
-                np.array([2.0, 2.3, 2.5, 2.2, 1.6, 1.5, 1.8, 2.0]),
-                declared_period=2.0,
-            ),
-        ],
-        ids=["constant", "twophase", "sinusoid", "tabulated-nonuniform"],
-    )
-    def test_matches_scipy_on_cycle_orbits(self, cap):
-        sol = find_periodic_solution(1.0, cap)
-        t, p = sol.orbit.times, sol.orbit.populations
-        assert _simpson(p, t) == float(simpson(p, x=t))
-        for lo, hi, m, _ in cap.pieces(float(t[0]), float(t[-1])):
-            on_piece = (lo <= t) & (t <= hi)
-            tt, pp = t[on_piece], p[on_piece]
-            mm = np.array([m(float(x)) for x in tt])
-            assert _simpson(mm * pp - pp * pp, tt) == float(simpson(mm * pp - pp * pp, x=tt))
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 10])
-    def test_matches_scipy_on_any_sample_count(self, n):
-        rng = np.random.default_rng(n)
-        x = np.sort(rng.uniform(0.0, 3.0, n))
-        y = np.exp(-x) + rng.uniform(0.0, 1.0, n)
-        assert _simpson(y, x) == float(simpson(y, x=x))
-
-    @pytest.mark.parametrize(
-        "r, cap",
-        [
-            (1.0, SinusoidOffset(2.0, 0.5, 1e-158)),
-            (1.0, TwoPhase(1.0, 3.0, 1e-300)),
-            (1e-158, SinusoidOffset(2.0, 0.5, 1e158)),
-        ],
-        ids=["subnormal-gap-products", "zero-gap-products", "infinite-gap-products"],
-    )
-    def test_gap_products_outside_the_normal_range_raise(self, r, cap):
-        # the middle weight hsum * (hsum / (h0 * h1)) rounds once h0 * h1 is
-        # subnormal: at period 1e-158 the cycle mean read 2.0212, not 2
-        sol = find_periodic_solution(r, cap)
-        for diagnostic in (lambda: time_average(sol), lambda: orbit_identity_residual(sol.orbit, cap)):
-            with pytest.raises(ValueError, match="float range of the Simpson weights"):
-                diagnostic()
-
-    @pytest.mark.parametrize("r, period", [(1.0, 1e-150), (1e-150, 1e150)])
-    def test_extreme_periods_inside_the_normal_range_keep_scipy(self, r, period):
-        cap = SinusoidOffset(2.0, 0.5, period)
-        sol = find_periodic_solution(r, cap)
-        t, p = sol.orbit.times, sol.orbit.populations
-        assert _simpson(p, t) == float(simpson(p, x=t))
-        assert time_average(sol) == pytest.approx(2.0, rel=1e-9)
-
-    def test_cartwright_term_takes_three_gaps(self):
-        # g1**3 underflows at gaps of 1e-110, where scipy reads 37/12 for 3;
-        # without the last-interval term the same gaps are in range
-        x = 1e-110 * np.arange(4.0)
-        with pytest.raises(ValueError, match="float range"):
-            _simpson(np.ones(4), x)
-        assert _simpson(np.ones(3), x[:3]) == float(simpson(np.ones(3), x=x[:3]))
 
 
 class TestHalfPeakFraction:

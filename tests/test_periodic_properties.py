@@ -17,7 +17,6 @@ cycle is Mbar + r Mbar (I - Ibar) + O((r Mbar h)^2). Slow forcing
 M - M' / (r M) + O(h^-2).
 """
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from oscpop import (  # noqa: E402
     TwoPhase,
     find_periodic_solution,
     integrate_logistic,
+    mean_identity_residual,
     orbit_identity_residual,
     square_deviation_identity,
     time_average,
@@ -88,17 +88,49 @@ def test_floquet_multiplier_is_exp_of_minus_r_mass(cycle):
 
 @settings(max_examples=40, deadline=None)
 @given(cycle=cycles())
-def test_cycle_identities_hold_to_simpson_error(cycle):
+def test_cycle_identities_hold_to_the_orbit_error(cycle):
     # on a cycle the integral of M P - P^2 = P' / r vanishes, and with it the
-    # gap between the two quadratic forms; what is left is Simpson's error
-    # on the 1,025-sample orbit, below 3e-9 of the integral over 3,000 draws
-    # (die-off square waves the largest), so a bound over an order above it
-    # still sees an orbit off by 1e-3
+    # gap between the two quadratic forms; what is left is the RK45 orbit's
+    # own error, as the Gauss rule on each step adds none of its order:
+    # below 3.1e-9 of the integral over 7,000 draws, the largest where a
+    # mean near 0.005 meets the orbit's absolute tolerance (composite
+    # Simpson on the 1,025-sample orbit reached 4.5e-9 over 2,000)
     r, cap = cycle
     sol = find_periodic_solution(r, cap)
-    assert orbit_identity_residual(sol.orbit, cap) <= 1e-7
+    assert orbit_identity_residual(sol.orbit, cap) <= 1e-8
     lhs, rhs = square_deviation_identity(sol, cap)
-    assert abs(lhs - rhs) <= 1e-7 * rhs
+    assert abs(lhs - rhs) <= 1e-8 * rhs
+
+
+@st.composite
+def healthy_cycles(draw):
+    """(r, schedule) whose cycle stays well above 0: sinusoids with an
+    amplitude at most 0.95 of the mean, square waves and periodic tables
+    with every level at least 0.2; r in [0.05, 20], period in [0.05, 50]."""
+    r, period = draw(st.floats(0.05, 20.0)), draw(st.floats(0.05, 50.0))
+    level = st.floats(0.2, 5.0)
+    kind = draw(st.sampled_from(["sinusoid", "twophase", "table"]))
+    if kind == "sinusoid":
+        mean = draw(level)
+        return r, SinusoidOffset(mean, mean * draw(st.floats(-0.95, 0.95)), period)
+    if kind == "twophase":
+        return r, TwoPhase(draw(level), draw(level), period)
+    values = np.array(draw(st.lists(level, min_size=2, max_size=12)))
+    return r, Tabulated(np.linspace(0.0, period, values.size), values, declared_period=period)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cycle=healthy_cycles())
+def test_cycle_integrals_match_the_capacity_mean(cycle):
+    # mean P = mean M on a cycle, exactly. The Gauss rule on each accepted
+    # step meets it to the orbit's own error, below 5e-12 over 300 draws at
+    # the default settings, where composite Simpson on the 1,025-sample
+    # orbit missed by up to 2.5e-4 (square waves at r near 20)
+    r, cap = cycle
+    h = cap.period
+    sol = find_periodic_solution(r, cap)
+    assert time_average(sol) == pytest.approx(cap.integral(0.0, h) / h, rel=1e-8)
+    assert mean_identity_residual(sol, cap) <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -156,9 +188,7 @@ def test_two_phase_report_matches_the_integrated_cycle(m1, m2, period, r):
     assert t[half] == 0.5 * period
     assert rep.p1 == pytest.approx(p[half], rel=1e-8)
     assert rep.p2 == pytest.approx(p[-1], rel=1e-8)
-    # Simpson's error on the 1,025-sample orbit reaches 1e-5 where a phase
-    # regrows steeply, so the mean is taken on a 16x finer sampling
-    fine = np.linspace(0.0, period, 16 * 1024 + 1)  # holds period / 2
-    orbit = integrate_logistic(LogisticParams(r, sol.p_star), cap, period, RELATIVE, t_eval=fine)
-    assert rep.mean_population == pytest.approx(time_average(replace(sol, orbit=orbit)), abs=1e-6)
+    # the Gauss rule on each step keeps the orbit's accuracy where a phase
+    # regrows steeply; composite Simpson on the 1,025 samples missed by 7e-6
+    assert rep.mean_population == pytest.approx(time_average(sol), rel=1e-9)
     assert rep.mean_condition_gap <= 1e-12 * rep.mean_population
