@@ -38,7 +38,7 @@ __all__ = [
     "two_phase_deductions",
 ]
 
-_ORBIT_PANELS = 1024  # target intervals of the printed orbit across one period
+_ORBIT_PANELS = 1024  # equal intervals of the printed orbit over one period, h/2 a sample
 _EPS = sys.float_info.epsilon
 _HUGE = 2.0**500  # past it a square of M or P can overflow a cycle integral
 # the 4-point Gauss-Legendre rule on [0, 1], exact to degree 7: its nodes,
@@ -87,20 +87,6 @@ def period_map(
     return integrate_logistic(params, cap, h, cfg).final
 
 
-def _orbit_grid(cap: CapacitySchedule, h: float) -> np.ndarray:
-    # np.linspace(lo, hi, n + 1) on every piece, in one pass: i * step + lo,
-    # each piece's last point set to hi and its first left to the piece
-    # before; np.rint rounds halves to even, as round does
-    edges = np.array([0.0, *cap.breakpoints_between(0.0, h), h])
-    lo, width = edges[:-1], edges[1:] - edges[:-1]
-    n = 2 * np.maximum(8, np.rint(_ORBIT_PANELS * width / (2.0 * h))).astype(int)
-    ends = n.cumsum()
-    i = np.arange(1, ends[-1] + 1) - (ends - n).repeat(n)
-    grid = i * (width / n).repeat(n) + lo.repeat(n)
-    grid[ends - 1] = edges[1:]
-    return np.concatenate(([0.0], grid))
-
-
 def _require_positive_finite(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -144,8 +130,8 @@ def find_periodic_solution(
 
     u(h) being propagated from u(0) = 0 (P = inf), exactly for constant
     and square-wave schedules, else by one adaptive quadrature of w.
-    The one-period orbit from p* is then integrated and must close to
-    fixed_point_tol.
+    The one-period orbit from p*, printed at 1,025 equally spaced times,
+    must then close to fixed_point_tol.
 
     Raises ValueError, before any work, unless r and fixed_point_tol
     are positive and finite and fixed_point_tol is at least float64
@@ -170,7 +156,7 @@ def find_periodic_solution(
         abs_tol=min(cfg.abs_tol, 1e-4 * fixed_point_tol),
     )
     h, _, p_star = _cycle_start(start, cap, inner)
-    grid = _orbit_grid(cap, h)
+    grid = np.linspace(0.0, h, _ORBIT_PANELS + 1)
     orbit = integrate_logistic(LogisticParams(r, p_star, 0.0), cap, h, inner, t_eval=grid)
     residual = abs(orbit.final - p_star) / p_star
     if residual > fixed_point_tol:
@@ -273,17 +259,20 @@ def time_average(sol: PeriodicSolution) -> float:
 
 
 def half_peak_fraction(sol: PeriodicSolution, cap: CapacitySchedule, band: float = 0.10) -> float:
-    """Fraction of the period where P sits within band*max(M) of max(M)/2.
-
-    Raises ValueError unless band is positive and finite.
-    """
+    """Fraction of the period where P, the piecewise-linear curve through
+    the printed orbit, sits within band*max(M) of max(M)/2: each sample
+    interval counts the share of its P range inside the open band, a flat
+    one all or nothing. ValueError unless band is positive and finite."""
     _require_positive_finite("band", band)
     peak = cap.max_value()
-    t = sol.orbit.times
-    p = sol.orbit.populations
-    inside = (np.abs(p - 0.5 * peak) < band * peak).astype(float)
-    weight = float(np.sum(0.5 * (inside[1:] + inside[:-1]) * np.diff(t)))
-    return weight / float(t[-1] - t[0])
+    mid, width = 0.5 * peak, band * peak
+    t, p = sol.orbit.times, sol.orbit.populations
+    lo, hi = np.minimum(p[:-1], p[1:]), np.maximum(p[:-1], p[1:])
+    # rounding is monotone, so the overlap is at most hi - lo
+    overlap = np.maximum(np.minimum(hi, mid + width) - np.maximum(lo, mid - width), 0.0)
+    inside = np.abs(lo - mid) < width  # the share of a flat interval
+    share = np.divide(overlap, hi - lo, out=inside.astype(float), where=hi > lo)
+    return float(np.sum(share * np.diff(t))) / float(t[-1] - t[0])
 
 
 @dataclass(frozen=True)

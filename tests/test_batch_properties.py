@@ -2,12 +2,11 @@
 
 The reciprocal-space quadrature rates many Kronrod panels in one call of
 its integrand, which takes the integral of M from an array of lower
-bounds, the printed orbit's grid is laid out on every piece in one pass,
-and the cycle integrals weigh every Gauss node of every RK45 step in one
-pass. Each must give the floats, and the errors, of the one-at-a-time
-computation it replaces: the schedule's integral in Python floats, one
-bound at a time, np.linspace on each smooth piece, and a loop over the
-steps, one node at a time; the integrals only to their summation order.
+bounds, and the cycle integrals weigh every Gauss node of every RK45 step
+in one pass. Each must give the floats, and the errors, of the
+one-at-a-time computation it replaces: the schedule's integral in Python
+floats, one bound at a time, and a loop over the steps, one node at a
+time; the integrals only to their summation order.
 """
 import bisect
 import math
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from oscpop import (  # noqa: E402
     Constant,
@@ -30,7 +29,7 @@ from oscpop import (  # noqa: E402
     adaptive_quadrature,
     integrate_logistic,
 )
-from oscpop.periodic import _GAUSS_THETA, _GAUSS_WEIGHTS, _orbit_grid, _orbit_integrals  # noqa: E402
+from oscpop.periodic import _GAUSS_THETA, _GAUSS_WEIGHTS, _orbit_integrals  # noqa: E402
 
 EPS = sys.float_info.epsilon
 
@@ -166,40 +165,6 @@ def test_array_integral_out_of_range_names_the_scalar_bound(cap, data):
         cap._integrals_to(starts, t1)
     _, error = _scalar_calls(cap, starts.tolist(), t1)
     assert str(raised.value) == str(error)
-
-
-@st.composite
-def periodic_schedules(draw):
-    kind = draw(st.sampled_from(["constant", "twophase", "sinusoid", "table"]))
-    period = draw(st.floats(1e-3, 1e3))
-    if kind == "constant":
-        return Constant(1.0, period)
-    if kind == "twophase":
-        return TwoPhase(1.0, 3.0, period)
-    if kind == "sinusoid":
-        return SinusoidOffset(2.0, 1.0, period)
-    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=60, unique=True))
-    knots = np.unique(np.concatenate(([0.0], period * np.array(sorted(inner)), [period])))
-    assume(np.all(np.diff(knots) > 0.0))
-    return Tabulated(knots, np.ones(knots.size), period)
-
-
-@settings(max_examples=200, deadline=None)
-@given(cap=periodic_schedules())
-def test_orbit_grid_is_linspace_on_each_piece(cap):
-    h = cap.period
-    chunks = [np.array([0.0])]
-    for lo, hi, _, _ in cap.pieces(0.0, h):
-        n = 2 * max(8, round(1024 * (hi - lo) / (2.0 * h)))
-        chunks.append(np.linspace(lo, hi, n + 1)[1:])
-    want, got = np.concatenate(chunks), _orbit_grid(cap, h)
-    if np.all(np.diff(want) > 0.0):
-        assert got.tobytes() == want.tobytes()
-    else:
-        # a piece narrower than its panel count in subnormal steps, where
-        # linspace scales before it steps: neither grid is increasing, so
-        # the orbit's t_eval check refuses both alike
-        assert not np.all(np.diff(got) > 0.0)
 
 
 @st.composite

@@ -54,6 +54,17 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
 
+class TestBaseSchedule:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda s: s.at(0.0), lambda s: s.integral(0.0, 1.0), lambda s: s.derivative(0.0), lambda s: s.min_value()],
+        ids=["at", "integral", "derivative", "min_value"],
+    )
+    def test_queries_are_left_to_subclasses(self, call):
+        with pytest.raises(NotImplementedError):
+            call(CapacitySchedule())
+
+
 class TestConstant:
     def test_value_everywhere(self):
         cap = Constant(2.5)
@@ -428,6 +439,8 @@ class TestTabulated:
             Tabulated.from_pairs([(0.0, 1.0), (0.0, 2.0)])
         with pytest.raises(ValueError):
             Tabulated.from_pairs([(0.0, 1.0), (1.0, math.nan)])
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            Tabulated(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([[1.0, 2.0], [1.0, 2.0]]))
 
     def test_declared_period(self):
         cap = Tabulated.from_pairs([(0.0, 1.0), (2.0, 1.0)], declared_period=2.0)
@@ -809,6 +822,17 @@ class TestCsvLoading:
         with pytest.raises(ValueError):
             load_capacity_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty schedule file"), ("\n , \n", "empty schedule file"),
+         ("t,M\n0,1\n", "need at least two data rows")],
+    )
+    def test_too_few_rows_rejected(self, tmp_path, text, message):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_capacity_csv(path)
+
 
 class TestParseSchedule:
     def test_constant(self):
@@ -833,7 +857,7 @@ class TestParseSchedule:
 
     @pytest.mark.parametrize(
         "text",
-        ["constant", "unknown:1", "constant:a", "twophase:1,2", "sinusoid:1,2,3,4"],
+        ["constant", "unknown:1", "constant:a", "constant:1,2", "twophase:1,2", "sinusoid:1,2,3,4"],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):

@@ -230,7 +230,8 @@ class TestTwoPhaseCommand:
     @pytest.mark.parametrize(
         "t_end, dt, message",
         [("0", "1", "--t-end must exceed --t0"), ("-1", "1", "--t-end must exceed --t0"),
-         ("4", "-1", "--dt must be positive"), ("4", "nan", "--dt must be positive")],
+         ("4", "-1", "--dt must be positive"), ("4", "nan", "--dt must be positive"),
+         ("inf", "1", "--t-end must be finite")],
     )
     def test_grid_rule_is_the_one_of_simulate(self, capsys, t_end, dt, message):
         grid = ["--r", "1", "--p0", "0.5", "--t-end", t_end, "--dt", dt]
@@ -715,6 +716,25 @@ class TestVerifyCommand:
         assert len(failed) == 1
         assert re.fullmatch(r"FAIL tabulated_roundtrip_exact: \S.*", failed[0])
         assert proc.stdout.endswith("12/13 checks passed\n")
+
+    @pytest.mark.parametrize(
+        "error, reason",
+        [(AssertionError("planted"), "planted"), (ValueError("planted"), "ValueError: planted")],
+    )
+    def test_failed_check_is_reported_and_exits_1(self, capsys, monkeypatch, error, reason):
+        def broken(rng, tmp):
+            raise error
+
+        battery = list(cli._BATTERY)
+        name = battery[0][0]
+        battery[0] = (name, broken)
+        monkeypatch.setattr(cli, "_BATTERY", battery)
+        code, out, _ = run(capsys, "verify", "--seed", "0")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == f"FAIL {name}: {reason}"
+        assert all(line.startswith("PASS ") for line in lines[1:-1])
+        assert lines[-1] == "12/13 checks passed"
 
     def test_error_checks_look_functions_up_when_run(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "integrate_riccati", lambda *args, **kwargs: None)

@@ -57,6 +57,8 @@ def argvs() -> list[str]:
         "bifurcation --rho-min 2.6 --rho-max 3 --steps 40",
         "two-phase --schedule twophase:-0.5,3,5 --r 0.9 --p0 0.5 --t-end 20 --dt 0.5",
         "periodic --schedule table:{tmp}/cap.csv,6 --r 1",
+        "simulate --schedule sinusoid:2,0.9,20 --r 1 --p0 1 --t-end 20 --dt 0.01 --output {tmp}/knots.csv",
+        "periodic --schedule table:{tmp}/knots.csv,20 --r 1",
         "simulate --schedule twophase:1,3,0.3 --r 1 --p0 0.5 --t-end 1.5 --dt 0.15",
         "simulate --schedule table:{tmp}/steep.csv --r 1e-307 --p0 0.5 --t-end 3 --dt 0.25",
         "two-phase --schedule twophase:-0.5,3,5 --r 0.9 --p0 0.5 --t-end 20 --dt 0.5 --max-iterations 3",

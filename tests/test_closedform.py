@@ -32,7 +32,7 @@ class TestLogisticParams:
 
     @pytest.mark.parametrize(
         "r,p0,t0",
-        [(0.0, 1.0, 0.0), (-1.0, 1.0, 0.0), (1.0, -0.1, 0.0), (1.0, 1.0, math.inf)],
+        [(0.0, 1.0, 0.0), (-1.0, 1.0, 0.0), (math.inf, 1.0, 0.0), (1.0, -0.1, 0.0), (1.0, 1.0, math.inf)],
     )
     def test_rejects_bad_parameters(self, r, p0, t0):
         with pytest.raises(ValueError):
@@ -198,6 +198,8 @@ class TestTwoPhaseClosedForm:
             two_phase_trajectory(LogisticParams(1.0, 0.5, 0.0), cap, 2.0, 0.0)
         with pytest.raises(ValueError):
             two_phase_trajectory(LogisticParams(1.0, 0.5, 1.0), cap, 0.5, 0.1)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            two_phase_trajectory(LogisticParams(1.0, 0.5, 0.0), cap, math.inf, 0.1)
 
 
 class TestQuadratureSolution:

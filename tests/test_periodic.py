@@ -9,6 +9,7 @@ import pytest
 from oscpop import (
     CapacitySchedule,
     Constant,
+    ConvergenceError,
     ExponentOverflowError,
     LogisticParams,
     NoPeriodicSolutionError,
@@ -336,7 +337,34 @@ class TestHalfPeakFraction:
             half_peak_fraction(sol, cap, band=band)
 
 
+class OffsetSinusoid(SinusoidOffset):
+    """A sinusoid whose batch integrals, and so the cycle start's
+    quadrature, read 1% high, while its orbit integrates the true M."""
+
+    def _integrals_to(self, starts, t1):
+        return [1.01 * x for x in super()._integrals_to(starts, t1)]
+
+
 class TestPeriodicSolutionValidation:
+    def test_orbit_that_fails_to_close_is_a_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="orbit closure residual .* exceeds tolerance"):
+            find_periodic_solution(1.0, OffsetSinusoid(2.0, 0.5, 3.0))
+
+    def test_orbit_without_mass_has_no_identity_residual(self):
+        sol = find_periodic_solution(1.0, TwoPhase(1.0, 3.0, 2.0))
+        with pytest.raises(ValueError, match="orbit has no positive mass"):
+            orbit_identity_residual(scaled_orbit(sol.orbit, 0.0), TwoPhase(1.0, 3.0, 2.0))
+
+    def test_rejects_zero_cycle_population(self):
+        sol = find_periodic_solution(1.0, TwoPhase(1.0, 3.0, 2.0))
+        with pytest.raises(ValueError, match="cycle population must be positive"):
+            replace(sol, p_star=0.0)
+
+    def test_rejects_orbit_short_of_the_period(self):
+        sol = find_periodic_solution(1.0, TwoPhase(1.0, 3.0, 2.0))
+        with pytest.raises(ValueError, match="orbit must span exactly one period"):
+            replace(sol, period=1.5)
+
     def test_rejects_open_orbit(self):
         sol = find_periodic_solution(1.0, TwoPhase(1.0, 3.0, 2.0))
         broken = Trajectory(

@@ -63,11 +63,11 @@ FRACS = (0.1, 0.3, 0.5, 0.7, 0.9)
 # populations at FRACS of the orbit's sample indices
 PINNED_CYCLES = {
     "table": (
-        "0x1.23412fb4ed662p+1", "0x1.c201496862eebp-2", "0x1.190bd1ec8eeb7p-42", 981,
+        "0x1.23412fb4ed662p+1", "0x1.c201496862eebp-2", "0x1.190bd1ec8eeb7p-42", 1025,
         "0x1.7ba00227c8b39p-42", ("0x1.49a90f56acb8bp+2", "0x1.49a90f56aad4ep+2"),
         "0x1.0000000000f42p+1",
-        ["0x1.37a34d1ce28c7p+1", "0x1.1234943420bf1p+1", "0x1.f24d1dd2089bdp+0",
-         "0x1.9736f6d581eafp+0", "0x1.e28579a2bc309p+0"],
+        ["0x1.37a4946f2f097p+1", "0x1.123d33a3c598dp+1", "0x1.f24d1dd2089bdp+0",
+         "0x1.976d8d8c84e00p+0", "0x1.e1f00146cf909p+0"],
     ),
     "sinusoid": (
         "0x1.99bba317ac2b7p+0", "0x1.3e7389f631af9p-1", "0x1.046dffd570246p-33", 1025,
