@@ -205,8 +205,10 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
             h = span
         if max_step < h:
             h = max_step
-        snap = abs(hi)
-        snap = 1e-14 * (snap if snap > 1.0 else 1.0)
+        # a step end within 1e-14 max(|lo|, |hi|) of hi lands on hi, a slack
+        # relative to the piece's own ends, so no step jumps a tiny piece
+        # near 0; max(|lo|, |hi|) = max(-lo, hi) as lo < hi
+        snap = 1e-14 * (-lo if -lo > hi else hi)
         err_prev = None
         while t < hi:
             # the controller's proposal, kept before the clip to the piece end
@@ -310,8 +312,7 @@ def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
         raise ValueError("t_eval must be finite")
     if ts.size > 1 and not np.all(np.diff(ts) > 0.0):
         raise ValueError("t_eval must be strictly increasing")
-    slack = 1e-12 * max(1.0, abs(t0), abs(t_end))
-    if ts[0] < t0 - slack or ts[-1] > t_end + slack:
+    if ts[0] < t0 or ts[-1] > t_end:
         raise ValueError("t_eval must lie within the integration interval")
     return ts
 

@@ -35,13 +35,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def readme_commands() -> list[list[str]]:
-    """The oscpop invocations of the README's "Command line" block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```", 2)[1]
-    return [line.split()[1:] for line in block.splitlines() if line.startswith("oscpop ")]
-
-
 class TestFormatting:
     def test_twelve_significant_digits(self):
         assert _fmt(math.pi) == "3.14159265359"
@@ -57,18 +50,33 @@ class TestFormatting:
 
 
 class TestSimulate:
-    def test_stdout_csv(self, capsys):
-        code, out, err = run(
-            capsys,
-            "simulate", "--schedule", "constant:2", "--r", "1", "--p0", "0.5",
-            "--t-end", "2", "--dt", "0.5",
-        )
+    @pytest.mark.parametrize(
+        "schedule, r, t_end, dt, rows, m0",
+        [
+            ("constant:2", "1", "2", "0.5", 5, 2.0),
+            # the last segment's slope, -1e308 over a gap of 0.5, passes the
+            # float range though its sample difference does not: M runs
+            # down to -1.5e308, and every P and M printed is finite
+            ("table:{tmp}/steep.csv", "1e-307", "3", "0.25", 13, 1.0),
+        ],
+        ids=["constant", "steep-table"],
+    )
+    def test_stdout_csv(self, capsys, tmp_path, schedule, r, t_end, dt, rows, m0):
+        (tmp_path / "steep.csv").write_text("t,M\n0,1\n1,-1.5e308\n2.5,1e308\n3,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(
+                capsys,
+                "simulate", "--schedule", schedule.replace("{tmp}", str(tmp_path)), "--r", r, "--p0", "0.5",
+                "--t-end", t_end, "--dt", dt,
+            )
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "t,P,M"
-        assert len(lines) == 6
+        assert len(lines) == rows + 1
         first = lines[1].split(",")
-        assert float(first[0]) == 0.0 and float(first[1]) == 0.5 and float(first[2]) == 2.0
+        assert float(first[0]) == 0.0 and float(first[1]) == 0.5 and float(first[2]) == m0
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
 
     def test_values_match_library(self, capsys):
         code, out, _ = run(
@@ -489,16 +497,20 @@ class TestExitCodes:
         assert "mean_identity_residual = 0\n" in err
         assert "nan" not in err and "inf" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["periodic", "--schedule", "twophase:1e308,1e308,4", "--r", "1"],
-        ["two-phase", "--schedule", "twophase:1e308,1e308,4", "--r", "1", "--p0", "1", "--t-end", "2", "--dt", "0.5"],
-    ], ids=lambda argv: argv[0])
-    def test_overflowing_period_mass_is_domain_error(self, capsys, argv):
+    @pytest.mark.parametrize("argv, where", [
+        (["periodic", "--schedule", "twophase:1e308,1e308,4", "--r", "1"], " over one period"),
+        (["two-phase", "--schedule", "twophase:1e308,1e308,4", "--r", "1", "--p0", "1", "--t-end", "2", "--dt", "0.5"],
+         " over one period"),
+        (["closed-form", "--schedule", "sinusoid:1e308,5e307,3", "--r", "1e-308", "--p0", "1", "--t-end", "3",
+          "--dt", "1"], ""),
+    ], ids=["periodic", "two-phase", "closed-form"])
+    def test_overflowing_period_mass_is_domain_error(self, capsys, argv, where):
         # the mass of a period, 4e308, is past the float range: the integral
-        # was nan, reported as a bad initial population the user never gave
+        # was nan, reported as a bad initial population the user never gave;
+        # so is the sinusoid's integral over [0, 3] in the quadrature
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
-        assert err == "ExponentOverflowError: the capacity integral over one period leaves the float range\n"
+        assert err == f"ExponentOverflowError: the capacity integral{where} leaves the float range\n"
 
     def test_samples_on_switch_times_take_the_new_level(self, capsys):
         # every sample is a switch time; three M cells held the old level
@@ -519,12 +531,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: switch times need finite bounds, got t=10000000000.0")
 
-    def test_cycle_whose_level_sum_overflows_solves(self, capsys):
-        # m1 + m2 overflows, but the mass 1e308 and p* = 1e308 do not: the
-        # whole-cycle term was inf, and the command exited 3
+    @pytest.mark.parametrize(
+        "schedule, r",
+        [("twophase:1e308,1e308,1", "1"), ("table:{tmp}/flat.csv,1", "1e-308")],
+        ids=["twophase", "flat-table"],
+    )
+    def test_cycle_whose_level_sum_overflows_solves(self, capsys, tmp_path, schedule, r):
+        # m1 + m2, or the sum of two table samples, overflows, but the mass
+        # 1e308 and p* = 1e308 do not: the square wave's whole-cycle term
+        # was inf, and the command exited 3
+        (tmp_path / "flat.csv").write_text("t,M\n0,1e308\n1,1e308\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code, out, err = run(capsys, "periodic", "--schedule", "twophase:1e308,1e308,1", "--r", "1")
+            code, out, err = run(capsys, "periodic", "--schedule", schedule.replace("{tmp}", str(tmp_path)), "--r", r)
         assert code == 0
         assert "p_star                 = 1e+308\n" in err
         assert "mean_population        = 1e+308\n" in err
@@ -741,21 +760,6 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--seed", "0")
         assert code == 1
         assert re.search(r"^FAIL divergence_error_raised: \S", out, re.MULTILINE)
-
-
-class TestReadmeCommands:
-    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
-    def test_runs_and_repeats_byte_for_byte(self, argv, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        first = run(capsys, *argv)
-        second = run(capsys, *argv)
-        assert first[0] == 0, first[2]
-        assert second == first
-
-    def test_block_lists_every_command(self):
-        assert [argv[0] for argv in readme_commands()] == [
-            "simulate", "closed-form", "two-phase", "periodic", "bifurcation", "verify",
-        ]
 
 
 class TestImports:

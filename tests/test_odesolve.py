@@ -92,6 +92,16 @@ class TestIntegrateLogistic:
         for b in (1.0, 2.0, 3.0):
             assert b in traj.times
 
+    @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+    def test_step_does_not_cross_a_tiny_piece(self, integrate):
+        # a step end within 1e-14 of a piece end, in absolute terms, snapped
+        # onto it, so a 5e-323 step crossed the whole piece [5e-324,
+        # 1.75e-102] and the next step could not move t: StiffnessError
+        cap = Tabulated([0.0, 5e-324, 1.75e-102, 1.0], [1.0, 1.0, 1.0, 1.0])
+        traj = integrate(LogisticParams(1.0, 0.5), cap, 1.0)
+        assert 1.75e-102 in traj.times
+        assert traj.final == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-8)
+
     def test_two_phase_endpoint_matches_exact_chain(self):
         cap = TwoPhase(0.8, 2.2, 1.5)
         params = LogisticParams(1.3, 0.4, 0.0)
@@ -187,6 +197,16 @@ class TestIntegrateLogistic:
             integrate(params, Constant(1.0), 1.0, t_eval=[2.5])
         traj = integrate(params, Constant(1.0), 1.0, t_eval=[1.0])
         assert traj.times.tolist() == [1.0] and traj.populations.tolist() == [0.5]
+
+    @pytest.mark.parametrize("grid", [[0.0, 5e-13], [-5e-13, 0.0]], ids=["past-end", "before-start"])
+    @pytest.mark.parametrize("t_end", [1e-20, 1e-300])
+    @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+    def test_eval_grid_a_hair_outside_the_span_is_refused(self, integrate, t_end, grid):
+        # an absolute slack of 1e-12 let these samples in, and the nearest
+        # step was extrapolated to them: P = 625.5 for a true 0.5 at
+        # t_end = 1e-20, an overflow at t_end = 1e-300
+        with pytest.raises(ValueError, match="t_eval must lie within the integration interval"):
+            integrate(LogisticParams(1.0, 0.5), Constant(1.0), t_end, t_eval=grid)
 
     def test_stats_populated(self):
         traj = integrate_logistic(LogisticParams(1.0, 0.5, 0.0), Constant(1.0), 4.0)

@@ -104,6 +104,12 @@ class TestFindPeriodicSolution:
         assert sol.p_star == pytest.approx(2.0, rel=1e-8)
         assert float(np.max(np.abs(sol.orbit.populations - 2.0))) <= 1e-7
 
+    def test_cycle_across_a_subnormal_knot(self):
+        # M = 1 throughout; a 5e-323 step crossed the piece [5e-324,
+        # 1.75e-102] by an absolute end snap, and the next could not move t
+        cap = Tabulated([0.0, 5e-324, 1.75e-102, 1.0], [1.0, 1.0, 1.0, 1.0], declared_period=1.0)
+        assert find_periodic_solution(1.0, cap).p_star == 1.0
+
     def test_sinusoid_cycle_reproducible(self):
         cap = SinusoidOffset(2.0, 0.8, 3.0)
         a = find_periodic_solution(1.0, cap)
