@@ -102,21 +102,27 @@ class CapacitySchedule:
         and returns M at each time, with the float operations of its
         scalar calls, or one level to broadcast where M is constant on
         the piece; slope takes floats only. The RK45 loop walks the
-        pieces through _staged_pieces. This method, where kept, hands out
-        at, mapped over an array's Python floats where at takes floats only.
+        pieces through _staged_pieces. This method, where kept, asks at
+        and derivative one float inside the piece at its ends, so a
+        subclass whose at and derivative take a breakpoint's own side, as
+        the built-ins' do, still gives each piece's limits there; at is
+        mapped over an array's Python floats where it takes floats only.
         """
-        def value(t):
-            try:
-                return self.at(t)
-            except TypeError:
-                if not isinstance(t, np.ndarray):
-                    raise  # a scalar that at refuses
-                # at takes floats only: mapped over the array's Python floats
-                return np.array([self.at(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
-
+        at, derivative = self.at, self.derivative
         lo = t0
         for hi in [*self.breakpoints_between(t0, t1), t1]:
-            yield lo, hi, value, self.derivative
+            a, b = math.nextafter(lo, hi), math.nextafter(hi, lo)
+
+            def value(t, a=a, b=b):
+                if not isinstance(t, np.ndarray):
+                    return at(min(max(t, a), b))
+                t = np.clip(t, a, b)
+                try:
+                    return at(t)
+                except TypeError:  # at takes floats only
+                    return np.array([at(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
+
+            yield lo, hi, value, lambda t, a=a, b=b: derivative(min(max(t, a), b))
             lo = hi
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
@@ -126,17 +132,23 @@ class CapacitySchedule:
         step on the piece last drawn and, only with shift, dM/dt at them
         after: the floats that piece's value and slope give at each time,
         in one call. A schedule has one such evaluator, SinusoidOffset
-        two. This fallback calls at and then derivative, so a subclass
-        that defines only those works; SinusoidOffset and Tabulated inline
-        their arithmetic.
+        two. This fallback calls the drawn piece's value and then its
+        slope, so a subclass that defines only at and derivative works;
+        SinusoidOffset and Tabulated inline their arithmetic.
         """
-        at, derivative = self.at, self.derivative
+        piece = None
+
+        def walk():
+            nonlocal piece
+            for piece in self.pieces(t0, t1):
+                yield piece
 
         def stages(t2, t3, t4, t5, t6):
-            m = at(t2), at(t3), at(t4), at(t5), at(t6)
-            return (*m, *map(derivative, (t2, t3, t4, t5, t6))) if shift else m
+            _, _, value, slope = piece
+            m = value(t2), value(t3), value(t4), value(t5), value(t6)
+            return (*m, *map(slope, (t2, t3, t4, t5, t6))) if shift else m
 
-        return self.pieces(t0, t1), stages
+        return walk(), stages
 
     def min_value(self) -> float:
         raise NotImplementedError
@@ -324,6 +336,10 @@ class SinusoidOffset(CapacitySchedule):
 
     def derivative(self, t: float) -> float:
         return self.amplitude * (TWO_PI / self.period) * math.cos(self._angle(t))
+
+    def pieces(self, t0: float, t1: float):
+        # smooth everywhere: one piece, whose value and slope are at and derivative
+        yield t0, t1, self.at, self.derivative
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         # the one piece's value and slope at the five stage times, each angle

@@ -4,11 +4,10 @@ The reciprocal-space quadrature rates many Kronrod panels in one call of
 its integrand, which takes the integral of M from an array of lower
 bounds, and the cycle integrals weigh every Gauss node of every RK45 step
 in one pass. Each must give the floats, and the errors, of the
-one-at-a-time computation it replaces: the schedule's integral in Python
-floats, one bound at a time, and a loop over the steps, one node at a
-time; the integrals only to their summation order.
+one-at-a-time computation it replaces: the schedule's integral one bound
+at a time (a table's from the shared reference), and a loop over the
+steps, one node at a time; the integrals only to their summation order.
 """
-import bisect
 import math
 import sys
 import warnings
@@ -30,31 +29,9 @@ from oscpop import (  # noqa: E402
     integrate_logistic,
 )
 from oscpop.periodic import _GAUSS_THETA, _GAUSS_WEIGHTS, _orbit_integrals  # noqa: E402
+from reference import ReferenceTable, contd5  # noqa: E402
 
 EPS = sys.float_info.epsilon
-
-
-def _table_integral(cap, t0, t1):
-    """A table's integral one bound at a time in Python floats: bisect finds
-    the segment, a knot gives its own sample, any other t the segment's line."""
-    knots, vals, cum = cap.times.tolist(), cap.values.tolist(), cap._cum.tolist()
-
-    def area(t):
-        if not knots[0] <= t <= knots[-1]:
-            raise ScheduleRangeError(f"t={t} outside sampled range [{knots[0]}, {knots[-1]}]")
-        k = min(bisect.bisect_right(knots, t) - 1, len(knots) - 2)
-        if t == knots[k]:
-            m = vals[k]
-        elif t == knots[k + 1]:
-            m = vals[k + 1]
-        else:
-            m = (vals[k + 1] - vals[k]) / (knots[k + 1] - knots[k]) * (t - knots[k]) + vals[k]
-        return cum[k] + (t - knots[k]) * 0.5 * (vals[k] + m)
-
-    if t1 < t0:
-        raise ValueError(f"integral bounds out of order: {t0} > {t1}")
-    start = area(t0)
-    return area(t1) - start
 
 
 def _sinusoid_integral(cap, t0, t1):
@@ -69,11 +46,14 @@ def _sinusoid_integral(cap, t0, t1):
 
 def _scalar_calls(cap, starts, t1):
     """Each bound's reference integral in order, up to the first that raises."""
-    reference = _table_integral if isinstance(cap, Tabulated) else _sinusoid_integral
+    if isinstance(cap, Tabulated):
+        reference = ReferenceTable(cap.times, cap.values).integral
+    else:
+        reference = lambda t0, t1: _sinusoid_integral(cap, t0, t1)  # noqa: E731
     out = []
     for t in starts:
         try:
-            out.append(reference(cap, t, t1))
+            out.append(reference(t, t1))
         except Exception as exc:  # the array call must raise this one
             return out, exc
     return out, None
@@ -194,15 +174,13 @@ def _loop_integrals(traj, cap, integrands):
     steps = traj.steps.tolist()
     pieces = list(cap.pieces(steps[0][0], steps[-1][1])) if cap is not None else None
     terms, k = None, 0
-    for t0, t1, y0, y1, f0, f1, dk in steps:
-        dt, delta = t1 - t0, y1 - y0
-        r3 = dt * f0 - delta
-        r4 = delta - dt * f1 - r3
+    for step in steps:
+        t0, t1 = step[:2]
+        dt = t1 - t0
         while pieces is not None and pieces[k][1] < t1:
             k += 1
         for theta, w in zip(_GAUSS_THETA.ravel().tolist(), _GAUSS_WEIGHTS.ravel().tolist()):
-            omt = 1.0 - theta
-            p = y0 + theta * (delta + omt * (r3 + theta * (r4 + omt * (dt * dk))))
+            p = contd5(step, theta)
             ys = integrands(p) if cap is None else integrands(float(pieces[k][2](t0 + theta * dt)), p)
             terms = terms or [[] for _ in ys]
             for acc, y in zip(terms, ys):

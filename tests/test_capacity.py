@@ -23,6 +23,7 @@ from oscpop import (
 )
 from oscpop.capacity import TWO_PI
 from oscpop.periodic import orbit_identity_residual
+from reference import ReferenceTable, near, outcome
 
 
 class TestSolverConfig:
@@ -389,7 +390,7 @@ class TestTabulated:
         # 9e307 - -1e308 overflows, so the line from the left knot gives
         # 0 * inf; like np.interp, M is then read from the right knot
         cap = Tabulated([-1e308, 1e308], [1.0, 2.0])
-        assert cap.at(9e307) == float(np.interp(9e307, cap.times, cap.values)) == 2.0
+        assert cap.at(9e307) == ReferenceTable(cap.times, cap.values).at(9e307) == 2.0
         assert cap.integral(-1e308, 9e307) == math.inf  # a true 2.8e308
 
     @pytest.mark.parametrize("shift", [False, True])
@@ -459,35 +460,9 @@ class TestTabulatedLookup:
     with np.searchsorted, bit for bit, on and next to every sample time."""
 
     @staticmethod
-    def ref_segment(cap, t):
-        k = int(np.searchsorted(cap.times, t, side="right")) - 1
-        return min(max(k, 0), cap.times.size - 2)
-
-    def ref_slope(self, cap, k):
-        return (cap.values[k + 1] - cap.values[k]) / (cap.times[k + 1] - cap.times[k])
-
-    def ref_cumulative(self, cap, t):
-        v, ts = cap.values, cap.times
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(ts))))
-        k = self.ref_segment(cap, t)
-        return float(cum[k] + (t - ts[k]) * 0.5 * (v[k] + float(np.interp(t, ts, v))))
-
-    def ref_derivative(self, cap, t):
-        idx = int(np.searchsorted(cap.times, t))
-        if idx < cap.times.size and cap.times[idx] == t:
-            return None
-        return float(self.ref_slope(cap, self.ref_segment(cap, t)))
-
-    def ref_piece_value(self, cap, t, lo, hi):
-        k = self.ref_segment(cap, 0.5 * (lo + hi))
-        return float(cap.values[k] + self.ref_slope(cap, k) * (t - cap.times[k]))
-
-    @staticmethod
     def probes(cap):
         ts = cap.times
-        base = np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1])))
-        near = np.concatenate((base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)))
-        return np.unique(near).tolist()
+        return near(np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1])))).tolist()
 
     @pytest.fixture(params=["three-row", "ragged"])
     def cap(self, request):
@@ -496,33 +471,30 @@ class TestTabulatedLookup:
         return _ragged_table()
 
     def test_point_queries_match_reference(self, cap):
-        lo, hi = cap.times[0], cap.times[-1]
+        ref, lo, hi = ReferenceTable(cap.times, cap.values), cap.times[0], cap.times[-1]
         inside = [t for t in self.probes(cap) if lo <= t <= hi]
         for t in inside:
-            assert cap.at(t) == float(np.interp(t, cap.times, cap.values))
-            assert cap.integral(lo, t) == self.ref_cumulative(cap, t) - self.ref_cumulative(cap, lo)
-            want = self.ref_derivative(cap, t)
-            if want is None:
-                with pytest.raises(NonDifferentiableError):
-                    cap.derivative(t)
-            else:
-                assert cap.derivative(t) == want
+            assert cap.at(t) == ref.at(t)
+            assert cap.integral(lo, t) == ref.integral(lo, t)
+            # a sample time raises NonDifferentiableError on both
+            assert outcome(cap.derivative, t) == outcome(ref.derivative, t)
 
     def test_piece_queries_match_reference(self, cap):
-        lo, hi = cap.times[0], cap.times[-1]
+        ref, lo, hi = ReferenceTable(cap.times, cap.values), cap.times[0], cap.times[-1]
         inside = [t for t in self.probes(cap) if lo <= t <= hi]
         for a, b in zip(inside[:-1], inside[1:]):
-            assert cap.integral(a, b) == self.ref_cumulative(cap, b) - self.ref_cumulative(cap, a)
+            assert cap.integral(a, b) == ref.integral(a, b)
             # no sample time lies strictly between neighbouring probes
             [(_, _, value, slope)] = cap.pieces(a, b)
+            v0, t0, s = ref.piece(a, b)
             for t in (a, b):
-                assert value(t) == self.ref_piece_value(cap, t, a, b)
-                k = self.ref_segment(cap, 0.5 * (a + b))
-                assert slope(t) == float(self.ref_slope(cap, k))
+                assert value(t) == v0 + s * (t - t0)
+                assert slope(t) == s
 
     def test_walks_match_reference(self, cap):
         # multi-piece walks between probes: each piece is cut at the knots and
         # takes the line of its midpoint's segment, one-float-wide ends included
+        ref = ReferenceTable(cap.times, cap.values)
         inside = [t for t in self.probes(cap) if cap.times[0] <= t <= cap.times[-1]]
         for a in inside[::5]:
             for b in [b for b in inside[::7] if b >= a]:
@@ -530,10 +502,10 @@ class TestTabulatedLookup:
                 cuts = cap.breakpoints_between(a, b)
                 assert [(lo, hi) for lo, hi, *_ in pieces] == list(zip([a, *cuts], [*cuts, b]))
                 for lo, hi, value, slope in pieces:
-                    k = self.ref_segment(cap, 0.5 * (lo + hi))
+                    v0, t0, s = ref.piece(lo, hi)
                     for t in (lo, hi):
-                        assert value(t) == self.ref_piece_value(cap, t, lo, hi)
-                        assert slope(t) == float(self.ref_slope(cap, k))
+                        assert value(t) == v0 + s * (t - t0)
+                        assert slope(t) == s
 
     def test_one_ulp_outside_the_range_raises(self, cap):
         lo, hi = cap.times[0], cap.times[-1]
@@ -553,12 +525,6 @@ class TestTabulatedLookup:
 
 
 FAR = 1e6 + 0.3
-
-
-def _near(ts):
-    """ts with both float neighbours of each."""
-    ts = np.asarray(ts, dtype=float)
-    return np.concatenate((ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf)))
 
 
 def _wide_table(seed):
@@ -581,7 +547,7 @@ class TestArrayPieceValues:
         knots = cap.times.tolist() if isinstance(cap, Tabulated) else []
         rng = np.random.default_rng(3)
         spread = rng.uniform(-50.0, 50.0, 2000)
-        ts = np.unique(_near([FAR, -FAR, -1e-17, 0.3, *multiples, *knots, *spread]))
+        ts = near([FAR, -FAR, -1e-17, 0.3, *multiples, *knots, *spread])
         if knots:
             ts = ts[(ts >= knots[0]) & (ts <= knots[-1])]
         return ts
@@ -644,10 +610,10 @@ class TestArrayPieceValues:
         rng = np.random.default_rng(seed)
         times = np.cumsum(rng.uniform(1e-3, 2.0, rng.integers(2, 60))) - 5.0
         values = rng.uniform(-3.0, 3.0, times.size) * 10.0 ** rng.integers(-3, 4)
-        cap = Tabulated(times, values)
-        probes = _near(np.concatenate((times, 0.5 * (times[1:] + times[:-1]))))
+        cap, ref = Tabulated(times, values), ReferenceTable(times, values)
+        probes = near(np.concatenate((times, 0.5 * (times[1:] + times[:-1]))))
         for t in probes[(probes >= times[0]) & (probes <= times[-1])].tolist():
-            assert cap.at(t) == float(np.interp(t, times, values))
+            assert cap.at(t) == ref.at(t)
 
 
 class SineAt(CapacitySchedule):

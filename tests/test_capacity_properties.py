@@ -15,6 +15,7 @@ from oscpop import (  # noqa: E402
     Tabulated,
     TwoPhase,
 )
+from reference import ReferenceTable, near, outcome  # noqa: E402
 
 INWARD = 1e-3  # one-sided limits are compared with M this far into a piece
 
@@ -133,7 +134,7 @@ def near_breakpoints(draw):
     kind = draw(st.sampled_from(["constant", "twophase", "sinusoid", "table"]))
     side = draw(st.sampled_from([-math.inf, None, math.inf]))
 
-    def near(b):
+    def nudge(b):
         return b if side is None else math.nextafter(b, side)
 
     if kind == "twophase":
@@ -141,7 +142,7 @@ def near_breakpoints(draw):
         cap = TwoPhase(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)), period)
         half = 0.5 * period
         k = draw(st.integers(-40, 40) if period > 0.5 else st.integers(-20_000, 20_000))
-        t0 = near(k * half)
+        t0 = nudge(k * half)
         t1 = t0 + half * draw(st.floats(0.0, 60.0))
         grid = (j * half for j in range(math.floor(t0 / half) - 2, math.ceil(t1 / half) + 3))
         return cap, t0, t1, [b for b in grid if t0 < b < t1]
@@ -150,10 +151,10 @@ def near_breakpoints(draw):
         times = draw(st.floats(-20.0, 20.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
         values = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=times.size, max_size=times.size)))
         knots = times.tolist()
-        t0 = near(knots[draw(st.integers(1, len(knots) - 2))])
+        t0 = nudge(knots[draw(st.integers(1, len(knots) - 2))])
         t1 = draw(st.sampled_from([k for k in knots if k >= t0]) | st.floats(t0, knots[-1]))
         return Tabulated(times, values), t0, t1, [b for b in knots if t0 < b < t1]
-    t0 = near(draw(st.floats(-40.0, 40.0)))
+    t0 = nudge(draw(st.floats(-40.0, 40.0)))
     t1 = t0 + draw(st.floats(0.0, 20.0))
     if kind == "constant":
         return Constant(draw(st.floats(-3.0, 3.0))), t0, t1, []
@@ -204,63 +205,6 @@ def test_table_breakpoints_are_the_sample_times_inside(w):
     assert cap.breakpoints_between(t0, t1) == inside
 
 
-class ReferenceTable:
-    """Tabulated's answers, exceptions and messages rebuilt from numpy:
-    np.searchsorted locates segments and np.interp gives values."""
-
-    def __init__(self, times, values):
-        self.ts, self.vs = times, values
-        self.lo, self.hi = times.tolist()[0], times.tolist()[-1]
-        self.cum = np.concatenate(([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))))
-
-    def check(self, t):
-        if not self.lo <= t <= self.hi:
-            raise ScheduleRangeError(f"t={t} outside sampled range [{self.lo}, {self.hi}]")
-
-    def segment(self, t):
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        return min(max(k, 0), self.ts.size - 2)
-
-    def slope(self, k):
-        return float((self.vs[k + 1] - self.vs[k]) / (self.ts[k + 1] - self.ts[k]))
-
-    def at(self, t):
-        self.check(t)
-        return float(np.interp(t, self.ts, self.vs))
-
-    def cumulative(self, t):
-        k = self.segment(t)
-        return float(self.cum[k] + (t - self.ts[k]) * 0.5 * (self.vs[k] + self.at(t)))
-
-    def integral(self, t0, t1):
-        if t1 < t0:
-            raise ValueError(f"integral bounds out of order: {t0} > {t1}")
-        self.check(t0)
-        self.check(t1)
-        return self.cumulative(t1) - self.cumulative(t0)
-
-    def derivative(self, t):
-        self.check(t)
-        idx = int(np.searchsorted(self.ts, t))
-        if idx < self.ts.size and self.ts[idx] == t:
-            raise NonDifferentiableError(f"capacity has a sample kink at t={t}")
-        return self.slope(self.segment(t))
-
-    def piece(self, lo, hi):
-        self.check(lo)
-        self.check(hi)
-        k = self.segment(0.5 * (lo + hi))
-        return float(self.vs[k]), float(self.ts[k]), self.slope(k)
-
-
-def outcome(query, *args):
-    """The bits of a float answer, or the exception's type and message."""
-    try:
-        return float(query(*args)).hex()
-    except (ScheduleRangeError, NonDifferentiableError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 @st.composite
 def tables(draw):
     """A table whose samples include +0.0 and -0.0, and its probe times:
@@ -272,8 +216,7 @@ def tables(draw):
     sample = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
     values = np.array(draw(st.lists(sample, min_size=times.size, max_size=times.size)))
     base = np.concatenate((times, 0.5 * (times[1:] + times[:-1])))
-    near = np.unique(np.concatenate((base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf))))
-    probes = [*near.tolist(), math.nan, float(times[0]) - 1.0, float(times[-1]) + 1.0, 0.0, -0.0]
+    probes = [*near(base).tolist(), math.nan, float(times[0]) - 1.0, float(times[-1]) + 1.0, 0.0, -0.0]
     return times, values, probes
 
 

@@ -125,15 +125,6 @@ class TestSimulate:
         assert code == 0
         assert target.exists()
 
-    def test_deterministic_output(self, capsys):
-        argv = (
-            "simulate", "--schedule", "sinusoid:1,0.25,3", "--r", "0.7", "--p0", "0.4",
-            "--t-end", "5", "--dt", "0.1",
-        )
-        _, first, _ = run(capsys, *argv)
-        _, second, _ = run(capsys, *argv)
-        assert first == second
-
 
 class TestClosedForm:
     def test_difference_column_small(self, capsys):

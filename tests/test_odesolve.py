@@ -6,6 +6,7 @@ import pytest
 from scipy.special import i0
 
 from oscpop import (
+    CapacitySchedule,
     Constant,
     ConvergenceError,
     DivergenceError,
@@ -215,6 +216,22 @@ class TestIntegrateLogistic:
         assert meta.n_accepted == len(traj) - 1
         assert meta.n_rhs_evals >= 6 * meta.n_accepted
         assert 0.0 < meta.smallest_step <= meta.largest_step
+
+    def test_accepted_step_factor_has_a_floor(self):
+        # M rises from 1 to 3 around t = 3, so the step [2.64, 2.85] is
+        # accepted with err 0.38 after err 8.7e-10; its PI factor 0.195 is
+        # lifted to the floor 0.2, so the next step is 0.2 times as wide
+        class Front(CapacitySchedule):
+            def at(self, t):
+                return 2.0 + math.tanh(50.0 * (t - 3.0))
+
+            def derivative(self, t):
+                return 50.0 / math.cosh(50.0 * (t - 3.0)) ** 2
+
+        steps = integrate_logistic(LogisticParams(3.0, 1.0), Front(), 12.0).steps
+        widths = steps[:, 1] - steps[:, 0]
+        [k] = np.flatnonzero(steps[:, 0] == 2.64)
+        assert widths[k + 1] == pytest.approx(0.2 * widths[k], rel=1e-12)
 
     def test_stiffness_error(self):
         cap = SinusoidOffset(1.0, 0.5, 0.05)

@@ -14,7 +14,10 @@ die-off cases, whose level pieces the step loop reads M of once per
 piece, were added with the values of the loop that called a right-hand
 side closure per stage. The steep-table and user-subclass cases were
 added with the values of the loop that called each piece's value (and
-slope) once per stage time, before it evaluated M once per step.
+slope) once per stage time, before it evaluated M once per step. The
+user-subclass rows moved when the base class's pieces began to read at
+and derivative one float inside each piece at its ends;
+test_user_schedule_is_near_a_tight_run checks their floats.
 """
 import math
 from dataclasses import replace
@@ -26,7 +29,9 @@ from oscpop import (
     CapacitySchedule,
     Constant,
     LogisticParams,
+    NonDifferentiableError,
     SinusoidOffset,
+    SolverConfig,
     StiffnessError,
     Tabulated,
     TwoPhase,
@@ -64,6 +69,22 @@ class Arches(CapacitySchedule):
 
     def max_value(self):
         return 3.0
+
+
+class Square(CapacitySchedule):
+    """TwoPhase(1, 3, 2) as a user schedule with the built-ins' own rules:
+    at is left-closed and derivative raises on a switch time."""
+
+    def at(self, t):
+        return 3.0 if math.floor(t) % 2 else 1.0
+
+    def derivative(self, t):
+        if t == math.floor(t):
+            raise NonDifferentiableError(f"capacity jumps at t={t}")
+        return 0.0
+
+    def breakpoints_between(self, t0, t1):
+        return [float(k) for k in range(math.floor(t0) + 1, math.ceil(t1)) if t0 < k < t1]
 
 
 # (schedule, params, t_end); the table runs over its whole sampled range
@@ -129,14 +150,14 @@ PINNED = [
      ["0x1.0d837db048f00p-4", "0x1.7a07d29c856aep-20", "0x1.79e386b613b26p-22",
       "0x1.c1872fdafe84dp-10", "0x1.81537e34cda65p-7"],
      170, 6, 1059, "0x1.faeac55778a00p-10", "0x1.0c5edbef89dfbp-3"),
-    ("arches", integrate_logistic, 5, 236, "0x1.69b463667848ep+1",
-     ["0x1.56ac6006fd0d4p+1", "0x1.601dd704d6898p+1", "0x1.618a8e239fdccp+1",
-      "0x1.52a5d6eefec5cp+1", "0x1.69b463667848ep+1"],
-     235, 4, 1439, "0x1.4e9e59909a000p-8", "0x1.d5a05d2e769adp-4"),
-    ("arches", integrate_riccati, 5, 311, "0x1.69b46377893f0p+1",
-     ["0x1.56ac60041d6acp+1", "0x1.601dd70dff273p+1", "0x1.618a8ecc77546p+1",
-      "0x1.52a5d6f4162b6p+1", "0x1.69b46377893f0p+1"],
-     310, 54, 2189, "0x1.4dfb69c1f86f4p-17", "0x1.add107d98885fp-4"),
+    ("arches", integrate_logistic, 5, 236, "0x1.69b463667848bp+1",
+     ["0x1.56ac6006fd0d4p+1", "0x1.601dd704d6897p+1", "0x1.618a8e239fdcdp+1",
+      "0x1.52a5d6eefec5ep+1", "0x1.69b463667848bp+1"],
+     235, 4, 1439, "0x1.4e9e594672800p-8", "0x1.d5a05d2e769adp-4"),
+    ("arches", integrate_riccati, 5, 258, "0x1.69b463687154ap+1",
+     ["0x1.56ac60041d6acp+1", "0x1.601dd7049c0f4p+1", "0x1.618a8e1d78532p+1",
+      "0x1.52a5d6ef03251p+1", "0x1.69b463687154ap+1"],
+     257, 8, 1595, "0x1.1a69081b75800p-5", "0x1.a1cfacb79f45bp-4"),
 ]
 
 
@@ -204,3 +225,26 @@ def test_step_samples_are_dense_output_at_the_step_ends(case, integrate, p0):
     assert steps.times.tobytes() == sampled.times.tobytes()
     assert steps.populations.tobytes() == sampled.populations.tobytes()
     assert steps.meta == sampled.meta
+
+
+@pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+def test_user_square_wave_is_the_built_in_one(integrate):
+    # the base class's pieces read a user schedule inside each piece, so a
+    # left-closed at and a derivative that raises on a switch give the
+    # square wave's own floats; the value and slope at each switch were the
+    # next piece's, and integrate_riccati raised at t = 0
+    params = LogisticParams(1.0, 0.5)
+    got, want = integrate(params, Square(), 20.0), integrate(params, TwoPhase(1.0, 3.0, 2.0), 20.0)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.populations.tobytes() == want.populations.tobytes()
+    assert got.meta == want.meta
+
+
+@pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+def test_user_schedule_is_near_a_tight_run(integrate):
+    # the arches rows at the default tolerances end within 1e-9 of a run at
+    # rel_tol 1e-13; integrate_riccati was 2.1e-9 off when it read the
+    # slope of the next piece at each kink
+    cap, params, t_end = CASES["arches"]
+    tight = integrate_logistic(params, cap, t_end, cfg=SolverConfig(abs_tol=1e-15, rel_tol=1e-13)).final
+    assert integrate(params, cap, t_end).final == pytest.approx(tight, rel=1e-9, abs=0.0)

@@ -17,6 +17,7 @@ from oscpop import (  # noqa: E402
     integrate_riccati,
 )
 from oscpop.odesolve import _sample_steps  # noqa: E402
+from reference import contd5, near  # noqa: E402
 
 INTEGRATORS = [integrate_logistic, integrate_riccati]
 params = st.builds(LogisticParams, r=st.floats(0.3, 2.0), p0=st.floats(0.05, 4.0))
@@ -93,17 +94,9 @@ def continuous_extension_loop(steps, ts):
     ends = [s[1] for s in steps]
     out = []
     for t in ts.tolist():
-        t0, t1, y0, y1, f0, f1, dk = steps[min(bisect.bisect_left(ends, t), len(steps) - 1)]
-        dt = t1 - t0
-        theta = (t - t0) / dt
-        if theta == 1.0:
-            out.append(y1)
-            continue
-        omt = 1.0 - theta
-        delta = y1 - y0
-        r3 = dt * f0 - delta
-        r4 = delta - dt * f1 - r3
-        out.append(y0 + theta * (delta + omt * (r3 + theta * (r4 + omt * (dt * dk)))))
+        step = steps[min(bisect.bisect_left(ends, t), len(steps) - 1)]
+        theta = (t - step[0]) / (step[1] - step[0])
+        out.append(step[3] if theta == 1.0 else contd5(step, theta))
     return np.array(out)
 
 
@@ -123,6 +116,6 @@ def test_vectorized_sampler_matches_the_per_sample_loop(widths, data):
     ]
     extra = data.draw(st.lists(st.floats(0.0, ends[-1]), max_size=40))
     # step ends, their float neighbours, and a sample just past the last end
-    near = np.concatenate((ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)))
-    ts = np.unique(np.concatenate((near[near >= 0.0], extra)))
+    probes = near(ends)
+    ts = np.unique(np.concatenate((probes[probes >= 0.0], extra)))
     assert np.array_equal(_sample_steps(steps, ts), continuous_extension_loop(steps, ts))
