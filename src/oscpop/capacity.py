@@ -1,4 +1,4 @@
-"""Carrying-capacity schedules and shared solver settings.
+"""Carrying-capacity schedules; SolverConfig is re-exported from settings.
 
 Every schedule knows its own exact antiderivative and derivative, so
 downstream solvers never have to differentiate or integrate the forcing
@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonDifferentiableError, ScheduleRangeError
+from .settings import SolverConfig
 
 __all__ = [
     "CapacitySchedule",
@@ -30,32 +31,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerical knobs shared by the integrators and the quadrature.
-
-    abs_tol / rel_tol bound the local error of adaptive algorithms,
-    max_step / min_step bound integrator step sizes, and max_iterations
-    caps attempted steps or panel subdivisions per call.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_step: float = math.inf
-    min_step: float = 1e-13
-    max_iterations: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
-            raise ValueError(
-                f"tolerances must be positive and finite, got abs_tol={self.abs_tol}, rel_tol={self.rel_tol}"
-            )
-        if not (0.0 < self.min_step < self.max_step):
-            raise ValueError("need 0 < min_step < max_step")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 class CapacitySchedule:

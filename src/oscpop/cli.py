@@ -9,49 +9,16 @@ numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
+import functools
 import math
 import os
 import sys
-import tempfile
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from .capacity import (
-    Constant,
-    SinusoidOffset,
-    SolverConfig,
-    TwoPhase,
-    parse_schedule,
-)
-from .closedform import (
-    LogisticParams,
-    _propagate,
-    _sample_grid,
-    logistic_constant,
-    quadrature_solution,
-    two_phase_trajectory,
-)
-from .discretemap import ScanConfig, bifurcation_scan, normalized_state
-from .errors import (
-    DivergenceError,
-    DomainError,
-    NoPeriodicSolutionError,
-    NumericsError,
-    PoleError,
-    StiffnessError,
-)
-from .odesolve import adaptive_quadrature, integrate_logistic, integrate_riccati
-from .periodic import (
-    find_periodic_solution,
-    half_peak_fraction,
-    mean_identity_residual,
-    time_average,
-    two_phase_deductions,
-)
+# only what every command needs: each command imports its solvers when it runs
+from .errors import DomainError, NumericsError
+from .settings import ScanConfig, SolverConfig
 
 OUTPUT_DIR_ENV = "OSCPOP_OUTPUT_DIR"
 
@@ -100,6 +67,8 @@ def _config(args, settings: type):
 
 
 def _params(args) -> LogisticParams:
+    from .closedform import LogisticParams
+
     # LogisticParams admits p0 = inf (u = 0) for internal use only
     if not math.isfinite(args.p0):
         raise ValueError(f"--p0 must be finite, got {args.p0}")
@@ -107,6 +76,8 @@ def _params(args) -> LogisticParams:
 
 
 def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
+    from .closedform import _sample_grid
+
     if not dt > 0.0:
         raise ValueError("--dt must be positive")
     if t_end <= t0:
@@ -144,25 +115,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="adaptive integration, CSV of t,P,M")
     _add_model_options(p)
     _add_config_options(p, SolverConfig)
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
         "closed-form", help="quadrature solution vs. integrator, CSV of t,P_closed,P_numeric,abs_diff"
     )
     _add_model_options(p)
     _add_config_options(p, SolverConfig)
-    p.set_defaults(func=_cmd_closed_form)
 
     p = sub.add_parser("two-phase", help="piecewise-exact square-wave trajectory plus cycle report")
     _add_model_options(p)
     p.add_argument("--regime-tol", dest="regime_tol", type=float, default=None, help="saturated when each plateau gap is below this fraction of its level")
-    p.set_defaults(func=_cmd_two_phase)
 
     p = sub.add_parser("periodic", help="periodic cycle: orbit CSV plus summary")
     _add_model_options(p, with_grid=False)
     _add_config_options(p, SolverConfig)
     p.add_argument("--fixed-point-tol", dest="fixed_point_tol", type=float, default=None, help="relative closure tolerance |P(h) - p*| / p* of the cycle")
-    p.set_defaults(func=_cmd_periodic)
 
     p = sub.add_parser("bifurcation", help="discrete-map attractor scan over rho = r*M")
     p.add_argument("--rho-min", dest="rho_min", type=float, required=True)
@@ -171,16 +138,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=1.0, help="fixed growth rate")
     _add_config_options(p, ScanConfig)
     p.add_argument("--output", default="-")
-    p.set_defaults(func=_cmd_bifurcation)
 
     p = sub.add_parser("verify", help="run the built-in invariant battery")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def _cmd_simulate(args) -> int:
+    from .capacity import parse_schedule
+    from .odesolve import integrate_logistic
+
     cap = parse_schedule(args.schedule)
     params = _params(args)
     cfg = _config(args, SolverConfig)
@@ -192,6 +160,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
+    from .capacity import parse_schedule
+    from .closedform import _propagate
+    from .odesolve import integrate_logistic
+
     cap = parse_schedule(args.schedule)
     params = _params(args)
     cfg = _config(args, SolverConfig)
@@ -207,6 +179,10 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_two_phase(args) -> int:
+    from .capacity import TwoPhase, parse_schedule
+    from .closedform import two_phase_trajectory
+    from .periodic import two_phase_deductions
+
     cap = parse_schedule(args.schedule)
     params = _params(args)
     if not isinstance(cap, TwoPhase):
@@ -234,6 +210,9 @@ def _cmd_two_phase(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
+    from .capacity import parse_schedule
+    from .periodic import find_periodic_solution, half_peak_fraction, mean_identity_residual, time_average
+
     cap = parse_schedule(args.schedule)
     cfg = _config(args, SolverConfig)
     sol = find_periodic_solution(args.r, cap, cfg, **_given(args, ["fixed_point_tol"]))
@@ -256,6 +235,8 @@ def _cmd_periodic(args) -> int:
 
 
 def _cmd_bifurcation(args) -> int:
+    from .discretemap import bifurcation_scan
+
     scan = _config(args, ScanConfig)
     result = bifurcation_scan(args.rho_min, args.rho_max, args.steps, scan, r_fixed=args.r)
     rows = []
@@ -270,207 +251,27 @@ def _cmd_bifurcation(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify battery
-
-
-def _require(ok: bool, message: str) -> None:
-    """Fail the running check with message; unlike assert, kept under python -O."""
-    if not ok:
-        raise AssertionError(message)
-
-
-def _raises(error: type[Exception], call):
-    """A check that passes when call() raises error. call is a lambda, so the
-    functions it names are looked up in this module only when the check runs."""
-
-    def check(rng, tmp):
-        try:
-            result = call()
-        except error:
-            return
-        raise AssertionError(f"{error.__name__} not raised; the call returned {type(result).__name__}")
-
-    return check
-
-
-def _run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of main(argv), with stderr discarded."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
-
-
-def _check_constant_equilibrium(rng, tmp):
-    cap = Constant(1.5)
-    traj = integrate_logistic(LogisticParams(1.0, 1.5, 0.0), cap, 10.0)
-    drift = float(np.max(np.abs(traj.populations - 1.5)))
-    _require(drift <= 1e-9, f"max |P - 1.5| = {drift:.3g} > 1e-9")
-
-
-def _check_closed_form_reduction(rng, tmp):
-    # a zero-amplitude sinusoid takes the quadrature route, not the closed form
-    cap = SinusoidOffset(1.0, 0.0, 2.0 * math.pi)
-    cfg = SolverConfig(abs_tol=1e-12, rel_tol=1e-10)
-    params = LogisticParams(1.0, 0.5, 0.0)
-    for t in np.linspace(0.1, 8.0, 25):
-        exact = logistic_constant(params, 1.0, float(t))
-        quad = quadrature_solution(params, cap, float(t), cfg)
-        _require(abs(quad - exact) <= 1e-8 * abs(exact), f"P({t:.6g}) = {quad!r}, closed form {exact!r}")
-
-
-def _check_cross_solver_sinusoid(rng, tmp):
-    cap = SinusoidOffset(2.0, 0.5, 2.0 * math.pi)
-    cfg = SolverConfig(abs_tol=1e-12, rel_tol=1e-10, max_step=0.02)
-    params = LogisticParams(1.0, 1.0, 0.0)
-    grid = np.linspace(0.0, 4.0 * math.pi, 40)
-    a = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid).populations
-    b = integrate_riccati(params, cap, float(grid[-1]), cfg, t_eval=grid).populations
-    gap = float(np.max(np.abs(a - b) / np.abs(a)))
-    _require(gap <= 1e-6, f"largest relative gap between the routes {gap:.3g} > 1e-6")
-
-
-def _check_conjugacy(rng, tmp):
-    for _ in range(1000):
-        r = float(rng.uniform(0.05, 2.0))
-        m = float(rng.uniform(0.1, 10.0))
-        rho = r * m
-        x0 = float(rng.uniform(0.01, 0.99))
-        p0 = x0 * (1.0 + rho) / r
-        p1 = p0 + r * (m - p0) * p0
-        lhs = normalized_state(r, m, p1)
-        rhs = (1.0 + rho) * x0 * (1.0 - x0)
-        _require(abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), f"x1 = {lhs!r}, quadratic map {rhs!r}")
-
-
-def _check_capacity_additivity(rng, tmp):
-    caps = [
-        Constant(float(rng.uniform(-1, 3))),
-        TwoPhase(float(rng.uniform(0, 2)), float(rng.uniform(2, 4)), 3.0),
-        SinusoidOffset(1.0, float(rng.uniform(0.1, 2.0)), 4.0),
-    ]
-    for cap in caps:
-        a, b, c = sorted(rng.uniform(-5, 5, size=3))
-        whole = cap.integral(float(a), float(c))
-        split = cap.integral(float(a), float(b)) + cap.integral(float(b), float(c))
-        _require(abs(whole - split) <= 1e-10 * max(1.0, abs(whole)), f"{cap}: {whole!r} whole, {split!r} split")
-
-
-def _check_tabulated_roundtrip(rng, tmp):
-    path = os.path.join(tmp, "table_check.csv")
-    code, _ = _run(
-        [
-            "simulate",
-            "--schedule",
-            "sinusoid:1,0.5,6.283185307179586",
-            "--r",
-            "1",
-            "--p0",
-            "1",
-            "--t-end",
-            "6",
-            "--dt",
-            "0.5",
-            "--output",
-            path,
-        ]
-    )
-    _require(code == 0, f"simulate exited {code}")
-    cap = parse_schedule(f"table:{path}")
-    with open(path) as fh:
-        rows = fh.read().strip().splitlines()[1:]
-    for row in rows:
-        t_text, _, m_text = row.split(",")
-        m = cap.at(float(t_text))
-        _require(m == float(m_text), f"M({t_text}) = {m!r}, file has {m_text}")
-
-
-def _check_csv_deterministic(rng, tmp):
-    argv = [
-        "simulate",
-        "--schedule",
-        "sinusoid:1,0.25,3",
-        "--r",
-        "0.7",
-        "--p0",
-        "0.4",
-        "--t-end",
-        "5",
-        "--dt",
-        "0.1",
-    ]
-    (code1, first), (code2, second) = _run(argv), _run(argv)
-    _require(code1 == code2 == 0, f"simulate exited {code1}, then {code2}")
-    _require(first == second, f"the two runs printed different CSV ({len(first)} and {len(second)} characters)")
-
-
-def _check_exit_codes(rng, tmp):
-    for expected, argv in (
-        (0, ["simulate", "--schedule", "constant:1", "--r", "1", "--p0", "1",
-             "--t-end", "1", "--dt", "0.5", "--output", os.path.join(tmp, "ok.csv")]),
-        (2, ["simulate", "--schedule", "bogus:1", "--r", "1", "--p0", "1",
-             "--t-end", "1", "--dt", "0.5"]),
-        (3, ["periodic", "--schedule", "sinusoid:0,1,6.283185307179586", "--r", "1",
-             "--output", os.path.join(tmp, "cycle.csv")]),
-        (4, ["closed-form", "--schedule", "sinusoid:1,0.5,6.283185307179586", "--r", "1",
-             "--p0", "1", "--t-end", "6", "--dt", "1", "--max-iterations", "1",
-             "--abs-tol", "1e-14", "--rel-tol", "1e-14",
-             "--output", os.path.join(tmp, "cf.csv")]),
-    ):
-        code, _ = _run(argv)
-        _require(code == expected, f"{argv[0]} {argv[2]}: expected exit {expected}, got {code}")
-
-
-_BATTERY = [
-    ("constant_equilibrium_flat", _check_constant_equilibrium),
-    ("closed_form_reduction", _check_closed_form_reduction),
-    ("cross_solver_agreement_sinusoid", _check_cross_solver_sinusoid),
-    ("pole_error_raised", _raises(
-        PoleError, lambda: logistic_constant(LogisticParams(1.0, 2.0, 0.0), -1.0, math.log(2.0 / 3.0)))),
-    ("no_periodic_solution_raised", _raises(
-        NoPeriodicSolutionError, lambda: find_periodic_solution(1.0, SinusoidOffset(0.0, 1.0, 2.0 * math.pi)))),
-    ("stiffness_error_raised", _raises(StiffnessError, lambda: integrate_logistic(
-        LogisticParams(1.0, 0.5, 0.0), SinusoidOffset(1.0, 0.5, 0.05), 1.0,
-        SolverConfig(abs_tol=1e-14, rel_tol=1e-12, min_step=0.02, max_step=0.04)))),
-    ("divergence_error_raised", _raises(
-        DivergenceError, lambda: integrate_riccati(LogisticParams(1.0, 1.0, 0.0), Constant(1e160), 1.0))),
-    ("quadrature_budget_error_raised", _raises(NumericsError, lambda: adaptive_quadrature(
-        lambda s: math.exp(-math.cos(s)), 0.0, math.pi, (),
-        SolverConfig(abs_tol=1e-14, rel_tol=1e-14, max_iterations=1)))),
-    ("conjugacy_identity_1000_draws", _check_conjugacy),
-    ("capacity_integral_additivity", _check_capacity_additivity),
-    ("tabulated_roundtrip_exact", _check_tabulated_roundtrip),
-    ("csv_output_deterministic", _check_csv_deterministic),
-    ("cli_exit_codes_0_2_3_4", _check_exit_codes),
-]
-
-
 def _cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, check in _BATTERY:
-            try:
-                check(rng, tmp)
-            except Exception as exc:  # report and keep going
-                failures += 1
-                reason = exc if isinstance(exc, AssertionError) else f"{type(exc).__name__}: {exc}"
-                print(f"FAIL {name}: {reason}")
-            else:
-                print(f"PASS {name}")
-    print(f"{len(_BATTERY) - failures}/{len(_BATTERY)} checks passed")
-    return 0 if failures == 0 else 1
+    from .verify import run_battery
+
+    return run_battery(args.seed, main)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: verify runs main several times
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # looked up when it runs, so a replaced command function is the one called
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

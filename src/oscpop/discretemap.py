@@ -35,6 +35,8 @@ from itertools import cycle, islice
 
 import numpy as np
 
+from .settings import ScanConfig
+
 __all__ = [
     "normalized_state",
     "iterate_map",
@@ -49,25 +51,6 @@ __all__ = [
 def normalized_state(r: float, m: float, p: float) -> float:
     """Map population to the conjugate quadratic-map coordinate."""
     return r * p / (1.0 + r * m)
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """Attractor-detection settings; the single source of their defaults.
-
-    An orbit counts as diverged once a value is non-finite or its
-    normalized coordinate leaves [-10, 10].
-    """
-
-    transient: int = 10_000
-    window: int = 512
-    match_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.transient < 0 or self.window < 4:
-            raise ValueError("need transient >= 0 and window >= 4")
-        if not 0.0 < self.match_tol < math.inf:
-            raise ValueError(f"match_tol must be positive and finite, got {self.match_tol}")
 
 
 _ESCAPE_BOUND = 10.0  # |normalized value| past which an orbit has diverged

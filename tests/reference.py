@@ -1,10 +1,12 @@
 """Reference rules that several test modules check the library against,
 each written once: a table's answers from numpy, dopri5's continuous
-extension of one step, and the float neighbours of probe times.
+extension of one step, the float neighbours of probe times, and I0(1).
 
 This module imports no hypothesis, so the example tests that use it run
 without it.
 """
+import math
+
 import numpy as np
 
 from oscpop import NonDifferentiableError, ScheduleRangeError
@@ -85,3 +87,15 @@ def near(ts):
     """ts and both float neighbours of each, sorted, without repeats."""
     ts = np.asarray(ts, dtype=float)
     return np.unique(np.concatenate((ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf))))
+
+
+def _bessel_i0_at_1():
+    # the power series sum_k 4**-k / (k!)**2, summed in order (sum() may
+    # compensate); 20 terms reach the float, scipy.special.i0(1.0)'s bits
+    total = 0.0
+    for k in range(20):
+        total += 4.0**-k / math.factorial(k) ** 2
+    return total
+
+
+I0_1 = _bessel_i0_at_1()  # the modified Bessel function I0 at 1

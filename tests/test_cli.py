@@ -25,7 +25,7 @@ from oscpop import (
     load_capacity_csv,
     quadrature_solution,
 )
-from oscpop import cli
+from oscpop import cli, verify
 from oscpop.cli import _fmt, main
 
 
@@ -732,13 +732,13 @@ class TestVerifyCommand:
         [(AssertionError("planted"), "planted"), (ValueError("planted"), "ValueError: planted")],
     )
     def test_failed_check_is_reported_and_exits_1(self, capsys, monkeypatch, error, reason):
-        def broken(rng, tmp):
+        def broken(rng, tmp, main):
             raise error
 
-        battery = list(cli._BATTERY)
+        battery = list(verify._BATTERY)
         name = battery[0][0]
         battery[0] = (name, broken)
-        monkeypatch.setattr(cli, "_BATTERY", battery)
+        monkeypatch.setattr(verify, "_BATTERY", battery)
         code, out, _ = run(capsys, "verify", "--seed", "0")
         lines = out.splitlines()
         assert code == 1
@@ -747,7 +747,7 @@ class TestVerifyCommand:
         assert lines[-1] == "12/13 checks passed"
 
     def test_error_checks_look_functions_up_when_run(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "integrate_riccati", lambda *args, **kwargs: None)
+        monkeypatch.setattr(verify, "integrate_riccati", lambda *args, **kwargs: None)
         code, out, _ = run(capsys, "verify", "--seed", "0")
         assert code == 1
         assert re.search(r"^FAIL divergence_error_raised: \S", out, re.MULTILINE)
@@ -756,7 +756,8 @@ class TestVerifyCommand:
 class TestImports:
     def test_no_scipy_at_runtime(self):
         code = (
-            "import sys, oscpop, oscpop.cli; "
+            # oscpop.verify imports every library module; import oscpop alone loads none
+            "import sys, oscpop.cli, oscpop.verify; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(oscpop.__file__).resolve().parents[1]))
@@ -764,6 +765,45 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "[]"
+
+    # what simulate and closed-form run: no periodic, no discretemap
+    INTEGRATION = {"oscpop.capacity", "oscpop.closedform", "oscpop.errors", "oscpop.odesolve", "oscpop.settings"}
+    EVERY = {f"oscpop.{path.stem}" for path in Path(oscpop.__file__).parent.glob("*.py")} - {"oscpop.__init__"}
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            ([], set()),
+            (["bifurcation", "--rho-min", "1", "--rho-max", "3", "--steps", "3"],
+             {"oscpop.cli", "oscpop.discretemap", "oscpop.errors", "oscpop.settings"}),
+            (["simulate", "--schedule", "sinusoid:1,0.5,3", "--r", "1", "--p0", "0.5", "--t-end", "1",
+              "--dt", "0.5"], {"oscpop.cli", *INTEGRATION}),
+            (["closed-form", "--schedule", "sinusoid:1,0.5,3", "--r", "1", "--p0", "0.5", "--t-end", "1",
+              "--dt", "0.5"], {"oscpop.cli", *INTEGRATION}),
+            (["verify"], EVERY),
+        ],
+        ids=["import", "bifurcation", "simulate", "closed-form", "verify"],
+    )
+    def test_cold_start_loads_only_what_the_command_runs(self, argv, loaded):
+        # a fresh interpreter per case: import oscpop, then run main on argv if given;
+        # `from oscpop import cli` asks the package for the submodule by name
+        code = (
+            "import contextlib, io, sys\n"
+            "import oscpop\n"
+            "exit_code = 0\n"
+            "if sys.argv[1:]:\n"
+            "    from oscpop import cli\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        exit_code = cli.main(sys.argv[1:])\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('oscpop.')))\n"
+            "sys.exit(exit_code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(oscpop.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) == loaded
 
     def test_public_names(self):
         assert oscpop.__all__ == [

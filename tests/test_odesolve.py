@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import i0
 
 from oscpop import (
     CapacitySchedule,
@@ -24,6 +23,7 @@ from oscpop import (
     quadrature_solution,
 )
 from oscpop.odesolve import SolverStats
+from reference import I0_1
 
 TIGHT = SolverConfig(abs_tol=1e-13, rel_tol=1e-11)
 
@@ -364,7 +364,7 @@ class TestAdaptiveQuadrature:
     def test_bessel_reference_value(self):
         # independent special-function route for the same integral
         got = adaptive_quadrature(lambda s: math.exp(-math.cos(s)), 0.0, math.pi, (), TIGHT)
-        assert got == pytest.approx(math.pi * float(i0(1.0)), rel=1e-11)
+        assert got == pytest.approx(math.pi * I0_1, rel=1e-11)
 
     def test_kink_with_mandatory_point(self):
         f = lambda x: abs(x - 0.3)
@@ -440,7 +440,7 @@ class TestAdaptiveQuadrature:
         assert len(calls) < 2000
 
     def test_tolerance_scales_error(self):
-        exact = math.pi * float(i0(1.0))
+        exact = math.pi * I0_1
         loose = adaptive_quadrature(
             lambda s: math.exp(-math.cos(s)),
             0.0,
