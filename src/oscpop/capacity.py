@@ -76,52 +76,40 @@ class CapacitySchedule:
         one-sided limits. value also takes a float64 array of any shape
         and returns M at each time, with the float operations of its
         scalar calls, or one level to broadcast where M is constant on
-        the piece; slope takes floats only. The RK45 loop walks the
-        pieces through _staged_pieces. This method, where kept, asks at
-        and derivative one float inside the piece at its ends, so a
-        subclass whose at and derivative take a breakpoint's own side, as
-        the built-ins' do, still gives each piece's limits there; at is
-        mapped over an array's Python floats where it takes floats only.
+        the piece; slope takes floats only. This is the walk of
+        _staged_pieces, which each schedule defines and the solvers call,
+        so overriding pieces does not steer them.
         """
-        at, derivative = self.at, self.derivative
-        lo = t0
-        for hi in [*self.breakpoints_between(t0, t1), t1]:
-            a, b = math.nextafter(lo, hi), math.nextafter(hi, lo)
-
-            def value(t, a=a, b=b):
-                if not isinstance(t, np.ndarray):
-                    return at(min(max(t, a), b))
-                t = np.clip(t, a, b)
-                try:
-                    return at(t)
-                except TypeError:  # at takes floats only
-                    return np.array([at(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
-
-            yield lo, hi, value, lambda t, a=a, b=b: derivative(min(max(t, a), b))
-            lo = hi
+        return self._staged_pieces(t0, t1, False)[0]
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
-        """pieces(t0, t1) and one stage evaluator for the RK45 step loop.
+        """(walk, stages): the walk of pieces(t0, t1) and its stage evaluator.
 
         stages(t2, t3, t4, t5, t6) returns M at the five stage times of a
         step on the piece last drawn and, only with shift, dM/dt at them
-        after: the floats that piece's value and slope give at each time,
-        in one call. A schedule has one such evaluator, SinusoidOffset
-        two. This fallback calls the drawn piece's value and then its
-        slope, so a subclass that defines only at and derivative works;
-        SinusoidOffset and Tabulated inline their arithmetic.
+        after: the floats of that piece's value and slope there, in one
+        call. stages is None where every piece is one level, which the
+        RK45 loop and the closed form then read once per piece. This
+        fallback, for a schedule of your own, cuts at breakpoints_between
+        and calls at and derivative one float inside the piece at its
+        ends, so a subclass whose at and derivative take a breakpoint's
+        own side, as the built-ins' do, still gives each piece's limits.
         """
-        piece = None
+        at, derivative = self.at, self.derivative
+        a = b = None
 
         def walk():
-            nonlocal piece
-            for piece in self.pieces(t0, t1):
-                yield piece
+            nonlocal a, b
+            lo = t0
+            for hi in [*self.breakpoints_between(t0, t1), t1]:
+                a, b = math.nextafter(lo, hi), math.nextafter(hi, lo)
+                yield lo, hi, functools.partial(_inside, at, a, b), functools.partial(_inside, derivative, a, b)
+                lo = hi
 
         def stages(t2, t3, t4, t5, t6):
-            _, _, value, slope = piece
-            m = value(t2), value(t3), value(t4), value(t5), value(t6)
-            return (*m, *map(slope, (t2, t3, t4, t5, t6))) if shift else m
+            ts = min(max(t2, a), b), min(max(t3, a), b), min(max(t4, a), b), min(max(t5, a), b), min(max(t6, a), b)
+            m = at(ts[0]), at(ts[1]), at(ts[2]), at(ts[3]), at(ts[4])
+            return (*m, *map(derivative, ts)) if shift else m
 
         return walk(), stages
 
@@ -172,6 +160,10 @@ class Constant(CapacitySchedule):
 
     def derivative(self, t: float) -> float:
         return 0.0
+
+    def _staged_pieces(self, t0: float, t1: float, shift: bool):
+        # one piece, one level: at gives m at any t, derivative 0.0
+        return iter([(t0, t1, self.at, self.derivative)]), None
 
     def min_value(self) -> float:
         return self.m
@@ -242,7 +234,7 @@ class TwoPhase(CapacitySchedule):
     def breakpoints_between(self, t0: float, t1: float) -> list[float]:
         return [lo for lo, _, _, _ in self.pieces(t0, t1)][1:]
 
-    def pieces(self, t0: float, t1: float):
+    def _staged_pieces(self, t0: float, t1: float, shift: bool):
         # a walk up the switch index from t0's, so a short step budget never
         # builds every switch time; the piece from switch k holds at's level
         # of k, and one of two closures serves every piece
@@ -253,15 +245,18 @@ class TwoPhase(CapacitySchedule):
         def slope(t: float) -> float:
             return 0.0
 
-        lo, k, last = t0, self._switch(t0), self._switch(t1)
-        while k < last:
-            hi = (k + 1) * half
-            if hi >= t1:  # t1 on a switch ends the last piece
-                break
-            yield lo, hi, levels[k % 2], slope
-            lo = hi
-            k += 1
-        yield lo, t1, levels[k % 2], slope
+        def walk():
+            lo, k, last = t0, self._switch(t0), self._switch(t1)
+            while k < last:
+                hi = (k + 1) * half
+                if hi >= t1:  # t1 on a switch ends the last piece
+                    break
+                yield lo, hi, levels[k % 2], slope
+                lo = hi
+                k += 1
+            yield lo, t1, levels[k % 2], slope
+
+        return walk(), None
 
     def min_value(self) -> float:
         return min(self.m1, self.m2)
@@ -312,12 +307,9 @@ class SinusoidOffset(CapacitySchedule):
     def derivative(self, t: float) -> float:
         return self.amplitude * (TWO_PI / self.period) * math.cos(self._angle(t))
 
-    def pieces(self, t0: float, t1: float):
-        # smooth everywhere: one piece, whose value and slope are at and derivative
-        yield t0, t1, self.at, self.derivative
-
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
-        # the one piece's value and slope at the five stage times, each angle
+        # smooth everywhere: one piece, whose value and slope are at and
+        # derivative; the stage evaluator gives them at the five times, each angle
         # taken once for both the sine and the cosine; two closures, since one
         # for both forms made each shifted call 0.06-0.2 us slower, 1-4% of an
         # attempted integrate_riccati step (Python 3.11, 2-vCPU VM)
@@ -345,7 +337,7 @@ class SinusoidOffset(CapacitySchedule):
                     mean + amplitude * sin(TWO_PI * ((t5 % period) / period)),
                     mean + amplitude * sin(TWO_PI * ((t6 % period) / period)),
                 )
-        return self.pieces(t0, t1), stages
+        return iter([(t0, t1, self.at, self.derivative)]), stages
 
     def min_value(self) -> float:
         return self.mean - abs(self.amplitude)
@@ -485,9 +477,6 @@ class Tabulated(CapacitySchedule):
         knots = self._knots
         return knots[bisect.bisect_right(knots, t0) : bisect.bisect_left(knots, t1)]
 
-    def pieces(self, t0: float, t1: float):
-        return self._staged_pieces(t0, t1, False)[0]
-
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         # one evaluator for the whole walk, on the line of the piece the walk
         # handed out last, so a piece makes no closure but its slope
@@ -537,11 +526,17 @@ def _on_line(line, t):
         return scale * (v + rate * (t - tk))
 
 
-def _piecewise_constant(schedule: CapacitySchedule) -> bool:
-    # every piece of a Constant or TwoPhase schedule is one level: value
-    # returns it at any t and slope returns 0.0, so the closed form and
-    # the RK45 loop may read M once per piece
-    return isinstance(schedule, (Constant, TwoPhase))
+def _inside(f, a, b, t):
+    # f (a user schedule's at or derivative) at t clamped into a piece's
+    # inside [a, b]; on a float64 array, at each of its times, mapped over
+    # its Python floats where f takes floats only
+    if not isinstance(t, np.ndarray):
+        return f(min(max(t, a), b))
+    t = np.clip(t, a, b)
+    try:
+        return f(t)
+    except TypeError:  # f takes floats only
+        return np.array([f(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
 
 def load_capacity_csv(path: str | Path) -> Tabulated:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacitySchedule, SolverConfig, TwoPhase, _piecewise_constant
+from .capacity import CapacitySchedule, SolverConfig, TwoPhase
 from .errors import ExponentOverflowError, PoleError
 from .odesolve import SolverStats, Trajectory, _qag
 
@@ -156,16 +156,17 @@ def _weight(r: float, area: float) -> float:
 def _propagate(params, cap, times, cfg) -> np.ndarray:
     """u = 1/P at ascending times >= t0, each the exact step from (t0, 1/p0).
 
-    No value depends on which other times are given. Constant pieces
-    are walked once with the times, u carried across each cut, so memory
-    is bounded by the times. Other schedules take a quadrature per time,
-    panel points doubling away from t, as the weight is a boundary layer
-    of width ~1/(r max|M|) there; each batch of panels takes the integral
-    of M from all its nodes in one call, and an integral past the float
-    range raises ExponentOverflowError unless its weight is 0 whatever
-    its value. So does a layer too narrow for the floats near t, which
-    no quadrature can resolve. p0 = inf starts from u = 0; u = inf
-    (P = 0) is absorbing.
+    No value depends on which other times are given. A walk of level
+    pieces (one without a stage evaluator) is taken once with the times,
+    u carried across each cut, so memory is bounded by the times. Other
+    schedules take a quadrature per time, panel points doubling away
+    from t, as the weight is a boundary layer of width ~1/(r max|M|)
+    there; each batch of panels takes the integral of M from all its
+    nodes in one call, and an integral past the float range raises
+    ExponentOverflowError unless its weight is 0 whatever its value. So
+    does a layer too narrow for the floats near t, which no quadrature
+    can resolve. p0 = inf starts from u = 0; u = inf (P = 0) is
+    absorbing.
     """
     r, t0 = params.r, params.t0
     u0 = math.inf if params.p0 == 0.0 else 1.0 / params.p0
@@ -174,8 +175,8 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
     if math.isinf(u0):
         return np.full(len(times), math.inf)
     out = np.empty(len(times))
-    if _piecewise_constant(cap):
-        pieces = cap.pieces(t0, times[-1])
+    pieces, stages = cap._staged_pieces(t0, times[-1], False)
+    if stages is None:
         (lo, hi, m, _), u = next(pieces), u0
         for i, t in enumerate(times):
             # a time on a cut goes with the piece that starts there

@@ -402,17 +402,9 @@ def _first_transition(records, before: int, after: int) -> float | None:
     # Exactly at a doubling point convergence is algebraic, so a grid
     # point that lands there is reported unresolved (period None). Such
     # records are skipped: the transition is still bracketed by the
-    # nearest resolved records on either side.
-    for i, prev in enumerate(records[:-1]):
-        if prev.detected_period != before:
-            continue
-        j = i + 1
-        while (
-            j < len(records)
-            and records[j].detected_period is None
-            and not records[j].diverged
-        ):
-            j += 1
-        if j < len(records) and records[j].detected_period == after:
-            return 0.5 * (prev.control + records[j].control)
+    # nearest resolved (or diverged) records on either side.
+    kept = [rec for rec in records if rec.detected_period is not None or rec.diverged]
+    for prev, rec in zip(kept, kept[1:]):
+        if (prev.detected_period, rec.detected_period) == (before, after):
+            return 0.5 * (prev.control + rec.control)
     return None

@@ -12,17 +12,17 @@ is one vectorized pass over the rows, linear in steps plus samples.
 ``_rk45`` is the one step loop of both integrators and the hot path of
 every long run. It walks the schedule's pieces itself and evaluates each
 stage's right-hand side in its own body, in the logistic or the shifted
-form chosen once per call. On a schedule of level pieces (Constant,
-TwoPhase) M is read once per piece and dM/dt is 0.0; elsewhere each
-attempted step makes one call, of the schedule's stage evaluator, which
-returns M at the step's five stage times, and dM/dt too in the shifted
-form. The loop computes those times, so the Dormand-Prince nodes stay in
-this module, and stages 6 and 7, which both sit at the step's end (the
-pair is FSAL), share the values at it. The loop binds its coefficients
-and settings to locals once per call, keeping its counters, step budget
-and carried step size in locals too; that saves each step's and each
-piece's global and attribute lookups without changing any float it
-produces.
+form chosen once per call. The schedule's _staged_pieces gives the walk
+and a stage evaluator, None where every piece is one level (Constant,
+TwoPhase): there M is read once per piece and dM/dt is 0.0; elsewhere
+each attempted step makes one call of the evaluator, which returns M at
+the step's five stage times, and dM/dt too in the shifted form. The loop
+computes those times, so the Dormand-Prince nodes stay in this module,
+and stages 6 and 7, which both sit at the step's end (the pair is FSAL),
+share the values at it. The loop binds its coefficients and settings to
+locals once per call, keeping its counters, step budget and carried step
+size in locals too; that saves each step's and each piece's global and
+attribute lookups without changing any float it produces.
 
 Capacity breakpoints are treated as hard step boundaries: the integrator
 never takes a step across one, and each smooth piece is integrated with
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import SolverConfig, _piecewise_constant
+from .capacity import SolverConfig
 from .errors import ConvergenceError, DivergenceError, StiffnessError
 
 __all__ = [
@@ -132,23 +132,23 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     """Integrate P' = r (M - P) P, or with shift W' = r (M^2/4 - W^2) - M'/2
     for W = P - M/2, from (t0, p0) to t_end, piece by piece.
 
-    One pass over cap.pieces: each stage's right-hand side is evaluated in
-    the loop, with M from the piece's value and, with shift, dM/dt from its
-    slope. On a schedule of level pieces M is read once per piece and dM/dt
-    is 0.0; otherwise M (and dM/dt) at a piece's start is one value (and
-    slope) call, and at an attempted step's five other stage times one call
-    of the schedule's stage evaluator, which gives the floats of those
-    calls; stages 6 and 7 share the values at t_next. Each piece starts at
-    min(max_step, span, h), h being the controller's last proposal before
-    the clip to the previous piece's end (a sixteenth of the span for the
-    first piece). With shift, each piece restarts W from the carried P, and
-    P = W + M/2 is reported. Each accepted step adds the row (t0, t1, y0,
-    y1, f0, f1, dk) to one flat record, which becomes the (n, 7) step array
-    in one np.fromiter pass, kept as the trajectory's steps without shift:
-    f0/f1 are its end slopes and dk the continuous-extension combination of
-    its stages. Every step has t1 > t0: a step size that no longer moves t
-    raises StiffnessError, and a trial is accepted only when err <= 1 and
-    y1 is finite. Before any step, a bad t_end or t_eval raises ValueError;
+    One pass over cap._staged_pieces' walk: each stage's right-hand side is
+    evaluated in the loop, with M from the piece's value and, with shift, dM/dt
+    from its slope. A walk without a stage evaluator is of levels: M is read
+    once per piece and dM/dt is 0.0; otherwise M (and dM/dt) at a piece's start
+    is one value (and slope) call, and at an attempted step's five other stage
+    times one call of the schedule's stage evaluator, which gives the floats of
+    those calls; stages 6 and 7 share the values at t_next. Each piece starts
+    at min(max_step, span, h), h being the controller's last proposal before
+    the clip to the previous piece's end (a sixteenth of the span for the first
+    piece). With shift, each piece restarts W from the carried P, and P = W +
+    M/2 is reported. Each accepted step adds the row (t0, t1, y0, y1, f0, f1,
+    dk) to one flat record, which becomes the (n, 7) step array in one
+    np.fromiter pass, kept as the trajectory's steps without shift: f0/f1 are
+    its end slopes and dk the continuous-extension combination of its stages.
+    Every step has t1 > t0: a step size that no longer moves t raises
+    StiffnessError, and a trial is accepted only when err <= 1 and y1 is
+    finite. Before any step, a bad t_end or t_eval raises ValueError;
     max_iterations caps the attempted steps of the whole call.
     """
     cfg = cfg or SolverConfig()
@@ -171,7 +171,6 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     safety, min_factor, max_factor, err_floor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_FLOOR
     abs_tol, rel_tol, max_step, min_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step, cfg.min_step
     isfinite = math.isfinite
-    levels = _piecewise_constant(cap)
     record: list[float] = []
     extend = record.extend
     # (hi, M) at each piece end; only the M/2 shift reads them
@@ -184,6 +183,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     # level pieces and is read only with shift
     s1 = s2 = s3 = s4 = s5 = s6 = 0.0
     walk, stages = cap._staged_pieces(t0, t_end, shift)
+    levels = stages is None
     for lo, hi, m, dm in walk:
         t = lo
         m1 = m(lo)

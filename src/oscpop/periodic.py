@@ -133,14 +133,16 @@ def find_periodic_solution(
     The one-period orbit from p*, printed at 1,025 equally spaced times,
     must then close to fixed_point_tol.
 
-    Raises ValueError, before any work, unless r and fixed_point_tol
-    are positive and finite and fixed_point_tol is at least float64
-    epsilon; NoPeriodicSolutionError when the capacity mean over one
-    period is nonpositive, ExponentOverflowError when that integral
-    overflows, a die-off stretch makes u(h) infinite or the exponent of
-    w exceed 700, or a subnormal r underflows u(h) or p* to 0, and
-    ConvergenceError when the orbit fails to close; numerics errors of
-    the quadrature or the orbit integration propagate.
+    Raises ValueError, before any work, unless r and fixed_point_tol are
+    positive and finite and fixed_point_tol is at least float64 epsilon,
+    or where the 1,025 print times over the period are not strictly
+    increasing (some periods under about 1e-317, whose grid repeats
+    subnormal floats); NoPeriodicSolutionError when the capacity mean
+    over one period is nonpositive, ExponentOverflowError when that
+    integral overflows, a die-off stretch makes u(h) infinite or the
+    exponent of w exceed 700, or a subnormal r underflows u(h) or p* to
+    0, and ConvergenceError when the orbit fails to close; numerics
+    errors of the quadrature or the orbit integration propagate.
     """
     cfg = cfg or SolverConfig()
     start = LogisticParams(r, math.inf)  # checks r; u = 1/P starts from 0
@@ -155,8 +157,11 @@ def find_periodic_solution(
         rel_tol=min(cfg.rel_tol, 1e-2 * fixed_point_tol),
         abs_tol=min(cfg.abs_tol, 1e-4 * fixed_point_tol),
     )
+    if cap.period is not None:  # else _cycle_start raises
+        grid = np.linspace(0.0, cap.period, _ORBIT_PANELS + 1)
+        if not np.all(grid[1:] > grid[:-1]):
+            raise ValueError(f"period {cap.period} is too short for {_ORBIT_PANELS + 1} strictly increasing print times")
     h, _, p_star = _cycle_start(start, cap, inner)
-    grid = np.linspace(0.0, h, _ORBIT_PANELS + 1)
     orbit = integrate_logistic(LogisticParams(r, p_star, 0.0), cap, h, inner, t_eval=grid)
     residual = abs(orbit.final - p_star) / p_star
     if residual > fixed_point_tol:

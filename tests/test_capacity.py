@@ -670,10 +670,15 @@ class TestFloatOnlyUserSchedule:
 class CountingTwoPhase(TwoPhase):
     pieces_drawn = 0
 
-    def pieces(self, t0, t1):
-        for piece in super().pieces(t0, t1):
-            type(self).pieces_drawn += 1
-            yield piece
+    def _staged_pieces(self, t0, t1, shift):
+        walk, stages = super()._staged_pieces(t0, t1, shift)
+
+        def counted():
+            for piece in walk:
+                type(self).pieces_drawn += 1
+                yield piece
+
+        return counted(), stages
 
 
 class TestPieces:
@@ -725,6 +730,22 @@ class TestPieces:
         cap = Tabulated.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.5, 0.0)])
         with pytest.raises(ScheduleRangeError, match="t=3.0 outside"):
             next(cap.pieces(0.0, 3.0))
+
+    @pytest.mark.parametrize("shift", [False, True])
+    @pytest.mark.parametrize("cap, levels", [
+        (Constant(2.0), True),
+        (TwoPhase(1.0, 3.0, 2.0), True),
+        (SinusoidOffset(2.0, 0.5, 3.0), False),
+        (Tabulated.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.5, 0.0)]), False),
+        (SineAt(), False),
+    ], ids=["constant", "twophase", "sinusoid", "table", "user"])
+    def test_only_a_walk_of_levels_has_no_stage_evaluator(self, cap, levels, shift):
+        # the solvers read M once per piece exactly where stages is None, and
+        # every schedule's pieces is the walk of its one _staged_pieces
+        walk, stages = cap._staged_pieces(0.0, 2.0, shift)
+        assert stages is None if levels else callable(stages)
+        assert "pieces" not in vars(type(cap))
+        assert [piece[:2] for piece in walk] == [piece[:2] for piece in cap.pieces(0.0, 2.0)]
 
     def test_pieces_are_resolved_lazily(self):
         # 20,000 pieces on [0, 100]; a budget of 50 steps reaches a few

@@ -77,7 +77,8 @@ def argvs() -> list[str]:
         "closed-form --schedule sinusoid:1,0.5,6.283185307179586 --r 1 --p0 1 --t-end 6 --dt 1"
         " --max-iterations 1 --abs-tol 1e-14 --rel-tol 1e-14 --output cf.csv",
     ]
-    # a square wave of period 1e-300, and capacity integrals past the float range
+    # a square wave of period 1e-300, capacity integrals past the float
+    # range, and a cycle whose period is too short for its print grid
     edges = [
         "two-phase --schedule twophase:1,3,1e-300 --r 1 --p0 0.5 --t-end 10 --dt 1",
         "simulate --schedule twophase:1,3,1e-300 --r 1 --p0 0.5 --t-end 10 --dt 1",
@@ -85,6 +86,7 @@ def argvs() -> list[str]:
         "closed-form --schedule sinusoid:1e308,5e307,3 --r 1e-308 --p0 1 --t-end 3 --dt 1",
         "periodic --schedule table:{tmp}/flat.csv,1 --r 1e-308",
         "closed-form --schedule table:{tmp}/knots4.csv --r 1e-308 --p0 1 --t-end 3 --dt 1",
+        "periodic --schedule twophase:1,3,1e-320 --r 1",
     ]
     # scans whose orbits escape: past rho = 3, below rho = -1 (the grid
     # holds rho = -1, where 1 + rho = 0), and at r != 1

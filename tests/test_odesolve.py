@@ -134,9 +134,9 @@ class TestIntegrateLogistic:
             integrate_logistic(LogisticParams(1.0, 0.5, 0.0), Constant(1.0), 4.0, t_eval=grid)
 
     def test_malformed_eval_grid_fails_before_integrating(self):
-        # a run asks its schedule for pieces before its first RHS call
+        # a run asks its schedule for its walk before its first RHS call
         class Untouched(Constant):
-            def pieces(self, t0, t1):
+            def _staged_pieces(self, t0, t1, shift):
                 raise AssertionError("integrated before t_eval was checked")
 
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -152,7 +152,7 @@ class TestIntegrateLogistic:
         # a lone NaN passes both range comparisons; it must not integrate the
         # whole span, nor, on an empty one, come back as the sample at t0
         class Untouched(Constant):
-            def pieces(self, t0, t1):
+            def _staged_pieces(self, t0, t1, shift):
                 raise AssertionError("integrated before t_eval was checked")
 
         with pytest.raises(ValueError, match="t_eval must be finite"):

@@ -167,6 +167,19 @@ class TestFindPeriodicSolution:
         with pytest.raises(ValueError):
             find_periodic_solution(0.0, TwoPhase(1.0, 2.0, 1.0))
 
+    @pytest.mark.parametrize("cap", [TwoPhase(1.0, 3.0, 1e-320), SinusoidOffset(2.0, 1.0, 1e-319)])
+    def test_a_period_too_short_for_the_print_grid_fails_before_any_work(self, cap, monkeypatch):
+        # np.linspace(0, h, 1025) repeats subnormal floats at such periods;
+        # the cycle start's quadrature ran first, then the orbit refused the
+        # grid with "t_eval must be strictly increasing"
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked before the print grid was checked")
+
+        monkeypatch.setattr("oscpop.periodic._propagate", refuse)
+        monkeypatch.setattr("oscpop.periodic.integrate_logistic", refuse)
+        with pytest.raises(ValueError, match=rf"period {cap.period} is too short for 1025 strictly increasing"):
+            find_periodic_solution(1.0, cap)
+
     @pytest.mark.parametrize("tol", [1e-17, 1e-300, math.nextafter(EPS, 0.0)])
     def test_rejects_tolerance_below_float_epsilon(self, tol):
         # raised before the schedule is read: Constant(2.0) declares no period
