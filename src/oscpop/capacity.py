@@ -88,12 +88,13 @@ class CapacitySchedule:
         stages(t2, t3, t4, t5, t6) returns M at the five stage times of a
         step on the piece last drawn and, only with shift, dM/dt at them
         after: the floats of that piece's value and slope there, in one
-        call. stages is None where every piece is one level, which the
-        RK45 loop and the closed form then read once per piece. This
-        fallback, for a schedule of your own, cuts at breakpoints_between
-        and calls at and derivative one float inside the piece at its
-        ends, so a subclass whose at and derivative take a breakpoint's
-        own side, as the built-ins' do, still gives each piece's limits.
+        call; one evaluator serves both forms. stages is None where every
+        piece is one level, which the RK45 loop and the closed form then
+        read once per piece. This fallback, for a schedule of your own,
+        cuts at breakpoints_between and calls at and derivative one float
+        inside the piece at its ends, so a subclass whose at and
+        derivative take a breakpoint's own side, as the built-ins' do,
+        still gives each piece's limits.
         """
         at, derivative = self.at, self.derivative
         a = b = None
@@ -309,34 +310,24 @@ class SinusoidOffset(CapacitySchedule):
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         # smooth everywhere: one piece, whose value and slope are at and
-        # derivative; the stage evaluator gives them at the five times, each angle
-        # taken once for both the sine and the cosine; two closures, since one
-        # for both forms made each shifted call 0.06-0.2 us slower, 1-4% of an
-        # attempted integrate_riccati step (Python 3.11, 2-vCPU VM)
+        # derivative; the stage evaluator gives them at the five times, each
+        # angle taken once for both the sine and the cosine
         mean, amplitude, period = self.mean, self.amplitude, self.period
         rate = amplitude * (TWO_PI / period)
         sin, cos = math.sin, math.cos
-        if shift:
-            def stages(t2, t3, t4, t5, t6):
-                a2 = TWO_PI * ((t2 % period) / period)
-                a3 = TWO_PI * ((t3 % period) / period)
-                a4 = TWO_PI * ((t4 % period) / period)
-                a5 = TWO_PI * ((t5 % period) / period)
-                a6 = TWO_PI * ((t6 % period) / period)
-                return (
-                    mean + amplitude * sin(a2), mean + amplitude * sin(a3), mean + amplitude * sin(a4),
-                    mean + amplitude * sin(a5), mean + amplitude * sin(a6),
-                    rate * cos(a2), rate * cos(a3), rate * cos(a4), rate * cos(a5), rate * cos(a6),
-                )
-        else:
-            def stages(t2, t3, t4, t5, t6):
-                return (
-                    mean + amplitude * sin(TWO_PI * ((t2 % period) / period)),
-                    mean + amplitude * sin(TWO_PI * ((t3 % period) / period)),
-                    mean + amplitude * sin(TWO_PI * ((t4 % period) / period)),
-                    mean + amplitude * sin(TWO_PI * ((t5 % period) / period)),
-                    mean + amplitude * sin(TWO_PI * ((t6 % period) / period)),
-                )
+
+        def stages(t2, t3, t4, t5, t6):
+            a2 = TWO_PI * ((t2 % period) / period)
+            a3 = TWO_PI * ((t3 % period) / period)
+            a4 = TWO_PI * ((t4 % period) / period)
+            a5 = TWO_PI * ((t5 % period) / period)
+            a6 = TWO_PI * ((t6 % period) / period)
+            m2, m3, m4 = mean + amplitude * sin(a2), mean + amplitude * sin(a3), mean + amplitude * sin(a4)
+            m5, m6 = mean + amplitude * sin(a5), mean + amplitude * sin(a6)
+            if shift:
+                return m2, m3, m4, m5, m6, rate * cos(a2), rate * cos(a3), rate * cos(a4), rate * cos(a5), rate * cos(a6)
+            return m2, m3, m4, m5, m6
+
         return iter([(t0, t1, self.at, self.derivative)]), stages
 
     def min_value(self) -> float:

@@ -124,8 +124,12 @@ def two_phase_trajectory(
 
 def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     # t0, t0 + dt, ... up to t_end, which is kept when within 1e-9 steps of
-    # the grid; callers check that the bounds and spacing are finite
-    return t0 + dt * np.arange(math.floor((t_end - t0) / dt + 1e-9) + 1)
+    # the grid; callers check that the bounds and spacing are finite, and a
+    # spacing too fine for a finite count of steps is refused here
+    steps = (t_end - t0) / dt + 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"sample spacing {dt} gives no finite number of samples over [{t0}, {t_end}]")
+    return t0 + dt * np.arange(math.floor(steps) + 1)
 
 
 def _constant_step(r: float, m: float, u: float, tau: float) -> float:

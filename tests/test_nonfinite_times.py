@@ -48,6 +48,7 @@ calls = {
     "two_phase_inf_dt": lambda: two_phase_trajectory(params, cap, 4.0, math.inf),
     "two_phase_inf_t_end": lambda: two_phase_trajectory(params, cap, math.inf, 1.0),
     "two_phase_nan_t_end": lambda: two_phase_trajectory(params, cap, math.nan, 1.0),
+    "two_phase_subnormal_dt": lambda: two_phase_trajectory(params, cap, 1.0, 5e-324),
     "switch_period_1e-5": lambda: integrate_logistic(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 1e-5), 100.0),
     "switch_period_1e-7": lambda: integrate_logistic(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 1e-7), 100.0),
 }
@@ -91,6 +92,12 @@ CLI_CASES = [
 ]
 DENSE_SWITCHES = ["simulate", "--schedule", "twophase:1,3,1e-5", "--r", "1", "--p0", "0.5", "--t-end", "100",
                   "--dt", "10"]
+# finite flags whose sample count, (t_end - t0) / dt, is not finite
+FINE_SPACING = [
+    ["simulate", "--schedule", "constant:1", *GRID, "--t-end", "1", "--dt", "5e-324"],
+    ["closed-form", "--schedule", "constant:1", *GRID, "--t-end", "1e300", "--dt", "1e-300"],
+    ["two-phase", "--schedule", "twophase:1,3,2", *GRID, "--t-end", "1", "--dt", "5e-324"],
+]
 # each asks for an array of terabytes (the sample grid) or 14.9 GiB (the scan window)
 TOO_LARGE = [
     ["simulate", "--schedule", "constant:1", "--r", "1", "--p0", "0.5", "--t-end", "1e9", "--dt", "1e-3"],
@@ -129,7 +136,7 @@ def library_errors():
 
 @pytest.fixture(scope="module")
 def cli_results():
-    return run_bounded(CLI_RUNS, json.dumps([argv for argv, _ in CLI_CASES] + [DENSE_SWITCHES] + TOO_LARGE))
+    return run_bounded(CLI_RUNS, json.dumps([argv for argv, _ in CLI_CASES] + [DENSE_SWITCHES] + TOO_LARGE + FINE_SPACING))
 
 
 @pytest.mark.parametrize(
@@ -149,6 +156,7 @@ def cli_results():
         ("two_phase_inf_dt", "dt_sample must be finite"),
         ("two_phase_inf_t_end", "t_end must be finite"),
         ("two_phase_nan_t_end", "t_end must be finite"),
+        ("two_phase_subnormal_dt", "sample spacing 5e-324 gives no finite number of samples"),
     ],
 )
 def test_library_rejects_non_finite_times(library_errors, call, message):
@@ -183,3 +191,11 @@ def test_cli_exits_2_when_a_request_outgrows_memory(cli_results, case):
     assert code == 2
     assert err.startswith("error: out of memory: Unable to allocate ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", range(len(FINE_SPACING)), ids=lambda i: FINE_SPACING[i][0])
+def test_cli_exits_2_when_the_sample_count_is_not_finite(cli_results, case):
+    code, err = cli_results[len(CLI_CASES) + 1 + len(TOO_LARGE) + case]
+    t_end, dt = FINE_SPACING[case][-3], FINE_SPACING[case][-1]
+    assert code == 2
+    assert err == f"error: sample spacing {float(dt)} gives no finite number of samples over [0.0, {float(t_end)}]\n"
