@@ -195,7 +195,6 @@ def _cmd_two_phase(args) -> int:
         f"phase1_end_population  = {_fmt(report.p1)}",
         f"phase2_end_population  = {_fmt(report.p2)}",
         f"mean_population        = {_fmt(report.mean_population)}",
-        f"mean_condition_gap     = {_fmt(report.mean_condition_gap)}",
         f"plateau_gap_m1         = {_fmt(report.plateau_gaps[0])}",
         f"plateau_gap_m2         = {_fmt(report.plateau_gaps[1])}",
         f"saturated              = {report.saturated}",

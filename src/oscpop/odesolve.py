@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,11 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
     -1453857185 / 822651844,
     69997945 / 29380423,
 )
+
+# the 4-point Gauss-Legendre rule on [0, 1], exact to degree 7: its nodes,
+# as fractions of a step, and its weights, as columns
+_GAUSS_THETA = np.array([0.069431844202973712, 0.33000947820757187, 0.66999052179242813, 0.93056815579702629])[:, None]
+_GAUSS_WEIGHTS = np.array([0.17392742256872693, 0.32607257743127307, 0.32607257743127307, 0.17392742256872693])[:, None]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -126,6 +132,23 @@ class Trajectory:
     @property
     def final(self) -> float:
         return float(self.populations[-1])
+
+    @cached_property
+    def _gauss(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, weights, p), one row per node and one column per step:
+        the 4-point Gauss-Legendre nodes of every accepted step, their
+        weights times the step widths and P at them from the continuous
+        extension. Built on first use and kept, read-only, so the cycle
+        integrals of one orbit share one extension pass. ValueError for a
+        trajectory without steps."""
+        if self.steps is None:
+            raise ValueError("cycle integrals need the orbit's RK45 step record (Trajectory.steps)")
+        cols = self.steps.T[:, None, :]
+        dt = cols[1] - cols[0]
+        record = cols[0] + _GAUSS_THETA * dt, _GAUSS_WEIGHTS * dt, _extension(cols, _GAUSS_THETA)
+        for array in record:
+            array.flags.writeable = False
+        return record
 
 
 def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:

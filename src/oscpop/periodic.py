@@ -23,7 +23,7 @@ import numpy as np
 from .capacity import CapacitySchedule, SolverConfig, TwoPhase
 from .closedform import LogisticParams, _propagate
 from .errors import ConvergenceError, ExponentOverflowError, NoPeriodicSolutionError
-from .odesolve import Trajectory, _extension, integrate_logistic
+from .odesolve import Trajectory, integrate_logistic
 
 __all__ = [
     "PeriodicSolution",
@@ -41,10 +41,6 @@ __all__ = [
 _ORBIT_PANELS = 1024  # equal intervals of the printed orbit over one period, h/2 a sample
 _EPS = sys.float_info.epsilon
 _HUGE = 2.0**500  # past it a square of M or P can overflow a cycle integral
-# the 4-point Gauss-Legendre rule on [0, 1], exact to degree 7: its nodes,
-# as fractions of a step, and its weights, as columns
-_GAUSS_THETA = np.array([0.069431844202973712, 0.33000947820757187, 0.66999052179242813, 0.93056815579702629])[:, None]
-_GAUSS_WEIGHTS = np.array([0.17392742256872693, 0.32607257743127307, 0.32607257743127307, 0.17392742256872693])[:, None]
 
 
 @dataclass(frozen=True)
@@ -182,34 +178,17 @@ def _scaled(*arrays: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
     return s, tuple(s * a for a in arrays)
 
 
-def _orbit_integrals(orbit: Trajectory, cap: CapacitySchedule | None, integrands) -> tuple[float, list[float]]:
-    """s and, per array of integrands(s M, s P), or of integrands(s P)
-    where cap is None, its integral over the orbit's steps: the 4-point
-    Gauss-Legendre rule on every accepted step, P at the nodes from the
-    step's continuous extension and M from the piece the step lies on,
-    each sum one np.add.reduce; s is 1.0 or, where M or P is huge, the
-    power of two of _scaled. ValueError for an orbit without steps.
-    """
-    steps = orbit.steps
-    if steps is None:
-        raise ValueError("cycle integrals need the orbit's RK45 step record (Trajectory.steps)")
-    # one row per node, one column per step
-    cols = steps.T[:, None, :]
-    dt = cols[1] - cols[0]
-    arrays = [_extension(cols, _GAUSS_THETA)]
-    if cap is not None:
-        nodes = cols[0] + _GAUSS_THETA * dt
-        pieces = list(cap.pieces(float(steps[0, 0]), float(steps[-1, 1])))
-        # every piece ends on a step end, so its steps are one slice; a node
-        # that rounds onto a breakpoint keeps its step's piece
-        ends = np.searchsorted(steps[:, 1], [piece[1] for piece in pieces], side="right").tolist()
-        m = np.empty(nodes.shape)
-        for (_, _, value, _), a, b in zip(pieces, [0, *ends], ends):
-            m[:, a:b] = value(nodes[:, a:b])
-        arrays.insert(0, m)
-    s, arrays = _scaled(*arrays)
-    weights = _GAUSS_WEIGHTS * dt
-    return s, [float(np.add.reduce((y * weights).ravel())) for y in integrands(*arrays)]
+def _node_capacity(orbit: Trajectory, cap: CapacitySchedule) -> np.ndarray:
+    # M at the orbit's Gauss nodes, each step's from the piece it lies on:
+    # every piece ends on a step end, so its steps are one slice; a node
+    # that rounds onto a breakpoint keeps its step's piece
+    nodes, steps = orbit._gauss[0], orbit.steps
+    pieces = list(cap.pieces(float(steps[0, 0]), float(steps[-1, 1])))
+    ends = np.searchsorted(steps[:, 1], [piece[1] for piece in pieces], side="right").tolist()
+    m = np.empty(nodes.shape)
+    for (_, _, value, _), a, b in zip(pieces, [0, *ends], ends):
+        m[:, a:b] = value(nodes[:, a:b])
+    return m
 
 
 def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
@@ -217,17 +196,15 @@ def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:
 
     Along any exact periodic cycle the numerator vanishes, because
     M P - P^2 is dP/dt / r and the cycle closes. Computed by the 4-point
-    Gauss-Legendre rule on every accepted RK45 step, through the step's
-    continuous extension and with M from the step's own piece, on M and
-    P scaled by a power of two where a square could overflow. Raises
-    ValueError for an orbit without its step record.
+    Gauss-Legendre rule on every accepted RK45 step (the orbit's node
+    record), through the step's continuous extension and with M from the
+    step's own piece, on M and P scaled by a power of two where a square
+    could overflow. Raises ValueError for an orbit without its step record.
     """
-
-    def integrands(mm, pp):
-        square = pp * pp
-        return mm * pp - square, square
-
-    _, (num, den) = _orbit_integrals(orbit, cap, integrands)
+    _, w, p = orbit._gauss
+    _, (mm, pp) = _scaled(_node_capacity(orbit, cap), p)
+    square = pp * pp
+    num, den = (float(np.add.reduce((y * w).ravel())) for y in (mm * pp - square, square))
     if den <= 0.0:
         raise ValueError("orbit has no positive mass")
     return abs(num) / den
@@ -247,20 +224,19 @@ def square_deviation_identity(
     period; the two agree exactly on a true cycle since their
     difference is the same vanishing integral of P^2 - M P.
     """
-
-    def integrands(mm, pp):
-        dev = pp - 0.5 * mm
-        return dev * dev, 0.25 * mm * mm
-
-    s, (lhs, rhs) = _orbit_integrals(sol.orbit, cap, integrands)
+    _, w, p = sol.orbit._gauss
+    s, (mm, pp) = _scaled(_node_capacity(sol.orbit, cap), p)
+    dev = pp - 0.5 * mm
+    lhs, rhs = (float(np.add.reduce((y * w).ravel())) for y in (dev * dev, 0.25 * mm * mm))
     return lhs / s / s, rhs / s / s
 
 
 def time_average(sol: PeriodicSolution) -> float:
     """Mean population over one period of the cycle."""
     t = sol.orbit.times
-    s, (total,) = _orbit_integrals(sol.orbit, None, lambda pp: (pp,))
-    return total / float(t[-1] - t[0]) / s
+    _, w, p = sol.orbit._gauss
+    s, (pp,) = _scaled(p)
+    return float(np.add.reduce((pp * w).ravel())) / float(t[-1] - t[0]) / s
 
 
 def half_peak_fraction(sol: PeriodicSolution, cap: CapacitySchedule, band: float = 0.10) -> float:
@@ -282,14 +258,13 @@ def half_peak_fraction(sol: PeriodicSolution, cap: CapacitySchedule, band: float
 
 @dataclass(frozen=True)
 class TwoPhaseReport:
-    """End-of-phase populations on the cycle and how the square-wave
-    story holds up: plateau gaps against each capacity level and the
-    gap between the cycle mean and the capacity mean."""
+    """End-of-phase populations on the cycle, its mean population, and
+    how the square-wave story holds up: plateau gaps against each
+    capacity level."""
 
     p1: float
     p2: float
     mean_population: float
-    mean_condition_gap: float
     plateau_gaps: tuple[float, float]
     saturated: bool
     regime_tol: float
@@ -316,10 +291,8 @@ def two_phase_deductions(
     p1 = 1.0 / float(_propagate(LogisticParams(params.r, p_star), cap, [0.5 * h], None)[0])
     if not 0.0 < p1 < math.inf:
         raise ExponentOverflowError("the cycle's phase-one population leaves the float range")
-    mean_pop = mass / h
-    gap = abs(0.5 * cap.m1 + 0.5 * cap.m2 - mean_pop)
     plateau = (abs(p1 - cap.m1), abs(p_star - cap.m2))
     saturated = (
         plateau[0] < regime_tol * abs(cap.m1) and plateau[1] < regime_tol * abs(cap.m2)
     )
-    return TwoPhaseReport(p1, p_star, mean_pop, gap, plateau, saturated, regime_tol)
+    return TwoPhaseReport(p1, p_star, mass / h, plateau, saturated, regime_tol)

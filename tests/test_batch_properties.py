@@ -28,7 +28,8 @@ from oscpop import (  # noqa: E402
     adaptive_quadrature,
     integrate_logistic,
 )
-from oscpop.periodic import _GAUSS_THETA, _GAUSS_WEIGHTS, _orbit_integrals  # noqa: E402
+from oscpop.odesolve import _GAUSS_THETA, _GAUSS_WEIGHTS  # noqa: E402
+from oscpop.periodic import _node_capacity, _scaled  # noqa: E402
 from reference import ReferenceTable, contd5  # noqa: E402
 
 EPS = sys.float_info.epsilon
@@ -201,8 +202,11 @@ def test_orbit_integrals_are_the_per_step_loop(run, which):
         return dev * dev, 0.25 * mm * mm
 
     integrands, cap = {"identity": (identity, cap), "deviation": (deviation, cap), "mean": (lambda pp: (pp,), None)}[which]
-    s, got = _orbit_integrals(traj, cap, integrands)
+    # the node record's weights and P, with M from each step's piece
+    _, weights, p = traj._gauss
+    s, arrays = _scaled(p) if cap is None else _scaled(_node_capacity(traj, cap), p)
     assert s == 1.0
+    got = [float(np.add.reduce((y * weights).ravel())) for y in integrands(*arrays)]
     # the terms agree to rounding (np.sin and math.sin may differ in the
     # last bit); numpy's pairwise sum is off the exact sum by at most a few
     # ulps of the terms' magnitudes per doubling of their count

@@ -283,4 +283,3 @@ def test_two_phase_report_matches_the_integrated_cycle(m1, m2, period, r):
     # the Gauss rule on each step keeps the orbit's accuracy where a phase
     # regrows steeply; composite Simpson on the 1,025 samples missed by 7e-6
     assert rep.mean_population == pytest.approx(time_average(sol), rel=1e-9)
-    assert rep.mean_condition_gap <= 1e-12 * rep.mean_population
