@@ -39,8 +39,8 @@ class CapacitySchedule:
     Concrete schedules provide ``at``, ``integral``, ``derivative`` and a
     ``period`` attribute (None when the schedule declares no period).
     ``pieces`` cuts an interval at the breakpoints and hands out each
-    smooth piece's M and dM/dt, so solvers can work right up to a
-    breakpoint without tripping the two-sided derivative error.
+    smooth piece's M and dM/dt, one-sided right up to a breakpoint, where
+    the two-sided derivative raises.
     """
 
     period: float | None = None
@@ -77,8 +77,8 @@ class CapacitySchedule:
         and returns M at each time, with the float operations of its
         scalar calls, or one level to broadcast where M is constant on
         the piece; slope takes floats only. This is the walk of
-        _staged_pieces, which each schedule defines and the solvers call,
-        so overriding pieces does not steer them.
+        _staged_pieces, which each schedule defines and the solvers and
+        cycle diagnostics read; no solver or diagnostic reads pieces.
         """
         return self._staged_pieces(t0, t1, False)[0]
 
@@ -233,7 +233,7 @@ class TwoPhase(CapacitySchedule):
         return 0.0
 
     def breakpoints_between(self, t0: float, t1: float) -> list[float]:
-        return [lo for lo, _, _, _ in self.pieces(t0, t1)][1:]
+        return [lo for lo, _, _, _ in self._staged_pieces(t0, t1, False)[0]][1:]
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         # a walk up the switch index from t0's, so a short step budget never

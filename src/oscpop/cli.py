@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -21,6 +22,7 @@ from .errors import DomainError, NumericsError
 from .settings import ScanConfig, SolverConfig
 
 OUTPUT_DIR_ENV = "OSCPOP_OUTPUT_DIR"
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _fmt(value: float) -> str:
@@ -142,6 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the built-in invariant battery")
     p.add_argument("--seed", type=int, default=0)
 
+    # argparse's private _negative_number_matcher decides whether an argument
+    # that starts with '-' is a value; on Python 3.10 and 3.11 it takes only
+    # -1 and -1.5, so "--t0 -1e3" read -1e3 as a flag. Here anything that
+    # starts like a negative float, -d, -.d, -inf or -nan, is a value
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

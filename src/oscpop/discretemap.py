@@ -378,7 +378,10 @@ def bifurcation_scan(
 
     Also reports the first control values where the detected period
     changes 1 -> 2 and 2 -> 4 between adjacent points (midpoint of the
-    bracketing pair), when present in the range.
+    bracketing pair), when present in the range. Raises ValueError,
+    before any map step, where the range's width, or m = rho / r_fixed
+    or the seed at some grid point (r_fixed too small for the grid),
+    passes the float range.
     """
     for name, value in (("rho_start", rho_start), ("rho_stop", rho_stop), ("r_fixed", r_fixed)):
         if not math.isfinite(value):
@@ -388,11 +391,16 @@ def bifurcation_scan(
     if not r_fixed > 0.0:
         raise ValueError("r_fixed must be positive")
     cfg = cfg or ScanConfig()
-    rhos = np.linspace(rho_start, rho_stop, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhos = np.linspace(rho_start, rho_stop, steps)
+        ms, seeds = rhos / r_fixed, 0.5 * (1.0 + rhos) / r_fixed
+    if not np.isfinite(rhos).all():
+        raise ValueError(f"the scan range rho_stop - rho_start = {rho_stop:g} - {rho_start:g} passes the float range")
+    if not (np.isfinite(ms).all() and np.isfinite(seeds).all()):
+        raise ValueError(f"r_fixed = {r_fixed:g} puts m = rho / r_fixed or the seed (1 + rho) / (2 r_fixed) past the float range")
     records = []
     for i in range(0, steps, _COLUMNS):
-        chunk = rhos[i : i + _COLUMNS]
-        records += _attractors(r_fixed, chunk / r_fixed, 0.5 * (1.0 + chunk) / r_fixed, cfg)
+        records += _attractors(r_fixed, ms[i : i + _COLUMNS], seeds[i : i + _COLUMNS], cfg)
     d12 = _first_transition(records, 1, 2)
     d24 = _first_transition(records, 2, 4)
     return ScanResult(records, d12, d24)

@@ -315,15 +315,23 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
         ts = np.concatenate(([t0], steps[:, 1]))
     out = _sample_steps(steps, ts)
     if shift:
-        # each piece shifts a contiguous slice of ts; a sample on a piece's
-        # end stays with that piece, as does any past the last end
-        cuts = np.searchsorted(ts, [hi for hi, _ in ends[:-1]], side="right").tolist()
-        for (_, m), a, b in zip(ends, [0, *cuts], [*cuts, ts.size]):
-            if a < b:
-                out[a:b] += 0.5 * m(ts[a:b])
+        out += 0.5 * _walk_values(ends, ts, ts)
     if ts[0] == t0:
         out[0] = p0  # W + M/2 need not round back to p0, nor y0 + 0.0 to -0.0
     return Trajectory(ts, out, meta, None if shift else steps)
+
+
+def _walk_values(pieces, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
+    # M at times from a walk's (hi, value) pieces, in order: times' last axis
+    # runs along the ascending keys, and each key's times go to the first
+    # piece whose hi is at or past the key, so a key on a piece's end stays
+    # with that piece; keys past the last end go with the last piece
+    cuts = np.searchsorted(keys, [hi for hi, _ in pieces[:-1]], side="right").tolist()
+    m = np.empty(times.shape)
+    for (_, value), a, b in zip(pieces, [0, *cuts], [*cuts, keys.size]):
+        if a < b:
+            m[..., a:b] = value(times[..., a:b])
+    return m
 
 
 def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:

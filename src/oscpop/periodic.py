@@ -23,7 +23,7 @@ import numpy as np
 from .capacity import CapacitySchedule, SolverConfig, TwoPhase
 from .closedform import LogisticParams, _propagate
 from .errors import ConvergenceError, ExponentOverflowError, NoPeriodicSolutionError
-from .odesolve import Trajectory, integrate_logistic
+from .odesolve import Trajectory, _walk_values, integrate_logistic
 
 __all__ = [
     "PeriodicSolution",
@@ -179,16 +179,12 @@ def _scaled(*arrays: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
 
 
 def _node_capacity(orbit: Trajectory, cap: CapacitySchedule) -> np.ndarray:
-    # M at the orbit's Gauss nodes, each step's from the piece it lies on:
-    # every piece ends on a step end, so its steps are one slice; a node
-    # that rounds onto a breakpoint keeps its step's piece
-    nodes, steps = orbit._gauss[0], orbit.steps
-    pieces = list(cap.pieces(float(steps[0, 0]), float(steps[-1, 1])))
-    ends = np.searchsorted(steps[:, 1], [piece[1] for piece in pieces], side="right").tolist()
-    m = np.empty(nodes.shape)
-    for (_, _, value, _), a, b in zip(pieces, [0, *ends], ends):
-        m[:, a:b] = value(nodes[:, a:b])
-    return m
+    # M at the orbit's Gauss nodes, each step's from the piece of the walk it
+    # was integrated on: every piece ends on a step end, so a step's end
+    # places it, and a node that rounds onto a breakpoint keeps its step's piece
+    steps = orbit.steps
+    walk = cap._staged_pieces(float(steps[0, 0]), float(steps[-1, 1]), False)[0]
+    return _walk_values([(hi, value) for _, hi, value, _ in walk], steps[:, 1], orbit._gauss[0])
 
 
 def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:

@@ -698,6 +698,15 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_scan_grid_past_the_float_range_is_usage_error(self, capsys):
+        # at r = 1e-320 every rho / r overflows: one stderr line and exit 2,
+        # not rows of inf under rho = inf and a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bifurcation", "--rho-min", "1", "--rho-max", "2", "--steps", "3", "--r", "1e-320")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: r_fixed = ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_battery_passes(self, capsys):

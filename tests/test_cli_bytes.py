@@ -153,6 +153,19 @@ def test_argv_bytes_match_the_record(observed, recorded, argv):
     assert observed[argv] == next((e for e in recorded if e["argv"] == argv), None)
 
 
+@pytest.mark.parametrize("rho_min", ["-1.5e0", "-15e-1", "-.15E1"])
+def test_negative_flag_value_in_exponent_form(recorded, rho_min):
+    # a flag's value may be any float literal: argparse on Python 3.10 and
+    # 3.11 took -1.5e0 for a flag and exited 2 with "expected one argument"
+    pinned = "bifurcation --rho-min -1.5 --rho-max -0.5 --steps 21"
+    argv = pinned.replace("-1.5", rho_min, 1)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.split())
+    got = {"exit": code, "stdout": _digest(out.getvalue().encode()), "stderr": _digest(err.getvalue().encode())}
+    assert got == {key: next(e for e in recorded if e["argv"] == pinned)[key] for key in got}
+
+
 def test_readme_block_lists_every_command():
     assert [argv.split()[0] for argv in _readme()] == [
         "simulate", "closed-form", "two-phase", "periodic", "bifurcation", "verify",

@@ -239,6 +239,30 @@ class TestBifurcationScan:
         with pytest.raises(ValueError):
             bifurcation_scan(1.0, 2.0, 10, r_fixed=0.0)
 
+    @pytest.mark.parametrize(
+        "rho_start, rho_stop, r_fixed",
+        [(1.0, 2.0, 1e-308), (1.0, 2.0, 1e-320), (0.0, 0.1, 1e-309)],
+        ids=["m", "subnormal-r", "seed-only"],
+    )
+    def test_grid_past_the_float_range_is_refused_before_any_step(self, monkeypatch, rho_start, rho_stop, r_fixed):
+        # rho / r_fixed, or only the seed (1 + rho) / (2 r_fixed) where rho is
+        # near 0, overflows: a ValueError naming r_fixed, not a warning and
+        # rows of inf
+        monkeypatch.setattr(oscpop.discretemap, "_attractors", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r_fixed = .* past the float range"):
+                bifurcation_scan(rho_start, rho_stop, 3, None, r_fixed)
+
+    def test_scan_range_wider_than_the_float_range_is_refused(self, monkeypatch):
+        # rho_stop - rho_start overflows, so the grid holds nan and inf; the
+        # error names the range, not r_fixed
+        monkeypatch.setattr(oscpop.discretemap, "_attractors", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"scan range rho_stop - rho_start = 1.7e\+308 - -1.7e\+308 passes"):
+                bifurcation_scan(-1.7e308, 1.7e308, 3)
+
 
 def _same_record(a, b):
     return (

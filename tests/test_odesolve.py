@@ -332,6 +332,23 @@ class TestIntegrateRiccati:
         spread = float(np.max(traj.populations) - np.min(traj.populations))
         assert spread <= 1e-5
 
+    @pytest.mark.parametrize(
+        "cap, cut",
+        [(TwoPhase(1.0, 3.0, 2.0), 1.0), (Tabulated.from_pairs([(0.0, 1.0), (0.1, 2.7), (1.1, 0.9), (2.0, 1.9)]), 1.1)],
+        ids=["switch", "knot"],
+    )
+    def test_sample_on_a_piece_end_takes_the_ending_pieces_shift(self, cap, cut):
+        # the sample on a square-wave switch or a table knot is W at the end
+        # of the piece that ends there plus that piece's M/2: the value a run
+        # ending at the cut reports, bit for bit, as the pieces up to it and
+        # their steps are the same. P stays near 0.01, so P = W + M/2 is
+        # exact and an ulp of the knot's two lines shows in it
+        params = LogisticParams(0.5, 0.01, 0.0)
+        short = integrate_riccati(params, cap, cut, TIGHT)
+        grid = np.array([0.5 * cut, cut, 0.5 * (cut + 2.0), 2.0])
+        long = integrate_riccati(params, cap, 2.0, TIGHT, t_eval=grid)
+        assert long.populations[1] == short.final
+
     def test_divergence_error(self):
         with pytest.raises(DivergenceError):
             integrate_riccati(LogisticParams(1.0, 1.0, 0.0), Constant(1e160), 1.0)

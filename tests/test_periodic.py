@@ -361,6 +361,22 @@ class TestCycleIdentities:
         assert residual == orbit_identity_residual(sol.orbit, WithExtrema()) < 1e-9
         assert square_deviation_identity(sol, Bare()) == square_deviation_identity(sol, WithExtrema())
 
+    def test_diagnostics_read_the_walk_the_orbit_was_integrated_on(self):
+        # an override of the public pieces steers neither the solve nor the
+        # diagnostics: both read the schedule's own walk, so the flat 5.0
+        # below changes no bit of any answer
+        class FlatPieces(SinusoidOffset):
+            def pieces(self, t0, t1):
+                yield t0, t1, (lambda t: 5.0), (lambda t: 0.0)
+
+        plain, flat = SinusoidOffset(2.0, 0.5, 3.0), FlatPieces(2.0, 0.5, 3.0)
+        sol, sol_flat = find_periodic_solution(1.0, plain), find_periodic_solution(1.0, flat)
+        assert sol_flat.p_star == sol.p_star
+        residual = orbit_identity_residual(sol.orbit, plain)
+        assert residual < 1e-9
+        assert orbit_identity_residual(sol_flat.orbit, flat) == residual
+        assert square_deviation_identity(sol_flat, flat) == square_deviation_identity(sol, plain)
+
 
 class TestHalfPeakFraction:
     def test_equilibrium_far_from_half_peak(self):
