@@ -3,9 +3,17 @@
 The composite growth factor rho = r * M is the only control that
 matters: the substitution x = r P / (1 + rho) turns the update into the
 standard quadratic map x -> (1 + rho) x (1 - x), an exact algebraic
-identity used both for normalization and for testing. Divergence is
-data here, never an exception: orbits that leave the basin are returned
-with a flag.
+identity used both for normalization and for testing (May 1976, Nature
+261, 459-467). Divergence is data here, never an exception: orbits that
+leave the basin are returned with a flag.
+
+Attractor detection and scans iterate q = r P, in which the update is
+q -> q + (rho - q) q: three operations a step, with no r. A scan feeds
+each grid point rho itself to the loops, and it is each record's
+control. A record reports q / r, and its seed as given. At r = 1 this
+is the population update bit for bit, since the product by r = 1.0 is
+exact. Elsewhere the two round differently: values move by rounding
+errors, and a chaotic window follows another orbit.
 
 An orbit is iterated only while its future values are unknown: the
 update is a function of one float, so once a value repeats bit for bit,
@@ -18,14 +26,15 @@ iff its last value did, and only the columns whose last value escaped,
 or that lie nearer rho = -1, are checked step by step. Once 15 or fewer
 columns remain, each finishes alone in a loop over Python floats, in
 blocks under the same rules, though most of its blocks look for the
-repeat in their last values alone. Both loops evaluate p + r (M - p) p
+repeat in their last values alone. Both loops evaluate q + (rho - q) q
 in the same order, so every record is bit-identical to a step-by-step
 loop.
 
-The window is then classified once for the whole grid: a period is
-tested only on the columns still unresolved that match at its lag, and
-the records of one period are built together. Map steps take about two
-thirds of a default scan's time, and this bookkeeping the rest.
+The window is then classified once for the whole grid, on x = q /
+(1 + rho): a period is tested only on the columns still unresolved that
+match at its lag, and the records of one period are built together. Map
+steps take about two thirds of a default scan's time, and this
+bookkeeping the rest.
 """
 from __future__ import annotations
 
@@ -64,9 +73,11 @@ _STICKY = 0.25
 # 512, and 768 to 2048 slower still (BENCH_27 sweep)
 _BLOCK = 256
 _COLUMNS = 1024  # grid points per pass, so memory stays a few window x 1024 arrays
-# this many live columns or fewer finish on Python floats: an array step
-# costs ~1.5-2.1 us from 12 to 32 columns and a Python-float column step
-# in _orbit ~85-110 ns, which break even at ~16 columns (BENCH_27 sweep)
+# this many live columns or fewer finish on Python floats: at three
+# operations a step, an array step costs ~1.1-1.8 us from 4 to 48 columns
+# and a Python-float column step in _orbit ~70-110 ns, which break even
+# at ~16 columns; in process, a scan cycle took the same time, within
+# noise, at 10, 12, 15, 18 and 21 (BENCH_43)
 _NARROW = 15
 # Python-float steps between escape and repeat checks; a block retires only
 # cycles shorter than itself, such as the exact 288- and 480-step cycles
@@ -85,41 +96,40 @@ _TAIL = 32
 _FULL = 4
 
 
-def _iterate(r: float, m: np.ndarray, rows: np.ndarray) -> None:
-    """Fill rows[1:] with successive updates of rows[0], one column per m.
+def _iterate(rho: np.ndarray, rows: np.ndarray) -> None:
+    """Fill rows[1:] with successive updates of rows[0], one column per rho.
 
-    Each column is advanced in the scalar order p + r * (m - p) * p, so
-    it is bit-identical to _steps' loop over Python floats and
-    independent of the other columns.
+    Each column q = r p is advanced as q + (rho - q) * q, which is
+    r p + r (m - p) r p, the map's update scaled by r, in three
+    operations; the order is _steps', so every column is bit-identical
+    to that loop over Python floats and independent of the others.
     """
-    # positional out arguments and an array r keep the per-step call
-    # overhead, which dominates for small grids, low
+    # positional out arguments keep the per-step call overhead, which
+    # dominates for small grids, low
     sub, mul, add = np.subtract, np.multiply, np.add
     t = np.empty_like(rows[0])
-    p = rows[0]
-    r = np.full_like(t, r)
+    q = rows[0]
     for row in rows[1:]:
-        sub(m, p, t)
-        mul(r, t, t)
-        mul(t, p, t)
-        add(p, t, row)
-        p = row
+        sub(rho, q, t)
+        mul(t, q, t)
+        add(q, t, row)
+        q = row
 
 
-def _steps(r: float, m: float, p: float, n: int) -> list[float]:
-    """The n values after p, on Python floats, in _iterate's order."""
-    return [p := p + r * (m - p) * p for _ in range(n)]
+def _steps(rho: float, q: float, n: int) -> list[float]:
+    """The n values after q, on Python floats, in _iterate's order."""
+    return [q := q + (rho - q) * q for _ in range(n)]
 
 
-def _escape_mask(r: float, unit, values: np.ndarray) -> np.ndarray:
-    """Non-finite values, or normalized values r p / unit beyond the bound."""
-    return ~np.isfinite(values) | (np.abs(r * values / unit) > _ESCAPE_BOUND)
+def _escape_mask(unit, values: np.ndarray) -> np.ndarray:
+    """Non-finite values, or normalized values q / unit beyond the bound."""
+    return ~np.isfinite(values) | (np.abs(values / unit) > _ESCAPE_BOUND)
 
 
-def _orbit(r: float, m: float, unit: float, p: float, t: int, transient: int, end: int):
-    """One column of _attractors on Python floats, from x_t = p to x_end.
+def _orbit(rho: float, unit: float, q: float, t: int, transient: int, end: int):
+    """One column of _attractors on Python floats, from q_t = q to q_end.
 
-    Returns (values, escape, before): the values of steps max(t + 1,
+    Returns (values, escape, before): the values q of steps max(t + 1,
     transient) .. end, or up to the step before `escape`, the first
     escaping step (None if there is none), and `before`, the value at
     the step before it. Each block of up to _CHUNK steps takes the array
@@ -132,12 +142,12 @@ def _orbit(r: float, m: float, unit: float, p: float, t: int, transient: int, en
     blocks = 0
     while t < end:
         n = min(_CHUNK, end - t)
-        start, chunk = p, _steps(r, m, p, n)
-        p = chunk[-1]
+        start, chunk = q, _steps(rho, q, n)
+        q = chunk[-1]
         first = max(transient - t - 1, 0)  # first chunk index in the window
         # the block escaped iff its last value did, unless the column is fickle
-        if abs(unit) < _STICKY or not math.isfinite(p) or abs(r * p / unit) > _ESCAPE_BOUND:
-            mask = _escape_mask(r, unit, np.fromiter(chunk, float, n))
+        if abs(unit) < _STICKY or not math.isfinite(q) or abs(q / unit) > _ESCAPE_BOUND:
+            mask = _escape_mask(unit, np.fromiter(chunk, float, n))
             if mask.any():
                 i = int(mask.argmax())
                 values += chunk[first:i]
@@ -145,20 +155,20 @@ def _orbit(r: float, m: float, unit: float, p: float, t: int, transient: int, en
         values += chunk[first:]
         t += n
         blocks += 1
-        # x_t == x_(t-q) for the largest such q the check covers, so the
-        # steps after t repeat chunk[n - q:]; q = 0 if it covers none. ==
+        # q_t == q_(t-k) for the largest such k the check covers, so the
+        # steps after t repeat chunk[n - k:]; k = 0 if it covers none. ==
         # also matches 0.0 with -0.0, which is safe: 0.0 maps to 0.0 and
         # only -0.0 maps to -0.0, so an orbit holding both zeros maps -0.0
         # to 0.0 too
         lo = 0 if blocks % _FULL == 0 else max(n - 1 - _TAIL, 0)
-        q = n if start == p else n - 1 - chunk.index(p, lo)
-        if q:
-            # step t + 1 + i holds chunk[n - q + i % q]; the window still
-            # needs i = k .. end - t - 1
-            k = max(transient - t - 1, 0)
-            values += islice(cycle(chunk[n - q :]), k % q, k % q + end - t - k)
+        k = n if start == q else n - 1 - chunk.index(q, lo)
+        if k:
+            # step t + 1 + i holds chunk[n - k + i % k]; the window still
+            # needs i = j .. end - t - 1
+            j = max(transient - t - 1, 0)
+            values += islice(cycle(chunk[n - k :]), j % k, j % k + end - t - j)
             break
-    return values, None, p
+    return values, None, q
 
 
 def iterate_map(r: float, m: float, p0: float, n: int) -> np.ndarray:
@@ -196,10 +206,15 @@ class BifurcationRecord:
     diverged: bool = False
 
 
-def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> list[BifurcationRecord]:
-    """detect_attractor for every column (m[i], p0[i]) at once.
+def _attractors(
+    r: float, rho: np.ndarray, q0: np.ndarray, p0: np.ndarray, cfg: ScanConfig
+) -> list[BifurcationRecord]:
+    """detect_attractor for every column at control rho[i] from q0[i] = r p0[i].
 
-    Only columns whose future values are still unknown are iterated.
+    Each column is iterated in q = r p, whose update q + (rho - q) q
+    needs no r, and its window is reported as q / r, with the seed p0
+    itself where the window starts at step 0. Only columns whose future
+    values are still unknown are iterated.
     After each block of array steps, a column that escaped is recorded
     at its first escaping step, so a diverged record holds exactly what
     a step-by-step check leaves, and a column whose last value equals an
@@ -208,30 +223,29 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
     Once at most _NARROW columns are live, each finishes in _orbit on
     Python floats. Only the detection window is kept, not the transient.
     """
-    control = r * m
-    unit = 1.0 + control
+    unit = 1.0 + rho
     transient, end = cfg.transient, cfg.transient + cfg.window - 1
-    w = np.empty((cfg.window, m.size))
-    w[0] = p0  # overwritten by the transient unless it is empty
-    escapes = []  # (column, first escaping step, the value before it)
-    # the live columns: their indices, m, unit and values at step t
-    live, ml, ul, p, t = np.arange(m.size), m, unit, p0, 0
+    w = np.empty((cfg.window, rho.size))
+    w[0] = q0  # overwritten by the transient unless it is empty
+    escapes = []  # (column, first escaping step, the q before it)
+    # the live columns: their indices, rho, unit and values q at step t
+    live, rl, ul, q, t = np.arange(rho.size), rho, unit, q0, 0
     with np.errstate(all="ignore"):
-        buf = np.empty((_BLOCK + 1, m.size))
+        buf = np.empty((_BLOCK + 1, rho.size))
         while live.size > _NARROW and t < end:
             n = min(_BLOCK, (transient if t < transient else end) - t)
             rows = buf[: n + 1, : live.size]  # rows[i] holds step t + i
-            rows[0] = p
-            _iterate(r, ml, rows)
+            rows[0] = q
+            _iterate(rl, rows)
             if t + n >= transient:
                 a = max(t + 1, transient)
                 w[a - transient : t + n + 1 - transient, live] = rows[a - t :]
             bits = rows.view(np.int64)
             repeats = (bits[:n] == bits[n]).any(axis=0)
             # only a fickle column can escape and come back within a block
-            hit = np.flatnonzero(_escape_mask(r, ul, rows[n]) | (np.abs(ul) < _STICKY))
+            hit = np.flatnonzero(_escape_mask(ul, rows[n]) | (np.abs(ul) < _STICKY))
             if hit.size:
-                mask = _escape_mask(r, ul[hit], rows[1:, hit])
+                mask = _escape_mask(ul[hit], rows[1:, hit])
                 gone = mask.any(axis=0)
                 hit, mask = hit[gone], mask[:, gone]
                 i = mask.argmax(axis=0)
@@ -252,30 +266,34 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
             if hit.size or settled.size:
                 keep = np.ones(live.size, dtype=bool)
                 keep[hit] = keep[settled] = False
-                live, ml, ul, p = live[keep], ml[keep], ul[keep], rows[n, keep]
+                live, rl, ul, q = live[keep], rl[keep], ul[keep], rows[n, keep]
             else:
-                p = rows[n]
+                q = rows[n]
         if t < end:
             a = max(t + 1, transient) - transient
-            for c, mc, uc, pc in zip(live.tolist(), ml.tolist(), ul.tolist(), p.tolist()):
-                values, step, before = _orbit(r, mc, uc, pc, t, transient, end)
+            for c, rc, uc, qc in zip(live.tolist(), rl.tolist(), ul.tolist(), q.tolist()):
+                values, step, before = _orbit(rc, uc, qc, t, transient, end)
                 w[a : a + len(values), c] = values
                 if step is not None:
                     escapes.append((c, step, before))
-        alive = np.ones(m.size, dtype=bool)
+        # the normalized coordinate, then the window as populations p = q / r
+        x = w / unit
+        np.divide(w, r, out=w)
+        if not transient:
+            w[0] = p0
+        alive = np.ones(rho.size, dtype=bool)
         diverged: dict[int, np.ndarray] = {}
         for c, step, before in escapes:
             # the window rows before the escape, or the last transient value
             alive[c] = False
+            before = p0[c] if step == 1 else before / r
             diverged[c] = w[: step - transient, c].copy() if step > transient else np.array([before])
 
         # smallest period whose shifted window matches; a period can only
         # match if the last value matches its lag, which rules out almost
         # every (period, column) pair before the full comparison
-        x = np.multiply(r, w)
-        np.divide(x, unit, out=x)
         candidate = (np.abs(x[-1] - x[-2::-1][: cfg.window // 2]) <= cfg.match_tol) & alive
-        period = np.zeros(m.size, dtype=int)
+        period = np.zeros(rho.size, dtype=int)
         # the columns still open: unresolved, with a candidate above lag
         cols, lag = np.flatnonzero(candidate.any(axis=0)), 0
         while cols.size:
@@ -312,13 +330,13 @@ def _attractors(r: float, m: np.ndarray, p0: np.ndarray, cfg: ScanConfig) -> lis
             cycles.update(zip(cols.tolist(), [v[k] for v, k in zip(values, keep)]))
 
     records = []
-    for c, (rho, p) in enumerate(zip(control.tolist(), period.tolist())):
+    for c, (control, p) in enumerate(zip(rho.tolist(), period.tolist())):
         if c in diverged:
-            records.append(BifurcationRecord(rho, diverged[c], None, diverged=True))
+            records.append(BifurcationRecord(control, diverged[c], None, diverged=True))
         elif p:
-            records.append(BifurcationRecord(rho, cycles[c], p))
+            records.append(BifurcationRecord(control, cycles[c], p))
         else:
-            records.append(BifurcationRecord(rho, w[:, c].copy(), None))
+            records.append(BifurcationRecord(control, w[:, c].copy(), None))
     return records
 
 
@@ -345,10 +363,15 @@ def detect_attractor(
     rather than read as the doubled period. An orbit that escapes (a
     non-finite value, or a normalized value past 10 in magnitude) is
     flagged diverged, and its attractor ends with the value before the
-    escape.
+    escape. The orbit is iterated in q = r p from r p0 at the control
+    r m, and reported as q / r, so r = 0, where q holds nothing of p,
+    raises ValueError.
     """
     cfg = ScanConfig(transient, window, match_tol)
-    return _attractors(r, np.array([m], dtype=float), np.array([p0], dtype=float), cfg)[0]
+    r, m, p0 = float(r), float(m), float(p0)
+    if r == 0.0:
+        raise ValueError("r must be nonzero")
+    return _attractors(r, np.array([r * m]), np.array([r * p0]), np.array([p0]), cfg)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,13 +391,15 @@ def bifurcation_scan(
     """Sweep the control rho = r * m at fixed r, tracking the attractor.
 
     Every grid point starts at the critical point of the conjugate
-    quadratic map, x = 1/2, i.e. p0 = (1 + rho) / (2 r), and the grid
+    quadratic map, x = 1/2, i.e. q0 = r p0 = (1 + rho) / 2, and the grid
     is iterated as one array until only a few points are still moving.
     The quadratic map has negative Schwarzian derivative, so an
     attracting cycle, when there is one, attracts the critical orbit
-    (Singer 1978, SIAM J. Appl. Math. 35, 260-267). Each record is
-    therefore the detect_attractor result from that seed and does not
-    depend on the rest of the grid.
+    (Singer 1978, SIAM J. Appl. Math. 35, 260-267). Each record's
+    control is the grid point itself, and the record does not depend on
+    the rest of the grid; it is the detect_attractor result from the
+    seed p0 = q0 / r wherever r (rho / r) and r p0 give rho and q0
+    back, as at every power of two.
 
     Also reports the first control values where the detected period
     changes 1 -> 2 and 2 -> 4 between adjacent points (midpoint of the
@@ -393,14 +418,15 @@ def bifurcation_scan(
     cfg = cfg or ScanConfig()
     with np.errstate(over="ignore", invalid="ignore"):
         rhos = np.linspace(rho_start, rho_stop, steps)
-        ms, seeds = rhos / r_fixed, 0.5 * (1.0 + rhos) / r_fixed
+        starts = 0.5 * (1.0 + rhos)  # q = r p at x = 1/2
+        ms, seeds = rhos / r_fixed, starts / r_fixed
     if not np.isfinite(rhos).all():
         raise ValueError(f"the scan range rho_stop - rho_start = {rho_stop:g} - {rho_start:g} passes the float range")
     if not (np.isfinite(ms).all() and np.isfinite(seeds).all()):
         raise ValueError(f"r_fixed = {r_fixed:g} puts m = rho / r_fixed or the seed (1 + rho) / (2 r_fixed) past the float range")
     records = []
     for i in range(0, steps, _COLUMNS):
-        records += _attractors(r_fixed, ms[i : i + _COLUMNS], seeds[i : i + _COLUMNS], cfg)
+        records += _attractors(r_fixed, rhos[i : i + _COLUMNS], starts[i : i + _COLUMNS], seeds[i : i + _COLUMNS], cfg)
     d12 = _first_transition(records, 1, 2)
     d24 = _first_transition(records, 2, 4)
     return ScanResult(records, d12, d24)

@@ -150,6 +150,25 @@ class TestDetectAttractor:
         rec = detect_attractor(0.5, 3.0, 1.0)
         assert rec.control == 1.5
 
+    @pytest.mark.parametrize("r", [0.0, -0.0])
+    def test_rejects_zero_r(self, r):
+        # q = r p is 0 whatever p, so q / r would report nan
+        with pytest.raises(ValueError, match="r must be nonzero"):
+            detect_attractor(r, 2.0, 0.5)
+
+    @pytest.mark.parametrize("transient", [0, 3])
+    def test_seed_is_reported_as_given(self, transient):
+        # the orbit runs in q = r p and is reported as q / r, but r p0 / r is
+        # not p0 at these r and p0: the window's first row, and the value
+        # before an escape at step 1, are the seed itself
+        r, m = 0.7, 2.9 / 0.7
+        for p0 in (0.2, 1e3):
+            assert r * p0 / r != p0
+        tame = detect_attractor(r, m, 0.2, transient=0, window=8)
+        assert tame.detected_period is None and tame.attractor[0] == 0.2
+        gone = detect_attractor(r, m, 1e3, transient=transient, window=8)
+        assert gone.diverged and gone.attractor.tolist() == [1e3]
+
 
 class TestScanConfig:
     def test_defaults(self):
@@ -232,6 +251,14 @@ class TestBifurcationScan:
         a = bifurcation_scan(1.9025, 2.0975, 40, r_fixed=1.0)
         b = bifurcation_scan(1.9025, 2.0975, 40, r_fixed=0.25)
         assert a.doubling_1_to_2 == pytest.approx(b.doubling_1_to_2, abs=1e-12)
+
+    @pytest.mark.parametrize("r_fixed", [0.7, 0.3])
+    def test_control_is_the_grid_point_at_any_r(self, r_fixed):
+        # r_fixed * (rho / r_fixed) is rho again only up to rounding: at
+        # r = 0.7 it is an ulp off at 3 of these 20 points
+        grid = np.linspace(2.5, 3.3, 20).tolist()
+        records = bifurcation_scan(2.5, 3.3, 20, r_fixed=r_fixed).records
+        assert [rec.control for rec in records] == grid
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

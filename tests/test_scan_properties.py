@@ -30,41 +30,64 @@ def _rhos(region):
 )
 def test_scan_record_equals_detect_attractor_from_the_critical_point(bounds, steps, r, transient, window):
     # [2.6, 3] is mostly chaotic, so every record kind is compared, bit for
-    # bit, with the one-point detector and the step-by-step loop; grids of
-    # more than _NARROW points start on the array steps
+    # bit, with the step-by-step loop from the grid point itself, and with
+    # the one-point detector wherever that is fed the same control and
+    # start: detect_attractor(r, m, p0) iterates from r m and r p0, which
+    # give the grid point and its start back exactly where r is a power of
+    # two. Grids of more than _NARROW points start on the array steps
     lo, hi = bounds
     cfg = ScanConfig(transient=transient, window=window)
     res = bifurcation_scan(lo, hi, steps, cfg, r_fixed=r)
     for rho, rec in zip(np.linspace(lo, hi, steps).tolist(), res.records):
-        want = detect_attractor(r, rho / r, 0.5 * (1.0 + rho) / r, transient=transient, window=window)
+        start = 0.5 * (1.0 + rho)
         values, period, diverged = _scalar_attractor(
-            r, rho / r, 0.5 * (1.0 + rho) / r, transient, window, cfg.match_tol, 10.0
+            r, rho, start, start / r, transient, window, cfg.match_tol, 10.0
         )
-        assert rec.control == want.control
-        assert rec.detected_period == want.detected_period == period
-        assert rec.diverged == want.diverged == diverged
-        assert rec.attractor.tobytes() == want.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
+        assert rec.control == rho
+        assert (rec.detected_period, rec.diverged) == (period, diverged)
+        assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
+        if r * (rho / r) == rho and r * (start / r) == start:
+            want = detect_attractor(r, rho / r, start / r, transient=transient, window=window)
+            assert (want.control, want.detected_period, want.diverged) == (rec.control, period, diverged)
+            assert want.attractor.tobytes() == rec.attractor.tobytes()
+        else:
+            assert r not in (1.0, 0.25)
+
+
+def _scalar_attractor(r, rho, q0, p0, *limits):
+    # step-by-step reference on Python floats in q = r p: from q0 = r p0,
+    # each step q + (rho - q) q, the values reported as q / r and the seed
+    # p0 as given; limits are (transient, window, match_tol, escape_bound)
+    return _loop_attractor(lambda q: q + (rho - q) * q, q0, p0, 1.0 + rho, 1.0, r, *limits)
+
+
+def _p_form_attractor(r, m, p0, *limits):
+    # the same reference on the population itself, each step p + r (m - p) p
+    return _loop_attractor(lambda p: p + r * (m - p) * p, p0, p0, 1.0 + r * m, r, 1.0, *limits)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _scalar_attractor(r, m, p0, transient, window, match_tol, escape_bound):
-    # step-by-step reference on Python floats; the normalized coordinate
-    # divides by a numpy float, so that at rho = -1 it is inf or nan
-    unit = np.float64(1.0 + r * m)
-    p = last = p0
+def _loop_attractor(step, v0, p0, unit, scale, div, transient, window, match_tol, escape_bound):
+    # iterates v from v0; scale v / unit is the normalized coordinate and
+    # v / div the reported value, the seed reported as p0. The normalized
+    # coordinate divides by a numpy float, so that at rho = -1 it is inf
+    # or nan
+    unit = np.float64(unit)
+    v, last = v0, p0
     for _ in range(transient):
-        p = p + r * (m - p) * p
-        if not np.isfinite(p) or abs(r * p / unit) > escape_bound:
+        v = step(v)
+        if not np.isfinite(v) or abs(scale * v / unit) > escape_bound:
             return [last], None, True
-        last = p
-    w = [p]
+        last = v / div
+    vs, w = [v], [last]
     for _ in range(1, window):
-        p = p + r * (m - p) * p
-        if not np.isfinite(p) or abs(r * p / unit) > escape_bound:
+        v = step(v)
+        if not np.isfinite(v) or abs(scale * v / unit) > escape_bound:
             return w, None, True
-        w.append(p)
+        vs.append(v)
+        w.append(v / div)
     w = np.array(w)
-    x = r * w / unit
+    x = scale * np.array(vs) / unit
     for period in range(1, window // 2 + 1):
         first = x[window % period :][:period]
         if (
@@ -95,7 +118,7 @@ def test_detect_attractor_equals_scalar_loop(r, rho, x0, transient, window):
     m = rho / r
     p0 = x0 * (1.0 + rho) / r
     rec = detect_attractor(r, m, p0, transient=transient, window=window)
-    values, period, diverged = _scalar_attractor(r, m, p0, transient, window, ScanConfig().match_tol, 10.0)
+    values, period, diverged = _scalar_attractor(r, r * m, r * p0, p0, transient, window, ScanConfig().match_tol, 10.0)
     assert (rec.detected_period, rec.diverged) == (period, diverged)
     assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
 
@@ -113,8 +136,9 @@ def test_narrow_escaping_scan_equals_scalar_loop(r, transient, window):
     cfg = ScanConfig(transient=transient, window=window)
     res = bifurcation_scan(lo, hi, steps, cfg, r_fixed=r)
     for rho, rec in zip(np.linspace(lo, hi, steps).tolist(), res.records):
+        start = 0.5 * (1.0 + rho)
         values, period, diverged = _scalar_attractor(
-            r, rho / r, 0.5 * (1.0 + rho) / r, transient, window, cfg.match_tol, 10.0
+            r, rho, start, start / r, transient, window, cfg.match_tol, 10.0
         )
         # a window that ends first, before step 13, sees no escape
         assert (rec.detected_period, rec.diverged) == (period, diverged) == (None, transient + window > 20)
@@ -126,7 +150,7 @@ def test_narrow_escaping_scan_equals_scalar_loop(r, transient, window):
 def test_zero_unit_equals_scalar_loop(r, p0):
     # rho = -1, so 1 + rho = 0 and r p / unit is an infinity or nan
     rec = detect_attractor(r, -1.0 / r, p0, transient=0, window=8)
-    values, period, diverged = _scalar_attractor(r, -1.0 / r, p0, 0, 8, ScanConfig().match_tol, 10.0)
+    values, period, diverged = _scalar_attractor(r, -1.0, r * p0, p0, 0, 8, ScanConfig().match_tol, 10.0)
     assert (rec.detected_period, rec.diverged) == (period, diverged)
     assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
 
@@ -142,7 +166,7 @@ def test_an_orbit_that_escapes_and_comes_back_is_diverged(monkeypatch, narrow, t
     monkeypatch.setattr(oscpop.discretemap, "_NARROW", narrow)
     p0 = 17.8 * (1.0 + rho)
     rec = detect_attractor(1.0, rho, p0, transient=transient, window=8)
-    values, period, diverged = _scalar_attractor(1.0, rho, p0, transient, 8, ScanConfig().match_tol, 10.0)
+    values, period, diverged = _scalar_attractor(1.0, rho, p0, p0, transient, 8, ScanConfig().match_tol, 10.0)
     assert diverged and rec.diverged and rec.detected_period is period is None
     assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
 
@@ -174,8 +198,9 @@ def test_default_scan_records_equal_scalar_loop(lo, hi, steps, r):
     cfg = ScanConfig()
     res = bifurcation_scan(lo, hi, steps, r_fixed=r)
     for rho, rec in zip(np.linspace(lo, hi, steps).tolist(), res.records):
+        start = 0.5 * (1.0 + rho)
         values, period, diverged = _scalar_attractor(
-            r, rho / r, 0.5 * (1.0 + rho) / r, cfg.transient, cfg.window, cfg.match_tol, 10.0
+            r, rho, start, start / r, cfg.transient, cfg.window, cfg.match_tol, 10.0
         )
         assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
         assert (rec.detected_period, rec.diverged) == (period, diverged)
@@ -187,9 +212,9 @@ def test_default_scan_examples_reach_every_path(monkeypatch):
     orbit_steps = []  # the Python-float steps of each _orbit call
     iterate, orbit, steps = dm._iterate, dm._orbit, dm._steps
 
-    def counted_iterate(r, m, rows):
+    def counted_iterate(rho, rows):
         seen["array_steps"] += rows.shape[0] - 1
-        iterate(r, m, rows)
+        iterate(rho, rows)
 
     def counted_orbit(*args):
         seen["orbits"] += 1
@@ -198,9 +223,9 @@ def test_default_scan_examples_reach_every_path(monkeypatch):
         orbit_steps.append(seen["float_steps"] - before)
         return result
 
-    def counted_steps(r, m, p, n):
+    def counted_steps(rho, q, n):
         seen["float_steps"] += n
-        return steps(r, m, p, n)
+        return steps(rho, q, n)
 
     monkeypatch.setattr(dm, "_iterate", counted_iterate)
     monkeypatch.setattr(dm, "_orbit", counted_orbit)
@@ -225,6 +250,21 @@ def test_default_scan_examples_reach_every_path(monkeypatch):
     records = bifurcation_scan(*ESCAPING[:3], r_fixed=ESCAPING[3]).records
     assert any(rec.diverged for rec in records)
     assert any(rec.detected_period is None and not rec.diverged for rec in records)
+
+
+@pytest.mark.parametrize("grid", [RETIRING, LONG, (*ESCAPING[:3], 1.0), ZERO_UNIT])
+def test_scan_at_unit_r_equals_the_population_loop(grid):
+    # at r = 1 the step in q = r p is the population step p + r (m - p) p
+    # with its product by r = 1.0, which is exact, left out
+    cfg = ScanConfig()
+    *bounds, r = grid
+    assert r == 1.0
+    for rho, rec in zip(np.linspace(*bounds).tolist(), bifurcation_scan(*bounds, r_fixed=r).records):
+        values, period, diverged = _p_form_attractor(
+            r, rho / r, 0.5 * (1.0 + rho) / r, cfg.transient, cfg.window, cfg.match_tol, 10.0
+        )
+        assert (rec.control, rec.detected_period, rec.diverged) == (r * (rho / r), period, diverged)
+        assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
 
 
 def _grid_records():
