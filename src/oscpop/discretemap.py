@@ -121,6 +121,18 @@ def _steps(rho: float, q: float, n: int) -> list[float]:
     return [q := q + (rho - q) * q for _ in range(n)]
 
 
+def _skip(rho: float, q: float, n: int) -> float:
+    """The n-th value after q, as _steps computes it, keeping no other."""
+    for _ in range(n >> 2):
+        q = q + (rho - q) * q
+        q = q + (rho - q) * q
+        q = q + (rho - q) * q
+        q = q + (rho - q) * q
+    for _ in range(n & 3):
+        q = q + (rho - q) * q
+    return q
+
+
 def _escape_mask(unit, values: np.ndarray) -> np.ndarray:
     """Non-finite values, or normalized values q / unit beyond the bound."""
     return ~np.isfinite(values) | (np.abs(values / unit) > _ESCAPE_BOUND)
@@ -140,33 +152,41 @@ def _orbit(rho: float, unit: float, q: float, t: int, transient: int, end: int):
     """
     values: list[float] = []
     blocks = 0
+    fickle = abs(unit) < _STICKY
     while t < end:
         n = min(_CHUNK, end - t)
-        start, chunk = q, _steps(rho, q, n)
+        blocks += 1
+        first = max(transient - t - 1, 0)  # first block index in the window
+        lo = 0 if blocks % _FULL == 0 else max(n - 1 - _TAIL, 0)
+        # chunk[i] holds block index s + i: the steps before s, which
+        # neither the window nor the checks read, are taken and not kept
+        s = 0 if fickle else min(first, lo)
+        start, chunk = q, _steps(rho, _skip(rho, q, s), n - s)
         q = chunk[-1]
-        first = max(transient - t - 1, 0)  # first chunk index in the window
         # the block escaped iff its last value did, unless the column is fickle
-        if abs(unit) < _STICKY or not math.isfinite(q) or abs(q / unit) > _ESCAPE_BOUND:
+        suspect = fickle or not math.isfinite(q) or abs(q / unit) > _ESCAPE_BOUND
+        if s and (suspect or start == q):
+            # the checks below read the whole block: the same floats again
+            chunk, s = _steps(rho, start, n), 0
+        if suspect:
             mask = _escape_mask(unit, np.fromiter(chunk, float, n))
             if mask.any():
                 i = int(mask.argmax())
                 values += chunk[first:i]
                 return values, t + i + 1, chunk[i - 1] if i else start
-        values += chunk[first:]
+        values += chunk[first - s :]
         t += n
-        blocks += 1
         # q_t == q_(t-k) for the largest such k the check covers, so the
-        # steps after t repeat chunk[n - k:]; k = 0 if it covers none. ==
-        # also matches 0.0 with -0.0, which is safe: 0.0 maps to 0.0 and
-        # only -0.0 maps to -0.0, so an orbit holding both zeros maps -0.0
-        # to 0.0 too
-        lo = 0 if blocks % _FULL == 0 else max(n - 1 - _TAIL, 0)
-        k = n if start == q else n - 1 - chunk.index(q, lo)
+        # steps after t repeat block indices n - k on; k = 0 if it covers
+        # none. == also matches 0.0 with -0.0, which is safe: 0.0 maps to
+        # 0.0 and only -0.0 maps to -0.0, so an orbit holding both zeros
+        # maps -0.0 to 0.0 too
+        k = n if start == q else n - 1 - s - chunk.index(q, lo - s)
         if k:
-            # step t + 1 + i holds chunk[n - k + i % k]; the window still
-            # needs i = j .. end - t - 1
+            # step t + 1 + i holds block index n - k + i % k; the window
+            # still needs i = j .. end - t - 1
             j = max(transient - t - 1, 0)
-            values += islice(cycle(chunk[n - k :]), j % k, j % k + end - t - j)
+            values += islice(cycle(chunk[n - k - s :]), j % k, j % k + end - t - j)
             break
     return values, None, q
 
@@ -253,15 +273,16 @@ def _attractors(
                 repeats[hit] = False
             settled = np.flatnonzero(repeats)
             if settled.size:
-                # x_u = rows[i0 + (u - t - i0) % q] for u >= t + i0, where
-                # i0 is the last earlier row equal to row n and q = n - i0
+                # step t + n + u holds rows[n - p + u % p], where row n - p
+                # is the last earlier row equal to row n; one index row
+                # serves every column of period p
                 repeat = bits[:n, settled] == bits[n, settled]
-                i0 = n - 1 - repeat[::-1].argmax(axis=0)
-                q = n - i0
+                period = 1 + repeat[::-1].argmax(axis=0)
                 a = max(t + n + 1, transient)
-                u = np.arange(a, end + 1)[:, None]
-                idx = i0 + (u - t - i0) % q
-                w[a - transient :, live[settled]] = np.take_along_axis(rows[:, settled], idx, axis=0)
+                u = np.arange(a - t - n, end + 1 - t - n)
+                for p in np.unique(period).tolist():
+                    cols = settled[period == p]
+                    w[a - transient :, live[cols]] = rows[:, cols][n - p + u % p]
             t += n
             if hit.size or settled.size:
                 keep = np.ones(live.size, dtype=bool)
@@ -433,11 +454,13 @@ def bifurcation_scan(
 
 
 def _first_transition(records, before: int, after: int) -> float | None:
-    # Exactly at a doubling point convergence is algebraic, so a grid
-    # point that lands there is reported unresolved (period None). Such
-    # records are skipped: the transition is still bracketed by the
+    # Records are read in ascending control order, whichever way the grid
+    # runs. Exactly at a doubling point convergence is algebraic, so a
+    # grid point that lands there is reported unresolved (period None).
+    # Such records are skipped: the transition is still bracketed by the
     # nearest resolved (or diverged) records on either side.
-    kept = [rec for rec in records if rec.detected_period is not None or rec.diverged]
+    ordered = sorted(records, key=lambda rec: rec.control)  # stable: an ascending grid keeps its order
+    kept = [rec for rec in ordered if rec.detected_period is not None or rec.diverged]
     for prev, rec in zip(kept, kept[1:]):
         if (prev.detected_period, rec.detected_period) == (before, after):
             return 0.5 * (prev.control + rec.control)

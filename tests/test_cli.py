@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import math
 import os
@@ -407,6 +408,20 @@ class TestBifurcationCommand:
         assert out.startswith("rho,branch_value\n")
         assert "doubling_1_to_2 = 2" in err
         assert "doubling_2_to_4 = not-found" in err
+
+    def test_descending_range_reports_the_doubling(self, capsys):
+        code, out, err = run(capsys, "bifurcation", "--rho-min", "2.2", "--rho-max", "1.8", "--steps", "40")
+        assert code == 0
+        # one row per value of a record's cycle: period 1 below the doubling,
+        # period 2 above it
+        rows = collections.Counter(float(line.split(",")[0]) for line in out.splitlines()[1:])
+        below = max(rho for rho, count in rows.items() if count == 1)
+        above = min(rho for rho, count in rows.items() if count == 2)
+        first = err.splitlines()[0]
+        assert first.startswith("doubling_1_to_2 = ")
+        found = float(first.removeprefix("doubling_1_to_2 = "))
+        assert found == pytest.approx(0.5 * (below + above), abs=1e-9)
+        assert found == pytest.approx(2.0, abs=0.01)
 
     def test_zero_unit_control_scans_like_any_other(self, capsys):
         # at rho = -1 the normalized coordinate r p / (1 + rho) divides by

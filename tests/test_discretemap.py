@@ -220,6 +220,16 @@ class TestBifurcationScan:
         hi = min(rec.control for rec in res.records if rec.control > target)
         assert found is not None and 2.0 * found - hi < target
 
+    def test_descending_grid_reads_the_doubling_in_control_order(self):
+        # the records run from 2.2 down to 1.8; the doubling between the
+        # last period-1 and the first period-2 control is the same
+        res = bifurcation_scan(2.2, 1.8, 40)
+        assert [rec.control for rec in res.records] == np.linspace(2.2, 1.8, 40).tolist()
+        below = max(rec.control for rec in res.records if rec.detected_period == 1)
+        above = min(rec.control for rec in res.records if rec.detected_period == 2)
+        assert res.doubling_1_to_2 == 0.5 * (below + above)
+        assert res.doubling_1_to_2 == pytest.approx(2.0, abs=0.01)
+
     def test_second_doubling_near_sqrt_six(self):
         cfg = ScanConfig(transient=30_000)
         res = bifurcation_scan(2.40, 2.50, 41, cfg)

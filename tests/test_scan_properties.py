@@ -1,4 +1,6 @@
 """Property tests of the vectorized scan against the one-point detector."""
+import math
+
 import numpy as np
 import pytest
 
@@ -209,8 +211,8 @@ def test_default_scan_records_equal_scalar_loop(lo, hi, steps, r):
 def test_default_scan_examples_reach_every_path(monkeypatch):
     dm = oscpop.discretemap
     seen = {"array_steps": 0, "orbits": 0, "float_steps": 0}
-    orbit_steps = []  # the Python-float steps of each _orbit call
-    iterate, orbit, steps = dm._iterate, dm._orbit, dm._steps
+    orbit_steps = []  # the Python-float steps of each _orbit call, kept or not
+    iterate, orbit, steps, skip = dm._iterate, dm._orbit, dm._steps, dm._skip
 
     def counted_iterate(rho, rows):
         seen["array_steps"] += rows.shape[0] - 1
@@ -227,9 +229,14 @@ def test_default_scan_examples_reach_every_path(monkeypatch):
         seen["float_steps"] += n
         return steps(rho, q, n)
 
+    def counted_skip(rho, q, n):
+        seen["float_steps"] += n
+        return skip(rho, q, n)
+
     monkeypatch.setattr(dm, "_iterate", counted_iterate)
     monkeypatch.setattr(dm, "_orbit", counted_orbit)
     monkeypatch.setattr(dm, "_steps", counted_steps)
+    monkeypatch.setattr(dm, "_skip", counted_skip)
     records = bifurcation_scan(*RETIRING[:3], r_fixed=RETIRING[3]).records
     # no point diverges, yet most leave the array steps within two blocks
     # and the rest finish on Python floats
@@ -250,6 +257,106 @@ def test_default_scan_examples_reach_every_path(monkeypatch):
     records = bifurcation_scan(*ESCAPING[:3], r_fixed=ESCAPING[3]).records
     assert any(rec.diverged for rec in records)
     assert any(rec.detected_period is None and not rec.diverged for rec in records)
+
+
+def _logged_blocks(monkeypatch):
+    # the Python-float calls in order, ("skip", n) or ("steps", n): each
+    # block takes its first steps in _skip, keeping none of them, and the
+    # rest in _steps, and takes the whole block again in _steps where its
+    # checks read all of it
+    dm = oscpop.discretemap
+    log = []
+    skip, steps = dm._skip, dm._steps
+
+    def logged_skip(rho, q, n):
+        log.append(("skip", n))
+        return skip(rho, q, n)
+
+    def logged_steps(rho, q, n):
+        log.append(("steps", n))
+        return steps(rho, q, n)
+
+    monkeypatch.setattr(dm, "_skip", logged_skip)
+    monkeypatch.setattr(dm, "_steps", logged_steps)
+    return log
+
+
+def _assert_equals_scalar_loop(rec, r, rho, start, cfg):
+    values, period, diverged = _scalar_attractor(
+        r, rho, start, start / r, cfg.transient, cfg.window, cfg.match_tol, 10.0
+    )
+    assert (rec.control, rec.detected_period, rec.diverged) == (rho, period, diverged)
+    assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("r", [1.0, 0.7])
+def test_escape_among_the_steps_a_block_does_not_keep(monkeypatch, r):
+    # past rho = 3 the critical orbit escapes within 13 steps, early in the
+    # first block, among the steps _skip takes: the block is taken again
+    # from its start to find the first escaping step and the q before it
+    dm = oscpop.discretemap
+    monkeypatch.setattr(dm, "_NARROW", 10**6)  # every column on Python floats
+    cfg = ScanConfig()
+    end = cfg.transient + cfg.window - 1
+    lo, hi, steps = 3.0 + 1e-6, 3.1, 5
+    records = bifurcation_scan(lo, hi, steps, r_fixed=r).records
+    for rho, rec in zip(np.linspace(lo, hi, steps).tolist(), records):
+        start = 0.5 * (1.0 + rho)
+        _assert_equals_scalar_loop(rec, r, rho, start, cfg)
+        q, step = start, 1
+        while math.isfinite(after := q + (rho - q) * q) and abs(after / (1.0 + rho)) <= 10.0:
+            q, step = after, step + 1
+        skipped = dm._CHUNK - 1 - dm._TAIL
+        assert step <= skipped
+        log = _logged_blocks(monkeypatch)
+        assert dm._orbit(rho, 1.0 + rho, start, 0, cfg.transient, end) == ([], step, q)
+        assert log == [("skip", skipped), ("steps", dm._TAIL + 1), ("steps", dm._CHUNK)]
+
+
+@pytest.mark.parametrize(
+    "rho, chunk, check",
+    [
+        # an exact 4-cycle, found among the block's last _TAIL + 1 values
+        (2.5, 512, "tail"),
+        # an exact 288-cycle, longer than _TAIL, found in a whole block
+        (LONG_CYCLES[0], 512, "full"),
+        # the same cycle as long as the block: the block's last value equals
+        # the value before its start, so the window is filled from all of
+        # the block, which is taken again
+        (LONG_CYCLES[0], 288, "again"),
+    ],
+)
+def test_column_retired_after_steps_not_kept_equals_scalar_loop(monkeypatch, rho, chunk, check):
+    # a lone column finishes on Python floats; every transient block
+    # before the one that retires it keeps at most its tail
+    dm = oscpop.discretemap
+    monkeypatch.setattr(dm, "_CHUNK", chunk)
+    cfg = ScanConfig()
+    log = _logged_blocks(monkeypatch)
+    start = 0.5 * (1.0 + rho)
+    rec = detect_attractor(1.0, rho, start)
+    _assert_equals_scalar_loop(rec, 1.0, rho, start, cfg)
+    blocks = sum(kind == "skip" for kind, _ in log)
+    assert blocks * chunk < cfg.transient  # it retired within the transient
+    tail = [("skip", chunk - 1 - dm._TAIL), ("steps", dm._TAIL + 1)]
+    last = {"tail": tail, "full": [("skip", 0), ("steps", chunk)], "again": [*tail, ("steps", chunk)]}[check]
+    assert log[-len(last) :] == last
+    assert (blocks % dm._FULL == 0) == (check == "full")
+
+
+@pytest.mark.parametrize("rho, x0", [(-0.95, 17.8), (-1.05, 17.8), (-0.9, 0.3), (-1.2, 0.3)])
+def test_fickle_column_keeps_every_step(monkeypatch, rho, x0):
+    # with |1 + rho| < 1/4 an escaped orbit may come back within a block,
+    # so each block is kept whole and checked at every step: from x = 17.8
+    # the orbit escapes and comes back, from 0.3 it settles at 0
+    cfg = ScanConfig()
+    log = _logged_blocks(monkeypatch)
+    p0 = x0 * (1.0 + rho)
+    rec = detect_attractor(1.0, rho, p0)
+    values, period, diverged = _scalar_attractor(1.0, rho, p0, p0, cfg.transient, cfg.window, cfg.match_tol, 10.0)
+    assert (rec.detected_period, rec.diverged) == (period, diverged) == ((None, True) if x0 > 1 else (1, False))
+    assert rec.attractor.tobytes() == np.asarray(values, dtype=float).tobytes()
+    assert log and all(call in (("skip", 0), ("steps", oscpop.discretemap._CHUNK)) for call in log)
 
 
 @pytest.mark.parametrize("grid", [RETIRING, LONG, (*ESCAPING[:3], 1.0), ZERO_UNIT])
