@@ -280,7 +280,7 @@ def _attractors(
                 period = 1 + repeat[::-1].argmax(axis=0)
                 a = max(t + n + 1, transient)
                 u = np.arange(a - t - n, end + 1 - t - n)
-                for p in np.unique(period).tolist():
+                for p in set(period.tolist()):
                     cols = settled[period == p]
                     w[a - transient :, live[cols]] = rows[:, cols][n - p + u % p]
             t += n
@@ -423,7 +423,8 @@ def bifurcation_scan(
     back, as at every power of two.
 
     Also reports the first control values where the detected period
-    changes 1 -> 2 and 2 -> 4 between adjacent points (midpoint of the
+    changes 1 -> 2 and 2 -> 4 between adjacent points in ascending
+    control order, whichever way the grid runs (midpoint of the
     bracketing pair), when present in the range. Raises ValueError,
     before any map step, where the range's width, or m = rho / r_fixed
     or the seed at some grid point (r_fixed too small for the grid),
