@@ -26,15 +26,19 @@ iff its last value did, and only the columns whose last value escaped,
 or that lie nearer rho = -1, are checked step by step. Once 15 or fewer
 columns remain, each finishes alone in a loop over Python floats, in
 blocks under the same rules, though most of its blocks look for the
-repeat in their last values alone. Both loops evaluate q + (rho - q) q
-in the same order, so every record is bit-identical to a step-by-step
-loop.
+repeat in their last values alone; the steps before the values that
+the window or a check reads are taken without being kept, and a block
+that escaped or retires whole is taken again from its start. Both
+loops evaluate q + (rho - q) q in the same order, so every record is
+bit-identical to a step-by-step loop.
 
 The window is then classified once for the whole grid, on x = q /
 (1 + rho): a period is tested only on the columns still unresolved that
 match at its lag, and the records of one period are built together. Map
 steps take about two thirds of a default scan's time, and this
-bookkeeping the rest.
+bookkeeping the rest: under cProfile, over the 63 scans of the `scan`
+benchmark's seeds 1-3, array steps took 33% and Python-float steps
+35%, of which 23% were steps kept nowhere.
 """
 from __future__ import annotations
 
@@ -73,25 +77,30 @@ _STICKY = 0.25
 # 512, and 768 to 2048 slower still (BENCH_27 sweep)
 _BLOCK = 256
 _COLUMNS = 1024  # grid points per pass, so memory stays a few window x 1024 arrays
-# this many live columns or fewer finish on Python floats: at three
-# operations a step, an array step costs ~1.1-1.8 us from 4 to 48 columns
-# and a Python-float column step in _orbit ~70-110 ns, which break even
-# at ~16 columns; in process, a scan cycle took the same time, within
-# noise, at 10, 12, 15, 18 and 21 (BENCH_43)
+# this many live columns or fewer finish on Python floats: an array step
+# costs ~1.0 us, flat from 4 to 48 columns, and a Python-float column step
+# in _orbit ~45-51 ns on a column that never retires (a kept step ~54-58
+# ns, one kept nowhere ~29-32), which break even at ~21 columns; in
+# process, the 63 benchmark scans took the same time, within noise, at
+# 12, 15, 18, 22, 26 and 30, and longer at 40 (BENCH_44)
 _NARROW = 15
 # Python-float steps between escape and repeat checks; a block retires only
 # cycles shorter than itself, such as the exact 288- and 480-step cycles
 # at rho = 2.63278 and 2.647325, and 512 timed as fast as 256 and faster
-# than 1024 and 2048 (BENCH_27 sweep)
+# than 1024 and 2048 (BENCH_27 sweep), and as fast as 1024 with the steps
+# kept nowhere (BENCH_44)
 _CHUNK = 512
 # a block's last value is compared with the _TAIL values before it, and with
 # the whole block only in every _FULL-th block: a column that never repeats
 # makes under a third of the comparisons, and a cycle longer than _TAIL,
 # such as those two, retires at most _FULL - 1 blocks later, which changes
 # no record (with _FULL = 8 one of them no longer retires before the
-# window ends). In process, over the scan ops of seeds 1-3 x cycles 0-2
-# (best of 10, interleaved), a scan cycle took 43.6-46.1 ms with the whole
-# block checked every time, 41.6-44.9 with 64 and 4, and 40.1 with 32 and 4
+# window ends). A transient block keeps only its last _TAIL + 1 values,
+# and every _FULL-th block all of them. In process, over the scan ops of
+# seeds 1-3 x cycles 0-2 (best of 10, interleaved), a scan cycle took
+# 43.6-46.1 ms with the whole block checked every time, 41.6-44.9 with 64
+# and 4, and 40.1 with 32 and 4; with the steps kept nowhere,
+# _FULL = 4, 6 and 8 timed the same within noise (BENCH_44)
 _TAIL = 32
 _FULL = 4
 
@@ -148,7 +157,9 @@ def _orbit(rho: float, unit: float, q: float, t: int, transient: int, end: int):
     loop's two rules: the first value _escape_mask flags ends the column,
     and a last value equal to an earlier one retires it, the rest of the
     window repeating the block's tail; the earlier values are the last
-    _TAIL of the block, and all of it in every _FULL-th block.
+    _TAIL of the block, and all of it in every _FULL-th block. Steps
+    that neither the window nor these checks read are taken by _skip and
+    kept nowhere.
     """
     values: list[float] = []
     blocks = 0

@@ -298,17 +298,18 @@ def test_escape_among_the_steps_a_block_does_not_keep(monkeypatch, r):
     monkeypatch.setattr(dm, "_NARROW", 10**6)  # every column on Python floats
     cfg = ScanConfig()
     end = cfg.transient + cfg.window - 1
+    skipped = dm._CHUNK - 1 - dm._TAIL
     lo, hi, steps = 3.0 + 1e-6, 3.1, 5
     records = bifurcation_scan(lo, hi, steps, r_fixed=r).records
+    log = _logged_blocks(monkeypatch)
     for rho, rec in zip(np.linspace(lo, hi, steps).tolist(), records):
         start = 0.5 * (1.0 + rho)
         _assert_equals_scalar_loop(rec, r, rho, start, cfg)
         q, step = start, 1
         while math.isfinite(after := q + (rho - q) * q) and abs(after / (1.0 + rho)) <= 10.0:
             q, step = after, step + 1
-        skipped = dm._CHUNK - 1 - dm._TAIL
         assert step <= skipped
-        log = _logged_blocks(monkeypatch)
+        log.clear()
         assert dm._orbit(rho, 1.0 + rho, start, 0, cfg.transient, end) == ([], step, q)
         assert log == [("skip", skipped), ("steps", dm._TAIL + 1), ("steps", dm._CHUNK)]
 
