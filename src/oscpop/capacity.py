@@ -11,7 +11,7 @@ import bisect
 import csv
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +113,21 @@ class CapacitySchedule:
             return (*m, *map(derivative, ts)) if shift else m
 
         return walk(), stages
+
+    def _walk_values(self, t0: float, t1: float, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
+        # M at times from the walk of pieces(t0, t1), as the solvers were
+        # integrated on it: times' last axis runs along the ascending keys,
+        # and each key's times go to the first piece whose hi is at or past
+        # the key, so a key on a piece's end stays with that piece; keys past
+        # the last end go with the last piece. One value call per piece;
+        # Tabulated gathers its lines instead
+        pieces = [(hi, value) for _, hi, value, _ in self._staged_pieces(t0, t1, False)[0]]
+        cuts = np.searchsorted(keys, [hi for hi, _ in pieces[:-1]], side="right").tolist()
+        m = np.empty(times.shape)
+        for (_, value), a, b in zip(pieces, [0, *cuts], [*cuts, keys.size]):
+            if a < b:
+                m[..., a:b] = value(times[..., a:b])
+        return m
 
     def min_value(self) -> float:
         raise NotImplementedError
@@ -299,11 +314,13 @@ class SinusoidOffset(CapacitySchedule):
         mean, period = self.mean, self.period
         scale = self.amplitude * (period / TWO_PI)
         end = math.cos(self._angle(t1))
-        out = []
-        for t0 in starts.tolist():
-            _require_ordered(t0, t1)
-            out.append(mean * (t1 - t0) + scale * (math.cos(TWO_PI * ((t0 % period) / period)) - end))
-        return out
+        xs = starts.tolist()
+        # max(xs) is the latest start unless the first is NaN, which fails too
+        if not max(xs) <= t1:
+            for t0 in xs:
+                _require_ordered(t0, t1)
+        cos = math.cos
+        return [mean * (t1 - t0) + scale * (cos(TWO_PI * ((t0 % period) / period)) - end) for t0 in xs]
 
     def derivative(self, t: float) -> float:
         return self.amplitude * (TWO_PI / self.period) * math.cos(self._angle(t))
@@ -372,11 +389,11 @@ class Tabulated(CapacitySchedule):
             raise ValueError("times and values must be 1-D arrays of equal length")
         if t.size < 2:
             raise ValueError("need at least two samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise ValueError("samples must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
             gaps = np.diff(t)  # like Python floats, an overflowing gap is inf quietly
-            if not np.all(gaps > 0.0):
+            if not (gaps > 0.0).all():
                 raise ValueError("sample times must be strictly increasing")
             # halves are summed first only where a sum of samples overflows,
             # and the running area is kept below about 2**1000 at the scale
@@ -498,6 +515,22 @@ class Tabulated(CapacitySchedule):
 
         return walk(), stages
 
+    def _walk_values(self, t0: float, t1: float, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
+        # the base class's answer without walking: the walk's cuts and each
+        # piece's segment by _staged_pieces' rule, each key's piece by the
+        # base's, and one _on_line call on the lines gathered per key
+        j0, j1 = self._locate(t0), self._locate(t1)
+        knots, last = self.times, len(self._rows) - 1
+        cuts = knots[j0 + 1 : j1 if knots[j1] == t1 else j1 + 1]
+        k0, k1 = min(j0, last), min(j1, last)
+        seg = np.arange(k0, k0 + cuts.size + 1)
+        hi = np.append(cuts, t1)
+        with np.errstate(over="ignore"):  # like Python floats, lo + hi may be inf
+            onto_hi = 0.5 * (np.insert(cuts, 0, t0) + hi) == hi
+        seg = np.where(onto_hi, np.minimum(seg + 1, k1), seg)
+        lines = self._lines.T.take(seg[np.searchsorted(cuts, keys, side="left")], axis=1)
+        return _on_line(lines, times)
+
     def min_value(self) -> float:
         return float(self.values.min())
 
@@ -534,10 +567,16 @@ def load_capacity_csv(path: str | Path) -> Tabulated:
     """Read a tabulated schedule from CSV with a header naming columns t and M.
 
     Extra columns are ignored, so files produced by the simulate command
-    (t, P, M) can be fed straight back in.
+    (t, P, M) can be fed straight back in. The file is read as UTF-8, a
+    leading byte-order mark, as spreadsheet exports write, dropped.
     """
+    return Tabulated.from_pairs(_csv_pairs(path))
+
+
+def _csv_pairs(path: str | Path) -> list[tuple[float, float]]:
+    # the (t, M) rows of a schedule file, checked as load_capacity_csv documents
     rows: list[list[str]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
             if row and any(cell.strip() for cell in row):
                 rows.append(row)
@@ -553,7 +592,7 @@ def load_capacity_csv(path: str | Path) -> Tabulated:
         raise ValueError(f"{path}: malformed schedule row ({exc})") from None
     if len(pairs) < 2:
         raise ValueError(f"{path}: need at least two data rows")
-    return Tabulated.from_pairs(pairs)
+    return pairs
 
 
 def parse_schedule(text: str) -> CapacitySchedule:
@@ -575,7 +614,7 @@ def parse_schedule(text: str) -> CapacitySchedule:
             declared = None
         if declared is None:
             return load_capacity_csv(rest.strip())
-        return replace(load_capacity_csv(path.strip()), declared_period=declared)
+        return Tabulated.from_pairs(_csv_pairs(path.strip()), declared)
     try:
         args = [float(part) for part in rest.split(",")]
     except ValueError:

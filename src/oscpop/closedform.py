@@ -157,6 +157,22 @@ def _weight(r: float, area: float) -> float:
     return math.exp(exponent)
 
 
+def _weights(r: float, areas: list) -> list:
+    # _weight of each area of a batch, as floats: the checks of _weight over
+    # the whole batch at once, then one math.exp per exponent, or _weight's
+    # error at the first area that fails them. A NaN exponent makes the sum
+    # NaN, as does +inf beside -inf, where the largest fails anyway
+    exponents = [-r * area for area in areas]
+    total = sum(exponents)
+    if (
+        total == total
+        and max(exponents) <= _MAX_EXPONENT
+        and (min(exponents) > -math.inf or math.exp(-r * sys.float_info.max) == 0.0)
+    ):
+        return list(map(math.exp, exponents))
+    return [_weight(r, area) for area in areas]
+
+
 def _propagate(params, cap, times, cfg) -> np.ndarray:
     """u = 1/P at ascending times >= t0, each the exact step from (t0, 1/p0).
 
@@ -169,8 +185,8 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
     nodes in one call, and an integral past the float range raises
     ExponentOverflowError unless its weight is 0 whatever its value. So
     does a layer too narrow for the floats near t, which no quadrature
-    can resolve. p0 = inf starts from u = 0; u = inf (P = 0) is
-    absorbing.
+    can resolve. p0 = inf starts from u = 0, whose homogeneous term is 0
+    and takes no integral of M over [t0, t]; u = inf (P = 0) is absorbing.
     """
     r, t0 = params.r, params.t0
     u0 = math.inf if params.p0 == 0.0 else 1.0 / params.p0
@@ -198,7 +214,7 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
             )
 
         def weight(s: np.ndarray, t: float = t) -> list:
-            return [_weight(r, x) for x in cap._integrals_to(s, t)]
+            return _weights(r, cap._integrals_to(s, t))
 
         points = cap.breakpoints_between(t0, t)
         d = width
@@ -206,7 +222,8 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
             points.append(t - d)
             d *= 2.0
         forcing = _qag(weight, t0, t, points, cfg)
-        out[i] = u0 * _weight(r, cap.integral(t0, t)) + r * forcing
+        # from u0 = 0 the homogeneous term is 0, and its integral of M is not taken
+        out[i] = r * forcing if u0 == 0.0 else u0 * _weight(r, cap.integral(t0, t)) + r * forcing
     return out
 
 

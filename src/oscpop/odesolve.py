@@ -6,8 +6,13 @@ Dense output is the pair's own 4th-order interpolant (Shampine 1986;
 Hairer, Norsett and Wanner, Solving ODEs I, II.6, dopri5's contd5), one
 order above a cubic Hermite, so a sampled orbit is as accurate as the
 steps it comes from and needs no extra step-size cap. Each accepted step
-is one row of seven floats (a logistic trajectory's steps), and sampling
-is one vectorized pass over the rows, linear in steps plus samples.
+is one row of seven floats (a logistic trajectory's steps). The
+interpolant's per-step coefficients (the step's width, its rise and the
+two remainders of contd5) are formed once per step, in one array with a
+row per coefficient, and sampling gathers them for all samples in one
+take along the step axis, so no sample forms them again; the cycle
+integrals' Gauss nodes read the same array. Either pass is linear in
+steps plus samples.
 
 ``_rk45`` is the one step loop of both integrators and the hot path of
 every long run. It walks the schedule's pieces itself and evaluates each
@@ -119,9 +124,9 @@ class Trajectory:
         p = np.asarray(self.populations, dtype=float)
         if t.ndim != 1 or p.ndim != 1 or t.shape != p.shape or t.size < 1:
             raise ValueError("times and populations must be matching 1-D arrays")
-        if t.size > 1 and not np.all(np.diff(t) > 0.0):
+        if not (t[1:] > t[:-1]).all():
             raise ValueError("sample times must be strictly increasing")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValueError("populations must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "populations", p)
@@ -134,18 +139,25 @@ class Trajectory:
         return float(self.populations[-1])
 
     @cached_property
+    def _coefficients(self) -> np.ndarray:
+        # the step record's continuous-extension coefficients, _step_coefficients'
+        # array; the integrator that sampled with them hands them over
+        return _step_coefficients(self.steps)
+
+    @cached_property
     def _gauss(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(nodes, weights, p), one row per node and one column per step:
         the 4-point Gauss-Legendre nodes of every accepted step, their
         weights times the step widths and P at them from the continuous
-        extension. Built on first use and kept, read-only, so the cycle
-        integrals of one orbit share one extension pass. ValueError for a
-        trajectory without steps."""
+        extension, all read from the per-step coefficients that sampled
+        the trajectory. Built on first use and kept, read-only, so the
+        cycle integrals of one orbit share one extension pass. ValueError
+        for a trajectory without steps."""
         if self.steps is None:
             raise ValueError("cycle integrals need the orbit's RK45 step record (Trajectory.steps)")
-        cols = self.steps.T[:, None, :]
-        dt = cols[1] - cols[0]
-        record = cols[0] + _GAUSS_THETA * dt, _GAUSS_WEIGHTS * dt, _extension(cols, _GAUSS_THETA)
+        c = self._coefficients[1:]
+        t0, dt = c[0], c[1]
+        record = t0 + _GAUSS_THETA * dt, _GAUSS_WEIGHTS * dt, _extension(c, _GAUSS_THETA)
         for array in record:
             array.flags.writeable = False
         return record
@@ -196,8 +208,6 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     isfinite = math.isfinite
     record: list[float] = []
     extend = record.extend
-    # (hi, M) at each piece end; only the M/2 shift reads them
-    ends: list[tuple] = []
     left = cfg.max_iterations
     n_rej = n_pieces = 0
     h_min, h_max = math.inf, 0.0
@@ -303,35 +313,25 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
         h = h_next
         if shift:
             y = y + 0.5 * (m1 if levels else m(hi))
-            ends.append((hi, m))
     n_acc = len(record) // 7
     # every piece spans lo < hi, so at least one step was accepted
     meta = SolverStats(solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min, h_max)
     # the record becomes the (n, 7) step array, released before sampling;
-    # a logistic trajectory keeps the array
+    # a logistic trajectory keeps the array and the coefficients sampled from
     steps = np.fromiter(record, float, 7 * n_acc).reshape(n_acc, 7)
     record.clear()
+    coef = _step_coefficients(steps)
     if ts is None:  # the step ends, where sampling returns each step's end value
-        ts = np.concatenate(([t0], steps[:, 1]))
-    out = _sample_steps(steps, ts)
+        ts = np.concatenate(([t0], coef[0]))
+    out = _sample_steps(coef, ts)
     if shift:
-        out += 0.5 * _walk_values(ends, ts, ts)
+        out += 0.5 * cap._walk_values(t0, t_end, ts, ts)
     if ts[0] == t0:
         out[0] = p0  # W + M/2 need not round back to p0, nor y0 + 0.0 to -0.0
-    return Trajectory(ts, out, meta, None if shift else steps)
-
-
-def _walk_values(pieces, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
-    # M at times from a walk's (hi, value) pieces, in order: times' last axis
-    # runs along the ascending keys, and each key's times go to the first
-    # piece whose hi is at or past the key, so a key on a piece's end stays
-    # with that piece; keys past the last end go with the last piece
-    cuts = np.searchsorted(keys, [hi for hi, _ in pieces[:-1]], side="right").tolist()
-    m = np.empty(times.shape)
-    for (_, value), a, b in zip(pieces, [0, *cuts], [*cuts, keys.size]):
-        if a < b:
-            m[..., a:b] = value(times[..., a:b])
-    return m
+    orbit = Trajectory(ts, out, meta, None if shift else steps)
+    if not shift:
+        orbit.__dict__["_coefficients"] = coef  # the cached property's value: _gauss forms none
+    return orbit
 
 
 def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
@@ -341,38 +341,73 @@ def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:
     if not np.isfinite(ts).all():
         # NaN passes both range comparisons below
         raise ValueError("t_eval must be finite")
-    if ts.size > 1 and not np.all(np.diff(ts) > 0.0):
+    if not (ts[1:] > ts[:-1]).all():
         raise ValueError("t_eval must be strictly increasing")
     if ts[0] < t0 or ts[-1] > t_end:
         raise ValueError("t_eval must lie within the integration interval")
     return ts
 
 
-def _sample_steps(steps, ts: np.ndarray) -> np.ndarray:
+def _step_coefficients(steps) -> np.ndarray:
+    """The (9, n) per-step coefficients of the continuous extension of n
+    step rows (t0, t1, y0, y1, f0, f1, dk): one row each of t1, t0, dt =
+    t1 - t0, y0, delta = y1 - y0, r3 = dt f0 - delta, r4 = delta - dt f1
+    - r3, dt dk and y1, formed once per step with contd5's operations.
+    t1 is the first row, so the step ends are one contiguous array."""
+    # the columns t1, t0, t1, y0, y1, f0, f1, dk, y1, then rows 2 and 4 to 7
+    # worked in place into their coefficients
+    c = np.asarray(steps, dtype=float).T.take([1, 0, 1, 2, 3, 4, 5, 6, 3], axis=0)
+    _, _, dt, _, delta, r3, r4, dtdk, _ = c
+    dt -= c[1]
+    delta -= c[3]
+    r3 *= dt
+    r3 -= delta
+    r4 *= dt
+    np.subtract(delta, r4, out=r4)
+    r4 -= r3
+    dtdk *= dt
+    return c
+
+
+def _sample_steps(coef: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Continuous-extension dense output at ts, in one vectorized pass.
 
-    steps holds one row (t0, t1, y0, y1, f0, f1, dk) per step. A sample
-    on a step end is the end value of the step that ends there, exactly;
-    samples past the last end use the last step.
+    coef holds _step_coefficients' rows. Each sample's step is found on
+    the contiguous step ends, and the coefficients of all samples' steps
+    are gathered in one take along the step axis, so the samples pay for
+    the extension itself only. A sample on a step end is the end value of
+    the step that ends there, exactly; samples past the last end use the
+    last step.
     """
-    cols = np.asarray(steps, dtype=float)
-    n = len(cols)
-    rows = cols[np.minimum(np.searchsorted(cols[:, 1], ts, side="left"), n - 1)].T
-    theta = (ts - rows[0]) / (rows[1] - rows[0])
+    ends = coef[0]
+    i = np.searchsorted(ends, ts, side="left")
+    np.minimum(i, ends.size - 1, out=i)
+    rows = coef[1:].take(i, axis=1)
+    theta = ts - rows[0]
+    theta /= rows[1]
+    out = _extension(rows, theta)
     # y0 + (y1 - y0) need not round back to y1
-    return np.where(theta == 1.0, rows[3], _extension(rows, theta))
+    np.copyto(out, rows[7], where=theta == 1.0)
+    return out
 
 
-def _extension(cols, theta):
+def _extension(c, theta):
     """The continuous extension (dopri5's contd5) at fractions theta of the
-    steps whose columns t0, t1, y0, y1, f0, f1, dk cols holds, broadcast."""
-    t0, t1, y0, y1, f0, f1, dk = cols
-    dt = t1 - t0
+    steps whose coefficient rows t0, dt, y0, delta, r3, r4, dt dk, y1 c
+    holds (_step_coefficients' rows after t1), broadcast, as one new array
+    updated in place."""
+    _, _, y0, delta, r3, r4, dtdk, _ = c
     omt = 1.0 - theta
-    delta = y1 - y0
-    r3 = dt * f0 - delta
-    r4 = delta - dt * f1 - r3
-    return y0 + theta * (delta + omt * (r3 + theta * (r4 + omt * (dt * dk))))
+    # y0 + theta (delta + omt (r3 + theta (r4 + omt dt dk))), inside out
+    out = omt * dtdk
+    out += r4
+    out *= theta
+    out += r3
+    out *= omt
+    out += delta
+    out *= theta
+    out += y0
+    return out
 
 
 def integrate_logistic(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
@@ -495,14 +530,14 @@ def _rate(f_nodes, edges) -> list:
     nodes = centre[:, None] + half[:, None] * _NODE_OFFSETS
     nodes[:, 0] = centre
     fx = f_nodes(nodes.ravel())
+    kc, gc = _KRONROD_CENTRE, _GAUSS_CENTRE
+    (_, k1, g1), (_, k2, g2), (_, k3, g3), (_, k4, g4), (_, k5, g5), (_, k6, g6), (_, k7, g7) = _KRONROD_ROWS
     rated = []
-    for i, h in enumerate(half.tolist()):
-        row = fx[15 * i : 15 * i + 15]
-        kronrod = _KRONROD_CENTRE * row[0]
-        gauss = _GAUSS_CENTRE * row[0]
-        for (_, wk, wg), below, above in zip(_KRONROD_ROWS, row[1::2], row[2::2]):
-            pair = below + above
-            kronrod += wk * pair
-            gauss += wg * pair
+    # each sum runs term by term from the centre's, the zero Gauss weights'
+    # terms included (0 * inf is NaN), unrolled over a panel's 15 values
+    for h, (f0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7) in zip(half.tolist(), zip(*[iter(fx)] * 15)):
+        p1, p2, p3, p4, p5, p6, p7 = a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6, a7 + b7
+        kronrod = kc * f0 + k1 * p1 + k2 * p2 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7
+        gauss = gc * f0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4 + g5 * p5 + g6 * p6 + g7 * p7
         rated.append((kronrod * h, abs((kronrod - gauss) * h)))
     return rated

@@ -23,7 +23,7 @@ import numpy as np
 from .capacity import CapacitySchedule, SolverConfig, TwoPhase
 from .closedform import LogisticParams, _propagate
 from .errors import ConvergenceError, ExponentOverflowError, NoPeriodicSolutionError
-from .odesolve import Trajectory, _walk_values, integrate_logistic
+from .odesolve import Trajectory, integrate_logistic
 
 __all__ = [
     "PeriodicSolution",
@@ -155,7 +155,7 @@ def find_periodic_solution(
     )
     if cap.period is not None:  # else _cycle_start raises
         grid = np.linspace(0.0, cap.period, _ORBIT_PANELS + 1)
-        if not np.all(grid[1:] > grid[:-1]):
+        if not (grid[1:] > grid[:-1]).all():
             raise ValueError(f"period {cap.period} is too short for {_ORBIT_PANELS + 1} strictly increasing print times")
     h, _, p_star = _cycle_start(start, cap, inner)
     orbit = integrate_logistic(LogisticParams(r, p_star, 0.0), cap, h, inner, t_eval=grid)
@@ -183,8 +183,7 @@ def _node_capacity(orbit: Trajectory, cap: CapacitySchedule) -> np.ndarray:
     # was integrated on: every piece ends on a step end, so a step's end
     # places it, and a node that rounds onto a breakpoint keeps its step's piece
     steps = orbit.steps
-    walk = cap._staged_pieces(float(steps[0, 0]), float(steps[-1, 1]), False)[0]
-    return _walk_values([(hi, value) for _, hi, value, _ in walk], steps[:, 1], orbit._gauss[0])
+    return cap._walk_values(float(steps[0, 0]), float(steps[-1, 1]), orbit._coefficients[0], orbit._gauss[0])
 
 
 def orbit_identity_residual(orbit: Trajectory, cap: CapacitySchedule) -> float:

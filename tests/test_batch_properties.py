@@ -8,6 +8,7 @@ one-at-a-time computation it replaces: the schedule's integral one bound
 at a time (a table's from the shared reference), and a loop over the
 steps, one node at a time; the integrals only to their summation order.
 """
+import bisect
 import math
 import sys
 import warnings
@@ -19,6 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from oscpop import (  # noqa: E402
+    CapacitySchedule,
     Constant,
     LogisticParams,
     ScheduleRangeError,
@@ -115,6 +117,8 @@ def sinusoid_bounds(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=table_bounds() | sinusoid_bounds())
+# a NaN start first, which Python's max keeps, then a start past t1
+@example(case=(SinusoidOffset(1.0, 0.5, 2.0), np.array([math.nan, 0.5, 3.0, 4.0]), 1.0))
 # a segment one subnormal wide, whose slope overflows: the reference
 # never forms it at a knot, and the array pass must not warn about it
 @example(case=(Tabulated(np.array([0.0, 5e-324, 1.0]), np.array([1.0, 2.0, 1.0])), np.array([0.0, 5e-324, 1.0]), 1.0))
@@ -229,3 +233,61 @@ def test_adaptive_quadrature_calls_f_with_floats(a, width, points):
 
     adaptive_quadrature(f, a, a + width, points)
     assert seen and set(seen) == {float}
+
+
+def _walk_values_per_piece(cap, t0, t1, keys, times):
+    """M at times one key at a time on the walk of pieces(t0, t1): each
+    key's times from the value of the first piece whose hi is at or past
+    the key, the last piece's for keys past the last end."""
+    pieces = [(hi, value) for _, hi, value, _ in cap.pieces(t0, t1)]
+    his = [hi for hi, _ in pieces]
+    m = np.empty(times.shape)
+    for i, key in enumerate(keys.tolist()):
+        m[..., i] = pieces[min(bisect.bisect_left(his, key), len(pieces) - 1)][1](times[..., i])
+    return m
+
+
+@st.composite
+def table_walks(draw):
+    """(table, t0, t1, keys, times): a walk between two points of a table's
+    range, ascending keys, step ends among them, and times on one or four
+    rows, with knots, their float neighbours and the walk's ends drawn often,
+    so that keys and times land on a piece end and pieces one float wide
+    occur."""
+    cap = draw(tables())
+    knots = cap.times.tolist()
+    lo, hi = knots[0], knots[-1]
+
+    def point():
+        t = draw(st.sampled_from(knots) | st.floats(lo, hi))
+        t = draw(st.sampled_from([t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]))
+        return min(max(t, lo), hi)
+
+    t0, t1 = sorted((point(), point()))
+    inner = [t for t in knots if t0 < t < t1]
+    keys = sorted({min(max(point(), t0), t1) for _ in range(draw(st.integers(0, 12)))} | {t1} | set(inner[: draw(st.integers(0, len(inner)))]))
+    rows = draw(st.sampled_from([(), (4,)]))
+    times = np.array([[point() for _ in keys] for _ in range(rows[0] if rows else 1)]).reshape(*rows, len(keys))
+    return cap, t0, t1, np.array(keys), times
+
+
+# the first piece one float wide, its midpoint rounding onto its hi, so it
+# takes the next segment's line
+STEEP = Tabulated(np.array([0.0, 1.0, 2.0]), np.array([0.0, 5.0, 1.0]))
+BELOW_KNOT = math.nextafter(1.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk=table_walks())
+@example(walk=(STEEP, BELOW_KNOT, 2.0, np.array([1.0, 1.5, 2.0]), np.array([[BELOW_KNOT, 1.0, 2.0], [0.5, 1.5, 0.25]] * 2)))
+@example(walk=(STEEP, BELOW_KNOT, 2.0, np.array([BELOW_KNOT, 2.0]), np.array([0.5, 1.5])))
+# a one-piece walk, inside one segment and from a knot to a point of the next
+@example(walk=(STEEP, 0.25, 0.75, np.array([0.5, 0.75]), np.array([0.3, 0.6])))
+@example(walk=(STEEP, 1.0, 1.5, np.array([1.0, 1.5]), np.array([[1.0, 1.5]] * 4)))
+def test_table_gather_is_the_per_piece_walk(walk):
+    cap, t0, t1, keys, times = walk
+    got = cap._walk_values(t0, t1, keys, times)
+    assert got.shape == times.shape
+    assert got.tobytes() == _walk_values_per_piece(cap, t0, t1, keys, times).tobytes()
+    # and the base class's per-piece pass, which every other schedule runs
+    assert got.tobytes() == CapacitySchedule._walk_values(cap, t0, t1, keys, times).tobytes()

@@ -820,6 +820,18 @@ class TestCsvLoading:
         with pytest.raises(ValueError, match=message):
             load_capacity_csv(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet exports lead with a UTF-8 byte-order mark, which must
+        # not become part of the first header cell
+        text = "t,M\n0,1.0\n1,2.5\n2,1.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want, got = load_capacity_csv(plain), load_capacity_csv(marked)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert parse_schedule(f"table:{marked},2").values.tobytes() == want.values.tobytes()
+
 
 class TestParseSchedule:
     def test_constant(self):
@@ -889,6 +901,25 @@ class TestParseSchedule:
         assert cap.times.tobytes() == plain.times.tobytes()
         assert cap.values.tobytes() == plain.values.tobytes()
         assert cap.integral(0.0, 2.0) == plain.integral(0.0, 2.0) == 3.0
+
+    def test_table_with_declared_period_is_built_once(self, tmp_path, monkeypatch):
+        # the pairs are read once and the table built once, with its period
+        path = tmp_path / "cap.csv"
+        path.write_text("t,M\n0,1\n0.5,2.5\n2,1\n")
+        want = Tabulated.from_pairs([(0.0, 1.0), (0.5, 2.5), (2.0, 1.0)], 2.0)
+        builds = []
+        build = Tabulated.__post_init__
+
+        def counted(self):
+            builds.append(self.declared_period)
+            build(self)
+
+        monkeypatch.setattr(Tabulated, "__post_init__", counted)
+        cap = parse_schedule(f"table:{path},2")
+        assert builds == [2.0]
+        for name in ("times", "values", "_cum", "_lines"):
+            assert getattr(cap, name).tobytes() == getattr(want, name).tobytes()
+        assert (cap.declared_period, cap._shift, cap._rows, cap._knots) == (2.0, want._shift, want._rows, want._knots)
 
     def test_table_path_with_a_comma(self, tmp_path):
         # only a float after the last comma is a period

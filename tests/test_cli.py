@@ -320,6 +320,17 @@ class TestPeriodicCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "declared_period" in err
 
+    def test_table_with_a_byte_order_mark(self, sinusoid_table, tmp_path, capsys):
+        # a spreadsheet export's leading byte-order mark: the same floats, so
+        # the same bytes, as the file without it, with and without a period
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + sinusoid_table.read_bytes())
+        for tail, command in (("", ["simulate", "--p0", "1", "--t-end", "6", "--dt", "0.5"]), (",6", ["periodic"])):
+            outputs = []
+            for path in (sinusoid_table, marked):
+                outputs.append(run(capsys, command[0], "--schedule", f"table:{path}{tail}", "--r", "1", *command[1:]))
+            assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
     def test_table_without_period_has_no_cycle(self, sinusoid_table, capsys):
         code, _, err = run(capsys, "periodic", "--schedule", f"table:{sinusoid_table}", "--r", "1")
         assert (code, err) == (2, "error: schedule declares no period\n")

@@ -20,7 +20,7 @@ from oscpop import (
     reciprocal_solution,
     two_phase_trajectory,
 )
-from oscpop.closedform import _propagate
+from oscpop.closedform import _propagate, _weight, _weights
 
 TIGHT = SolverConfig(abs_tol=1e-13, rel_tol=1e-11)
 
@@ -361,6 +361,52 @@ class TestOnePassOverTimes:
         times = (params.t0 + dt * np.arange(20)).tolist()
         alone = [reciprocal_solution(params, cap, t) for t in times]
         assert _propagate(params, cap, times, None).tobytes() == np.array(alone).tobytes()
+
+
+class TestBatchWeights:
+    # the quadrature's weights check a whole batch of nodes at once, and
+    # must raise _weight's own error at the first node that fails, in order
+    TINY_R = 1e-310  # exp(-r * the largest float) > 0: an infinite area is unknown
+
+    @staticmethod
+    def _loop(r, areas):
+        return [_weight(r, a) for a in areas]
+
+    @pytest.mark.parametrize(
+        "r, areas",
+        [
+            (1.0, [0.5, -1.0, 0.0, -0.0, 3.0]),
+            # an infinite area at an ordinary rate: the weight is 0, no error
+            (1.0, [1.0, math.inf, 2.0]),
+            (TINY_R, [1.0, -1e300, 1e300]),
+        ],
+    )
+    def test_the_loops_floats(self, r, areas):
+        got = _weights(r, areas)
+        assert all(type(w) is float for w in got)
+        assert [w.hex() for w in got] == [w.hex() for w in self._loop(r, areas)]
+
+    @pytest.mark.parametrize(
+        "r, areas, message",
+        [
+            # one failing kind alone in its batch, then each before the other
+            (1.0, [1.0, math.nan, 2.0], "the capacity integral leaves the float range"),
+            (TINY_R, [1.0, math.inf, 2.0], "the capacity integral leaves the float range"),
+            (1.0, [1.0, -701.0, 2.0], "weight exponent 701 > 700"),
+            (1.0, [1.0, math.nan, -701.0], "the capacity integral leaves the float range"),
+            (1.0, [1.0, -701.0, math.nan], "weight exponent 701 > 700"),
+            (TINY_R, [1.0, math.inf, -math.inf], "the capacity integral leaves the float range"),
+            (TINY_R, [1.0, -math.inf, math.inf], "weight exponent inf > 700"),
+            (1.0, [-750.0, math.nan], "weight exponent 750 > 700"),
+            # +inf beside -inf: the sum is NaN, the first failing exponent decides
+            (1.0, [math.inf, -800.0], "weight exponent 800 > 700"),
+        ],
+    )
+    def test_the_first_failing_node_raises(self, r, areas, message):
+        for call in (_weights, self._loop):
+            with pytest.raises(ExponentOverflowError) as raised:
+                call(r, areas)
+            assert str(raised.value) == message
 
 
 class TestReciprocalSolution:

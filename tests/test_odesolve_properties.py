@@ -1,5 +1,7 @@
 """Property tests of the RK45 dense output in oscpop.odesolve."""
 import bisect
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from oscpop import (  # noqa: E402
     integrate_logistic,
     integrate_riccati,
 )
-from oscpop.odesolve import _sample_steps  # noqa: E402
+from oscpop import odesolve  # noqa: E402
+from oscpop.odesolve import _sample_steps, _step_coefficients  # noqa: E402
 from reference import contd5, near  # noqa: E402
 
 INTEGRATORS = [integrate_logistic, integrate_riccati]
@@ -118,4 +121,50 @@ def test_vectorized_sampler_matches_the_per_sample_loop(widths, data):
     # step ends, their float neighbours, and a sample just past the last end
     probes = near(ends)
     ts = np.unique(np.concatenate((probes[probes >= 0.0], extra)))
-    assert np.array_equal(_sample_steps(steps, ts), continuous_extension_loop(steps, ts))
+    assert np.array_equal(_sample_steps(_step_coefficients(steps), ts), continuous_extension_loop(steps, ts))
+
+
+def test_one_step_record_is_the_per_sample_loop():
+    # the start, the end, their float neighbours, and samples past the end
+    step = (0.5, 1.25, 0.3, 0.9, 0.7, -0.2, 0.15)
+    ts = np.array([0.5, math.nextafter(0.5, 1.0), 0.8, math.nextafter(1.25, 0.0), 1.25, math.nextafter(1.25, 2.0), 2.0])
+    got = _sample_steps(_step_coefficients([step]), ts)
+    assert got.tobytes() == continuous_extension_loop([step], ts).tobytes()
+    assert got[4] == step[3]
+
+
+def _sampled(integrate, p, cap, t_end, t_eval):
+    """(step rows, sample times, dense output) of one integrator call, as
+    its continuous-extension pass saw them, before the M/2 of the Riccati
+    route and the initial condition are put in."""
+    seen = []
+
+    def coefficients(steps):
+        seen.append(np.array(steps))
+        return _step_coefficients(steps)
+
+    def sample(coef, ts):
+        out = _sample_steps(coef, ts)
+        seen.extend((ts.copy(), out.copy()))
+        return out
+
+    with mock.patch.object(odesolve, "_step_coefficients", coefficients), mock.patch.object(odesolve, "_sample_steps", sample):
+        integrate(p, cap, t_end, t_eval=t_eval)
+    return seen
+
+
+@pytest.mark.parametrize("integrate", INTEGRATORS)
+@settings(max_examples=60, deadline=None)
+@given(p=params, sched=schedules(), data=st.data())
+def test_integrators_sample_by_the_per_sample_loop(integrate, p, sched, data):
+    # the step ends (step mode), then the grid with some of those ends and
+    # their float neighbours: the steps do not depend on the samples
+    cap, t_end, grid = sched
+    steps, ends, out = _sampled(integrate, p, cap, t_end, None)
+    assert out.tobytes() == continuous_extension_loop(steps.tolist(), ends).tobytes()
+    picked = data.draw(st.lists(st.sampled_from(ends.tolist()), max_size=10))
+    ts = np.unique(np.concatenate((grid, near(picked) if picked else [])))
+    ts = ts[(ts >= 0.0) & (ts <= t_end)]
+    again, ts_seen, out = _sampled(integrate, p, cap, t_end, ts)
+    assert again.tobytes() == steps.tobytes() and ts_seen.tobytes() == ts.tobytes()
+    assert out.tobytes() == continuous_extension_loop(steps.tolist(), ts).tobytes()

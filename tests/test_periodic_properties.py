@@ -182,7 +182,7 @@ def test_half_peak_fraction_matches_a_fine_sampling_of_the_steps(cycle):
     h, peak = cap.period, cap.max_value()
     sol = find_periodic_solution(r, cap)
     t = np.linspace(0.0, h, 2**18 + 1)
-    fine = _band_fraction(t, _sample_steps(sol.orbit.steps, t), 0.5 * peak - 0.1 * peak, 0.5 * peak + 0.1 * peak)
+    fine = _band_fraction(t, _sample_steps(sol.orbit._coefficients, t), 0.5 * peak - 0.1 * peak, 0.5 * peak + 0.1 * peak)
     assert abs(half_peak_fraction(sol, cap) - fine) <= 1e-4
 
 
