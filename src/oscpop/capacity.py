@@ -485,6 +485,19 @@ class Tabulated(CapacitySchedule):
         knots = self._knots
         return knots[bisect.bisect_right(knots, t0) : bisect.bisect_left(knots, t1)]
 
+    def _plan(self, t0: float, t1: float) -> tuple[list, list]:
+        # (cuts, segments): the walk of pieces(t0, t1), the one place its rules
+        # live. Both ends are located, and so range-checked, once each; the
+        # cuts are the knots between them, and piece j lies on segment
+        # k = k0 + j, or on its hi's, k + 1 up to k1, where its midpoint rounds
+        # onto hi. Python floats, so lo + hi overflows to inf quietly
+        j0, j1 = self._locate(t0), self._locate(t1)
+        knots, last = self._knots, len(self._rows) - 1
+        cuts = knots[j0 + 1 : j1 if knots[j1] == t1 else j1 + 1]
+        k0, k1 = min(j0, last), min(j1, last)
+        los, his = [t0, *cuts], [*cuts, t1]
+        return cuts, [min(k + 1, k1) if 0.5 * (lo + hi) == hi else k for k, lo, hi in zip(range(k0, k0 + len(his)), los, his)]
+
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         # one evaluator for the whole walk, on the line of the piece the walk
         # handed out last, so a piece makes no closure but its slope
@@ -492,15 +505,9 @@ class Tabulated(CapacitySchedule):
 
         def walk():
             nonlocal line
-            # both ends are located, and so range-checked, before the first
-            # piece; the cuts are the knots between them, and piece j lies on
-            # segment k0 + j, or on its hi's where its midpoint rounds onto hi
-            j0, j1 = self._locate(t0), self._locate(t1)
-            rows, knots = self._rows, self._knots
-            cuts = knots[j0 + 1 : j1 if knots[j1] == t1 else j1 + 1]
-            k0, k1 = min(j0, len(rows) - 1), min(j1, len(rows) - 1)
-            for j, (lo, hi) in enumerate(zip([t0, *cuts], [*cuts, t1])):
-                line = rows[min(k0 + j + 1, k1) if 0.5 * (lo + hi) == hi else k0 + j]
+            # the plan is made, and both ends checked, before the first piece
+            cuts, segments = self._plan(t0, t1)
+            for lo, hi, line in zip([t0, *cuts], [*cuts, t1], map(self._rows.__getitem__, segments)):
                 # the default binds this piece's slope, not the walk's last
                 yield lo, hi, functools.partial(_on_line, line), lambda t, s=line[3] * line[2]: s
 
@@ -516,19 +523,12 @@ class Tabulated(CapacitySchedule):
         return walk(), stages
 
     def _walk_values(self, t0: float, t1: float, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
-        # the base class's answer without walking: the walk's cuts and each
-        # piece's segment by _staged_pieces' rule, each key's piece by the
-        # base's, and one _on_line call on the lines gathered per key
-        j0, j1 = self._locate(t0), self._locate(t1)
-        knots, last = self.times, len(self._rows) - 1
-        cuts = knots[j0 + 1 : j1 if knots[j1] == t1 else j1 + 1]
-        k0, k1 = min(j0, last), min(j1, last)
-        seg = np.arange(k0, k0 + cuts.size + 1)
-        hi = np.append(cuts, t1)
-        with np.errstate(over="ignore"):  # like Python floats, lo + hi may be inf
-            onto_hi = 0.5 * (np.insert(cuts, 0, t0) + hi) == hi
-        seg = np.where(onto_hi, np.minimum(seg + 1, k1), seg)
-        lines = self._lines.T.take(seg[np.searchsorted(cuts, keys, side="left")], axis=1)
+        # the base class's answer without walking: the walk's own plan, the
+        # table walk's one rule, gives the cuts and each piece's segment; each
+        # key goes to its piece by the base's rule, and one _on_line call reads
+        # the lines gathered per key
+        cuts, segments = self._plan(t0, t1)
+        lines = self._lines.T.take(np.array(segments)[np.searchsorted(cuts, keys, side="left")], axis=1)
         return _on_line(lines, times)
 
     def min_value(self) -> float:

@@ -707,6 +707,15 @@ class TestPieces:
             for cap in (small, large)
         ]
         assert counts[0] == counts[1] <= 2
+        # M on the walk in one pass: the same two searches for the ends, and
+        # one more that puts every key on its piece
+        walks = [(cap, cap.times[0] + 0.1, cap.times[-1]) for cap in (small, large)]
+        keys = [np.linspace(t0, t1, 7) for _, t0, t1 in walks]
+        gathers = [
+            self.count_lookups(monkeypatch, lambda: cap._walk_values(t0, t1, k, k))
+            for (cap, t0, t1), k in zip(walks, keys)
+        ]
+        assert gathers[0] == gathers[1] <= 3
 
     @staticmethod
     def small_and_large():
