@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
+def _integrate_on_grid(args):
+    # simulate's and closed-form's schedule, parameters, settings, grid and RK45 trajectory on it
     from .capacity import parse_schedule
     from .odesolve import integrate_logistic
 
@@ -161,22 +162,20 @@ def _cmd_simulate(args) -> int:
     params = _params(args)
     cfg = _config(args, SolverConfig)
     grid = _time_grid(params.t0, args.t_end, args.dt)
-    traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
+    return cap, params, cfg, grid, integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
+
+
+def _cmd_simulate(args) -> int:
+    cap, _, _, _, traj = _integrate_on_grid(args)
     rows = [(t, p, cap.at(float(t))) for t, p in zip(traj.times, traj.populations)]
     _emit(["t", "P", "M"], rows, args.output)
     return 0
 
 
 def _cmd_closed_form(args) -> int:
-    from .capacity import parse_schedule
     from .closedform import _propagate
-    from .odesolve import integrate_logistic
 
-    cap = parse_schedule(args.schedule)
-    params = _params(args)
-    cfg = _config(args, SolverConfig)
-    grid = _time_grid(params.t0, args.t_end, args.dt)
-    traj = integrate_logistic(params, cap, float(grid[-1]), cfg, t_eval=grid)
+    cap, params, cfg, grid, traj = _integrate_on_grid(args)
     rows = []
     # quadrature_solution at each grid point, from one pass over the grid
     for t, u, p_num in zip(grid, _propagate(params, cap, grid.tolist(), cfg), traj.populations):

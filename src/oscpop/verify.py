@@ -1,9 +1,9 @@
 """The invariant battery behind ``oscpop verify``.
 
-Each check is called with a seeded generator, a scratch directory and
-the CLI's main; it passes by returning and fails by raising. The CLI
-imports this module only for ``verify``, so the other commands never
-load it.
+Each check is called with a seeded ``random.Random``, a scratch
+directory and the CLI's main; it passes by returning and fails by
+raising. The CLI imports this module only for ``verify``, so the other
+commands never load it.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import contextlib
 import io
 import math
 import os
+import random
 import tempfile
 from collections.abc import Callable
 
@@ -82,8 +83,8 @@ def _check_cross_solver_sinusoid(rng, tmp, main):
 
 
 def _check_conjugacy(rng, tmp, main):
-    # one block draw: the same floats, in the same order, as 3,000 scalar draws
-    for r, m, x0 in rng.uniform([0.05, 0.1, 0.01], [2.0, 10.0, 0.99], size=(1000, 3)).tolist():
+    for _ in range(1000):
+        r, m, x0 = rng.uniform(0.05, 2.0), rng.uniform(0.1, 10.0), rng.uniform(0.01, 0.99)
         rho = r * m
         p0 = x0 * (1.0 + rho) / r
         p1 = p0 + r * (m - p0) * p0
@@ -94,14 +95,14 @@ def _check_conjugacy(rng, tmp, main):
 
 def _check_capacity_additivity(rng, tmp, main):
     caps = [
-        Constant(float(rng.uniform(-1, 3))),
-        TwoPhase(float(rng.uniform(0, 2)), float(rng.uniform(2, 4)), 3.0),
-        SinusoidOffset(1.0, float(rng.uniform(0.1, 2.0)), 4.0),
+        Constant(rng.uniform(-1, 3)),
+        TwoPhase(rng.uniform(0, 2), rng.uniform(2, 4), 3.0),
+        SinusoidOffset(1.0, rng.uniform(0.1, 2.0), 4.0),
     ]
     for cap in caps:
-        a, b, c = sorted(rng.uniform(-5, 5, size=3))
-        whole = cap.integral(float(a), float(c))
-        split = cap.integral(float(a), float(b)) + cap.integral(float(b), float(c))
+        a, b, c = sorted(rng.uniform(-5, 5) for _ in range(3))
+        whole = cap.integral(a, c)
+        split = cap.integral(a, b) + cap.integral(b, c)
         _require(abs(whole - split) <= 1e-10 * max(1.0, abs(whole)), f"{cap}: {whole!r} whole, {split!r} split")
 
 
@@ -199,7 +200,7 @@ def run_battery(seed: int, main: Callable[[list[str]], int]) -> int:
     """Run every check, print one PASS or FAIL line each and a count; the
     exit code is 0 when all pass, else 1. main is the CLI entry point that
     the CLI checks run."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, check in _BATTERY:

@@ -20,6 +20,10 @@ run of a mutation check is independent of the last:
 
     python -m pytest tests/test_odesolve_properties.py --hypothesis-profile=mutants
 """
+import warnings
+
+import pytest
+
 try:
     from hypothesis import Phase, settings
 except ImportError:  # the property tests skip themselves without it
@@ -30,3 +34,16 @@ else:
     settings.register_profile("randomized", derandomize=False, phases=unexplained)
     unshrunk = [phase for phase in unexplained if phase is not Phase.shrink]
     settings.register_profile("mutants", derandomize=True, phases=unshrunk)
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    # Hypothesis's report hook imports hypothesis.extra._patching when a
+    # property fails; where libcst is installed, that import warns that
+    # mypy_extensions.TypedDict is deprecated, and under -W error the
+    # warning ends the session with INTERNALERROR. Only that message is
+    # ignored, and only while reports are made: a warning a test raises
+    # is raised in its call, before this hook
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=r"mypy_extensions\.TypedDict is deprecated", category=DeprecationWarning)
+        yield

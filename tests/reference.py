@@ -1,6 +1,7 @@
 """Reference rules that several test modules check the library against,
 each written once: a table's answers from numpy, dopri5's continuous
-extension of one step, the float neighbours of probe times, and I0(1).
+extension of one step, the float neighbours of probe times, I0(1), and
+the half-peak band's share of a level schedule's cycle in closed form.
 
 This module imports no hypothesis, so the example tests that use it run
 without it.
@@ -9,7 +10,7 @@ import math
 
 import numpy as np
 
-from oscpop import NonDifferentiableError, ScheduleRangeError
+from oscpop import NonDifferentiableError, ScheduleRangeError, TwoPhase
 
 
 class ReferenceTable:
@@ -87,6 +88,49 @@ def near(ts):
     """ts and both float neighbours of each, sorted, without repeats."""
     ts = np.asarray(ts, dtype=float)
     return np.unique(np.concatenate((ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf))))
+
+
+def band_residence(r, cap, band):
+    """The share of the periodic cycle of P' = r P (M - P) that P spends
+    in the open band (0.5 - band, 0.5 + band) * max M, exactly, for a
+    Constant (a declared period) or a TwoPhase, in Python floats.
+
+    In u = 1/P a piece at level m is u' = r (1 - m u), so over a piece
+    of length tau, u - 1/m = (u_a - 1/m) e^(-r m tau), or u = u_a + r tau
+    where m = 0: an affine map u_a -> a u_a + b. The cycle starts at the
+    fixed point of the two phases' maps composed. P is monotone on a
+    piece, and it reaches a value e between its ends after
+    log((P_a - m) e / ((e - m) P_a)) / (r m), or (1/e - 1/P_a) / r where
+    m = 0: the log of a ratio of known numbers, so no e^(r m tau) of
+    several hundred is formed, only e^(-r m tau), which underflows to 0.
+    A flat piece counts all or nothing."""
+    levels = (cap.m1, cap.m2) if isinstance(cap, TwoPhase) else (cap.m, cap.m)
+    tau = 0.5 * cap.period
+    (a1, b1), (a2, b2) = [
+        (math.exp(-r * m * tau), -math.expm1(-r * m * tau) / m if m else r * tau) for m in levels
+    ]
+    u0 = (a2 * b1 + b2) / -math.expm1(-r * sum(levels) * tau)  # a1 a2 = e^(-r (m1 + m2) tau)
+    u1 = a1 * u0 + b1
+    peak = max(levels)
+    lo, hi = (0.5 - band) * peak, (0.5 + band) * peak
+    inside = 0.0
+    for m, p_a, p_b in ((levels[0], 1.0 / u0, 1.0 / u1), (levels[1], 1.0 / u1, 1.0 / u0)):
+        if p_a == p_b:
+            inside += tau if lo < p_a < hi else 0.0
+            continue
+
+        def reach(e):
+            # the time P takes to reach e: 0 if it starts at or past e, tau if it never gets there
+            if (e - p_a) * (p_b - p_a) <= 0.0:
+                return 0.0
+            if (e - p_b) * (p_b - p_a) >= 0.0:
+                return tau
+            if m == 0.0:
+                return (1.0 / e - 1.0 / p_a) / r
+            return math.log((p_a - m) * e / ((e - m) * p_a)) / (r * m)
+
+        inside += abs(reach(hi) - reach(lo))
+    return inside / (2.0 * tau)
 
 
 def _bessel_i0_at_1():

@@ -821,7 +821,8 @@ class TestImports:
     )
     def test_cold_start_loads_only_what_the_command_runs(self, argv, loaded):
         # a fresh interpreter per case: import oscpop, then run main on argv if given;
-        # `from oscpop import cli` asks the package for the submodule by name
+        # `from oscpop import cli` asks the package for the submodule by name.
+        # No command loads numpy.random: verify draws from Python's random
         code = (
             "import contextlib, io, sys\n"
             "import oscpop\n"
@@ -830,6 +831,7 @@ class TestImports:
             "    from oscpop import cli\n"
             "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             "        exit_code = cli.main(sys.argv[1:])\n"
+            "print('numpy.random' in sys.modules)\n"
             "print(*sorted(m for m in sys.modules if m.startswith('oscpop.')))\n"
             "sys.exit(exit_code)\n"
         )
@@ -838,7 +840,9 @@ class TestImports:
             [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert set(proc.stdout.split()) == loaded
+        numpy_random, _, modules = proc.stdout.partition("\n")
+        assert numpy_random == "False"
+        assert set(modules.split()) == loaded
 
     def test_public_names(self):
         assert oscpop.__all__ == [

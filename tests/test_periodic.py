@@ -30,8 +30,9 @@ from oscpop import (
     time_average,
     two_phase_deductions,
 )
-from oscpop import odesolve, periodic
+from oscpop import closedform, odesolve, periodic
 from oscpop.cli import main
+from reference import band_residence
 
 EPS = sys.float_info.epsilon
 
@@ -382,12 +383,36 @@ class TestHalfPeakFraction:
     def test_equilibrium_far_from_half_peak(self):
         cap = Constant(2.0, declared_period=1.0)
         sol = find_periodic_solution(1.0, cap)
-        assert half_peak_fraction(sol, cap, band=0.10) == 0.0
+        assert half_peak_fraction(sol, cap, band=0.10) == band_residence(1.0, cap, 0.10) == 0.0
 
     def test_wide_band_captures_everything(self):
         cap = Constant(2.0, declared_period=1.0)
         sol = find_periodic_solution(1.0, cap)
-        assert half_peak_fraction(sol, cap, band=0.60) == 1.0
+        assert half_peak_fraction(sol, cap, band=0.60) == band_residence(1.0, cap, 0.60) == 1.0
+
+    @pytest.mark.parametrize(
+        "m1, m2, h, r",
+        [
+            (1.0, 3.0, 2.0, 1.0),
+            (0.001, 2.0, 10.0, 0.5),
+            (0.0, 3.0, 50.0, 20.0),  # a phase at M = 0; r m2 h / 2 = 1500
+            (3.0, 0.2, 50.0, 20.0),
+            (-0.6, 4.0, 40.0, 3.0),  # a die-off phase
+            (0.0, 0.2, 0.05, 0.05),  # P never leaves the band
+        ],
+    )
+    def test_band_residence_matches_exact_samples(self, m1, m2, h, r):
+        # the closed-form reference against 2^16 interval midpoints of the exact
+        # cycle from the report's p*: P is monotone on each phase, so the band
+        # holds at most three runs of [0, h], each counted to within one midpoint
+        cap = TwoPhase(m1, m2, h)
+        n = 2**16
+        t = (np.arange(n) + 0.5) * (h / n)
+        p_star = two_phase_deductions(LogisticParams(r, 1.0), cap).p2
+        p = 1.0 / np.asarray(closedform._propagate(LogisticParams(r, p_star), cap, t.tolist(), None))
+        peak = max(m1, m2)
+        sampled = float(np.mean((0.4 * peak < p) & (p < 0.6 * peak)))
+        assert abs(band_residence(r, cap, 0.1) - sampled) <= 4.0 / n
 
     def test_fraction_bounded(self):
         cap = SinusoidOffset(1.0, 0.9, 2.0)
