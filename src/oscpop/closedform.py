@@ -145,32 +145,25 @@ def _constant_step(r: float, m: float, u: float, tau: float) -> float:
     return u * math.exp(-x) - math.expm1(-x) / m
 
 
-def _weight(r: float, area: float) -> float:
-    # exp(-r * area) by math.exp of one float: np.exp need not round alike
-    # on every CPU. An area past the float range is unknown, so its weight
-    # is known only where exp(-r * the largest float) is already 0
-    exponent = -r * area
-    if math.isnan(exponent) or exponent == -math.inf and math.exp(-r * sys.float_info.max) > 0.0:
-        raise ExponentOverflowError("the capacity integral leaves the float range")
-    if exponent > _MAX_EXPONENT:
-        raise ExponentOverflowError(f"weight exponent {exponent:.3g} > {_MAX_EXPONENT:g}")
-    return math.exp(exponent)
-
-
 def _weights(r: float, areas: list) -> list:
-    # _weight of each area of a batch, as floats: the checks of _weight over
-    # the whole batch at once, then one math.exp per exponent, or _weight's
-    # error at the first area that fails them. A NaN exponent makes the sum
-    # NaN, as does +inf beside -inf, where the largest fails anyway
+    # exp(-r * area) of each area of a batch, as floats, by math.exp of one
+    # float each: np.exp need not round alike on every CPU. The checks run
+    # over the whole batch at once; a NaN exponent makes the sum NaN, as
+    # does +inf beside -inf, where the largest fails anyway. Otherwise the
+    # first area that fails raises: an area past the float range is
+    # unknown, so its weight is known only where exp(-r * the largest
+    # float) is already 0
     exponents = [-r * area for area in areas]
     total = sum(exponents)
-    if (
-        total == total
-        and max(exponents) <= _MAX_EXPONENT
-        and (min(exponents) > -math.inf or math.exp(-r * sys.float_info.max) == 0.0)
-    ):
+    if total == total and max(exponents) <= _MAX_EXPONENT and min(exponents) > -math.inf:
         return list(map(math.exp, exponents))
-    return [_weight(r, area) for area in areas]
+    unknown = math.exp(-r * sys.float_info.max) > 0.0
+    for exponent in exponents:
+        if math.isnan(exponent) or exponent == -math.inf and unknown:
+            raise ExponentOverflowError("the capacity integral leaves the float range")
+        if exponent > _MAX_EXPONENT:
+            raise ExponentOverflowError(f"weight exponent {exponent:.3g} > {_MAX_EXPONENT:g}")
+    return list(map(math.exp, exponents))
 
 
 def _propagate(params, cap, times, cfg) -> np.ndarray:
@@ -223,7 +216,7 @@ def _propagate(params, cap, times, cfg) -> np.ndarray:
             d *= 2.0
         forcing = _qag(weight, t0, t, points, cfg)
         # from u0 = 0 the homogeneous term is 0, and its integral of M is not taken
-        out[i] = r * forcing if u0 == 0.0 else u0 * _weight(r, cap.integral(t0, t)) + r * forcing
+        out[i] = r * forcing if u0 == 0.0 else u0 * _weights(r, [cap.integral(t0, t)])[0] + r * forcing
     return out
 
 

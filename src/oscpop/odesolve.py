@@ -167,24 +167,27 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     """Integrate P' = r (M - P) P, or with shift W' = r (M^2/4 - W^2) - M'/2
     for W = P - M/2, from (t0, p0) to t_end, piece by piece.
 
-    One pass over cap._staged_pieces' walk: each stage's right-hand side is
-    evaluated in the loop, with M from the piece's value and, with shift, dM/dt
-    from its slope. A walk without a stage evaluator is of levels: M is read
-    once per piece and dM/dt is 0.0; otherwise M (and dM/dt) at a piece's start
-    is one value (and slope) call, and at an attempted step's five other stage
-    times one call of the schedule's stage evaluator, which gives the floats of
-    those calls; stages 6 and 7 share the values at t_next. Each piece starts
-    at min(max_step, span, h), h being the controller's last proposal before
-    the clip to the previous piece's end (a sixteenth of the span for the first
-    piece). With shift, each piece restarts W from the carried P, and P = W +
-    M/2 is reported. Each accepted step adds the row (t0, t1, y0, y1, f0, f1,
-    dk) to one flat record, which becomes the (n, 7) step array in one
-    np.fromiter pass, kept as the trajectory's steps without shift: f0/f1 are
-    its end slopes and dk the continuous-extension combination of its stages.
-    Every step has t1 > t0: a step size that no longer moves t raises
-    StiffnessError, and a trial is accepted only when err <= 1 and y1 is
-    finite. Before any step, a bad t_end or t_eval raises ValueError;
-    max_iterations caps the attempted steps of the whole call.
+    One pass over cap._staged_pieces' walk, each stage's right-hand side
+    evaluated in the loop. A walk without a stage evaluator is of levels: M is
+    read once per piece and dM/dt is 0.0; otherwise M (and, with shift, dM/dt)
+    is one value (and slope) call at a piece's start and, at an attempted
+    step's five other stage times, one stage evaluator call that gives the
+    floats of those calls; stages 6 and 7 share the values at t_next. Each
+    piece starts at min(max_step, span, h), h the controller's last proposal
+    before the clip to the previous piece's end (a sixteenth of the span for
+    the first piece). With shift, each piece restarts W from the carried P,
+    and P = W + M/2 is reported. Both forms scale a trial's error by abs_tol +
+    rel_tol max|P| over the step's ends (with shift, P carried into the piece,
+    then W + M/2 at stage 6's M), so where M is level or linear on each piece
+    they take the same steps: a Runge-Kutta step commutes with such a shift. A
+    trial is accepted only when err <= 1 and y1 is finite, and adds the row
+    (t0, t1, y0, y1, f0, f1, dk) to one flat record, the (n, 7) step array
+    after one np.fromiter pass, kept as the trajectory's steps without shift:
+    f0/f1 are its end slopes and dk the continuous-extension combination of
+    its stages. Every step has t1 > t0: a step size that no longer moves t
+    raises StiffnessError. Before any step, a bad t_end or t_eval raises
+    ValueError; max_iterations caps the attempted steps of the whole call, and
+    its ConvergenceError names the t reached, t_end and the steps attempted.
     """
     cfg = cfg or SolverConfig()
     t0, p0, r = params.t0, params.p0, params.r
@@ -224,6 +227,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
             m2 = m3 = m4 = m5 = m6 = m1
         elif shift:
             s1 = dm(lo)
+        size = abs(y)  # |P| at the step's start, carried from step to step
         if shift:
             y = y - 0.5 * m1
         k1 = r * (0.25 * m1 * m1 - y * y) - 0.5 * s1 if shift else r * (m1 - y) * y
@@ -251,7 +255,8 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
             if rest < h:
                 h = rest
             if left <= 0:
-                raise ConvergenceError("step budget exhausted (max_iterations)")
+                raise ConvergenceError(f"step budget exhausted (max_iterations) at t={t:.6g} of t_end={t_end:.6g}"
+                                       f" after {cfg.max_iterations} attempted steps")
             left -= 1
             t_next = t + h
             if not levels:
@@ -271,10 +276,15 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
             z = y + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
             k6 = r * (0.25 * m6 * m6 - z * z) - 0.5 * s6 if shift else r * (m6 - z) * z
             y_new = y + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-            z = y_new  # stage 7, the next step's first, at stage 6's time
-            k7 = r * (0.25 * m6 * m6 - z * z) - 0.5 * s6 if shift else r * (m6 - z) * z
+            # stage 7, the next step's first, at stage 6's time; the error is
+            # measured against P at the step's ends in both forms
+            if shift:
+                k7 = r * (0.25 * m6 * m6 - y_new * y_new) - 0.5 * s6
+                size_new = abs(y_new + 0.5 * m6)
+            else:
+                k7 = r * (m6 - y_new) * y_new
+                size_new = abs(y_new)
             err_abs = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
-            size, size_new = abs(y), abs(y_new)
             err = abs(err_abs) / (abs_tol + rel_tol * (size_new if size_new > size else size))
             if err <= 1.0 and isfinite(y_new):
                 t_new = hi if hi - t_next <= snap else t_next
@@ -285,6 +295,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
                 if h > h_max:
                     h_max = h
                 t, y, k1 = t_new, y_new, k7
+                size = size_new
                 if err == 0.0:
                     factor = max_factor
                 elif err_prev is None:
@@ -427,11 +438,12 @@ def integrate_riccati(params, cap, t_end, cfg=None, t_eval=None) -> Trajectory:
     W obeys dW/dt = r * (M^2/4 - W^2) - (1/2) dM/dt on each smooth piece
     of the schedule. P is continuous across capacity jumps while W is
     not, so each piece restarts W from the carried population (and from
-    the step size the previous piece ended with). Dense output at t_eval
-    is one vectorized continuous-extension pass over the accepted steps
-    plus each piece's M/2 on its slice of t_eval, linear in steps plus
-    samples. The first sample is exactly the supplied initial
-    condition, on both routes.
+    the step size the previous piece ended with). Each step's error is
+    tested against abs_tol + rel_tol |P|, not |W|, as on the logistic
+    route. Dense output at t_eval is one vectorized continuous-extension
+    pass over the accepted steps plus each piece's M/2 on its slice of
+    t_eval, linear in steps plus samples. The first sample is exactly the
+    supplied initial condition, on both routes.
     """
     return _rk45(params, cap, t_end, cfg, t_eval, "riccati-rk45", shift=True)
 

@@ -20,7 +20,7 @@ from oscpop import (
     reciprocal_solution,
     two_phase_trajectory,
 )
-from oscpop.closedform import _propagate, _weight, _weights
+from oscpop.closedform import _propagate, _weights
 
 TIGHT = SolverConfig(abs_tol=1e-13, rel_tol=1e-11)
 
@@ -365,12 +365,13 @@ class TestOnePassOverTimes:
 
 class TestBatchWeights:
     # the quadrature's weights check a whole batch of nodes at once, and
-    # must raise _weight's own error at the first node that fails, in order
+    # must give each node's one-area floats, or raise the one-area error of
+    # the first node that fails, in order
     TINY_R = 1e-310  # exp(-r * the largest float) > 0: an infinite area is unknown
 
     @staticmethod
     def _loop(r, areas):
-        return [_weight(r, a) for a in areas]
+        return [_weights(r, [a])[0] for a in areas]
 
     @pytest.mark.parametrize(
         "r, areas",

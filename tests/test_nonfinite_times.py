@@ -166,7 +166,13 @@ def test_library_rejects_non_finite_times(library_errors, call, message):
 
 @pytest.mark.parametrize("call", ["switch_period_1e-5", "switch_period_1e-7"])
 def test_library_budget_outlasts_dense_switching(library_errors, call):
-    assert library_errors[call] == "ConvergenceError: step budget exhausted (max_iterations)"
+    # the error says how far the run got: each of the 10,000 attempted
+    # steps spans at most one half-period
+    t = {"switch_period_1e-5": "0.04999", "switch_period_1e-7": "0.0004999"}[call]
+    assert library_errors[call] == (
+        f"ConvergenceError: step budget exhausted (max_iterations) at t={t} of t_end=100"
+        " after 10000 attempted steps"
+    )
 
 
 def _case_id(i: int) -> str:
@@ -182,7 +188,11 @@ def test_cli_exits_2_naming_the_argument(cli_results, case):
 
 
 def test_cli_exits_4_when_switches_outrun_the_budget(cli_results):
-    assert cli_results[len(CLI_CASES)] == [4, "ConvergenceError: step budget exhausted (max_iterations)\n"]
+    assert cli_results[len(CLI_CASES)] == [
+        4,
+        "ConvergenceError: step budget exhausted (max_iterations) at t=0.04999 of t_end=100"
+        " after 10000 attempted steps\n",
+    ]
 
 
 @pytest.mark.parametrize("case", range(len(TOO_LARGE)), ids=lambda i: TOO_LARGE[i][0])

@@ -17,7 +17,11 @@ added with the values of the loop that called each piece's value (and
 slope) once per stage time, before it evaluated M once per step. The
 user-subclass rows moved when the base class's pieces began to read at
 and derivative one float inside each piece at its ends;
-test_user_schedule_is_near_a_tight_run checks their floats.
+test_user_schedule_is_near_a_tight_run checks their floats. The six
+integrate_riccati rows moved when the shifted form began to test each
+step's error against P = W + M/2, not W; the tolerance property in
+test_odesolve_properties.py checks their floats against the exact
+reciprocal-space solution.
 """
 import math
 from dataclasses import replace
@@ -37,6 +41,7 @@ from oscpop import (
     TwoPhase,
     integrate_logistic,
     integrate_riccati,
+    quadrature_solution,
 )
 from oscpop.odesolve import SolverStats
 
@@ -110,42 +115,42 @@ PINNED = [
      ["0x1.43e4558d0a6bdp+0", "0x1.05b1454dfe2c1p+0", "0x1.9140d2fa1cbeap+0",
       "0x1.123f117bf3405p+0", "0x1.a1196aebdb45fp+1"],
      956, 13, 5815, "0x1.9e2c47cc18000p-8", "0x1.52eaa66edeebap-4"),
-    ("sinusoid", integrate_riccati, 1, 1045, "0x1.a1196aedd4e6dp+1",
-     ["0x1.43e45595673c2p+0", "0x1.05b1456aa9f5dp+0", "0x1.9140d2f505ad2p+0",
-      "0x1.123f117811ffap+0", "0x1.a1196aedd4e6dp+1"],
-     1044, 9, 6319, "0x1.47c70e76cb000p-6", "0x1.3828493533b3dp-4"),
+    ("sinusoid", integrate_riccati, 1, 899, "0x1.a1196aec1b0fep+1",
+     ["0x1.43e4559b910a0p+0", "0x1.05b14519abb4dp+0", "0x1.9140d2f8501f8p+0",
+      "0x1.123f1174cadfap+0", "0x1.a1196aec1b0fep+1"],
+     898, 16, 5485, "0x1.6a0b2bdca0000p-12", "0x1.40923fa0ecedfp-4"),
     ("twophase", integrate_logistic, 72, 662, "0x1.00b4513adfec3p+1",
      ["0x1.e3692c2e5bd5fp+0", "0x1.f8c19b4b46f51p+0", "0x1.1b14b2b0d8ebfp+1",
       "0x1.26de44e0a3b50p+1", "0x1.00b4513adfec3p+1"],
      661, 36, 4254, "0x1.7add788138000p-12", "0x1.c000000000000p-3"),
-    ("twophase", integrate_riccati, 72, 734, "0x1.00b45139fba7cp+1",
-     ["0x1.e3692cc106371p+0", "0x1.f8c19b41a7522p+0", "0x1.1b14b2b31e9e4p+1",
-      "0x1.26de44e237e23p+1", "0x1.00b45139fba7cp+1"],
-     733, 37, 4692, "0x1.ceaf879109800p-10", "0x1.c000000000000p-3"),
+    ("twophase", integrate_riccati, 72, 662, "0x1.00b4513adfec1p+1",
+     ["0x1.e3692c2e5bd5bp+0", "0x1.f8c19b4b46f47p+0", "0x1.1b14b2b0d8ecbp+1",
+      "0x1.26de44e0a3b60p+1", "0x1.00b4513adfec1p+1"],
+     661, 36, 4254, "0x1.7add7e09b2000p-12", "0x1.c000000000000p-3"),
     ("table", integrate_logistic, 59, 291, "0x1.83d6a083b4d0bp+0",
      ["0x1.d27d5191a6deep+0", "0x1.806980d4c6383p+0", "0x1.afa1f07fd4a52p+0",
       "0x1.d574d538bf58ep+0", "0x1.83d6a083b4d0bp+0"],
      290, 28, 1967, "0x1.e4c8254af0000p-12", "0x1.b205ff8df6a85p-4"),
-    ("table", integrate_riccati, 59, 326, "0x1.83d6a07c987abp+0",
-     ["0x1.d27d5182718efp+0", "0x1.806980c944292p+0", "0x1.afa1f07718dfdp+0",
-      "0x1.d574d56f2ac8cp+0", "0x1.83d6a07c987abp+0"],
-     325, 23, 2147, "0x1.5d913908d4000p-11", "0x1.834420e0cd0c0p-4"),
+    ("table", integrate_riccati, 59, 291, "0x1.83d6a083b4d22p+0",
+     ["0x1.d27d5191a6df0p+0", "0x1.806980d4c6382p+0", "0x1.afa1f07fd4a5cp+0",
+      "0x1.d574d538bf582p+0", "0x1.83d6a083b4d22p+0"],
+     290, 28, 1967, "0x1.e4c8265070000p-12", "0x1.b205ffbd1fb9ap-4"),
     ("constant", integrate_logistic, 1, 83, "0x1.3ffffffff28a1p+1",
      ["0x1.1d2b3abc24ee9p+1", "0x1.3ffac9db1c13ep+1", "0x1.3fffe9c5f3946p+1",
       "0x1.3fffffffc339fp+1", "0x1.3ffffffff28a1p+1"],
      82, 2, 505, "0x1.378a3139b9aeep-5", "0x1.0ebcccffa1d65p+0"),
-    ("constant", integrate_riccati, 1, 93, "0x1.3ffffffffa3d1p+1",
-     ["0x1.1d2b3abbbfaf0p+1", "0x1.3ffac9dc2bea8p+1", "0x1.3fffe9c6c0f08p+1",
-      "0x1.3fffffffb63e2p+1", "0x1.3ffffffffa3d1p+1"],
-     92, 3, 571, "0x1.3f1ce3a60b062p-5", "0x1.fe76c0cab6f3dp-1"),
+    ("constant", integrate_riccati, 1, 83, "0x1.3ffffffff28a2p+1",
+     ["0x1.1d2b3abc24ee9p+1", "0x1.3ffac9db1c13ep+1", "0x1.3fffe9c5f3946p+1",
+      "0x1.3fffffffc33a0p+1", "0x1.3ffffffff28a2p+1"],
+     82, 2, 505, "0x1.378a3139e23dbp-5", "0x1.0ebcc768d4daap+0"),
     ("dieoff", integrate_logistic, 8, 397, "0x1.798a2baf8f9a0p+1",
      ["0x1.015d1794620d4p-3", "0x1.a180c103f6b74p-3", "0x1.7984032199f67p+1",
       "0x1.fc7d8b7389618p-2", "0x1.798a2baf8f9a0p+1"],
      396, 9, 2438, "0x1.16483869b2000p-8", "0x1.e096f88eb44cdp-4"),
-    ("dieoff", integrate_riccati, 8, 390, "0x1.798a2bb210e08p+1",
-     ["0x1.015d17f989808p-3", "0x1.a180c10a3ba88p-3", "0x1.798403242c570p+1",
-      "0x1.fc7d8b71a72d8p-2", "0x1.798a2bb210e08p+1"],
-     389, 8, 2390, "0x1.3251520b25400p-6", "0x1.1b4d42a55aa6cp-3"),
+    ("dieoff", integrate_riccati, 8, 397, "0x1.798a2baf8f9a3p+1",
+     ["0x1.015d1794620e0p-3", "0x1.a180c103f6b6ap-3", "0x1.7984032199f66p+1",
+      "0x1.fc7d8b73895ecp-2", "0x1.798a2baf8f9a3p+1"],
+     396, 9, 2438, "0x1.164836b203000p-8", "0x1.e096f88e4a055p-4"),
     ("steep", integrate_logistic, 3, 171, "0x1.81537e34cda65p-7",
      ["0x1.0d837db048f00p-4", "0x1.7a07d29c856aep-20", "0x1.79e386b613b26p-22",
       "0x1.c1872fdafe84dp-10", "0x1.81537e34cda65p-7"],
@@ -154,10 +159,10 @@ PINNED = [
      ["0x1.56ac6006fd0d4p+1", "0x1.601dd704d6897p+1", "0x1.618a8e239fdcdp+1",
       "0x1.52a5d6eefec5ep+1", "0x1.69b463667848bp+1"],
      235, 4, 1439, "0x1.4e9e594672800p-8", "0x1.d5a05d2e769adp-4"),
-    ("arches", integrate_riccati, 5, 258, "0x1.69b463687154ap+1",
-     ["0x1.56ac60041d6acp+1", "0x1.601dd7049c0f4p+1", "0x1.618a8e1d78532p+1",
-      "0x1.52a5d6ef03251p+1", "0x1.69b463687154ap+1"],
-     257, 8, 1595, "0x1.1a69081b75800p-5", "0x1.a1cfacb79f45bp-4"),
+    ("arches", integrate_riccati, 5, 225, "0x1.69b46365e8314p+1",
+     ["0x1.56ac60010704ep+1", "0x1.601dd7054a482p+1", "0x1.618a8e1fe1faep+1",
+      "0x1.52a5d6ec8ebe7p+1", "0x1.69b46365e8314p+1"],
+     224, 4, 1373, "0x1.5ca28521daa00p-7", "0x1.d0742c995b3c8p-4"),
 ]
 
 
@@ -248,3 +253,44 @@ def test_user_schedule_is_near_a_tight_run(integrate):
     cap, params, t_end = CASES["arches"]
     tight = integrate_logistic(params, cap, t_end, cfg=SolverConfig(abs_tol=1e-15, rel_tol=1e-13)).final
     assert integrate(params, cap, t_end).final == pytest.approx(tight, rel=1e-9, abs=0.0)
+
+
+# r = 1 and p0 = 1 under eight time units at M = -1, then eight at M = 2:
+# P falls to about 2e-4, where |W| = |P - M/2| is near 1/2
+DIEOFF = (TwoPhase(-1.0, 2.0, 16.0), LogisticParams(1.0, 1.0), 64.0)
+
+
+def test_riccati_die_off_is_accurate_to_rel_tol_of_p():
+    # with the step error tested against W, the shifted form was 9.4e-6
+    # off here and the logistic form 1.2e-7; now both are 1.2e-7
+    cap, params, t_end = DIEOFF
+    grid = np.linspace(0.0, t_end, 641)
+    exact = np.array([quadrature_solution(params, cap, t, SolverConfig(abs_tol=1e-16, rel_tol=1e-13)) for t in grid.tolist()])
+    got = integrate_riccati(params, cap, t_end, t_eval=grid).populations
+    assert (np.abs(got - exact) <= 1e-6 * exact).all()
+
+
+@pytest.mark.parametrize(
+    "cap, params, t_end",
+    [CASES["constant"], CASES["twophase"], CASES["dieoff"], CASES["table"], DIEOFF,
+     (Constant(2.0), LogisticParams(1.0, 1.0), 10.0), (TwoPhase(1.0, 3.0, 2.0), LogisticParams(1.0, 1.0), 40.0)],
+    ids=["constant", "twophase", "dieoff", "table", "deep-dieoff", "constant-2", "twophase-1-3-2"],
+)
+def test_both_forms_take_the_same_steps_where_m_is_piecewise_linear(cap, params, t_end):
+    # W = P - M/2 with M linear on each piece: a Runge-Kutta step commutes
+    # with that shift, and the error estimates' weights sum to 0, so with
+    # both errors tested against P each trial is decided alike. Tested
+    # against W, the shifted form took 722 attempts on the deep die-off
+    # against the logistic form's 985
+    if t_end is None:
+        t_end = float(cap.times[-1])
+    shifted, logistic = integrate_riccati(params, cap, t_end).meta, integrate_logistic(params, cap, t_end).meta
+    assert (shifted.n_accepted, shifted.n_rejected) == (logistic.n_accepted, logistic.n_rejected)
+
+
+def test_riccati_steps_where_p_is_near_m_over_2():
+    # P near M/2 puts W near 0; tested against W, the shifted form took
+    # 1.72x the logistic form's attempts here, against 1.44x now
+    params, cap = LogisticParams(1.0, 1.0), SinusoidOffset(1.0, 0.9, 0.5)
+    shifted, logistic = integrate_riccati(params, cap, 50.0).meta, integrate_logistic(params, cap, 50.0).meta
+    assert shifted.n_accepted + shifted.n_rejected <= 1.55 * (logistic.n_accepted + logistic.n_rejected)

@@ -1,4 +1,5 @@
-"""Property tests of the RK45 dense output in oscpop.odesolve."""
+"""Property tests of the RK45 dense output in oscpop.odesolve, and of the
+shifted form's error against the exact reciprocal-space solution."""
 import bisect
 import math
 from unittest import mock
@@ -13,10 +14,12 @@ from oscpop import (  # noqa: E402
     Constant,
     LogisticParams,
     SinusoidOffset,
+    SolverConfig,
     Tabulated,
     TwoPhase,
     integrate_logistic,
     integrate_riccati,
+    quadrature_solution,
 )
 from oscpop import odesolve  # noqa: E402
 from oscpop.odesolve import _sample_steps, _step_coefficients  # noqa: E402
@@ -171,3 +174,54 @@ def test_integrators_sample_by_the_per_sample_loop(integrate, p, sched, data):
     again, ts_seen, out = _sampled(integrate, p, cap, t_end, ts)
     assert again.tobytes() == steps.tobytes() and ts_seen.tobytes() == ts.tobytes()
     assert out.tobytes() == continuous_extension_loop(steps.tolist(), ts).tobytes()
+
+
+# the reciprocal-space reference, about 1e-13 relative, far below every drawn rel_tol
+EXACT = SolverConfig(abs_tol=1e-16, rel_tol=1e-13)
+# the largest error, in units of abs_tol + rel_tol |P| at the sample, that
+# a drawn run may show. The error is global and the samples are dense
+# output, so the local test's 1 is no bound: over 1,560 draws of these
+# ranges the shifted form read at most 31. When it tested its error against
+# W = P - M/2, it read 1,987 on a die-off of the derandomized draws
+ERROR_BOUND = 100.0
+
+
+@st.composite
+def near_one(draw):
+    """(schedule, t_end) with M within [-1, 2]: sinusoids, square waves,
+    tables, and square waves whose low level is a die-off: over at least
+    one period, r |M| runs 1 to 16 time constants in it, taking P far below
+    |M|/2 and back."""
+    kind = draw(st.sampled_from(["sinusoid", "twophase", "dieoff", "table"]))
+    if kind == "sinusoid":
+        mean = draw(st.floats(0.5, 2.0))
+        cap = SinusoidOffset(mean, draw(st.floats(0.0, 0.9)) * mean, draw(st.floats(0.5, 5.0)))
+    elif kind == "twophase":
+        cap = TwoPhase(draw(st.floats(0.25, 2.0)), draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 16.0)))
+    elif kind == "dieoff":
+        cap = TwoPhase(draw(st.floats(-1.0, -0.5)), draw(st.floats(0.5, 2.0)), draw(st.floats(8.0, 16.0)))
+        return cap, draw(st.floats(1.0, 2.0)) * cap.period
+    else:
+        gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=29))
+        times = np.concatenate(([0.0], np.cumsum(gaps)))
+        values = draw(st.lists(st.floats(0.5, 2.0), min_size=times.size, max_size=times.size))
+        return Tabulated(times, np.array(values)), float(times[-1])
+    return cap, draw(st.floats(5.0, 30.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.builds(LogisticParams, r=st.floats(0.5, 2.0), p0=st.floats(0.25, 2.0)),
+    sched=near_one(),
+    rel_tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+)
+@example(p=LogisticParams(1.0, 1.0), sched=(TwoPhase(-1.0, 2.0, 16.0), 64.0), rel_tol=1e-8)
+def test_riccati_error_follows_the_tolerance_on_p(p, sched, rel_tol):
+    # abs_tol a millionth of rel_tol, so the bound is relative to P even
+    # where a die-off takes P far below M/2
+    cap, t_end = sched
+    cfg = SolverConfig(abs_tol=1e-6 * rel_tol, rel_tol=rel_tol)
+    ts = np.linspace(0.0, t_end, 17)[1:]
+    exact = np.array([quadrature_solution(p, cap, t, EXACT) for t in ts.tolist()])
+    got = integrate_riccati(p, cap, t_end, cfg, t_eval=ts).populations
+    assert (np.abs(got - exact) <= ERROR_BOUND * (cfg.abs_tol + rel_tol * np.abs(exact))).all()
