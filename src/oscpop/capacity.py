@@ -44,6 +44,10 @@ class CapacitySchedule:
     """
 
     period: float | None = None
+    # True where M repeats with period for all t, so that the RK45 loop may
+    # stop once the orbit has settled on its cycle; never on a table, whose
+    # knots bound its range, or on a schedule of your own
+    _repeats = False
 
     def at(self, t: float) -> float:
         raise NotImplementedError
@@ -159,6 +163,7 @@ class Constant(CapacitySchedule):
 
     m: float
     declared_period: float | None = None
+    _repeats = True  # with a declared period
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -204,6 +209,7 @@ class TwoPhase(CapacitySchedule):
     m1: float
     m2: float
     period: float
+    _repeats = True
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -288,6 +294,7 @@ class SinusoidOffset(CapacitySchedule):
     mean: float
     amplitude: float
     period: float
+    _repeats = True
 
     def __post_init__(self) -> None:
         _require_finite(self)

@@ -137,9 +137,11 @@ def _constant_step(r: float, m: float, u: float, tau: float) -> float:
     # is absorbing, and a decay exponent past the bound reads as P = 0
     if math.isinf(u):
         return u
-    if m == 0.0:
-        return u + r * tau
     x = r * m * tau
+    if abs(x) < sys.float_info.min:
+        # m = 0, or x below the normal floats, where expm1(-x) / m keeps no
+        # digit: the m = 0 step, which e^-x differs from by under 2**-1022
+        return u + r * tau
     if -x > _MAX_EXPONENT:
         return math.inf
     return u * math.exp(-x) - math.expm1(-x) / m

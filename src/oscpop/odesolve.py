@@ -29,6 +29,10 @@ locals once per call, keeping its counters, step budget and carried step
 size in locals too; that saves each step's and each piece's global and
 attribute lookups without changing any float it produces.
 
+On a schedule that repeats for all t, a long run stops stepping once its
+orbit has settled on its cycle and reads each later time at its place in
+the last period (_rk45's docstring states the test and its guarantee).
+
 Capacity breakpoints are treated as hard step boundaries: the integrator
 never takes a step across one, and each smooth piece is integrated with
 the piece's own one-sided capacity values, so discontinuous forcing does
@@ -39,6 +43,7 @@ square wave does not pay a restart from a small step at every switch.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,11 +98,16 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERR_FLOOR = 1e-10
+# the settle test's share of rel_tol: stepping stops once two marks a period
+# apart differ by at most this much of rel_tol times the period map's contraction
+_SETTLE_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
 class SolverStats:
-    """Step bookkeeping attached to every trajectory."""
+    """Step bookkeeping attached to every trajectory. settled_at is the mark
+    at which RK45 stopped stepping on a repeating schedule (see _rk45), None
+    when it stepped all the way to t_end."""
 
     solver: str
     n_accepted: int = 0
@@ -105,6 +115,7 @@ class SolverStats:
     n_rhs_evals: int = 0
     smallest_step: float = 0.0
     largest_step: float = 0.0
+    settled_at: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +123,10 @@ class Trajectory:
     """Sampled solution: strictly increasing times, finite populations and
     steps, the (n, 7) array of the accepted RK45 steps on P, one row (t0,
     t1, y0, y1, f0, f1, dk) each; None for integrate_riccati, whose rows
-    hold W = P - M/2, and where no step was taken."""
+    hold W = P - M/2, and where no step was taken. steps holds only the
+    steps taken: on an orbit that settled on its cycle (meta.settled_at),
+    they end at the step that crosses that mark, and the samples after it
+    are read from the last period of the record."""
 
     times: np.ndarray
     populations: np.ndarray
@@ -188,6 +202,21 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     raises StiffnessError. Before any step, a bad t_end or t_eval raises
     ValueError; max_iterations caps the attempted steps of the whole call, and
     its ConvergenceError names the t reached, t_end and the steps attempted.
+
+    On a schedule whose M repeats for all t (cap._repeats: TwoPhase,
+    SinusoidOffset, Constant with a declared period h), with t_end - t0 at
+    least 2h and mass = cap.integral(t0, t0 + h) in (0, inf), stepping stops
+    at the first mark s = t0 + k h before t_end, crossed by an accepted step,
+    where |P(s) - P(s - h)| <= 0.1 (1 - e^(-r mass)) rel_tol |P(s)|, P read
+    from the steps' continuous extension (_Marks). The period map is affine
+    in u = 1/P with slope e^(-r mass), so the state at s is within 0.1
+    rel_tol of the cycle, and for r > 0 a relative error in u never grows
+    along the flow. A sample at t > s then reads the record at its place
+    s - ((s - t) mod h) in the last period, with shift M/2 taken there on
+    that place's own piece; step mode lists the ends of the last period's
+    steps shifted by whole periods, then t_end, so both modes give the same
+    value at any time. Every float at or before s is the one of a run that
+    steps to t_end, and SolverStats.settled_at is s (None without a stop).
     """
     cfg = cfg or SolverConfig()
     t0, p0, r = params.t0, params.p0, params.r
@@ -220,6 +249,16 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     s1 = s2 = s3 = s4 = s5 = s6 = 0.0
     walk, stages = cap._staged_pieces(t0, t_end, shift)
     levels = stages is None
+    # the settle test's marks t0 + k h, h the period of a schedule that
+    # repeats; mark is the next one, inf where the test is off
+    period = cap.period if cap._repeats else None
+    marks, mark, settled_at = None, math.inf, None
+    if period is not None and 2.0 * period <= t_end - t0 < 2.0**52 * period:
+        walk = itertools.chain((next(walk),), walk)  # the walk's own range checks come first
+        mass = cap.integral(t0, t0 + period)
+        if 0.0 < mass < math.inf:
+            marks = _Marks(t0, period, t_end, _SETTLE_MARGIN * -math.expm1(-r * mass) * rel_tol, p0)
+            mark = marks.next
     for lo, hi, m, dm in walk:
         t = lo
         m1 = m(lo)
@@ -294,6 +333,11 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
                     h_min = h
                 if h > h_max:
                     h_max = h
+                if t_new >= mark:
+                    settled_at = marks.cross(t, t_new, y, y_new, k1, k7, dk, m if shift else None)
+                    if settled_at is not None:
+                        break
+                    mark = marks.next
                 t, y, k1 = t_new, y_new, k7
                 size = size_new
                 if err == 0.0:
@@ -321,12 +365,14 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
                     )
             if t < hi and t + h == t:
                 raise StiffnessError(f"step size vanished at t={t}")
+        if settled_at is not None:
+            break
         h = h_next
         if shift:
             y = y + 0.5 * (m1 if levels else m(hi))
     n_acc = len(record) // 7
     # every piece spans lo < hi, so at least one step was accepted
-    meta = SolverStats(solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min, h_max)
+    meta = SolverStats(solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min, h_max, settled_at)
     # the record becomes the (n, 7) step array, released before sampling;
     # a logistic trajectory keeps the array and the coefficients sampled from
     steps = np.fromiter(record, float, 7 * n_acc).reshape(n_acc, 7)
@@ -334,15 +380,105 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     coef = _step_coefficients(steps)
     if ts is None:  # the step ends, where sampling returns each step's end value
         ts = np.concatenate(([t0], coef[0]))
-    out = _sample_steps(coef, ts)
+        if settled_at is not None:
+            ts = _repeat_ends(ts, settled_at, period, t_end)
+    if settled_at is None:
+        keys, back, stop = ts, None, t_end
+    else:
+        # each time past the mark is read at its place in the last period,
+        # the distinct places once each and in order, as the M/2 pass needs
+        keys, back = np.unique(_fold(ts, settled_at, period), return_inverse=True)
+        stop = settled_at
+    out = _sample_steps(coef, keys)
     if shift:
-        out += 0.5 * cap._walk_values(t0, t_end, ts, ts)
+        # M/2 at each place on its own piece, which a time a period later
+        # need not round onto
+        out += 0.5 * cap._walk_values(t0, stop, keys, keys)
+    if back is not None:
+        out = out[back]
     if ts[0] == t0:
         out[0] = p0  # W + M/2 need not round back to p0, nor y0 + 0.0 to -0.0
     orbit = Trajectory(ts, out, meta, None if shift else steps)
     if not shift:
         orbit.__dict__["_coefficients"] = coef  # the cached property's value: _gauss forms none
     return orbit
+
+
+class _Marks:
+    """The settle test of _rk45 at the marks t0 + k h before t_end.
+
+    cross(t, t_new, y0, y1, f0, f1, dk, m) takes an accepted step that
+    reaches the next mark, with its row's floats (in W with the piece's M
+    as m on the shifted form, P and m None on the logistic form). It reads
+    P at the last mark the step crosses, and at the mark before it (from
+    this step, or kept from the step that crossed it; p0 at t0), from the
+    step's continuous extension, plus M/2 there with m; where one step
+    crosses several marks only those two are compared. It returns that
+    last mark if the two differ by at most tol |P| there, and otherwise
+    keeps P and moves next past the step.
+    """
+
+    def __init__(self, t0, h, t_end, tol, p0):
+        self.t0, self.h, self.t_end, self.tol = t0, h, t_end, tol
+        self.k, self.p, self.next = 1, p0, t0 + h
+
+    def _before_end(self, j, t_new):
+        x = self.t0 + j * self.h
+        return x <= t_new and x < self.t_end
+
+    def cross(self, t, t_new, y0, y1, f0, f1, dk, m):
+        t0, h, k = self.t0, self.h, self.k
+        # the last mark crossed, from a float estimate of its index, at most
+        # one mark off each way while fewer than 2**52 periods are marked
+        j = max(k, math.floor((t_new - t0) / h))
+        if j > k and not self._before_end(j, t_new):
+            j -= 1
+        if self._before_end(j + 1, t_new):
+            j += 1
+        dt = t_new - t
+        delta = y1 - y0
+        r3 = dt * f0 - delta
+        r4 = delta - dt * f1 - r3
+
+        def p(x):
+            theta = (x - t) / dt
+            omt = 1.0 - theta
+            y = y0 + theta * (delta + omt * (r3 + theta * (r4 + omt * dt * dk)))
+            return y if m is None else y + 0.5 * m(x)
+
+        last = t0 + j * h
+        p_last = p(last)
+        p_before = p(t0 + (j - 1) * h) if j > k else self.p
+        if abs(p_last - p_before) <= self.tol * abs(p_last):
+            return last
+        self.k, self.p = j + 1, p_last
+        self.next = t0 + (j + 1) * h
+        if not self.next < self.t_end:
+            self.next = math.inf
+        return None
+
+
+def _fold(ts, s, h) -> np.ndarray:
+    """ts with each time t past the mark s replaced by its place in the last
+    period, s - ((s - t) mod h)."""
+    keys = ts.copy()
+    i = np.searchsorted(ts, s, side="right")
+    keys[i:] = s - np.mod(s - ts[i:], h)
+    return keys
+
+
+def _repeat_ends(ts, s, h, t_end) -> np.ndarray:
+    """Step mode past the mark s: the times ts up to s (t0, then the step
+    ends), the ends of the last period (s - h, s] shifted by whole periods
+    while before t_end, then t_end; a shifted end that rounds onto the time
+    before it is dropped, so the times stay strictly increasing."""
+    i = np.searchsorted(ts, s, side="right")
+    last = ts[np.searchsorted(ts, s - h, side="right") : i]
+    later = last[:0]
+    if last.size:
+        later = (last + h * np.arange(1, math.ceil((t_end - s) / h) + 1)[:, None]).ravel()
+    ts = np.concatenate((ts[:i], later[later < t_end], [t_end]))
+    return ts[np.concatenate(([True], ts[1:] > np.maximum.accumulate(ts)[:-1]))]
 
 
 def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:

@@ -1,16 +1,39 @@
 """Reference rules that several test modules check the library against,
 each written once: a table's answers from numpy, dopri5's continuous
-extension of one step, the float neighbours of probe times, I0(1), and
-the half-peak band's share of a level schedule's cycle in closed form.
+extension of one step, the float neighbours of probe times, I0(1), the
+half-peak band's share of a level schedule's cycle in closed form, the
+exact-solution settings and error bound RK45 runs are held to, and a
+schedule's twin whose RK45 runs step all the way to t_end.
 
 This module imports no hypothesis, so the example tests that use it run
 without it.
 """
 import math
+from dataclasses import fields
 
 import numpy as np
 
-from oscpop import NonDifferentiableError, ScheduleRangeError, TwoPhase
+from oscpop import NonDifferentiableError, ScheduleRangeError, SolverConfig, TwoPhase
+
+# the reciprocal-space reference, about 1e-13 relative, far below every
+# rel_tol an RK45 run here is checked at
+EXACT = SolverConfig(abs_tol=1e-16, rel_tol=1e-13)
+# the largest error, in units of abs_tol + rel_tol |P| at the sample, that
+# an RK45 run may show against EXACT. The error is global and the samples
+# are dense output, so the local test's 1 is no bound: over 1,560 draws of
+# the tolerance property's ranges the shifted form read at most 31. When
+# it tested its error against W = P - M/2, it read 1,987 on a die-off of
+# the derandomized draws
+ERROR_BOUND = 100.0
+
+
+def stepping_to_the_end(cap):
+    """cap's twin, with the same parameters, whose RK45 runs never settle
+    on their cycle: an instance of a subclass with the repeat marker off,
+    so that it steps all the way to t_end, as every run did before the
+    settle test."""
+    twin = type(f"{type(cap).__name__}ToTheEnd", (type(cap),), {"_repeats": False})
+    return twin(*[getattr(cap, f.name) for f in fields(cap) if f.init])
 
 
 class ReferenceTable:

@@ -28,6 +28,7 @@ from oscpop import (
 )
 from oscpop import cli, verify
 from oscpop.cli import _fmt, main
+from reference import ERROR_BOUND
 
 
 def run(capsys, *argv):
@@ -94,6 +95,20 @@ class TestSimulate:
         for row, want in zip(rows, traj.populations):
             assert float(row[1]) == pytest.approx(want, rel=1e-6)
 
+    def test_long_square_wave_run_finishes(self, capsys):
+        # exit 4 when the step budget capped the attempted steps of the whole
+        # run (at t = 417.761); the orbit settles on its cycle by t = 14
+        code, out, err = run(
+            capsys,
+            "simulate", "--schedule", "twophase:1,3,2", "--r", "1", "--p0", "0.5",
+            "--t-end", "700", "--dt", "1",
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 701 and rows[-1][0] == "700"
+        want = quadrature_solution(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 2.0), 700.0)
+        assert float(rows[-1][1]) == pytest.approx(want, rel=1e-7)
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.csv"
         code, out, _ = run(
@@ -152,6 +167,21 @@ class TestClosedForm:
         assert len(rows) == 21
         assert all(float(row[3]) <= 1e-5 * float(row[2]) for row in rows)
 
+
+    def test_settled_run_is_near_the_closed_form(self, capsys):
+        # the RK45 column of this argv (pinned in tests/cli_bytes.json)
+        # settles on its cycle at t = 15; each row past it stays within the
+        # bound of the closed form that rows before it keep
+        code, out, err = run(
+            capsys,
+            "closed-form", "--schedule", "sinusoid:2,0.5,3", "--r", "1", "--p0", "0.5",
+            "--t-end", "20", "--dt", "0.5",
+        )
+        assert code == 0, err
+        cfg = SolverConfig()
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 41
+        assert all(diff <= ERROR_BOUND * (cfg.abs_tol + cfg.rel_tol * closed) for _, closed, _, diff in rows)
 
     @pytest.mark.parametrize(
         "schedule, p0, t0, t_end, dt",
@@ -252,6 +282,18 @@ class TestTwoPhaseCommand:
         code, out, err = run(capsys, *argv, flag, "3")
         assert (code, out) == (2, "")
         assert "unrecognized arguments" in err and flag in err
+
+    def test_subnormal_level_reads_as_the_zero_level(self, capsys):
+        # the 5e-324 level printed P(24) = 0.64380994186 and plateaus of
+        # 0.643334104337, where level 0 prints 0.339953907066
+        tail = ["0.6433341043372951,0.8275370579085838", "--r", "0.8275370579085838",
+                "--p0", "1.1480107280426515", "--t-end", "24", "--dt", "24"]
+        tiny = run(capsys, "two-phase", "--schedule", f"twophase:5e-324,{tail[0]}", *tail[1:])
+        zero = run(capsys, "two-phase", "--schedule", f"twophase:0,{tail[0]}", *tail[1:])
+        assert tiny[0] == zero[0] == 0
+        assert tiny[1].replace(",4.94065645841e-324", ",0") == zero[1]
+        assert "24,0.339953907066," in tiny[1]
+        assert tiny[2] == zero[2]
 
     def test_requires_square_wave_schedule(self, capsys):
         code, _, err = run(

@@ -228,6 +228,15 @@ class TestQuadratureSolution:
         quad = quadrature_solution(params, cap, 4.0, TIGHT)
         assert quad == pytest.approx(numeric, rel=1e-8)
 
+    def test_subnormal_level_is_the_zero_level(self):
+        # r * m * tau is subnormal on the 5e-324 level, where expm1(-x) / m
+        # kept no digit: P(24) read 0.6438099 for level 0's 0.3399539
+        r, p0, period = 0.8275370579085838, 1.1480107280426515, 0.6433341043372951
+        params = LogisticParams(r, p0)
+        tiny, zero = TwoPhase(5e-324, period, r), TwoPhase(0.0, period, r)
+        assert quadrature_solution(params, tiny, 24.0) == quadrature_solution(params, zero, 24.0)
+        assert quadrature_solution(params, zero, 24.0) == pytest.approx(0.3399539, abs=1e-7)
+
     def test_long_horizon_past_the_exponent_bound(self):
         # r * integral of M is ~720 at t = 360, yet P stays O(1)
         params = LogisticParams(1.0, 0.5)

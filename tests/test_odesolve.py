@@ -23,7 +23,7 @@ from oscpop import (
     quadrature_solution,
 )
 from oscpop.odesolve import SolverStats
-from reference import I0_1
+from reference import I0_1, stepping_to_the_end
 
 TIGHT = SolverConfig(abs_tol=1e-13, rel_tol=1e-11)
 
@@ -362,10 +362,13 @@ class TestIntegrateRiccati:
 def test_step_mode_keeps_one_record_per_step(integrate):
     # one record per accepted step peaks near 215 B per step here, step
     # rows and sampling temporaries included; keeping each step as a tuple
-    # of Python floats beside its array row peaked at 350-400 B per step
+    # of Python floats beside its array row peaked at 350-400 B per step.
+    # The sinusoid's twin steps to t_end, where the sinusoid itself settles
+    # on its cycle by t = 21
+    cap = stepping_to_the_end(SinusoidOffset(2.0, 0.5, 3.0))
     tracemalloc.start()
     try:
-        traj = integrate(LogisticParams(1.0, 0.5), SinusoidOffset(2.0, 0.5, 3.0), 200.0)
+        traj = integrate(LogisticParams(1.0, 0.5), cap, 200.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
