@@ -29,9 +29,11 @@ locals once per call, keeping its counters, step budget and carried step
 size in locals too; that saves each step's and each piece's global and
 attribute lookups without changing any float it produces.
 
-On a schedule that repeats for all t, a long run stops stepping once its
-orbit has settled on its cycle and reads each later time at its place in
-the last period (_rk45's docstring states the test and its guarantee).
+On a schedule that repeats for all t, every period mark t0 + k h before
+t_end is a step end, so the run samples each period at the same phase; a
+long run stops stepping once P at two marks a period apart agrees, and
+reads each later time at its place in the last period (_rk45's docstring
+states the test and its guarantee).
 
 Capacity breakpoints are treated as hard step boundaries: the integrator
 never takes a step across one, and each smooth piece is integrated with
@@ -105,9 +107,9 @@ _SETTLE_MARGIN = 0.1
 
 @dataclass(frozen=True)
 class SolverStats:
-    """Step bookkeeping attached to every trajectory. settled_at is the mark
-    at which RK45 stopped stepping on a repeating schedule (see _rk45), None
-    when it stepped all the way to t_end."""
+    """Step bookkeeping attached to every trajectory. settled_at is the mark,
+    a step end, at which RK45 stopped stepping on a repeating schedule (see
+    _rk45), None when it stepped all the way to t_end."""
 
     solver: str
     n_accepted: int = 0
@@ -125,8 +127,8 @@ class Trajectory:
     t1, y0, y1, f0, f1, dk) each; None for integrate_riccati, whose rows
     hold W = P - M/2, and where no step was taken. steps holds only the
     steps taken: on an orbit that settled on its cycle (meta.settled_at),
-    they end at the step that crosses that mark, and the samples after it
-    are read from the last period of the record."""
+    they end at that mark, and the samples after it are read from the last
+    period of the record."""
 
     times: np.ndarray
     populations: np.ndarray
@@ -187,10 +189,11 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     is one value (and slope) call at a piece's start and, at an attempted
     step's five other stage times, one stage evaluator call that gives the
     floats of those calls; stages 6 and 7 share the values at t_next. Each
-    piece starts at min(max_step, span, h), h the controller's last proposal
-    before the clip to the previous piece's end (a sixteenth of the span for
-    the first piece). With shift, each piece restarts W from the carried P,
-    and P = W + M/2 is reported. Both forms scale a trial's error by abs_tol +
+    piece starts at min(max_step, span, h), span its stretch to its first
+    mark or its end, h the controller's last proposal before the clip to the
+    previous piece's end (a sixteenth of the span for the first piece). With
+    shift, each piece restarts W from the carried P, and P = W + M/2 is
+    reported. Both forms scale a trial's error by abs_tol +
     rel_tol max|P| over the step's ends (with shift, P carried into the piece,
     then W + M/2 at stage 6's M), so where M is level or linear on each piece
     they take the same steps: a Runge-Kutta step commutes with such a shift. A
@@ -205,18 +208,23 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
 
     On a schedule whose M repeats for all t (cap._repeats: TwoPhase,
     SinusoidOffset, Constant with a declared period h), with t_end - t0 at
-    least 2h and mass = cap.integral(t0, t0 + h) in (0, inf), stepping stops
-    at the first mark s = t0 + k h before t_end, crossed by an accepted step,
-    where |P(s) - P(s - h)| <= 0.1 (1 - e^(-r mass)) rel_tol |P(s)|, P read
-    from the steps' continuous extension (_Marks). The period map is affine
+    least 2h and mass = cap.integral(t0, t0 + h) in (0, inf), every mark
+    t0 + k h before t_end is a step end: a step is clipped to the next mark
+    as to a piece end, and a mark within the snap of a piece end lands on
+    that end. The step after a later mark inside a piece starts from the
+    step size proposed at the first mark, with no error history, so a
+    period's steps depend on P at its mark alone. Stepping stops at the
+    first mark s, short of t_end, where |P(s) - P(s - h)| <= 0.1 (1 -
+    e^(-r mass)) rel_tol |P(s)|, both step end values (with shift W + M/2
+    at stage 6's M). The period map is affine
     in u = 1/P with slope e^(-r mass), so the state at s is within 0.1
     rel_tol of the cycle, and for r > 0 a relative error in u never grows
     along the flow. A sample at t > s then reads the record at its place
     s - ((s - t) mod h) in the last period, with shift M/2 taken there on
     that place's own piece; step mode lists the ends of the last period's
     steps shifted by whole periods, then t_end, so both modes give the same
-    value at any time. Every float at or before s is the one of a run that
-    steps to t_end, and SolverStats.settled_at is s (None without a stop).
+    value at any time. Every float at or before s is the one of a run to s,
+    and SolverStats.settled_at is s (None without a stop).
     """
     cfg = cfg or SolverConfig()
     t0, p0, r = params.t0, params.p0, params.r
@@ -249,16 +257,17 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     s1 = s2 = s3 = s4 = s5 = s6 = 0.0
     walk, stages = cap._staged_pieces(t0, t_end, shift)
     levels = stages is None
-    # the settle test's marks t0 + k h, h the period of a schedule that
-    # repeats; mark is the next one, inf where the test is off
+    # the settle test's marks t0 + k h before t_end, h the period of a
+    # schedule that repeats: mark is the next one, inf where the test is off,
+    # and p_mark is P at the one before it (p0 at t0)
     period = cap.period if cap._repeats else None
-    marks, mark, settled_at = None, math.inf, None
+    mark, settled_at = math.inf, None
     if period is not None and 2.0 * period <= t_end - t0 < 2.0**52 * period:
         walk = itertools.chain((next(walk),), walk)  # the walk's own range checks come first
         mass = cap.integral(t0, t0 + period)
         if 0.0 < mass < math.inf:
-            marks = _Marks(t0, period, t_end, _SETTLE_MARGIN * -math.expm1(-r * mass) * rel_tol, p0)
-            mark = marks.next
+            settle_tol = _SETTLE_MARGIN * -math.expm1(-r * mass) * rel_tol
+            k, mark, p_mark = 1, t0 + period, p0
     for lo, hi, m, dm in walk:
         t = lo
         m1 = m(lo)
@@ -273,7 +282,13 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
         n_pieces += 1
         if not isfinite(k1) or not isfinite(y):
             raise DivergenceError(f"non-finite state at t={t}")
-        span = hi - lo
+        # a step end within 1e-14 max(|lo|, |hi|) of hi lands on hi, a slack
+        # relative to the piece's own ends, so no step jumps a tiny piece
+        # near 0; max(|lo|, |hi|) = max(-lo, hi) as lo < hi
+        snap = 1e-14 * (-lo if -lo > hi else hi)
+        # steps end on the next mark, which lands on hi within snap of it
+        end = mark if lo < mark < hi - snap else hi
+        span = end - lo
         if h is None:
             h = max(span / 16.0, min_step)
         # min and max, without their calls
@@ -281,16 +296,12 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
             h = span
         if max_step < h:
             h = max_step
-        # a step end within 1e-14 max(|lo|, |hi|) of hi lands on hi, a slack
-        # relative to the piece's own ends, so no step jumps a tiny piece
-        # near 0; max(|lo|, |hi|) = max(-lo, hi) as lo < hi
-        snap = 1e-14 * (-lo if -lo > hi else hi)
         err_prev = None
         while t < hi:
-            # the controller's proposal, kept before the clip to the piece end
-            # so that a short last step does not shrink the next piece's start
+            # the controller's proposal, kept before the clip to the mark or
+            # the piece end, so that a short step there does not shrink the next
             h_next = h
-            rest = hi - t
+            rest = end - t
             if rest < h:
                 h = rest
             if left <= 0:
@@ -326,18 +337,13 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
             err_abs = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
             err = abs(err_abs) / (abs_tol + rel_tol * (size_new if size_new > size else size))
             if err <= 1.0 and isfinite(y_new):
-                t_new = hi if hi - t_next <= snap else t_next
+                t_new = end if end - t_next <= snap else t_next
                 dk = d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7
                 extend((t, t_new, y, y_new, k1, k7, dk))
                 if h < h_min:
                     h_min = h
                 if h > h_max:
                     h_max = h
-                if t_new >= mark:
-                    settled_at = marks.cross(t, t_new, y, y_new, k1, k7, dk, m if shift else None)
-                    if settled_at is not None:
-                        break
-                    mark = marks.next
                 t, y, k1 = t_new, y_new, k7
                 size = size_new
                 if err == 0.0:
@@ -354,6 +360,22 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
                 h *= factor
                 if h > max_step:
                     h = max_step
+                if t == end and abs(mark - t) <= snap and t < t_end:
+                    # P at a mark against P a period before it
+                    p = y + 0.5 * m6 if shift else y
+                    if abs(p - p_mark) <= settle_tol * abs(p):
+                        settled_at = t
+                        break
+                    # past the first mark, each period starts from the step
+                    # size proposed there, with no error history, so that its
+                    # steps depend on P at its mark alone: one period map
+                    if k == 1:
+                        h_period = h_next
+                    k += 1
+                    mark, p_mark, h, err_prev = t0 + k * period, p, h_period, None
+                    if not mark < t_end:
+                        mark = math.inf
+                    end = mark if t < mark < hi - snap else hi
             else:
                 n_rej += 1
                 # an overflowed trial (err NaN) takes the smallest factor
@@ -402,60 +424,6 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     if not shift:
         orbit.__dict__["_coefficients"] = coef  # the cached property's value: _gauss forms none
     return orbit
-
-
-class _Marks:
-    """The settle test of _rk45 at the marks t0 + k h before t_end.
-
-    cross(t, t_new, y0, y1, f0, f1, dk, m) takes an accepted step that
-    reaches the next mark, with its row's floats (in W with the piece's M
-    as m on the shifted form, P and m None on the logistic form). It reads
-    P at the last mark the step crosses, and at the mark before it (from
-    this step, or kept from the step that crossed it; p0 at t0), from the
-    step's continuous extension, plus M/2 there with m; where one step
-    crosses several marks only those two are compared. It returns that
-    last mark if the two differ by at most tol |P| there, and otherwise
-    keeps P and moves next past the step.
-    """
-
-    def __init__(self, t0, h, t_end, tol, p0):
-        self.t0, self.h, self.t_end, self.tol = t0, h, t_end, tol
-        self.k, self.p, self.next = 1, p0, t0 + h
-
-    def _before_end(self, j, t_new):
-        x = self.t0 + j * self.h
-        return x <= t_new and x < self.t_end
-
-    def cross(self, t, t_new, y0, y1, f0, f1, dk, m):
-        t0, h, k = self.t0, self.h, self.k
-        # the last mark crossed, from a float estimate of its index, at most
-        # one mark off each way while fewer than 2**52 periods are marked
-        j = max(k, math.floor((t_new - t0) / h))
-        if j > k and not self._before_end(j, t_new):
-            j -= 1
-        if self._before_end(j + 1, t_new):
-            j += 1
-        dt = t_new - t
-        delta = y1 - y0
-        r3 = dt * f0 - delta
-        r4 = delta - dt * f1 - r3
-
-        def p(x):
-            theta = (x - t) / dt
-            omt = 1.0 - theta
-            y = y0 + theta * (delta + omt * (r3 + theta * (r4 + omt * dt * dk)))
-            return y if m is None else y + 0.5 * m(x)
-
-        last = t0 + j * h
-        p_last = p(last)
-        p_before = p(t0 + (j - 1) * h) if j > k else self.p
-        if abs(p_last - p_before) <= self.tol * abs(p_last):
-            return last
-        self.k, self.p = j + 1, p_last
-        self.next = t0 + (j + 1) * h
-        if not self.next < self.t_end:
-            self.next = math.inf
-        return None
 
 
 def _fold(ts, s, h) -> np.ndarray:

@@ -23,10 +23,15 @@ step's error against P = W + M/2, not W; the tolerance property in
 test_odesolve_properties.py checks their floats against the exact
 reciprocal-space solution. The four sinusoid and square-wave rows moved
 when RK45 began to stop stepping once an orbit on a repeating schedule
-had settled on its cycle: their samples at or before the mark are the
+had settled on its cycle: their samples at or before the mark were the
 old floats, and test_stepping_stops_within_the_bound_of_the_exact_solution
 in test_odesolve_properties.py checks the rest against the exact
-reciprocal-space solution.
+reciprocal-space solution. The two sinusoid rows moved again when every
+period mark before t_end became a step end, which moved every float of
+theirs; the square-wave rows, whose marks from t0 = 0 are switch times,
+did not move. test_settled_pins_are_near_the_exact_solution below and
+test_long_runs_settle_on_the_cycle_the_solver_finds in
+test_periodic_properties.py check them.
 """
 import math
 from dataclasses import replace
@@ -117,14 +122,14 @@ FRACS = (0.13, 0.37, 0.5, 0.81, 1.0)
 # FRACS of the span, n_accepted, n_rejected, n_rhs_evals, smallest and
 # largest step, and the mark at which the orbit settled on its cycle
 PINNED = [
-    ("sinusoid", integrate_logistic, 1, 951, "0x1.a1196aea8dcc4p+1",
-     ["0x1.43e4558d0a6bdp+0", "0x1.05b1454dfe2c1p+0", "0x1.9140d2fa1cbeap+0",
-      "0x1.123f11785e8b6p+0", "0x1.a1196aea8dcc4p+1"],
-     504, 7, 3067, "0x1.b469017b2d2e5p-6", "0x1.453aa85ceca90p-4", 21.0),
-    ("sinusoid", integrate_riccati, 1, 899, "0x1.a1196aec12472p+1",
-     ["0x1.43e4559b910a0p+0", "0x1.05b145198e2b7p+0", "0x1.9140d2f84bf9ap+0",
-      "0x1.123f1174d6738p+0", "0x1.a1196aec12472p+1"],
-     274, 6, 1681, "0x1.d06dba828208cp-6", "0x1.40923fa0ecedfp-4", 12.0),
+    ("sinusoid", integrate_logistic, 1, 950, "0x1.a1196ae9f7b2ap+1",
+     ["0x1.43e455900be03p+0", "0x1.05b14540f1712p+0", "0x1.9140d2f4a1718p+0",
+      "0x1.123f117c33f4ap+0", "0x1.a1196ae9f7b2ap+1"],
+     290, 6, 1777, "0x1.0f7c56aff7800p-6", "0x1.493e12fdb1873p-4", 12.0),
+    ("sinusoid", integrate_riccati, 1, 923, "0x1.a1196aeed22efp+1",
+     ["0x1.43e4559b8fad0p+0", "0x1.05b1456263ef8p+0", "0x1.9140d2f63de2ap+0",
+      "0x1.123f117104c3ap+0", "0x1.a1196aeed22efp+1"],
+     279, 9, 1729, "0x1.255735dc00000p-15", "0x1.54eacafba0fb4p-4", 12.0),
     ("twophase", integrate_logistic, 72, 662, "0x1.00b45137c8274p+1",
      ["0x1.e3692c2e5bd5fp+0", "0x1.f8c19b4b46f51p+0", "0x1.1b14b2b0804a1p+1",
       "0x1.26de44e04e3dcp+1", "0x1.00b45137c8274p+1"],
@@ -327,6 +332,33 @@ def test_long_healthy_runs_settle_within_the_step_budget(cap, t_end):
     ts = np.linspace(0.0, t_end, 21)[1:]
     traj = integrate_logistic(params, cap, t_end, t_eval=ts)
     assert traj.meta.settled_at is not None and traj.meta.settled_at < 0.1 * t_end
+    exact = np.array([quadrature_solution(params, cap, t, EXACT) for t in ts.tolist()])
+    assert (np.abs(traj.populations - exact) <= ERROR_BOUND * (cfg.abs_tol + cfg.rel_tol * np.abs(exact))).all()
+
+
+@pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+def test_a_mark_one_float_from_a_switch_lands_on_the_switch(integrate):
+    # from t0 = 0.17 the mark t0 + 6 h is 1.19, one float below the switch
+    # 14 h/2: a step ending on the mark itself leaves a step of one float
+    # to the switch. Run so, the steps went down to 2.2e-16 and 323 were
+    # accepted; landing on the switch, the steps are those of the run that
+    # read its marks from the continuous extension
+    params, cap = LogisticParams(1.0, 0.5, t0=0.17), TwoPhase(1.0, 3.0, 0.17)
+    assert math.nextafter(params.t0 + 6 * cap.period, 2.0) == 14 * (0.5 * cap.period)
+    meta = integrate(params, cap, params.t0 + 200 * cap.period).meta
+    assert meta.settled_at is not None
+    assert meta.smallest_step > 1e-6 and meta.n_accepted <= 316
+
+
+def test_riccati_run_near_m_over_2_settles():
+    # P read at each mark from the continuous extension of the step that
+    # crossed it moved by 1.6e-9 to 2.6e-8 relative per period here, so the
+    # run never settled and took 2,866 steps to t = 50; with a step ending
+    # on every mark it settles at t = 19
+    params, cap, cfg = LogisticParams(1.0, 1.0), SinusoidOffset(1.0, 0.9, 0.5), SolverConfig()
+    ts = np.linspace(0.0, 50.0, 21)[1:]
+    traj = integrate_riccati(params, cap, 50.0, t_eval=ts)
+    assert traj.meta.settled_at is not None and traj.meta.settled_at <= 20.0
     exact = np.array([quadrature_solution(params, cap, t, EXACT) for t in ts.tolist()])
     assert (np.abs(traj.populations - exact) <= ERROR_BOUND * (cfg.abs_tol + cfg.rel_tol * np.abs(exact))).all()
 
