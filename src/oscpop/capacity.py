@@ -44,9 +44,9 @@ class CapacitySchedule:
     """
 
     period: float | None = None
-    # True where M repeats with period for all t, so that the RK45 loop may
-    # stop once the orbit has settled on its cycle; never on a table, whose
-    # knots bound its range, or on a schedule of your own
+    # True where M repeats with period for all t, so that RK45 may step two
+    # periods and read later times from the period map; never on a table,
+    # whose knots bound its range, or on a schedule of your own
     _repeats = False
 
     def at(self, t: float) -> float:

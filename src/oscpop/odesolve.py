@@ -14,10 +14,11 @@ take along the step axis, so no sample forms them again; the cycle
 integrals' Gauss nodes read the same array. Either pass is linear in
 steps plus samples.
 
-``_rk45`` is the one step loop of both integrators and the hot path of
-every long run. It walks the schedule's pieces itself and evaluates each
+``_steps`` is the one step loop of both integrators and the hot path of
+every long run; ``_rk45`` calls it once, or twice on a repeating schedule
+(below). It walks the schedule's pieces itself and evaluates each
 stage's right-hand side in its own body, in the logistic or the shifted
-form chosen once per call. The schedule's _staged_pieces gives the walk
+form chosen by its caller. The schedule's _staged_pieces gives the walk
 and a stage evaluator, None where every piece is one level (Constant,
 TwoPhase): there M is read once per piece and dM/dt is 0.0; elsewhere
 each attempted step makes one call of the evaluator, which returns M at
@@ -29,11 +30,10 @@ locals once per call, keeping its counters, step budget and carried step
 size in locals too; that saves each step's and each piece's global and
 attribute lookups without changing any float it produces.
 
-On a schedule that repeats for all t, every period mark t0 + k h before
-t_end is a step end, so the run samples each period at the same phase; a
-long run stops stepping once P at two marks a period apart agrees, and
-reads each later time at its place in the last period (_rk45's docstring
-states the test and its guarantee).
+On a schedule that repeats for all t, a long run steps two periods: one
+from p0 and one from the cycle start that the first gives. In u = 1/P
+the gap between two solutions contracts by a fixed factor a period, so
+those two give every later time exactly (_rk45's docstring states how).
 
 Capacity breakpoints are treated as hard step boundaries: the integrator
 never takes a step across one, and each smooth piece is integrated with
@@ -47,7 +47,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -100,16 +100,14 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERR_FLOOR = 1e-10
-# the settle test's share of rel_tol: stepping stops once two marks a period
-# apart differ by at most this much of rel_tol times the period map's contraction
-_SETTLE_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
 class SolverStats:
-    """Step bookkeeping attached to every trajectory. settled_at is the mark,
-    a step end, at which RK45 stopped stepping on a repeating schedule (see
-    _rk45), None when it stepped all the way to t_end."""
+    """Step bookkeeping attached to every trajectory, over every step the
+    call took. settled_at is t0 + h, where the exact period map took over
+    from stepping on a repeating schedule (see _rk45), None when RK45
+    stepped all the way to t_end."""
 
     solver: str
     n_accepted: int = 0
@@ -125,10 +123,9 @@ class Trajectory:
     """Sampled solution: strictly increasing times, finite populations and
     steps, the (n, 7) array of the accepted RK45 steps on P, one row (t0,
     t1, y0, y1, f0, f1, dk) each; None for integrate_riccati, whose rows
-    hold W = P - M/2, and where no step was taken. steps holds only the
-    steps taken: on an orbit that settled on its cycle (meta.settled_at),
-    they end at that mark, and the samples after it are read from the last
-    period of the record."""
+    hold W = P - M/2, and where no step was taken. steps holds the steps
+    from p0: where the period map took over (meta.settled_at), those of the
+    first period, and the samples after it come from the map."""
 
     times: np.ndarray
     populations: np.ndarray
@@ -181,50 +178,32 @@ class Trajectory:
 
 def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     """Integrate P' = r (M - P) P, or with shift W' = r (M^2/4 - W^2) - M'/2
-    for W = P - M/2, from (t0, p0) to t_end, piece by piece.
-
-    One pass over cap._staged_pieces' walk, each stage's right-hand side
-    evaluated in the loop. A walk without a stage evaluator is of levels: M is
-    read once per piece and dM/dt is 0.0; otherwise M (and, with shift, dM/dt)
-    is one value (and slope) call at a piece's start and, at an attempted
-    step's five other stage times, one stage evaluator call that gives the
-    floats of those calls; stages 6 and 7 share the values at t_next. Each
-    piece starts at min(max_step, span, h), span its stretch to its first
-    mark or its end, h the controller's last proposal before the clip to the
-    previous piece's end (a sixteenth of the span for the first piece). With
-    shift, each piece restarts W from the carried P, and P = W + M/2 is
-    reported. Both forms scale a trial's error by abs_tol +
-    rel_tol max|P| over the step's ends (with shift, P carried into the piece,
-    then W + M/2 at stage 6's M), so where M is level or linear on each piece
-    they take the same steps: a Runge-Kutta step commutes with such a shift. A
-    trial is accepted only when err <= 1 and y1 is finite, and adds the row
-    (t0, t1, y0, y1, f0, f1, dk) to one flat record, the (n, 7) step array
-    after one np.fromiter pass, kept as the trajectory's steps without shift:
-    f0/f1 are its end slopes and dk the continuous-extension combination of
-    its stages. Every step has t1 > t0: a step size that no longer moves t
-    raises StiffnessError. Before any step, a bad t_end or t_eval raises
-    ValueError; max_iterations caps the attempted steps of the whole call, and
-    its ConvergenceError names the t reached, t_end and the steps attempted.
+    for W = P - M/2, from (t0, p0) to t_end, and sample the steps' continuous
+    extension at t_eval, with shift plus M/2 on each sample's own piece;
+    without t_eval the samples are t0 and the step ends. Before any step, a
+    bad t_end or t_eval raises ValueError; max_iterations caps the attempted
+    steps of the whole call, and its ConvergenceError names the t reached,
+    t_end and the steps attempted. _steps takes the steps.
 
     On a schedule whose M repeats for all t (cap._repeats: TwoPhase,
-    SinusoidOffset, Constant with a declared period h), with t_end - t0 at
-    least 2h and mass = cap.integral(t0, t0 + h) in (0, inf), every mark
-    t0 + k h before t_end is a step end: a step is clipped to the next mark
-    as to a piece end, and a mark within the snap of a piece end lands on
-    that end. The step after a later mark inside a piece starts from the
-    step size proposed at the first mark, with no error history, so a
-    period's steps depend on P at its mark alone. Stepping stops at the
-    first mark s, short of t_end, where |P(s) - P(s - h)| <= 0.1 (1 -
-    e^(-r mass)) rel_tol |P(s)|, both step end values (with shift W + M/2
-    at stage 6's M). The period map is affine
-    in u = 1/P with slope e^(-r mass), so the state at s is within 0.1
-    rel_tol of the cycle, and for r > 0 a relative error in u never grows
-    along the flow. A sample at t > s then reads the record at its place
-    s - ((s - t) mod h) in the last period, with shift M/2 taken there on
-    that place's own piece; step mode lists the ends of the last period's
-    steps shifted by whole periods, then t_end, so both modes give the same
-    value at any time. Every float at or before s is the one of a run to s,
-    and SolverStats.settled_at is s (None without a stop).
+    SinusoidOffset, Constant with a declared period h), with p0 > 0, t_end -
+    t0 in (2h, 2^52 h) and r mass in (0, inf), mass = cap.integral(t0, t0 +
+    h), only two periods are stepped. In u = 1/P the period map is u -> a u +
+    (1 - a) u*, a = e^(-r mass), so one period from p0 gives the cycle start
+    u* = (u(s) - a/p0) / (1 - a) at s = t0 + h; that period is stepped at
+    abs_tol and rel_tol times 1 - a (rel_tol not below 2^-52), as its error
+    reaches u* divided by 1 - a. A second period is stepped from 1/u* at the
+    call's rel_tol and an abs_tol of at most rel_tol/u*, from the step size
+    the first ended with. The gap
+    between two solutions in u obeys v' = -r M v, so it shrinks by a each
+    period, and a time t = tau + n h past s, tau = s - ((s - t) mod h) its
+    place in the first period, is read as u*(tau) + a^n (u(tau) - u*(tau))
+    from the two periods' samples, exactly; a^n and 1 - a^n are taken once
+    per n. Every float at or before s is the one of a run to s at the first
+    period's tolerances. Step mode lists t0, the first period's step ends
+    and t_end, and SolverStats.settled_at is s. Where 1/u* is not a float
+    at or above abs_tol, a cycle the steps cannot tell from 0, the run steps
+    to t_end from t0 instead; SolverStats counts the steps of both attempts.
     """
     cfg = cfg or SolverConfig()
     t0, p0, r = params.t0, params.p0, params.r
@@ -236,6 +215,102 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     ts = None if t_eval is None else _check_eval_times(t_eval, t0, t_end)
     if t_end == t0:
         return Trajectory(np.array([t0]), np.array([p0]), SolverStats(solver))
+    walk, stages = cap._staged_pieces(t0, t_end, shift)
+    # attempts left, steps accepted and rejected, pieces, smallest and largest step
+    tally = [cfg.max_iterations, 0, 0, 0, math.inf, 0.0]
+    h, mapped = cap.period if cap._repeats else None, None
+    if h is not None and p0 > 0.0 and 2.0 * h < t_end - t0 < 2.0**52 * h:
+        walk = itertools.chain((next(walk),), walk)  # the walk's own range checks come first
+        decay = r * cap.integral(t0, t0 + h)
+        if 0.0 < decay < math.inf:
+            mapped = _map_periods(params, cap, h, decay, t_end, ts, cfg, tally, shift)
+    if mapped is None:
+        s = None
+        steps, _, _ = _steps(walk, stages, shift, r, p0, None, t_end, cfg, tally)
+        coef = _step_coefficients(steps)
+        if ts is None:  # the step ends, where sampling returns each step's end value
+            ts = np.concatenate(([t0], coef[0]))
+        out = _sample_steps(coef, ts)
+        if shift:
+            out += 0.5 * cap._walk_values(t0, t_end, ts, ts)
+    else:
+        s, ts, out, steps, coef = mapped
+    if ts[0] == t0:
+        out[0] = p0  # W + M/2 need not round back to p0, nor y0 + 0.0 to -0.0
+    _, n_acc, n_rej, n_pieces, h_min, h_max = tally
+    # every piece spans lo < hi, so at least one step was accepted
+    meta = SolverStats(solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min, h_max, s)
+    orbit = Trajectory(ts, out, meta, None if shift else steps)
+    if not shift:
+        orbit.__dict__["_coefficients"] = coef  # the cached property's value: _gauss forms none
+    return orbit
+
+
+def _map_periods(params, cap, h, decay, t_end, ts, cfg, tally, shift):
+    """_rk45's run on a repeating schedule, decay = r mass: (s, sample
+    times, populations, the first period's steps, their coefficients), or
+    None where 1/u* is not a float at or above abs_tol."""
+    t0, p0, r = params.t0, params.p0, params.r
+    s, gap = t0 + h, -math.expm1(-decay)
+    k = max(gap, min(1.0, 2.0**-52 / cfg.rel_tol))
+    tight = replace(cfg, abs_tol=k * cfg.abs_tol, rel_tol=k * cfg.rel_tol)
+    steps, p1, h1 = _steps(*cap._staged_pieces(t0, s, shift), shift, r, p0, None, t_end, tight, tally)
+    u_star = (1.0 / p1 - math.exp(-decay) / p0) / gap if p1 > 0.0 else 0.0
+    if not (0.0 < u_star and cfg.abs_tol * u_star <= 1.0):
+        return None
+    # the second period starts from the step size the first ended with, at
+    # an abs_tol of at most rel_tol P*: the map weighs its samples against
+    # the first period's, however far below those the cycle lies
+    at_cycle = replace(cfg, abs_tol=min(cfg.abs_tol, cfg.rel_tol / u_star))
+    cycle = _steps(*cap._staged_pieces(t0, s, shift), shift, r, 1.0 / u_star, h1, t_end, at_cycle, tally)[0]
+    coef = _step_coefficients(steps)
+    if ts is None:
+        ts = np.concatenate(([t0], coef[0], [t_end]))
+    i = int(np.searchsorted(ts, s, side="right"))
+    # each time t past s is its place s - rem, rem = (s - t) mod h, less q h
+    q, rem = np.divmod(s - ts[i:], h)
+    keys, back = np.unique(np.concatenate((ts[:i], s - rem)), return_inverse=True)
+    p, c = _sample_steps(coef, keys), _sample_steps(_step_coefficients(cycle), keys)
+    if shift:
+        half = 0.5 * cap._walk_values(t0, s, keys, keys)
+        p += half
+        c += half
+    p, c = p[back], c[back]
+    # a^n and 1 - a^n, n = -q, once per n: 1/P = a^n / p + (1 - a^n) / c.
+    # Where p and c differ in sign or one is 0, noise at a die-off's floor,
+    # P is their linear blend by the same weights, which lies between them
+    periods, which = np.unique(q, return_inverse=True)
+    exponents = (decay * periods).tolist()
+    g = np.array(list(map(math.exp, exponents)))[which]
+    gm = -np.array(list(map(math.expm1, exponents)))[which]
+    both = p[i:] * c[i:]
+    p[i:] = np.divide(both, gm * p[i:] + g * c[i:], out=gm * c[i:] + g * p[i:], where=both > 0.0)
+    return s, ts, p, steps, coef
+
+
+def _steps(walk, stages, shift, r, y, h, t_end, cfg, tally):
+    """Step from P = y over the pieces of walk, with stage evaluator stages
+    (cap._staged_pieces'; the module docstring says how M reaches the
+    stages), from the step size h (None for a sixteenth of the first
+    piece); returns the (n, 7) array of the accepted steps, P at the walk's
+    end and the step size proposed there. tally holds the call's attempts
+    left, steps accepted and rejected, pieces, and smallest and largest
+    step, and is updated in place; t_end is the call's, for the budget's
+    message.
+
+    Each piece starts at min(max_step, span, h), span its width, h the
+    controller's last proposal before the clip to the previous piece's end.
+    With shift, each piece restarts W from the carried P. Both forms scale
+    a trial's error by abs_tol + rel_tol max|P| over the step's ends (with
+    shift, P carried into the piece, then W + M/2 at stage 6's M), so where
+    M is level or linear on each piece they take the same steps: a
+    Runge-Kutta step commutes with such a shift. A trial is accepted only
+    when err <= 1 and y1 is finite, and adds the row (t0, t1, y0, y1, f0,
+    f1, dk) to one flat record, the step array after one np.fromiter pass:
+    f0/f1 are its end slopes and dk the continuous-extension combination of
+    its stages. Every step has t1 > t0: a step size that no longer moves t
+    raises StiffnessError.
+    """
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
@@ -248,26 +323,11 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     isfinite = math.isfinite
     record: list[float] = []
     extend = record.extend
-    left = cfg.max_iterations
-    n_rej = n_pieces = 0
-    h_min, h_max = math.inf, 0.0
-    y, h = p0, None
+    left, n_acc, n_rej, n_pieces, h_min, h_max = tally
     # m1..m6 and s1..s6 are M and dM/dt at stages 1 to 6; s stays 0.0 on
     # level pieces and is read only with shift
     s1 = s2 = s3 = s4 = s5 = s6 = 0.0
-    walk, stages = cap._staged_pieces(t0, t_end, shift)
     levels = stages is None
-    # the settle test's marks t0 + k h before t_end, h the period of a
-    # schedule that repeats: mark is the next one, inf where the test is off,
-    # and p_mark is P at the one before it (p0 at t0)
-    period = cap.period if cap._repeats else None
-    mark, settled_at = math.inf, None
-    if period is not None and 2.0 * period <= t_end - t0 < 2.0**52 * period:
-        walk = itertools.chain((next(walk),), walk)  # the walk's own range checks come first
-        mass = cap.integral(t0, t0 + period)
-        if 0.0 < mass < math.inf:
-            settle_tol = _SETTLE_MARGIN * -math.expm1(-r * mass) * rel_tol
-            k, mark, p_mark = 1, t0 + period, p0
     for lo, hi, m, dm in walk:
         t = lo
         m1 = m(lo)
@@ -286,9 +346,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
         # relative to the piece's own ends, so no step jumps a tiny piece
         # near 0; max(|lo|, |hi|) = max(-lo, hi) as lo < hi
         snap = 1e-14 * (-lo if -lo > hi else hi)
-        # steps end on the next mark, which lands on hi within snap of it
-        end = mark if lo < mark < hi - snap else hi
-        span = end - lo
+        span = hi - lo
         if h is None:
             h = max(span / 16.0, min_step)
         # min and max, without their calls
@@ -298,10 +356,10 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
             h = max_step
         err_prev = None
         while t < hi:
-            # the controller's proposal, kept before the clip to the mark or
-            # the piece end, so that a short step there does not shrink the next
+            # the controller's proposal, kept before the clip to the piece
+            # end, so that a short step there does not shrink the next
             h_next = h
-            rest = end - t
+            rest = hi - t
             if rest < h:
                 h = rest
             if left <= 0:
@@ -337,7 +395,7 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
             err_abs = h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
             err = abs(err_abs) / (abs_tol + rel_tol * (size_new if size_new > size else size))
             if err <= 1.0 and isfinite(y_new):
-                t_new = end if end - t_next <= snap else t_next
+                t_new = hi if hi - t_next <= snap else t_next
                 dk = d1 * k1 + d3 * k3 + d4 * k4 + d5 * k5 + d6 * k6 + d7 * k7
                 extend((t, t_new, y, y_new, k1, k7, dk))
                 if h < h_min:
@@ -360,22 +418,6 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
                 h *= factor
                 if h > max_step:
                     h = max_step
-                if t == end and abs(mark - t) <= snap and t < t_end:
-                    # P at a mark against P a period before it
-                    p = y + 0.5 * m6 if shift else y
-                    if abs(p - p_mark) <= settle_tol * abs(p):
-                        settled_at = t
-                        break
-                    # past the first mark, each period starts from the step
-                    # size proposed there, with no error history, so that its
-                    # steps depend on P at its mark alone: one period map
-                    if k == 1:
-                        h_period = h_next
-                    k += 1
-                    mark, p_mark, h, err_prev = t0 + k * period, p, h_period, None
-                    if not mark < t_end:
-                        mark = math.inf
-                    end = mark if t < mark < hi - snap else hi
             else:
                 n_rej += 1
                 # an overflowed trial (err NaN) takes the smallest factor
@@ -387,66 +429,12 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
                     )
             if t < hi and t + h == t:
                 raise StiffnessError(f"step size vanished at t={t}")
-        if settled_at is not None:
-            break
         h = h_next
         if shift:
             y = y + 0.5 * (m1 if levels else m(hi))
-    n_acc = len(record) // 7
-    # every piece spans lo < hi, so at least one step was accepted
-    meta = SolverStats(solver, n_acc, n_rej, n_pieces + 6 * (n_acc + n_rej), h_min, h_max, settled_at)
-    # the record becomes the (n, 7) step array, released before sampling;
-    # a logistic trajectory keeps the array and the coefficients sampled from
-    steps = np.fromiter(record, float, 7 * n_acc).reshape(n_acc, 7)
-    record.clear()
-    coef = _step_coefficients(steps)
-    if ts is None:  # the step ends, where sampling returns each step's end value
-        ts = np.concatenate(([t0], coef[0]))
-        if settled_at is not None:
-            ts = _repeat_ends(ts, settled_at, period, t_end)
-    if settled_at is None:
-        keys, back, stop = ts, None, t_end
-    else:
-        # each time past the mark is read at its place in the last period,
-        # the distinct places once each and in order, as the M/2 pass needs
-        keys, back = np.unique(_fold(ts, settled_at, period), return_inverse=True)
-        stop = settled_at
-    out = _sample_steps(coef, keys)
-    if shift:
-        # M/2 at each place on its own piece, which a time a period later
-        # need not round onto
-        out += 0.5 * cap._walk_values(t0, stop, keys, keys)
-    if back is not None:
-        out = out[back]
-    if ts[0] == t0:
-        out[0] = p0  # W + M/2 need not round back to p0, nor y0 + 0.0 to -0.0
-    orbit = Trajectory(ts, out, meta, None if shift else steps)
-    if not shift:
-        orbit.__dict__["_coefficients"] = coef  # the cached property's value: _gauss forms none
-    return orbit
-
-
-def _fold(ts, s, h) -> np.ndarray:
-    """ts with each time t past the mark s replaced by its place in the last
-    period, s - ((s - t) mod h)."""
-    keys = ts.copy()
-    i = np.searchsorted(ts, s, side="right")
-    keys[i:] = s - np.mod(s - ts[i:], h)
-    return keys
-
-
-def _repeat_ends(ts, s, h, t_end) -> np.ndarray:
-    """Step mode past the mark s: the times ts up to s (t0, then the step
-    ends), the ends of the last period (s - h, s] shifted by whole periods
-    while before t_end, then t_end; a shifted end that rounds onto the time
-    before it is dropped, so the times stay strictly increasing."""
-    i = np.searchsorted(ts, s, side="right")
-    last = ts[np.searchsorted(ts, s - h, side="right") : i]
-    later = last[:0]
-    if last.size:
-        later = (last + h * np.arange(1, math.ceil((t_end - s) / h) + 1)[:, None]).ravel()
-    ts = np.concatenate((ts[:i], later[later < t_end], [t_end]))
-    return ts[np.concatenate(([True], ts[1:] > np.maximum.accumulate(ts)[:-1]))]
+    n = len(record) // 7
+    tally[:] = left, n_acc + n, n_rej, n_pieces, h_min, h_max
+    return np.fromiter(record, float, 7 * n).reshape(n, 7), y, h
 
 
 def _check_eval_times(t_eval, t0, t_end) -> np.ndarray:

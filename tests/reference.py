@@ -28,10 +28,9 @@ ERROR_BOUND = 100.0
 
 
 def stepping_to_the_end(cap):
-    """cap's twin, with the same parameters, whose RK45 runs never settle
-    on their cycle: an instance of a subclass with the repeat marker off,
-    so that it steps all the way to t_end with no step ending on a period
-    mark, as a schedule of your own does."""
+    """cap's twin, with the same parameters, whose RK45 runs never take the
+    period map: an instance of a subclass with the repeat marker off, so
+    that it steps all the way to t_end, as a schedule of your own does."""
     twin = type(f"{type(cap).__name__}ToTheEnd", (type(cap),), {"_repeats": False})
     return twin(*[getattr(cap, f.name) for f in fields(cap) if f.init])
 

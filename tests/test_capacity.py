@@ -758,9 +758,10 @@ class TestPieces:
 
     def test_pieces_are_resolved_lazily(self):
         # 20,000 pieces on [0, 100]; a budget of 50 steps reaches a few
-        # dozen, so only those may be resolved
+        # dozen, so only those may be resolved. The cycle mass is zero, so
+        # RK45 steps to t_end, not two periods and the period map
         CountingTwoPhase.pieces_drawn = 0
-        cap = CountingTwoPhase(1.0, 3.0, 0.01)
+        cap = CountingTwoPhase(-3.0, 3.0, 0.01)
         with pytest.raises(ConvergenceError):
             integrate_logistic(LogisticParams(1.0, 0.5), cap, 100.0, SolverConfig(max_iterations=50))
         assert 0 < CountingTwoPhase.pieces_drawn <= 50

@@ -28,7 +28,7 @@ from oscpop import (
 )
 from oscpop import cli, verify
 from oscpop.cli import _fmt, main
-from reference import ERROR_BOUND
+from reference import ERROR_BOUND, EXACT
 
 
 def run(capsys, *argv):
@@ -95,19 +95,34 @@ class TestSimulate:
         for row, want in zip(rows, traj.populations):
             assert float(row[1]) == pytest.approx(want, rel=1e-6)
 
-    def test_long_square_wave_run_finishes(self, capsys):
-        # exit 4 when the step budget capped the attempted steps of the whole
-        # run (at t = 417.761); the orbit settles on its cycle by t = 14
+    @pytest.mark.parametrize(
+        "schedule, r, p0, t_end, dt",
+        [
+            ("twophase:1,3,2", "1", "0.5", "700", "1"),
+            ("twophase:1,3,0.001", "1", "0.5", "50", "1"),
+            ("sinusoid:2,1.9,0.01", "1", "0.5", "100", "1"),
+            # two argvs of tests/cli_bytes.json whose rows past the first
+            # period come from the period map
+            ("twophase:1,3,2", "1.2", "0.8", "10", "0.1"),
+            ("twophase:1,3,0.3", "1", "0.5", "1.5", "0.15"),
+        ],
+    )
+    def test_repeating_runs_are_near_the_exact_solution(self, capsys, schedule, r, p0, t_end, dt):
+        # the first run exited 4 when the step budget capped the attempted
+        # steps of the whole run (at t = 417.761); the two fast-forcing runs
+        # still exited 4, at t = 4.999 and 9.99, when the orbit stepped
+        # until it settled on its cycle. Two periods of steps and the period
+        # map finish any of them
         code, out, err = run(
-            capsys,
-            "simulate", "--schedule", "twophase:1,3,2", "--r", "1", "--p0", "0.5",
-            "--t-end", "700", "--dt", "1",
+            capsys, "simulate", "--schedule", schedule, "--r", r, "--p0", p0, "--t-end", t_end, "--dt", dt,
         )
         assert (code, err) == (0, "")
         rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert len(rows) == 701 and rows[-1][0] == "700"
-        want = quadrature_solution(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 2.0), 700.0)
-        assert float(rows[-1][1]) == pytest.approx(want, rel=1e-7)
+        assert len(rows) == round(float(t_end) / float(dt)) + 1 and rows[-1][0] == t_end
+        cap, params, cfg = oscpop.parse_schedule(schedule), LogisticParams(float(r), float(p0)), SolverConfig()
+        for row in rows[:: max(1, len(rows) // 20)]:
+            want = quadrature_solution(params, cap, float(row[0]), EXACT)
+            assert abs(float(row[1]) - want) <= ERROR_BOUND * (cfg.abs_tol + cfg.rel_tol * want), row
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.csv"
@@ -170,8 +185,8 @@ class TestClosedForm:
 
     def test_settled_run_is_near_the_closed_form(self, capsys):
         # the RK45 column of this argv (pinned in tests/cli_bytes.json)
-        # settles on its cycle at t = 15; each row past it stays within the
-        # bound of the closed form that rows before it keep
+        # comes from the period map past t = 3; each row past it stays
+        # within the bound of the closed form that rows before it keep
         code, out, err = run(
             capsys,
             "closed-form", "--schedule", "sinusoid:2,0.5,3", "--r", "1", "--p0", "0.5",

@@ -1,6 +1,6 @@
 """Non-finite horizons, sample spacings and growth rates are rejected
-with ValueError, and a square wave with more switch times than the step
-budget can reach ends in ConvergenceError.
+with ValueError, and a square wave of zero cycle mass with more switch
+times than the step budget can reach ends in ConvergenceError.
 
 Without these guards a NaN horizon on a schedule without breakpoints
 fails inside the RK45 step loop and an infinite one diverges there, a
@@ -49,8 +49,8 @@ calls = {
     "two_phase_inf_t_end": lambda: two_phase_trajectory(params, cap, math.inf, 1.0),
     "two_phase_nan_t_end": lambda: two_phase_trajectory(params, cap, math.nan, 1.0),
     "two_phase_subnormal_dt": lambda: two_phase_trajectory(params, cap, 1.0, 5e-324),
-    "switch_period_1e-5": lambda: integrate_logistic(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 1e-5), 100.0),
-    "switch_period_1e-7": lambda: integrate_logistic(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 1e-7), 100.0),
+    "switch_period_1e-5": lambda: integrate_logistic(LogisticParams(1.0, 0.5), TwoPhase(-3.0, 3.0, 1e-5), 100.0),
+    "switch_period_1e-7": lambda: integrate_logistic(LogisticParams(1.0, 0.5), TwoPhase(-3.0, 3.0, 1e-7), 100.0),
 }
 out = {}
 for name, call in calls.items():
@@ -90,7 +90,9 @@ CLI_CASES = [
     (["simulate", "--schedule", "constant:1", "--p0", "1", "--t-end", "4", "--dt", "1", "--r", "inf"],
      "growth rate r"),
 ]
-DENSE_SWITCHES = ["simulate", "--schedule", "twophase:1,3,1e-5", "--r", "1", "--p0", "0.5", "--t-end", "100",
+# a square wave of zero cycle mass, which RK45 steps to t_end (a cycle of
+# positive mass is read from the period map past two periods)
+DENSE_SWITCHES = ["simulate", "--schedule", "twophase:-3,3,1e-5", "--r", "1", "--p0", "0.5", "--t-end", "100",
                   "--dt", "10"]
 # finite flags whose sample count, (t_end - t0) / dt, is not finite
 FINE_SPACING = [
@@ -167,7 +169,8 @@ def test_library_rejects_non_finite_times(library_errors, call, message):
 @pytest.mark.parametrize("call", ["switch_period_1e-5", "switch_period_1e-7"])
 def test_library_budget_outlasts_dense_switching(library_errors, call):
     # the error says how far the run got: each of the 10,000 attempted
-    # steps spans at most one half-period
+    # steps spans at most one half-period. The square waves have zero cycle
+    # mass, so RK45 steps them to t_end
     t = {"switch_period_1e-5": "0.04999", "switch_period_1e-7": "0.0004999"}[call]
     assert library_errors[call] == (
         f"ConvergenceError: step budget exhausted (max_iterations) at t={t} of t_end=100"

@@ -174,13 +174,22 @@ class TestIntegrateLogistic:
     def test_trajectory_keeps_the_step_record_of_p(self, t_eval):
         # one row (t0, t1, y0, y1, f0, f1, dk) per accepted step, whose ends
         # tile the span and whose end values are the step-mode samples
-        params, cap = LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 2.0)
+        params, cap = LogisticParams(1.0, 0.5), stepping_to_the_end(TwoPhase(1.0, 3.0, 2.0))
         traj = integrate_logistic(params, cap, 6.0, t_eval=t_eval)
         steps = traj.steps
         assert steps.shape == (traj.meta.n_accepted, 7)
         assert steps[0, 0] == 0.0 and steps[-1, 1] == 6.0
         assert np.array_equal(steps[1:, 0], steps[:-1, 1])
         assert np.array_equal(steps[:, 3], integrate_logistic(params, cap, 6.0).populations[1:])
+        # past two periods of the square wave itself, the record is the
+        # first period's, from p0, and step mode lists its ends, then t_end
+        traj = integrate_logistic(params, TwoPhase(1.0, 3.0, 2.0), 6.0, t_eval=t_eval)
+        steps, stepped = traj.steps, integrate_logistic(params, TwoPhase(1.0, 3.0, 2.0), 6.0)
+        assert traj.meta.settled_at == 2.0 and steps.shape[0] < traj.meta.n_accepted
+        assert steps[0, 0] == 0.0 and steps[-1, 1] == 2.0
+        assert np.array_equal(steps[1:, 0], steps[:-1, 1])
+        assert np.array_equal(stepped.times, np.concatenate(([0.0], steps[:, 1], [6.0])))
+        assert np.array_equal(steps[:, 3], stepped.populations[1:-1])
 
     def test_riccati_trajectory_has_no_step_record(self):
         # its rows hold W = P - M/2, not P
@@ -363,8 +372,8 @@ def test_step_mode_keeps_one_record_per_step(integrate):
     # one record per accepted step peaks near 215 B per step here, step
     # rows and sampling temporaries included; keeping each step as a tuple
     # of Python floats beside its array row peaked at 350-400 B per step.
-    # The sinusoid's twin steps to t_end, where the sinusoid itself settles
-    # on its cycle by t = 21
+    # The sinusoid's twin steps to t_end, where the sinusoid itself steps
+    # two periods and takes the period map
     cap = stepping_to_the_end(SinusoidOffset(2.0, 0.5, 3.0))
     tracemalloc.start()
     try:

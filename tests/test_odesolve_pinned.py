@@ -2,8 +2,8 @@
 
 The RK45 step loop may be restructured for speed, but every float it
 produces must stay the same: the final value, five dense samples and the
-full SolverStats are compared bit for bit with the values recorded before
-the loop was last changed.
+full SolverStats are compared bit for bit with the values recorded
+before the loop was last changed.
 
 The pins were last moved when dense output became Dormand-Prince's
 continuous extension and each smooth piece began to start from the step
@@ -24,14 +24,21 @@ test_odesolve_properties.py checks their floats against the exact
 reciprocal-space solution. The four sinusoid and square-wave rows moved
 when RK45 began to stop stepping once an orbit on a repeating schedule
 had settled on its cycle: their samples at or before the mark were the
-old floats, and test_stepping_stops_within_the_bound_of_the_exact_solution
-in test_odesolve_properties.py checks the rest against the exact
-reciprocal-space solution. The two sinusoid rows moved again when every
-period mark before t_end became a step end, which moved every float of
-theirs; the square-wave rows, whose marks from t0 = 0 are switch times,
-did not move. test_settled_pins_are_near_the_exact_solution below and
-test_long_runs_settle_on_the_cycle_the_solver_finds in
-test_periodic_properties.py check them.
+old floats, and a tolerance property in test_odesolve_properties.py
+checked the rest against the exact reciprocal-space solution. The two
+sinusoid rows moved again when every period mark before t_end became a
+step end, which moved every float of theirs; the square-wave rows, whose
+marks from t0 = 0 are switch times, did not move. The six sinusoid,
+square-wave and die-off rows moved when RK45 began to step two periods
+on a repeating schedule, one from p0 and one from the cycle start, the
+first at tolerances 1 - e^(-r mass) times the call's, and to read every
+later time from the exact period map, which moved every float of theirs.
+test_settled_pins_are_near_the_exact_solution below checks their dense
+samples against the exact reciprocal-space solution, and
+test_mapped_runs_are_within_the_bound_of_the_exact_solution in
+test_odesolve_properties.py and
+test_long_runs_reach_the_cycle_the_solver_finds in
+test_periodic_properties.py check the route on drawn schedules.
 """
 import math
 from dataclasses import replace
@@ -120,24 +127,24 @@ FRACS = (0.13, 0.37, 0.5, 0.81, 1.0)
 
 # case, integrator, pieces, samples without t_eval, final, dense samples at
 # FRACS of the span, n_accepted, n_rejected, n_rhs_evals, smallest and
-# largest step, and the mark at which the orbit settled on its cycle
+# largest step, and the time t0 + h where the period map took over
 PINNED = [
-    ("sinusoid", integrate_logistic, 1, 950, "0x1.a1196ae9f7b2ap+1",
-     ["0x1.43e455900be03p+0", "0x1.05b14540f1712p+0", "0x1.9140d2f4a1718p+0",
-      "0x1.123f117c33f4ap+0", "0x1.a1196ae9f7b2ap+1"],
-     290, 6, 1777, "0x1.0f7c56aff7800p-6", "0x1.493e12fdb1873p-4", 12.0),
-    ("sinusoid", integrate_riccati, 1, 923, "0x1.a1196aeed22efp+1",
-     ["0x1.43e4559b8fad0p+0", "0x1.05b1456263ef8p+0", "0x1.9140d2f63de2ap+0",
-      "0x1.123f117104c3ap+0", "0x1.a1196aeed22efp+1"],
-     279, 9, 1729, "0x1.255735dc00000p-15", "0x1.54eacafba0fb4p-4", 12.0),
-    ("twophase", integrate_logistic, 72, 662, "0x1.00b45137c8274p+1",
-     ["0x1.e3692c2e5bd5fp+0", "0x1.f8c19b4b46f51p+0", "0x1.1b14b2b0804a1p+1",
-      "0x1.26de44e04e3dcp+1", "0x1.00b45137c8274p+1"],
-     285, 16, 1838, "0x1.7add788138000p-12", "0x1.c000000000000p-3", 11.2),
-    ("twophase", integrate_riccati, 72, 662, "0x1.00b45137c8272p+1",
-     ["0x1.e3692c2e5bd5bp+0", "0x1.f8c19b4b46f47p+0", "0x1.1b14b2b08049ap+1",
-      "0x1.26de44e04e3d4p+1", "0x1.00b45137c8272p+1"],
-     285, 16, 1838, "0x1.7add7e09b2000p-12", "0x1.c000000000000p-3", 11.2),
+    ("sinusoid", integrate_logistic, 1, 78, "0x1.a1196aea29d15p+1",
+     ["0x1.43e4558fe11f6p+0", "0x1.05b145413dd4dp+0", "0x1.9140d2f4d0a92p+0",
+      "0x1.123f117c346c0p+0", "0x1.a1196aea29d15p+1"],
+     147, 4, 908, "0x1.b28a5cf6b5bb2p-6", "0x1.41f948060fe7bp-4", 3.0),
+    ("sinusoid", integrate_riccati, 1, 75, "0x1.a1196af14fb66p+1",
+     ["0x1.43e455883632ep+0", "0x1.05b14556bc7bbp+0", "0x1.9140d2f2e3526p+0",
+      "0x1.123f11717a3ecp+0", "0x1.a1196af14fb66p+1"],
+     142, 4, 878, "0x1.ea31b551c2000p-10", "0x1.587c52d555aefp-4", 3.0),
+    ("twophase", integrate_logistic, 72, 14, "0x1.00b45139f0a4cp+1",
+     ["0x1.e3692c3321871p+0", "0x1.f8c19b52ea16dp+0", "0x1.1b14b2b25de32p+1",
+      "0x1.26de44e20f876p+1", "0x1.00b45139f0a4cp+1"],
+     31, 2, 202, "0x1.88585b5eaee00p-10", "0x1.c000000000000p-3", 0.7),
+    ("twophase", integrate_riccati, 72, 14, "0x1.00b45139f0a4bp+1",
+     ["0x1.e3692c332186fp+0", "0x1.f8c19b52ea16ap+0", "0x1.1b14b2b25de31p+1",
+      "0x1.26de44e20f876p+1", "0x1.00b45139f0a4bp+1"],
+     31, 2, 202, "0x1.88585aaa36c00p-10", "0x1.c000000000000p-3", 0.7),
     ("table", integrate_logistic, 59, 291, "0x1.83d6a083b4d0bp+0",
      ["0x1.d27d5191a6deep+0", "0x1.806980d4c6383p+0", "0x1.afa1f07fd4a52p+0",
       "0x1.d574d538bf58ep+0", "0x1.83d6a083b4d0bp+0"],
@@ -154,14 +161,14 @@ PINNED = [
      ["0x1.1d2b3abc24ee9p+1", "0x1.3ffac9db1c13ep+1", "0x1.3fffe9c5f3946p+1",
       "0x1.3fffffffc33a0p+1", "0x1.3ffffffff28a2p+1"],
      82, 2, 505, "0x1.378a3139e23dbp-5", "0x1.0ebcc768d4daap+0", None),
-    ("dieoff", integrate_logistic, 8, 397, "0x1.798a2baf8f9a0p+1",
-     ["0x1.015d1794620d4p-3", "0x1.a180c103f6b74p-3", "0x1.7984032199f67p+1",
-      "0x1.fc7d8b7389618p-2", "0x1.798a2baf8f9a0p+1"],
-     396, 9, 2438, "0x1.16483869b2000p-8", "0x1.e096f88eb44cdp-4", None),
-    ("dieoff", integrate_riccati, 8, 397, "0x1.798a2baf8f9a3p+1",
-     ["0x1.015d1794620e0p-3", "0x1.a180c103f6b6ap-3", "0x1.7984032199f66p+1",
-      "0x1.fc7d8b73895ecp-2", "0x1.798a2baf8f9a3p+1"],
-     396, 9, 2438, "0x1.164836b203000p-8", "0x1.e096f88e4a055p-4", None),
+    ("dieoff", integrate_logistic, 8, 83, "0x1.798a2baf8fe67p+1",
+     ["0x1.015d17944e558p-3", "0x1.a180c104f366dp-3", "0x1.79840321a577bp+1",
+      "0x1.fc7d8b740e2edp-2", "0x1.798a2baf8fe67p+1"],
+     186, 4, 1144, "0x1.67ca4808fe200p-8", "0x1.e01984234fd6bp-4", 5.0),
+    ("dieoff", integrate_riccati, 8, 83, "0x1.798a2baf8fe69p+1",
+     ["0x1.015d17944e560p-3", "0x1.a180c104f3669p-3", "0x1.79840321a577dp+1",
+      "0x1.fc7d8b740e2e6p-2", "0x1.798a2baf8fe69p+1"],
+     186, 4, 1144, "0x1.67ca485a7dc00p-8", "0x1.e0198423ee249p-4", 5.0),
     ("steep", integrate_logistic, 3, 171, "0x1.81537e34cda65p-7",
      ["0x1.0d837db048f00p-4", "0x1.7a07d29c856aep-20", "0x1.79e386b613b26p-22",
       "0x1.c1872fdafe84dp-10", "0x1.81537e34cda65p-7"],
@@ -196,8 +203,8 @@ def test_outputs_are_bit_identical(case, integrate, n_pieces, n_samples, final, 
         largest_step=float.fromhex(h_max),
         settled_at=settled_at,
     )
-    # a run that settled on its cycle stepped the pieces up to its mark only
-    stepped = n_pieces if settled_at is None else len(list(cap.pieces(params.t0, settled_at)))
+    # a run that took the period map stepped its first period's pieces twice
+    stepped = n_pieces if settled_at is None else 2 * len(list(cap.pieces(params.t0, settled_at)))
     assert n_rhs == stepped + 6 * (n_acc + n_rej)
 
     steps = integrate(params, cap, t_end)
@@ -216,8 +223,8 @@ SETTLED = [row for row in PINNED if row[-1] is not None]
 
 @pytest.mark.parametrize("row", SETTLED, ids=[f"{row[0]}-{row[1].__name__}" for row in SETTLED])
 def test_settled_pins_are_near_the_exact_solution(row):
-    # the rows that settled on their cycle, against the reciprocal-space
-    # solution: the five dense samples, those past the mark included
+    # the rows that took the period map, against the reciprocal-space
+    # solution: the five dense samples, those read from the map included
     case, integrate, dense = row[0], row[1], row[5]
     cap, params, t_end = CASES[case]
     cfg = SolverConfig()
@@ -268,7 +275,7 @@ def test_user_square_wave_is_the_built_in_one(integrate):
     # left-closed at and a derivative that raises on a switch give the
     # square wave's own floats; the value and slope at each switch were the
     # next piece's, and integrate_riccati raised at t = 0. A user schedule
-    # never settles on its cycle, so the built-in one steps to t_end too
+    # is stepped to t_end, never mapped, so the built-in one is too
     params = LogisticParams(1.0, 0.5)
     got, want = integrate(params, Square(), 20.0), integrate(params, stepping_to_the_end(TwoPhase(1.0, 3.0, 2.0)), 20.0)
     assert got.times.tobytes() == want.times.tobytes()
@@ -321,44 +328,75 @@ def test_both_forms_take_the_same_steps_where_m_is_piecewise_linear(cap, params,
 
 @pytest.mark.parametrize(
     "cap, t_end",
-    [(SinusoidOffset(2.0, 0.5, 3.0), 700.0), (TwoPhase(1.0, 3.0, 0.01), 200.0)],
-    ids=["sinusoid-period-3", "twophase-period-0.01"],
+    [(SinusoidOffset(2.0, 0.5, 3.0), 700.0), (TwoPhase(1.0, 3.0, 0.01), 200.0),
+     (TwoPhase(1.0, 3.0, 0.001), 50.0), (SinusoidOffset(2.0, 1.9, 0.01), 100.0)],
+    ids=["sinusoid-period-3", "twophase-period-0.01", "twophase-period-0.001", "sinusoid-period-0.01"],
 )
-def test_long_healthy_runs_settle_within_the_step_budget(cap, t_end):
-    # at the default budget these ran out of steps at t = 626.7 and 49.99:
-    # max_iterations caps the attempted steps of a whole call. Now each
-    # stops stepping once its orbit has settled on its cycle
+def test_long_healthy_runs_finish_within_the_step_budget(cap, t_end):
+    # at the default budget the first two ran out of steps at t = 626.7 and
+    # 49.99: max_iterations caps the attempted steps of a whole call. The
+    # other two did so even when each run stopped stepping once its orbit
+    # had settled on its cycle, at t = 4.999 and 9.99: the settle took r M t
+    # of about 20 whatever the period. Two periods of steps and the period
+    # map take any horizon
     params, cfg = LogisticParams(1.0, 0.5), SolverConfig()
     ts = np.linspace(0.0, t_end, 21)[1:]
     traj = integrate_logistic(params, cap, t_end, t_eval=ts)
-    assert traj.meta.settled_at is not None and traj.meta.settled_at < 0.1 * t_end
+    assert traj.meta.settled_at == cap.period
     exact = np.array([quadrature_solution(params, cap, t, EXACT) for t in ts.tolist()])
     assert (np.abs(traj.populations - exact) <= ERROR_BOUND * (cfg.abs_tol + cfg.rel_tol * np.abs(exact))).all()
 
 
 @pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
-def test_a_mark_one_float_from_a_switch_lands_on_the_switch(integrate):
-    # from t0 = 0.17 the mark t0 + 6 h is 1.19, one float below the switch
-    # 14 h/2: a step ending on the mark itself leaves a step of one float
-    # to the switch. Run so, the steps went down to 2.2e-16 and 323 were
-    # accepted; landing on the switch, the steps are those of the run that
-    # read its marks from the continuous extension
-    params, cap = LogisticParams(1.0, 0.5, t0=0.17), TwoPhase(1.0, 3.0, 0.17)
-    assert math.nextafter(params.t0 + 6 * cap.period, 2.0) == 14 * (0.5 * cap.period)
-    meta = integrate(params, cap, params.t0 + 200 * cap.period).meta
-    assert meta.settled_at is not None
-    assert meta.smallest_step > 1e-6 and meta.n_accepted <= 316
+def test_die_off_floor_noise_is_read_from_the_map(integrate):
+    # M = -1 for 40 time units takes P to about 4e-18, where the steps leave
+    # it within abs_tol of 0 and of either sign. P from p0 and from the cycle
+    # start then need not share a sign, and 1/P is no weighted sum of theirs:
+    # the map blends them linearly there, which stays between them. When
+    # such samples sent the run to t_end by steps, the budget ran out at
+    # t = 2002.94; stepping until P settled, the run had read them from its
+    # last period
+    params, cap = LogisticParams(1.0, 1.0), TwoPhase(-1.0, 2.5, 80.0)
+    traj = integrate(params, cap, 8000.0, t_eval=np.linspace(0.0, 8000.0, 1001))
+    assert traj.meta.settled_at == 80.0
+    assert traj.populations.min() < 0.0 and (np.abs(traj.populations - 1.25) <= 1.25 + 1e-8).all()
+
+
+@pytest.mark.parametrize("integrate", [integrate_logistic, integrate_riccati])
+@pytest.mark.parametrize("mean, mapped", [(1e-5, True), (1e-13, False)])
+def test_cycle_far_below_p0_is_resolved_or_stepped_past(integrate, mean, mapped):
+    # a mean far below an amplitude of 2 leaves r mass tiny and the cycle
+    # start P* near 3e-6 and 3e-14, far below P(t) near 0.13 for eons. The
+    # map weighs the cycle's samples against P's, so the second period runs
+    # at an abs_tol of at most rel_tol P*: at the call's abs_tol the shifted
+    # form read 280 units of the bound's tolerance at t = 10. A P* below
+    # abs_tol the steps cannot tell from 0, so that run steps to t_end
+    params, cap, cfg = LogisticParams(1.0, 0.5), SinusoidOffset(mean, 2.0, 3.0), SolverConfig()
+    ts = np.linspace(0.0, 10.0, 21)[1:]
+    traj = integrate(params, cap, 10.0, t_eval=ts)
+    assert (traj.meta.settled_at is not None) == mapped
+    exact = np.array([quadrature_solution(params, cap, t, EXACT) for t in ts.tolist()])
+    assert (np.abs(traj.populations - exact) <= ERROR_BOUND * (cfg.abs_tol + cfg.rel_tol * np.abs(exact))).all()
+
+
+def test_step_mode_lists_one_period_then_t_end():
+    # past the mark where the orbit settled, step mode listed the last
+    # period's step ends shifted by every whole period before t_end: 200,003
+    # samples at t_end = 1e3 and 2,000,003 (142 MB) at 1e4 from one set of
+    # steps. Now it lists the first period's ends, then t_end
+    traj = integrate_logistic(LogisticParams(1.0, 0.5), TwoPhase(1.0, 3.0, 0.01), 1e4)
+    assert len(traj) <= traj.steps.shape[0] + 2 and traj.times[-1] == 1e4
 
 
 def test_riccati_run_near_m_over_2_settles():
     # P read at each mark from the continuous extension of the step that
     # crossed it moved by 1.6e-9 to 2.6e-8 relative per period here, so the
-    # run never settled and took 2,866 steps to t = 50; with a step ending
-    # on every mark it settles at t = 19
+    # run never settled and took 2,866 steps to t = 50; two periods of
+    # steps and the period map give each sample within the bound
     params, cap, cfg = LogisticParams(1.0, 1.0), SinusoidOffset(1.0, 0.9, 0.5), SolverConfig()
     ts = np.linspace(0.0, 50.0, 21)[1:]
     traj = integrate_riccati(params, cap, 50.0, t_eval=ts)
-    assert traj.meta.settled_at is not None and traj.meta.settled_at <= 20.0
+    assert traj.meta.settled_at == 0.5
     exact = np.array([quadrature_solution(params, cap, t, EXACT) for t in ts.tolist()])
     assert (np.abs(traj.populations - exact) <= ERROR_BOUND * (cfg.abs_tol + cfg.rel_tol * np.abs(exact))).all()
 
