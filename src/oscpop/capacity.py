@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -82,9 +83,13 @@ class CapacitySchedule:
         scalar calls, or one level to broadcast where M is constant on
         the piece; slope takes floats only. This is the walk of
         _staged_pieces, which each schedule defines and the solvers and
-        cycle diagnostics read; no solver or diagnostic reads pieces.
+        cycle diagnostics read, with a table's lines made into the value
+        and slope of this contract; no solver reads pieces.
         """
-        return self._staged_pieces(t0, t1, False)[0]
+        walk, stages = self._staged_pieces(t0, t1, False)
+        if stages is not _on_line:
+            return walk
+        return ((lo, hi, functools.partial(_on_line, line), lambda t, s=line[3] * line[2]: s) for lo, hi, line, _ in walk)
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
         """(walk, stages): the walk of pieces(t0, t1) and its stage evaluator.
@@ -94,9 +99,12 @@ class CapacitySchedule:
         after: the floats of that piece's value and slope there, in one
         call; one evaluator serves both forms. stages is None where every
         piece is one level, which the RK45 loop and the closed form then
-        read once per piece. This fallback, for a schedule of your own,
-        cuts at breakpoints_between and calls at and derivative one float
-        inside the piece at its ends, so a subclass whose at and
+        read once per piece. It is _on_line on a table, whose walk hands
+        out each piece's line (t_k, v, rate, scale) for its value and None
+        for its slope, scale * rate; the RK45 loop reads M from the line
+        with _on_line's float operations. This fallback, for a schedule of
+        your own, cuts at breakpoints_between and calls at and derivative
+        one float inside the piece at its ends, so a subclass whose at and
         derivative take a breakpoint's own side, as the built-ins' do,
         still gives each piece's limits.
         """
@@ -119,13 +127,14 @@ class CapacitySchedule:
         return walk(), stages
 
     def _walk_values(self, t0: float, t1: float, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
-        # M at times from the walk of pieces(t0, t1), as the solvers were
-        # integrated on it: times' last axis runs along the ascending keys,
-        # and each key's times go to the first piece whose hi is at or past
-        # the key, so a key on a piece's end stays with that piece; keys past
-        # the last end go with the last piece. One value call per piece;
-        # Tabulated gathers its lines instead
-        pieces = [(hi, value) for _, hi, value, _ in self._staged_pieces(t0, t1, False)[0]]
+        # M at times from the walk of this class's pieces(t0, t1), which an
+        # override does not steer, as the solvers were integrated on it:
+        # times' last axis runs along the ascending keys, and each key's times
+        # go to the first piece whose hi is at or past the key, so a key on a
+        # piece's end stays with that piece; keys past the last end go with
+        # the last piece. One value call per piece; Tabulated gathers its
+        # lines instead
+        pieces = [(hi, value) for _, hi, value, _ in CapacitySchedule.pieces(self, t0, t1)]
         cuts = np.searchsorted(keys, [hi for hi, _ in pieces[:-1]], side="right").tolist()
         m = np.empty(times.shape)
         for (_, value), a, b in zip(pieces, [0, *cuts], [*cuts, keys.size]):
@@ -374,10 +383,11 @@ class Tabulated(CapacitySchedule):
     finite: 1.0 wherever numpy.interp's slope is, so M there is
     numpy.interp's, bit for bit. As there, a knot's M is its sample, and
     M is the right knot's sample where t - t_k overflows on a gap past
-    the float range; a piece's value is its line up to both ends.
-    Integrals are the exact trapezoid areas of the interpolant. Where the
-    gaps are finite and the slopes below about 2**2047, values and
-    integrals are finite wherever the float range holds them.
+    the float range; a piece's value is its line up to both ends, and
+    the RK45 loop reads each piece's line itself. Integrals are the
+    exact trapezoid areas of the interpolant. Where the gaps are finite
+    and the slopes below about 2**2047, values and integrals are finite
+    wherever the float range holds them.
     """
 
     times: np.ndarray
@@ -506,28 +516,14 @@ class Tabulated(CapacitySchedule):
         return cuts, [min(k + 1, k1) if 0.5 * (lo + hi) == hi else k for k, lo, hi in zip(range(k0, k0 + len(his)), los, his)]
 
     def _staged_pieces(self, t0: float, t1: float, shift: bool):
-        # one evaluator for the whole walk, on the line of the piece the walk
-        # handed out last, so a piece makes no closure but its slope
-        line = None
-
+        # each piece's line, no closure: the RK45 loop reads it itself, and
+        # pieces makes it into its value and slope callables
         def walk():
-            nonlocal line
             # the plan is made, and both ends checked, before the first piece
             cuts, segments = self._plan(t0, t1)
-            for lo, hi, line in zip([t0, *cuts], [*cuts, t1], map(self._rows.__getitem__, segments)):
-                # the default binds this piece's slope, not the walk's last
-                yield lo, hi, functools.partial(_on_line, line), lambda t, s=line[3] * line[2]: s
+            yield from zip([t0, *cuts], [*cuts, t1], map(self._rows.__getitem__, segments), itertools.repeat(None))
 
-        def stages(t2, t3, t4, t5, t6):
-            tk, vk, rate, scale = line
-            m = (
-                scale * (vk + rate * (t2 - tk)), scale * (vk + rate * (t3 - tk)),
-                scale * (vk + rate * (t4 - tk)), scale * (vk + rate * (t5 - tk)),
-                scale * (vk + rate * (t6 - tk)),
-            )
-            return m + (scale * rate,) * 5 if shift else m
-
-        return walk(), stages
+        return walk(), _on_line
 
     def _walk_values(self, t0: float, t1: float, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
         # the base class's answer without walking: the walk's own plan, the
@@ -547,7 +543,7 @@ class Tabulated(CapacitySchedule):
 
 def _on_line(line, t):
     # M at t on a table segment's line (t_k, v, rate, scale), the value rule
-    # of every table query, which the stage evaluator inlines; t may be a
+    # of every table query, which the RK45 loop inlines; t may be a
     # float64 array, and line a row of arrays, one segment per time. On
     # arrays, as on Python floats, overflow gives inf or nan quietly
     tk, v, rate, scale = line

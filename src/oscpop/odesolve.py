@@ -20,15 +20,18 @@ every long run; ``_rk45`` calls it once, or twice on a repeating schedule
 stage's right-hand side in its own body, in the logistic or the shifted
 form chosen by its caller. The schedule's _staged_pieces gives the walk
 and a stage evaluator, None where every piece is one level (Constant,
-TwoPhase): there M is read once per piece and dM/dt is 0.0; elsewhere
-each attempted step makes one call of the evaluator, which returns M at
-the step's five stage times, and dM/dt too in the shifted form. The loop
-computes those times, so the Dormand-Prince nodes stay in this module,
-and stages 6 and 7, which both sit at the step's end (the pair is FSAL),
-share the values at it. The loop binds its coefficients and settings to
-locals once per call, keeping its counters, step budget and carried step
-size in locals too; that saves each step's and each piece's global and
-attribute lookups without changing any float it produces.
+TwoPhase): there M is read once per piece and dM/dt is 0.0. On a table
+the loop reads M at a step's five stage times from the piece's line
+itself, with the table's float operations, and makes no call per step;
+elsewhere each attempted step makes one call of the evaluator, which
+returns M at the five stage times, and dM/dt too in the shifted form.
+The loop computes those times, so the Dormand-Prince nodes stay in this
+module, and stages 6 and 7, which both sit at the step's end (the pair
+is FSAL), share the values at it. The loop binds its coefficients and
+settings to locals once per call, keeping its counters, step budget and
+carried step size in locals too; that saves each step's and each
+piece's global and attribute lookups without changing any float it
+produces.
 
 On a schedule that repeats for all t, a long run steps two periods: one
 from p0 and one from the cycle start that the first gives. In u = 1/P
@@ -52,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .capacity import SolverConfig
+from .capacity import SolverConfig, _on_line
 from .errors import ConvergenceError, DivergenceError, StiffnessError
 
 __all__ = [
@@ -202,8 +205,10 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
     per n. Every float at or before s is the one of a run to s at the first
     period's tolerances. Step mode lists t0, the first period's step ends
     and t_end, and SolverStats.settled_at is s. Where 1/u* is not a float
-    at or above abs_tol, a cycle the steps cannot tell from 0, the run steps
-    to t_end from t0 instead; SolverStats counts the steps of both attempts.
+    at or above abs_tol, a cycle the steps cannot tell from 0, or with shift
+    rel_tol P* is below 2^-52 max|M|, finer than W + M/2 resolves P, the run
+    steps to t_end from t0 instead; SolverStats counts the steps of both
+    attempts.
     """
     cfg = cfg or SolverConfig()
     t0, p0, r = params.t0, params.p0, params.r
@@ -249,14 +254,16 @@ def _rk45(params, cap, t_end, cfg, t_eval, solver, shift) -> Trajectory:
 def _map_periods(params, cap, h, decay, t_end, ts, cfg, tally, shift):
     """_rk45's run on a repeating schedule, decay = r mass: (s, sample
     times, populations, the first period's steps, their coefficients), or
-    None where 1/u* is not a float at or above abs_tol."""
+    None where 1/u* is not a float at or above abs_tol or, with shift, where
+    rel_tol/u* is below 2^-52 max|M|, the spacing at which W + M/2 holds P."""
     t0, p0, r = params.t0, params.p0, params.r
     s, gap = t0 + h, -math.expm1(-decay)
     k = max(gap, min(1.0, 2.0**-52 / cfg.rel_tol))
     tight = replace(cfg, abs_tol=k * cfg.abs_tol, rel_tol=k * cfg.rel_tol)
     steps, p1, h1 = _steps(*cap._staged_pieces(t0, s, shift), shift, r, p0, None, t_end, tight, tally)
     u_star = (1.0 / p1 - math.exp(-decay) / p0) / gap if p1 > 0.0 else 0.0
-    if not (0.0 < u_star and cfg.abs_tol * u_star <= 1.0):
+    grain = 2.0**-52 * max(-cap.min_value(), cap.max_value()) if shift else 0.0
+    if not (0.0 < u_star and cfg.abs_tol * u_star <= 1.0 and grain * u_star <= cfg.rel_tol):
         return None
     # the second period starts from the step size the first ended with, at
     # an abs_tol of at most rel_tol P*: the map weighs its samples against
@@ -267,22 +274,24 @@ def _map_periods(params, cap, h, decay, t_end, ts, cfg, tally, shift):
     if ts is None:
         ts = np.concatenate(([t0], coef[0], [t_end]))
     i = int(np.searchsorted(ts, s, side="right"))
-    # each time t past s is its place s - rem, rem = (s - t) mod h, less q h
+    # each time t past s is its place s - rem, rem = (s - t) mod h, less q h;
+    # both periods are sampled at the places in sample order
     q, rem = np.divmod(s - ts[i:], h)
-    keys, back = np.unique(np.concatenate((ts[:i], s - rem)), return_inverse=True)
-    p, c = _sample_steps(coef, keys), _sample_steps(_step_coefficients(cycle), keys)
-    if shift:
-        half = 0.5 * cap._walk_values(t0, s, keys, keys)
+    places = np.concatenate((ts[:i], s - rem))
+    p, c = _sample_steps(coef, places), _sample_steps(_step_coefficients(cycle), places)
+    if shift:  # the walk takes ascending keys
+        keys, back = np.unique(places, return_inverse=True)
+        half = (0.5 * cap._walk_values(t0, s, keys, keys))[back]
         p += half
         c += half
-    p, c = p[back], c[back]
-    # a^n and 1 - a^n, n = -q, once per n: 1/P = a^n / p + (1 - a^n) / c.
-    # Where p and c differ in sign or one is 0, noise at a die-off's floor,
-    # P is their linear blend by the same weights, which lies between them
-    periods, which = np.unique(q, return_inverse=True)
-    exponents = (decay * periods).tolist()
-    g = np.array(list(map(math.exp, exponents)))[which]
-    gm = -np.array(list(map(math.expm1, exponents)))[which]
+    # a^n and 1 - a^n, n = -q, once per run of equal q, which falls along
+    # the times: 1/P = a^n / p + (1 - a^n) / c. Where p and c differ in
+    # sign or one is 0, noise at a die-off's floor, P is their linear blend
+    # by the same weights, which lies between them
+    firsts = np.flatnonzero(np.diff(q, prepend=math.nan))
+    exponents, runs = (decay * q[firsts]).tolist(), np.diff(firsts, append=q.size)
+    g = np.repeat(list(map(math.exp, exponents)), runs)
+    gm = -np.repeat(list(map(math.expm1, exponents)), runs)
     both = p[i:] * c[i:]
     p[i:] = np.divide(both, gm * p[i:] + g * c[i:], out=gm * c[i:] + g * p[i:], where=both > 0.0)
     return s, ts, p, steps, coef
@@ -290,13 +299,13 @@ def _map_periods(params, cap, h, decay, t_end, ts, cfg, tally, shift):
 
 def _steps(walk, stages, shift, r, y, h, t_end, cfg, tally):
     """Step from P = y over the pieces of walk, with stage evaluator stages
-    (cap._staged_pieces'; the module docstring says how M reaches the
-    stages), from the step size h (None for a sixteenth of the first
-    piece); returns the (n, 7) array of the accepted steps, P at the walk's
-    end and the step size proposed there. tally holds the call's attempts
-    left, steps accepted and rejected, pieces, and smallest and largest
-    step, and is updated in place; t_end is the call's, for the budget's
-    message.
+    (cap._staged_pieces': None on levels, _on_line on a table's lines, else
+    a callable; the module docstring says how M reaches the stages), from
+    the step size h (None for a sixteenth of the first piece); returns the
+    (n, 7) array of the accepted steps, P at the walk's end and the step
+    size proposed there. tally holds the call's attempts left, steps
+    accepted and rejected, pieces, and smallest and largest step, and is
+    updated in place; t_end is the call's, for the budget's message.
 
     Each piece starts at min(max_step, span, h), span its width, h the
     controller's last proposal before the clip to the previous piece's end.
@@ -327,14 +336,19 @@ def _steps(walk, stages, shift, r, y, h, t_end, cfg, tally):
     # m1..m6 and s1..s6 are M and dM/dt at stages 1 to 6; s stays 0.0 on
     # level pieces and is read only with shift
     s1 = s2 = s3 = s4 = s5 = s6 = 0.0
-    levels = stages is None
+    levels, lines = stages is None, stages is _on_line
     for lo, hi, m, dm in walk:
         t = lo
-        m1 = m(lo)
-        if levels:
-            m2 = m3 = m4 = m5 = m6 = m1
-        elif shift:
-            s1 = dm(lo)
+        if lines:  # m is the piece's line, whose slope is scale * rate
+            tk, v, rate, scale = m
+            m1 = scale * (v + rate * (lo - tk))
+            s1 = s2 = s3 = s4 = s5 = s6 = scale * rate
+        else:
+            m1 = m(lo)
+            if levels:
+                m2 = m3 = m4 = m5 = m6 = m1
+            elif shift:
+                s1 = dm(lo)
         size = abs(y)  # |P| at the step's start, carried from step to step
         if shift:
             y = y - 0.5 * m1
@@ -367,7 +381,11 @@ def _steps(walk, stages, shift, r, y, h, t_end, cfg, tally):
                                        f" after {cfg.max_iterations} attempted steps")
             left -= 1
             t_next = t + h
-            if not levels:
+            if lines:
+                m2, m3 = scale * (v + rate * (t + c2 * h - tk)), scale * (v + rate * (t + c3 * h - tk))
+                m4, m5 = scale * (v + rate * (t + c4 * h - tk)), scale * (v + rate * (t + c5 * h - tk))
+                m6 = scale * (v + rate * (t_next - tk))
+            elif not levels:
                 t2, t3, t4, t5 = t + c2 * h, t + c3 * h, t + c4 * h, t + c5 * h
                 if shift:
                     m2, m3, m4, m5, m6, s2, s3, s4, s5, s6 = stages(t2, t3, t4, t5, t_next)
@@ -431,7 +449,7 @@ def _steps(walk, stages, shift, r, y, h, t_end, cfg, tally):
                 raise StiffnessError(f"step size vanished at t={t}")
         h = h_next
         if shift:
-            y = y + 0.5 * (m1 if levels else m(hi))
+            y = y + 0.5 * (m1 if levels else scale * (v + rate * (hi - tk)) if lines else m(hi))
     n = len(record) // 7
     tally[:] = left, n_acc + n, n_rej, n_pieces, h_min, h_max
     return np.fromiter(record, float, 7 * n).reshape(n, 7), y, h

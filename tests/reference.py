@@ -2,8 +2,9 @@
 each written once: a table's answers from numpy, dopri5's continuous
 extension of one step, the float neighbours of probe times, I0(1), the
 half-peak band's share of a level schedule's cycle in closed form, the
-exact-solution settings and error bound RK45 runs are held to, and a
-schedule's twin whose RK45 runs step all the way to t_end.
+exact-solution settings and error bound RK45 runs are held to, a
+schedule's twin whose RK45 runs step all the way to t_end, and a table
+served to RK45 through a per-step stage evaluator.
 
 This module imports no hypothesis, so the example tests that use it run
 without it.
@@ -13,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from oscpop import NonDifferentiableError, ScheduleRangeError, SolverConfig, TwoPhase
+from oscpop import CapacitySchedule, NonDifferentiableError, OscPopError, ScheduleRangeError, SolverConfig, TwoPhase
 
 # the reciprocal-space reference, about 1e-13 relative, far below every
 # rel_tol an RK45 run here is checked at
@@ -85,6 +86,40 @@ class ReferenceTable:
         self.check(hi)
         k = self.segment(0.5 * (lo + hi))
         return float(self.vs[k]), float(self.ts[k]), self.slope(k)
+
+
+class StagedByPieces(CapacitySchedule):
+    """table as a schedule of your own whose stage evaluator calls, on the
+    piece last drawn, the value and slope of table.pieces at each stage
+    time: the floats every table gave the RK45 loop before the loop read a
+    table piece's line itself."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def _staged_pieces(self, t0, t1, shift):
+        drawn = []
+
+        def walk():
+            for piece in self.table.pieces(t0, t1):
+                drawn[:] = piece
+                yield piece
+
+        def stages(*ts):
+            _, _, value, slope = drawn
+            return (*map(value, ts), *(map(slope, ts) if shift else ()))
+
+        return walk(), stages
+
+
+def run_outcome(integrate, params, cap, t_end):
+    """The bytes of a run's step samples and its SolverStats, or the
+    exception's type and message."""
+    try:
+        traj = integrate(params, cap, t_end)
+    except OscPopError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return traj.times.tobytes(), traj.populations.tobytes(), traj.meta
 
 
 def outcome(query, *args):

@@ -1,4 +1,5 @@
-"""Property tests of the smooth pieces handed out by CapacitySchedule.pieces."""
+"""Property tests of the smooth pieces handed out by CapacitySchedule.pieces,
+and of the RK45 loop's reads of a table piece's line."""
 import math
 
 import numpy as np
@@ -9,13 +10,16 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oscpop import (  # noqa: E402
     Constant,
+    LogisticParams,
     NonDifferentiableError,
     ScheduleRangeError,
     SinusoidOffset,
     Tabulated,
     TwoPhase,
+    integrate_logistic,
+    integrate_riccati,
 )
-from reference import ReferenceTable, near, outcome  # noqa: E402
+from reference import ReferenceTable, StagedByPieces, near, outcome, run_outcome  # noqa: E402
 
 INWARD = 1e-3  # one-sided limits are compared with M this far into a piece
 
@@ -107,7 +111,7 @@ def test_piece_ends_give_one_sided_limits(iv):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    iv=intervals().filter(lambda iv: isinstance(iv[0], (SinusoidOffset, Tabulated))) | steep_tables(),
+    iv=intervals().filter(lambda iv: isinstance(iv[0], SinusoidOffset)),
     fracs=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
     shift=st.booleans(),
 )
@@ -120,6 +124,22 @@ def test_stage_evaluator_gives_the_piece_value_and_slope(iv, fracs, shift):
         ts = [lo + f * (hi - lo) for f in fracs] + [hi]
         expected = [value(t) for t in ts] + ([slope(t) for t in ts] if shift else [])
         assert [x.hex() for x in stages(*ts)] == [x.hex() for x in expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    iv=intervals().filter(lambda iv: isinstance(iv[0], Tabulated)) | steep_tables(),
+    r=st.sampled_from([1e-307]) | st.floats(0.1, 2.0),
+    p0=st.floats(0.1, 3.0),
+    integrate=st.sampled_from([integrate_logistic, integrate_riccati]),
+)
+def test_step_loop_reads_table_lines_as_the_pieces_do(iv, r, p0, integrate):
+    # the RK45 loop reads M, and with shift dM/dt, from each table piece's
+    # line itself: the floats that a stage evaluator calling the piece's
+    # value and slope at each stage time gives, a scaled line's included
+    cap, t0, t1, _, _ = iv
+    params = LogisticParams(r, p0, t0)
+    assert run_outcome(integrate, params, cap, t1) == run_outcome(integrate, params, StagedByPieces(cap), t1)
 
 
 @st.composite

@@ -165,11 +165,11 @@ def _sampled(integrate, p, cap, t_end, t_eval):
 
 def folded(ts, s, h):
     """The times a run that took the period map at s samples for ts: each
-    time past s at its place s - ((s - t) mod h) in the first period, each
-    place once, ascending."""
+    time past s at its place s - ((s - t) mod h) in the first period, in
+    sample order."""
     if s is None:
         return ts
-    return np.unique([t if t <= s else s - (s - t) % h for t in ts.tolist()])
+    return np.array([t if t <= s else s - (s - t) % h for t in ts.tolist()])
 
 
 @pytest.mark.parametrize("integrate", INTEGRATORS)
